@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import model1d
-from .discretize import assemble, build_grid
-from .errors import DegenerateFit, EmptyComplement, NoConvergence
+from .discretize import assemble, build_grid, lp_norm
+from .errors import DegenerateFit, EmptyComplement
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
 from .models import ConcentrationMap, boundary_constant, concentration_map
@@ -115,23 +115,17 @@ def sweep(spec: GeometrySpec, p: float, h_list, cmap: ConcentrationMap | None = 
         else:
             opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=7,
                                    bump_width=math.sqrt(h), centers=centers)
-        converged = True
-        try:
-            res = minimize_quotient(form, p, opts)
-            converged = res.converged
-        except NoConvergence:
-            raise
+        res = minimize_quotient(form, p, opts)
         ratio = res.lam / h ** h_power(spec.dim, p)
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
         center = tuple(float(c) for c in grid.points[int(np.argmax(vals))])
         outside = cmap.outside_m_eps(grid.points, eps)
-        w = grid.weight
-        mass = float((w[outside] @ np.abs(res.psi.values[outside]) ** p) ** (1.0 / p))
+        mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,
                              mass_outside=mass, spacing=spacing,
-                             converged=converged,
+                             converged=res.converged,
                              psi=res.psi if keep_fields else None))
     return rows
 
@@ -215,6 +209,7 @@ class LargeDomainRow:
     lam_semiclassical: float
     lam_neumann: float
     ratio: float
+    converged: bool = True
 
 
 def boundary_centers(spec: GeometrySpec) -> tuple:
@@ -266,5 +261,6 @@ def large_domain(spec: GeometrySpec, p: float, R_list, mesh_rule=None,
         lam_neu = R ** (d + 2.0 - 2.0 * d / p) * res.lam
         rows.append(LargeDomainRow(R=R, h=h, lam_semiclassical=res.lam,
                                    lam_neumann=lam_neu,
-                                   ratio=lam_neu / reference))
+                                   ratio=lam_neu / reference,
+                                   converged=res.converged))
     return rows

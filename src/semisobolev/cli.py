@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -24,11 +25,28 @@ from .errors import NoConvergence, SemisobolevError
 from .minimize import MinimizeOptions, minimize_quotient
 
 
+# no option name here starts with a digit, so such a token is a value
+_NEGATIVE_VALUE = re.compile(r"^-\.?\d")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract is 1
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         sys.exit(1)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse takes only plain negative numbers for values, so
+        # "--sweep -0.9:0.9:7" or "--c -1e-3" would read as two options;
+        # glue the value on: "--sweep=-0.9:0.9:7"
+        glued = []
+        for tok in sys.argv[1:] if args is None else args:
+            if (glued and glued[-1].startswith("--") and "=" not in glued[-1]
+                    and _NEGATIVE_VALUE.match(tok)):
+                glued[-1] += "=" + tok
+            else:
+                glued.append(tok)
+        return super().parse_known_args(glued, namespace)
 
 
 def _csv_text(config: dict, header: list, rows: list) -> str:
@@ -187,11 +205,14 @@ def _cmd_large_domain(args) -> int:
     config = {"config_file": args.config, "p": args.p, "R_list": args.R_list,
               "seed": args.seed,
               **{f"geometry.{k}": v for k, v in resolved.items()}}
-    hdr = ["R", "h", "lambda_semiclassical", "lambda_neumann", "ratio"]
-    table = [(r.R, r.h, r.lam_semiclassical, r.lam_neumann, r.ratio)
-             for r in rows]
+    hdr = ["R", "h", "lambda_semiclassical", "lambda_neumann", "ratio",
+           "converged"]
+    table = [(r.R, r.h, r.lam_semiclassical, r.lam_neumann, r.ratio,
+              int(r.converged)) for r in rows]
     _emit(args.out, _csv_text(config, hdr, table))
-    print(f"large-domain: {len(rows)} rows, last ratio={rows[-1].ratio:.6g}")
+    bad = [r for r in rows if not r.converged]
+    print(f"large-domain: {len(rows)} rows, last ratio={rows[-1].ratio:.6g}"
+          + (f", {len(bad)} unconverged" if bad else ""))
     return 0
 
 

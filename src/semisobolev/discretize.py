@@ -325,11 +325,21 @@ class WaveFunction:
         return WaveFunction(self.grid, self.values.copy())
 
     def norm_lp(self, p: float) -> float:
-        w = self.grid.weight
-        return float((w @ np.abs(self.values) ** p) ** (1.0 / p))
+        return lp_norm(self.grid.weight, self.values, p)
 
     def norm_l2(self) -> float:
         return self.norm_lp(2.0)
+
+
+def abs_pow(x: np.ndarray, p: float) -> np.ndarray:
+    """|x|^p as (Re^2 + Im^2)^(p/2): no complex modulus, and p = 4 squares."""
+    sq = x.real * x.real + x.imag * x.imag if np.iscomplexobj(x) else x * x
+    return sq ** (0.5 * p)
+
+
+def lp_norm(w: np.ndarray, x: np.ndarray, p: float) -> float:
+    """Weighted lattice L^p norm (sum_i w_i |x_i|^p)^(1/p)."""
+    return float((w @ abs_pow(x, p)) ** (1.0 / p))
 
 
 def from_callable(grid: Grid, f: Callable) -> WaveFunction:
@@ -403,30 +413,38 @@ class AssembledForm:
         """Operator L = M^{-1} K in the weighted pairing."""
         return (self.K @ x) / self.weight
 
-    def inner(self, x: np.ndarray, y: np.ndarray) -> complex:
-        return complex(np.vdot(x, self.weight * y))
+    def preconditioner_shift(self) -> float:
+        """The shift tau of the preconditioner K + tau M.
+
+        tau combines the domain-scale kinetic quantum with a safeguard
+        against indefinite potential/Robin diagonals; both terms scale
+        exactly like M^{-1} K under the semiclassical grid rescale, which
+        keeps descent iterates covariant on matched grids.
+        """
+        pts = self.grid.points
+        base = sum((math.pi * self.h / float(np.ptp(pts[:, ax]))) ** 2
+                   for ax in range(self.grid.dim))
+        # diagonal of the non-kinetic part: V and Robin masses over weight
+        kin_diag = np.zeros(self.grid.n_nodes)
+        np.add.at(kin_diag, self.grid.edges[:, 0], self.edge_kin)
+        np.add.at(kin_diag, self.grid.edges[:, 1], self.edge_kin)
+        pot = self.K.diagonal().real - kin_diag[self.grid.free]
+        lb = float(np.min(pot / self.weight))
+        return base + 1.5 * max(0.0, -lb)
 
     def preconditioner(self):
         """Factorized (K + tau M)^{-1}, built lazily and reused.
 
-        The shift tau combines the domain-scale kinetic quantum with a
-        safeguard against indefinite potential/Robin diagonals; both terms
-        scale exactly like M^{-1} K under the semiclassical grid rescale,
-        which keeps descent iterates covariant on matched grids.
+        SuperLU orders the columns by minimum degree on the pattern of
+        A^T + A, which is the pattern of K itself (K is Hermitian).  On
+        these lattice graphs that cuts the L + U fill of the default
+        COLAMD ordering by a third to a half, and the cost of every
+        solve with it.
         """
         if self._prec is None:
-            pts = self.grid.points
-            base = sum((math.pi * self.h / float(np.ptp(pts[:, ax]))) ** 2
-                       for ax in range(self.grid.dim))
-            # diagonal of the non-kinetic part: V and Robin masses over weight
-            kin_diag = np.zeros(self.grid.n_nodes)
-            np.add.at(kin_diag, self.grid.edges[:, 0], self.edge_kin)
-            np.add.at(kin_diag, self.grid.edges[:, 1], self.edge_kin)
-            pot = self.K.diagonal().real - kin_diag[self.grid.free]
-            lb = float(np.min(pot / self.weight))
-            tau = base + 1.5 * max(0.0, -lb)
             Md = sp.diags(self.weight.astype(self.K.dtype))
-            self._prec = sp.linalg.splu((self.K + tau * Md).tocsc())
+            P = self.K + self.preconditioner_shift() * Md
+            self._prec = sp.linalg.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._prec
 
 

@@ -8,23 +8,36 @@ iteration (robust in the presence of Landau-level clustering, where
 Krylov schemes stall on the near-degenerate subspace).
 
 For p > 2 the quotient is 0-homogeneous and is minimized by projected
-gradient descent with L^p renormalization after every step.  Steps are
-Barzilai-Borwein with a monotone backtracking safeguard; directions are
-preconditioned by a factorized shifted operator (K + tau M)^{-1}, which
-removes the mesh-scale stiffness of the raw gradient flow.  Multiple
-restarts (random fields plus Gaussian bumps at candidate localization
-centers) guard against spurious local minima.
+gradient descent on the L^p unit sphere.  Steps are Barzilai-Borwein with
+a monotone (Armijo) backtracking safeguard; directions are preconditioned
+by a factorized shifted operator (K + tau M)^{-1}, which removes the
+mesh-scale stiffness of the raw gradient flow.  Along a direction d the
+energy is the quadratic
+
+    Q(x - a d) = Q(x) - 2a Re<d, K x> + a^2 <d, K d>,
+
+so with K d formed once per iteration a backtracking trial costs one axpy
+and one L^p norm.  An accepted iterate is renormalized and K x is formed
+afresh (never updated by recurrence), and serves both the quotient and
+the gradient: one iteration costs one preconditioner solve and two sparse
+matvecs.  Each restart reports why it stopped: `grad_tol`, `stagnation`
+(no decrease over a window of iterations), `cap` (iteration limit) or
+`backtrack_floor` (no admissible step, so the iterate cannot move).
+Multiple restarts (random fields plus Gaussian bumps at candidate
+localization centers) guard against spurious local minima.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .discretize import AssembledForm, WaveFunction, gaussian_bump
+from .discretize import AssembledForm, WaveFunction, abs_pow, gaussian_bump, lp_norm
 from .errors import NoConvergence, ZeroFunction
 
 _STAG_WINDOW = 60
@@ -53,17 +66,22 @@ class MinimizerResult:
     iterations: int
     el_residual: float
     restart_values: list = field(default_factory=list)
+    restart_iterations: list = field(default_factory=list)
+    restart_exits: list = field(default_factory=list)   # _Stop.reason, or "eigen"
     converged: bool = True
     grad_norm: float = 0.0
     history: list = field(default_factory=list)
 
 
-def _lp_norm(w, x, p):
-    return float((w @ np.abs(x) ** p) ** (1.0 / p))
+class _Stop(NamedTuple):
+    """Why a descent stopped, with the gradient norm it last measured."""
+
+    reason: str     # grad_tol | stagnation | cap | backtrack_floor
+    grad_norm: float
 
 
 def _quotient(form, x, p):
-    np_ = _lp_norm(form.weight, x, p)
+    np_ = lp_norm(form.weight, x, p)
     if np_ < 1e-300:
         raise ZeroFunction("zero trial function")
     return float(np.real(np.vdot(x, form.K @ x))) / np_ ** 2
@@ -82,19 +100,28 @@ def quotient_gradient(form: AssembledForm, psi: WaveFunction, p: float) -> WaveF
 
 
 def _grad_free(form, x, p):
-    w = form.weight
-    np_ = _lp_norm(w, x, p)
+    np_ = lp_norm(form.weight, x, p)
     if np_ < 1e-300:
         raise ZeroFunction("zero trial function")
-    R = float(np.real(np.vdot(x, form.K @ x))) / np_ ** 2
-    return 2.0 * ((form.K @ x) / w - R * np_ ** (2.0 - p)
-                  * np.abs(x) ** (p - 2.0) * x) / np_ ** 2
+    u = x / np_
+    Ku = form.K @ u
+    return _grad_unit(form.weight, u, Ku, float(np.real(np.vdot(u, Ku))), p) / np_
+
+
+def _line_energy(Q, dKx, dKd, a):
+    """Q(x - a d) from Q(x), Re<d, K x> and <d, K d> (K Hermitian)."""
+    return Q - 2.0 * a * dKx + a * a * dKd
+
+
+def _grad_unit(w, x, Kx, R, p):
+    """Gradient at an L^p-normalized x, given K x and R = <x, K x>."""
+    return 2.0 * (Kx / w - R * abs_pow(x, p - 2.0) * x)
 
 
 def el_residual(form: AssembledForm, lam: float, psi: WaveFunction, p: float) -> float:
     """Discrete L^2 norm of L psi - lam |psi|^{p-2} psi for L^p-normalized psi."""
     x = form.free_values(psi)
-    r = form.apply(x) - lam * np.abs(x) ** (p - 2.0) * x
+    r = form.apply(x) - lam * abs_pow(x, p - 2.0) * x
     return float(np.sqrt(np.real(np.vdot(r, form.weight * r))))
 
 
@@ -118,7 +145,7 @@ def _tridiagonal_eigen(form):
 
 def _inverse_power(form, sigma, x0, maxiter=200, tol=1e-13):
     Md = sp.diags(form.weight.astype(form.K.dtype))
-    lu = sp.linalg.splu((form.K - sigma * Md).tocsc())
+    lu = sp.linalg.splu((form.K - sigma * Md).tocsc(), permc_spec="MMD_AT_PLUS_A")
     x = x0 / np.sqrt(np.real(np.vdot(x0, form.weight * x0)))
     lam_old, streak = np.inf, 0
     lam = lam_old
@@ -160,7 +187,9 @@ def _eigen_path(form, opts):
     res = el_residual(form, lam, psi, 2.0)
     return MinimizerResult(lam=lam, psi=psi, iterations=iterations,
                            el_residual=res, restart_values=[lam],
-                           converged=True, grad_norm=res)
+                           restart_iterations=[iterations],
+                           restart_exits=["eigen"], converged=True,
+                           grad_norm=res)
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +197,7 @@ def _eigen_path(form, opts):
 # ---------------------------------------------------------------------------
 
 def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
-    """Monotone BB descent on the quotient; returns (R, x, iters, gnorm)."""
+    """Monotone BB descent on the quotient; returns (R, x, iters, _Stop)."""
     w = form.weight
     K = form.K
     max_iters = opts.max_iters if max_iters is None else max_iters
@@ -178,46 +207,62 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
     def pdir(g):
         return prec.solve((w * g).astype(K.dtype)) if prec is not None else g
 
-    x = x0 / _lp_norm(w, x0, p)
-    R = _quotient(form, x, p)
+    def wdot(a, b):
+        return float(np.real(np.vdot(a, w * b)))
+
+    n0 = lp_norm(w, x0, p)
+    if n0 < 1e-300:
+        raise ZeroFunction("zero trial function")
+    x = x0 / n0
+    Kx = K @ x
+    R = float(np.real(np.vdot(x, Kx)))
     if history is not None:
         history.append(R)
-    g = _grad_free(form, x, p)
+    g = _grad_unit(w, x, Kx, R, p)
     d = pdir(g)
     alpha = 1.0
-    gnorm = float(np.sqrt(np.real(np.vdot(g, w * g))))
+    gnorm = math.sqrt(wdot(g, g))
     best_R, since_best = R, 0
+    reason = "cap"
     it = 0
     for it in range(max_iters):
-        gnorm = float(np.sqrt(np.real(np.vdot(g, w * g))))
+        gnorm = math.sqrt(wdot(g, g))
         if gnorm <= grad_tol * max(1.0, abs(R)):
+            reason = "grad_tol"
             break
-        slope = float(np.real(np.vdot(g, w * d)))
+        slope = wdot(g, d)
         if slope <= 0.0:
-            d, slope = g, float(np.real(np.vdot(g, w * g)))
+            d, slope = g, wdot(g, g)
+        # quadratic line energy: trials need no matvec
+        Kd = K @ d
+        dKx = float(np.real(np.vdot(d, Kx)))
+        dKd = float(np.real(np.vdot(d, Kd)))
         a = alpha
         while True:
             xt = x - a * d
-            nt = _lp_norm(w, xt, p)
-            if nt > 1e-300:
-                xt = xt / nt
-                Rt = _quotient(form, xt, p)
-                if Rt <= R - 1e-4 * a * slope:
-                    break
+            nt = lp_norm(w, xt, p)
+            if nt > 1e-300 and (_line_energy(R, dKx, dKd, a) / nt ** 2
+                                <= R - 1e-4 * a * slope):
+                break
             a *= 0.5
             if a < 1e-18:
-                xt, Rt = x, R
+                xt = None
                 break
-        gt = _grad_free(form, xt, p)
+        if xt is None:
+            reason = "backtrack_floor"
+            break
+        xt /= nt
+        Kxt = K @ xt
+        Rt = float(np.real(np.vdot(xt, Kxt)))
+        gt = _grad_unit(w, xt, Kxt, Rt, p)
         dt = pdir(gt)
         s_v = xt - x
-        y_v = dt - d
-        sy = float(np.real(np.vdot(s_v, w * y_v)))
-        ss = float(np.real(np.vdot(s_v, w * s_v)))
-        alpha = abs(ss / sy) if sy not in (0.0,) and ss > 0.0 else 2.0 * a
+        sy = wdot(s_v, dt - d)
+        ss = wdot(s_v, s_v)
+        alpha = abs(ss / sy) if sy != 0.0 and ss > 0.0 else 2.0 * a
         if not np.isfinite(alpha) or alpha <= 0.0:
             alpha = 2.0 * a
-        x, g, d, R = xt, gt, dt, Rt
+        x, Kx, g, d, R = xt, Kxt, gt, dt, Rt
         if history is not None:
             history.append(R)
         if R < best_R - 1e-15 * max(1.0, abs(best_R)):
@@ -225,8 +270,9 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
         else:
             since_best += 1
             if since_best >= _STAG_WINDOW:
+                reason = "stagnation"
                 break
-    return R, x, it + 1, gnorm
+    return R, x, it + 1, _Stop(reason, gnorm)
 
 
 def minimize_quotient(form: AssembledForm, p: float,
@@ -272,17 +318,17 @@ def minimize_quotient(form: AssembledForm, p: float,
             inits.append(v)
 
     best = None
-    restart_values = []
-    total_it = 0
+    restart_values, restart_iterations, restart_exits = [], [], []
     for x0 in inits:
-        if _lp_norm(form.weight, x0, p) < 1e-300:
+        if lp_norm(form.weight, x0, p) < 1e-300:
             x0 = rng.standard_normal(form.n).astype(x0.dtype)
         hist = [] if opts.track_history else None
-        R, x, its, gnorm = _descend(form, x0, p, opts, history=hist)
-        total_it += its
+        R, x, its, stop = _descend(form, x0, p, opts, history=hist)
         restart_values.append(R)
-        ok = gnorm <= 10.0 * opts.grad_tol * max(1.0, abs(R))
-        cand = (R, its, x, gnorm, ok, hist)
+        restart_iterations.append(its)
+        restart_exits.append(stop.reason)
+        ok = stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R))
+        cand = (R, its, x, stop.grad_norm, ok, hist)
         if best is None or (R < best[0] - 1e-10) or (
                 abs(R - best[0]) <= 1e-10 and its < best[1]):
             best = cand
@@ -294,7 +340,9 @@ def minimize_quotient(form: AssembledForm, p: float,
     nrm = psi.norm_lp(p)
     psi = WaveFunction(grid, psi.values / nrm)
     lam = _quotient(form, psi.values[grid.free], p)
-    return MinimizerResult(lam=lam, psi=psi, iterations=total_it,
+    return MinimizerResult(lam=lam, psi=psi, iterations=sum(restart_iterations),
                            el_residual=el_residual(form, lam, psi, p),
-                           restart_values=restart_values, converged=ok,
+                           restart_values=restart_values,
+                           restart_iterations=restart_iterations,
+                           restart_exits=restart_exits, converged=ok,
                            grad_norm=gnorm, history=hist or [])

@@ -83,7 +83,8 @@ def _whole_space_value(d: int, p: float, b: float, v: float) -> float:
     grid = build_grid(spec, spacing)
     form = assemble(spec, 1.0, grid)
     res = minimize_quotient(form, p, _solver_options(d))
-    _cache[key] = res.lam
+    if res.converged:   # an unconverged value is re-solved on the next call
+        _cache[key] = res.lam
     return res.lam
 
 
@@ -116,7 +117,8 @@ def _half_space_value(d: int, p: float, b: float, v: float, g: float) -> float:
     grid = build_grid(spec, spacing)
     form = assemble(spec, 1.0, grid)
     res = minimize_quotient(form, p, _solver_options(d, centers=centers))
-    _cache[key] = res.lam
+    if res.converged:   # an unconverged value is re-solved on the next call
+        _cache[key] = res.lam
     return res.lam
 
 

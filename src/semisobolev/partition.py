@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .discretize import AssembledForm, WaveFunction
+from .discretize import AssembledForm, WaveFunction, abs_pow
 from .errors import InvalidScales, NoneAccepted
 
 _SQRT_EPS = 1e-300
@@ -291,7 +291,7 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
         parts = localization_split(form, psi, fam)
         loc_mass = 0.0
         for chi in parts["chi"]:
-            loc_mass += float(w @ np.abs(chi * psi.values) ** p)
+            loc_mass += float(w @ abs_pow(chi * psi.values, p))
         mass_defect[i] = lp_total - loc_mass
         energy_defect[i] = parts["q_sum"] - q_total
 

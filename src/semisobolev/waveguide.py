@@ -29,7 +29,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import geometry
-from .discretize import AssembledForm, Grid, build_grid, DIRICHLET as _DIR, INTERIOR as _INT
+from .discretize import (AssembledForm, Grid, build_grid, lp_norm,
+                         DIRICHLET as _DIR, INTERIOR as _INT)
 from .errors import InvalidProfile, NoConvergence
 from .geometry import GeometrySpec
 from .minimize import MinimizeOptions, minimize_quotient
@@ -206,9 +207,7 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list,
         grid = form.grid
         s = grid.points[:, 0]
         outside = np.abs(s - profile.s_max) > eps
-        w = grid.weight
-        mass = float((w[outside] @ np.abs(res.psi.values[outside]) ** p)
-                     ** (1.0 / p))
+        mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(WaveguideRow(h=h, lam_reduced=res.lam,
                                  ratio=res.lam / target, mass_outside=mass,
                                  spacing_s=grid.spacing[0],

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
 from scipy.integrate import dblquad
 
@@ -155,6 +156,26 @@ class TestAssembleEvaluate:
         rich = vals[2] + (vals[2] - vals[1]) / 3.0
         e1, e2 = abs(vals[1] - rich), abs(vals[2] - rich)
         assert math.log2(e1 / e2) >= 1.8
+
+
+class TestPreconditioner:
+    @pytest.mark.parametrize("case", ["disk", "magnetic_box"])
+    def test_solve_residual(self, case, rng):
+        if case == "disk":
+            spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=-0.5)
+            h, spacing = 0.05, 0.04
+        else:
+            spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
+                                   V=1.0, A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
+            h, spacing = 0.1, 0.05
+        f = dz.assemble(spec, h, dz.build_grid(spec, spacing))
+        assert f.is_complex == (case == "magnetic_box")
+        P = f.K + f.preconditioner_shift() * sp.diags(f.weight)
+        b = rng.standard_normal(f.n).astype(f.K.dtype)
+        if f.is_complex:
+            b = b + 1j * rng.standard_normal(f.n)
+        x = f.preconditioner().solve(b)
+        assert np.linalg.norm(P @ x - b) <= 1e-10 * np.linalg.norm(b)
 
 
 class TestGauge:

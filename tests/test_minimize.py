@@ -1,5 +1,6 @@
 """Quotient minimization: gradients, eigen paths, flow behavior."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from semisobolev import geometry as ge
 from semisobolev import discretize as dz
+from semisobolev import minimize as mz
 from semisobolev import model1d as m1
 from semisobolev.minimize import (MinimizeOptions, el_residual,
                                   minimize_quotient, quotient_gradient)
@@ -171,3 +173,97 @@ class TestResidual:
         from semisobolev.errors import ZeroFunction
         with pytest.raises(ZeroFunction):
             quotient_gradient(f, dz.WaveFunction(g, np.zeros(g.n_nodes)), 4.0)
+
+
+class TestExitReasons:
+    def test_iteration_cap(self, magnetic_2d, rng):
+        _, _, f = magnetic_2d
+        res = minimize_quotient(f, 4.0, MinimizeOptions(
+            max_iters=3, restarts=1, centers=((0.0, 0.0),)))
+        assert res.restart_exits == ["cap", "cap"]
+        assert res.restart_iterations == [3, 3]
+        assert res.iterations == 6
+        assert len(res.restart_values) == 2
+
+    def test_bump_start_converges(self, magnetic_2d):
+        _, _, f = magnetic_2d
+        res = minimize_quotient(f, 4.0, MinimizeOptions(
+            grad_tol=1e-8, restarts=0, centers=((0.0, 0.0),)))
+        assert res.restart_exits[0] in ("grad_tol", "stagnation")
+        assert res.restart_iterations == [res.iterations]
+
+    def test_eigen_path_reports(self, robin_1d):
+        _, _, f = robin_1d
+        res = minimize_quotient(f, 2.0)
+        assert res.restart_exits == ["eigen"]
+        assert res.restart_iterations == [res.iterations]
+
+
+class TestHotPath:
+    def test_line_energy(self, magnetic_2d, rng):
+        _, _, f = magnetic_2d
+        K = f.K
+        x = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+        d = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+        Q = float(np.real(np.vdot(x, K @ x)))
+        dKx = float(np.real(np.vdot(d, K @ x)))
+        dKd = float(np.real(np.vdot(d, K @ d)))
+        for a in (1e-6, 0.3, 5.0):
+            xa = x - a * d
+            direct = float(np.real(np.vdot(xa, K @ xa)))
+            line = mz._line_energy(Q, dKx, dKd, a)
+            assert abs(line - direct) <= 1e-12 * abs(direct)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_lp_kernel(self, p, complex_, rng):
+        w = rng.uniform(0.1, 1.0, 500)
+        x = rng.standard_normal(500)
+        if complex_:
+            x = x + 1j * rng.standard_normal(500)
+        ref = w @ np.abs(x) ** p
+        assert abs(w @ dz.abs_pow(x, p) - ref) <= 1e-13 * ref
+        assert abs(dz.lp_norm(w, x, p) - ref ** (1.0 / p)) <= 1e-13 * ref ** (1.0 / p)
+
+    def test_work_per_iteration(self, magnetic_2d, rng, monkeypatch):
+        _, _, f = magnetic_2d
+
+        class CountingMatrix:
+            def __init__(self, K):
+                self.K, self.matvecs = K, 0
+
+            def __matmul__(self, x):
+                self.matvecs += 1
+                return self.K @ x
+
+            def __getattr__(self, name):
+                return getattr(self.K, name)
+
+        class CountingLU:
+            def __init__(self, lu):
+                self.lu, self.solves = lu, 0
+
+            def solve(self, b):
+                self.solves += 1
+                return self.lu.solve(b)
+
+        norms = []
+
+        def counting_lp_norm(w, x, p):
+            norms.append(1)
+            return dz.lp_norm(w, x, p)
+
+        monkeypatch.setattr(mz, "lp_norm", counting_lp_norm)
+        K, lu = CountingMatrix(f.K), CountingLU(f.preconditioner())
+        form = dataclasses.replace(f, K=K, _prec=lu)
+        x0 = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+        hist = []
+        _, _, its, stop = mz._descend(form, x0, 4.0, MinimizeOptions(max_iters=40),
+                                      history=hist)
+        assert stop.reason == "cap"
+        steps = len(hist) - 1               # accepted steps
+        trials = len(norms) - 1             # line-search trials
+        assert steps == its == 40
+        assert trials > steps               # the run did backtrack
+        assert lu.solves == steps + 1       # one per iterate, none per trial
+        assert K.matvecs <= 2 * its + 1

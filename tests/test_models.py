@@ -1,6 +1,7 @@
 """Homogeneous model constants and the concentration function."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -153,3 +154,21 @@ class TestConcentrationMap:
         pts = np.array([[0.1, 0.0], [0.5, 0.0]])
         out = cmap.outside_m_eps(pts)
         assert list(out) == [False, True]
+
+
+class TestCache:
+    @pytest.mark.parametrize("converged", [False, True])
+    def test_only_converged_values_are_cached(self, converged, monkeypatch):
+        calls = []
+
+        def fake_minimize(form, p, opts):
+            calls.append(p)
+            return types.SimpleNamespace(lam=1.25, converged=converged)
+
+        monkeypatch.setattr(models, "_cache", {})
+        monkeypatch.setattr(models, "minimize_quotient", fake_minimize)
+        for _ in range(2):
+            assert models._whole_space_value(1, 4.0, 0.0, 1.0) == 1.25
+            assert models._half_space_value(1, 4.0, 0.0, 1.0, 0.0) == 1.25
+        assert len(models._cache) == (2 if converged else 0)
+        assert len(calls) == (2 if converged else 4)
