@@ -4,7 +4,7 @@ Subpackages cover the exactly solvable half-line Robin model, magnetic
 field algebra, gauge-covariant lattice discretization of the quadratic
 form, Sobolev-quotient minimization, homogeneous model constants, the
 semiclassical and waveguide sweep harnesses, and two-scale partitions of
-unity.  See README.md for the capability tour in demos/.
+unity.  The command-line entry point is `semisobolev.cli`.
 """
 
 from . import (  # noqa: F401

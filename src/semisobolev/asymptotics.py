@@ -1,4 +1,4 @@
-"""Semiclassical sweep harnesses: h-scaling, localization, large domains.
+"""Semiclassical sweep harnesses: h-scaling and large domains.
 
 For homogeneous geometry the zoom x = sqrt(h) y is exact and gives
 
@@ -9,9 +9,8 @@ geometry the sweep tabulates the normalized ratio lambda / h^{1+d/2-d/p}
 against the infimum of the concentration function; the gap closes at an
 algebraic rate bracketed between h^{1/6} and h^{1/2} |log h| factors whose
 constants are non-constructive, so only magnitudes and trends are fitted.
-Minimizer mass outside the dilated argmin set M_eps decays faster than any
-power (stretched-exponentially in h), which is probed by the sign of the
-slope of log mass against -h^{-rho}.
+Each row reports the minimizer's L^p mass outside the dilated argmin set
+M_eps, which decays faster than any power (stretched-exponentially in h).
 
 Large Neumann domains Omega_R reduce to the semiclassical problem through
 the exact identity lambda^Neu(Omega_R, p) = R^{d+2-2d/p} lambda(Omega,
@@ -21,16 +20,17 @@ R^{-2}, p); the R -> infinity limit is the half-space reference constant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model1d
 from .discretize import assemble, build_grid, lp_norm
-from .errors import DegenerateFit, EmptyComplement
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
-from .models import ConcentrationMap, boundary_constant, concentration_map
+from .models import boundary_constant, concentration_map
+
+_EPS = 0.2      # dilation radius of the argmin set M_eps for the exterior mass
 
 
 def h_power(d: int, p: float) -> float:
@@ -87,119 +87,37 @@ class SweepRow:
     mass_outside: float
     spacing: float
     converged: bool = True
-    psi: object = field(default=None, repr=False)
 
 
-def sweep(spec: GeometrySpec, p: float, h_list, cmap: ConcentrationMap | None = None,
-          eps: float = 0.2, mesh_rule=None, opts_factory=None,
-          keep_fields: bool = True) -> list[SweepRow]:
+def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     """Solve lambda(G, h, p) along decreasing h and compare with the target.
 
-    The concentration map (built from default samples when not supplied)
-    fixes the target inf_x lambda(G_x, 1, p), the candidate localization
-    centers for initialization, and the set M_eps for the exterior mass.
+    The concentration map on the default samples fixes the target
+    inf_x lambda(G_x, 1, p), the candidate localization centers for
+    initialization, and the set M_eps for the exterior mass.
     """
     check_exponent(p, spec.dim)
-    h_list = list(h_list)
-    if cmap is None:
-        cmap = concentration_map(spec, default_sample_points(spec), p, eps=eps)
-    mesh_rule = mesh_rule or default_mesh_rule
+    cmap = concentration_map(spec, default_sample_points(spec), p, eps=_EPS)
     centers = tuple(tuple(x) for x in cmap.argmin_points)
     rows = []
     for h in h_list:
-        spacing = mesh_rule(h)
+        spacing = default_mesh_rule(h)
         grid = build_grid(spec, spacing)
         form = assemble(spec, h, grid)
-        if opts_factory is not None:
-            opts = opts_factory(h)
-        else:
-            opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=7,
-                                   bump_width=math.sqrt(h), centers=centers)
+        opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=7,
+                               bump_width=math.sqrt(h), centers=centers)
         res = minimize_quotient(form, p, opts)
         ratio = res.lam / h ** h_power(spec.dim, p)
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
         center = tuple(float(c) for c in grid.points[int(np.argmax(vals))])
-        outside = cmap.outside_m_eps(grid.points, eps)
+        outside = cmap.outside_m_eps(grid.points, _EPS)
         mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,
                              mass_outside=mass, spacing=spacing,
-                             converged=res.converged,
-                             psi=res.psi if keep_fields else None))
+                             converged=res.converged))
     return rows
-
-
-def fit_correction(rows) -> tuple[float, float]:
-    """Least-squares slope of log |gap| against log h, with r^2.
-
-    Raises DegenerateFit when fewer than 4 rows carry gaps above solver
-    tolerance; the paper only brackets the exponent, so callers should
-    report rather than assert the value.
-    """
-    pts = [(r.h, abs(r.gap)) for r in rows if abs(r.gap) > 1e-12]
-    if len(pts) < 4:
-        raise DegenerateFit(f"only {len(pts)} usable rows with nonzero gaps")
-    lh = np.log([a for a, _ in pts])
-    lg = np.log([b for _, b in pts])
-    A = np.stack([lh, np.ones_like(lh)], axis=1)
-    coef, res_, *_ = np.linalg.lstsq(A, lg, rcond=None)
-    ss_tot = float(((lg - lg.mean()) ** 2).sum())
-    ss_res = float(res_[0]) if len(res_) else float(((A @ coef - lg) ** 2).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
-    return float(coef[0]), r2
-
-
-@dataclass
-class LocalizationRow:
-    h: float
-    mass_outside: float
-    decay_rate: float
-
-
-@dataclass
-class LocalizationReport:
-    rows: list
-    slope: float            # of log m(h) against -h^{-rho}; positive expected
-    rho: float
-
-
-def localization_report(rows, cmap: ConcentrationMap, eps: float,
-                        rho: float = 0.3) -> LocalizationReport:
-    """Exterior-mass decay table from sweep rows that kept their fields.
-
-    Raises EmptyComplement when M_eps covers every grid node.  The
-    per-minimizer decay rate is the slope of log |psi| against distance
-    from the localization center (Agmon-type fit over the mid-range of
-    radii).
-    """
-    if not 0.0 < rho < 0.5:
-        raise ValueError("rho must lie in (0, 1/2)")
-    out = []
-    for r in rows:
-        psi = r.psi
-        if psi is None:
-            raise ValueError("sweep was run with keep_fields=False")
-        grid = psi.grid
-        outside = cmap.outside_m_eps(grid.points, eps)
-        if not np.any(outside):
-            raise EmptyComplement("M_eps covers the whole grid")
-        mass = r.mass_outside
-        dist = np.linalg.norm(grid.points - np.asarray(r.center), axis=1)
-        vals = np.abs(psi.values)
-        sel = (vals > 1e-12) & (dist > 0.1 * dist.max()) & (dist < 0.7 * dist.max())
-        if sel.sum() > 10:
-            A = np.stack([dist[sel], np.ones(int(sel.sum()))], axis=1)
-            coef, *_ = np.linalg.lstsq(A, np.log(vals[sel]), rcond=None)
-            rate = -float(coef[0])
-        else:
-            rate = math.nan
-        out.append(LocalizationRow(h=r.h, mass_outside=mass, decay_rate=rate))
-    xs = np.array([-r.h ** (-rho) for r in out])
-    ys = np.array([math.log(max(r.mass_outside, 1e-300)) for r in out])
-    A = np.stack([xs, np.ones_like(xs)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    return LocalizationReport(rows=out, slope=float(coef[0]), rho=rho)
 
 
 @dataclass
@@ -229,8 +147,7 @@ def boundary_centers(spec: GeometrySpec) -> tuple:
     return tuple(pts)
 
 
-def large_domain(spec: GeometrySpec, p: float, R_list, mesh_rule=None,
-                 reference: float | None = None) -> list[LargeDomainRow]:
+def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     """lambda^Neu(Omega_R, p) via the exact reformulation h = R^{-2}.
 
     Requires the fixed data V = 1, A = 0, gamma = 0.  The reported ratio is
@@ -242,16 +159,14 @@ def large_domain(spec: GeometrySpec, p: float, R_list, mesh_rule=None,
         raise ValueError("large-domain reduction assumes V = 1, A = 0, gamma = 0")
     d = spec.dim
     check_exponent(p, d)
-    if reference is None:
-        if d == 1:
-            reference = model1d.lambda_c(0.0, p)
-        else:
-            reference = boundary_constant(0.0, 1.0, 0.0, p, dim=d)
-    mesh_rule = mesh_rule or default_mesh_rule
+    if d == 1:
+        reference = model1d.lambda_c(0.0, p)
+    else:
+        reference = boundary_constant(0.0, 1.0, 0.0, p, dim=d)
     rows = []
     for R in R_list:
         h = R ** (-2.0)
-        spacing = mesh_rule(h)
+        spacing = default_mesh_rule(h)
         grid = build_grid(spec, spacing)
         form = assemble(spec, h, grid)
         opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=11,

@@ -178,7 +178,7 @@ def _cmd_concentration(args) -> int:
 def _cmd_sweep(args) -> int:
     spec, resolved = load_geometry(args.config)
     h_list = _parse_h_list(args.h_list)
-    rows = asymptotics.sweep(spec, args.p, h_list, keep_fields=False)
+    rows = asymptotics.sweep(spec, args.p, h_list)
     config = {"config_file": args.config, "p": args.p, "h_list": args.h_list,
               "seed": args.seed,
               **{f"geometry.{k}": v for k, v in resolved.items()}}

@@ -1,4 +1,4 @@
-"""Key-value geometry configs and run descriptions for the CLI.
+"""Key-value geometry configs for the CLI.
 
 Schema (one `key = value` per line, `#` comments):
 
@@ -20,9 +20,6 @@ window of polar angle around theta0 (disk boundaries).
 """
 
 from __future__ import annotations
-
-import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -183,22 +180,3 @@ def load_geometry(path: str) -> tuple[GeometrySpec, dict]:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     return parse_geometry(text)
 
-
-@dataclass
-class RunConfig:
-    """Resolved run description embedded into every emitted table."""
-
-    geometry: dict = field(default_factory=dict)
-    p: float = 2.0
-    h_list: list = field(default_factory=list)
-    seed: int = 0
-    spacing: float | None = None
-    extras: dict = field(default_factory=dict)
-
-    def as_dict(self) -> dict:
-        d = {"p": self.p, "h_list": list(self.h_list), "seed": self.seed,
-             "geometry": dict(self.geometry)}
-        if self.spacing is not None:
-            d["spacing"] = self.spacing
-        d.update(self.extras)
-        return d

@@ -22,7 +22,6 @@ coefficients near the curved rim are first-order only.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -55,7 +54,6 @@ class Grid:
     edges: np.ndarray           # (E, 2) node indices
     edge_axis: np.ndarray       # (E,)
     edge_coeff: np.ndarray      # (E,) kinetic coefficient (transverse/length)
-    edge_len: np.ndarray        # (E,)
     domain: Domain
     axes: tuple | None = None   # per-axis coordinates for tensor grids
     shape: tuple | None = None
@@ -140,7 +138,7 @@ def _box_grid(dom: Domain, spacing, gamma_is_dirichlet: bool) -> Grid:
     # touches a robin face; clear its surface weight
     surface[kind >= DIRICHLET] = 0.0
 
-    edges, eaxis, ecoeff, elen = [], [], [], []
+    edges, eaxis, ecoeff = [], [], []
     for axis in range(d):
         sl_a = [slice(None)] * d
         sl_b = [slice(None)] * d
@@ -159,13 +157,12 @@ def _box_grid(dom: Domain, spacing, gamma_is_dirichlet: bool) -> Grid:
         edges.append(np.stack([a, b], axis=-1))
         eaxis.append(np.full(a.size, axis, dtype=np.uint8))
         ecoeff.append(trans / ss[axis])
-        elen.append(np.full(a.size, ss[axis]))
 
     return Grid(
         dim=d, spacing=ss, points=pts, kind=kind, weight=weight,
         surface_weight=surface,
         edges=np.concatenate(edges), edge_axis=np.concatenate(eaxis),
-        edge_coeff=np.concatenate(ecoeff), edge_len=np.concatenate(elen),
+        edge_coeff=np.concatenate(ecoeff),
         domain=dom, axes=tuple(axes), shape=shape,
     )
 
@@ -290,7 +287,7 @@ def _disk_grid(dom: Domain, spacing, gamma_is_dirichlet: bool = False) -> Grid:
     return Grid(
         dim=2, spacing=(s, s), points=pts, kind=kind, weight=weight,
         surface_weight=surface, edges=e, edge_axis=eaxis,
-        edge_coeff=np.concatenate(ecoeff), edge_len=np.full(len(e), s),
+        edge_coeff=np.concatenate(ecoeff),
         domain=dom, axes=None, shape=None,
     )
 
@@ -575,10 +572,6 @@ def grid_report(grid: Grid) -> dict:
         "weight_sum": float(grid.weight.sum()),
         "domain_volume": grid.domain.volume(),
     }
-
-
-def grid_report_json(grid: Grid) -> str:
-    return json.dumps(grid_report(grid), indent=2, sort_keys=True)
 
 
 def wavefunction_rows(psi: WaveFunction):

@@ -53,14 +53,6 @@ class NoneAccepted(SemisobolevError):
     """No sampled partition translation passed the acceptance thresholds."""
 
 
-class EmptyComplement(SemisobolevError):
-    """The dilated argmin set covers the whole grid; no exterior mass exists."""
-
-
-class DegenerateFit(SemisobolevError):
-    """A log-log fit was requested on gaps at solver-tolerance level."""
-
-
 class InvalidProfile(SemisobolevError):
     """Waveguide width profile must be bounded below by a positive constant."""
 

@@ -12,6 +12,7 @@ Neumann lower bound max(Theta0 |B_par|, Tr+ B_perp).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -137,27 +138,22 @@ def _degennes_mu(xi: float, T: float = 12.0, n: int = 4001) -> float:
     return float(vals[0])
 
 
-_theta0_cache: dict[tuple, float] = {}
-
-
+@functools.cache
 def de_gennes_constant(T: float = 12.0, n: int = 4001) -> float:
     """Theta0 = inf_xi of the half-line oscillator ground eigenvalue.
 
     Computed once by golden-section search over the fiber parameter xi and
     cached; the minimum sits at xi = sqrt(Theta0) ~ 0.768.
     """
-    key = (T, n)
-    if key not in _theta0_cache:
-        try:
-            res = minimize_scalar(lambda xi: _degennes_mu(xi, T, n),
-                                  bracket=(0.4, 0.8, 1.2), method="golden",
-                                  options={"xtol": 1e-10})
-        except ValueError as exc:
-            raise ConvergenceFailure(f"de Gennes bracket failed: {exc}") from exc
-        if not np.isfinite(res.fun):
-            raise ConvergenceFailure("golden-section search did not converge")
-        _theta0_cache[key] = float(res.fun)
-    return _theta0_cache[key]
+    try:
+        res = minimize_scalar(lambda xi: _degennes_mu(xi, T, n),
+                              bracket=(0.4, 0.8, 1.2), method="golden",
+                              options={"xtol": 1e-10})
+    except ValueError as exc:
+        raise ConvergenceFailure(f"de Gennes bracket failed: {exc}") from exc
+    if not np.isfinite(res.fun):
+        raise ConvergenceFailure("golden-section search did not converge")
+    return float(res.fun)
 
 
 def neumann_lower_bound(B: np.ndarray) -> float:

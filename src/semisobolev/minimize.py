@@ -38,7 +38,7 @@ import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
 from .discretize import AssembledForm, WaveFunction, abs_pow, gaussian_bump, lp_norm
-from .errors import NoConvergence, ZeroFunction
+from .errors import ZeroFunction
 
 _STAG_WINDOW = 60
 
@@ -55,7 +55,6 @@ class MinimizeOptions:
     centers: tuple = ()         # Gaussian-bump initialization centers
     bump_width: float | None = None
     inits: tuple = ()           # explicit initial fields (override randoms)
-    raise_on_failure: bool = False
     track_history: bool = False
 
 
@@ -282,8 +281,8 @@ def minimize_quotient(form: AssembledForm, p: float,
     p = 2 uses the eigensolver path; p > 2 runs the projected gradient flow
     from `restarts` random fields plus one Gaussian bump per candidate
     center, returning the best final value (ties broken by iteration
-    count).  A NoConvergence flag (or exception when raise_on_failure) is
-    set when no restart meets the gradient tolerance.
+    count).  The result's `converged` flag is False when the best restart
+    misses the gradient tolerance.
     """
     opts = opts or MinimizeOptions()
     if p < 2.0:
@@ -334,8 +333,6 @@ def minimize_quotient(form: AssembledForm, p: float,
             best = cand
 
     R, its, x, gnorm, ok, hist = best
-    if not ok and opts.raise_on_failure:
-        raise NoConvergence(f"gradient norm {gnorm:.2e} after {its} iterations")
     psi = WaveFunction(grid, form.full_values(x))
     nrm = psi.norm_lp(p)
     psi = WaveFunction(grid, psi.values / nrm)

@@ -78,14 +78,6 @@ def soliton_ode_residual(r, p: float):
     return -upp + u - u ** (p - 1.0)
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """Single phase-plane sample (amplitude, derivative)."""
-
-    u: float
-    v: float
-
-
 @dataclass
 class PhaseTrajectory:
     """Sampled zero-energy orbit of the half-line model.
@@ -106,10 +98,6 @@ class PhaseTrajectory:
     r_end: float
     turning_index: int
     _dense: object = field(default=None, repr=False)
-
-    @property
-    def samples(self) -> list[PhaseState]:
-        return [PhaseState(float(a), float(b)) for a, b in zip(self.u, self.v)]
 
     @property
     def energy_drift(self) -> float:

@@ -1,10 +1,12 @@
 """Command-line golden tests on tiny inputs: exit codes, headers, schemas."""
 
+import json
 import math
+from types import SimpleNamespace
 
 import pytest
 
-from semisobolev import asymptotics, cli
+from semisobolev import asymptotics, cli, waveguide
 
 
 def _read(path):
@@ -85,3 +87,98 @@ class TestLargeDomain:
         _, header, rows = _read(out)
         assert header == self.HEADER
         assert rows[0][-1] == "0"
+
+
+class TestSweep:
+    HEADER = ["h", "lambda", "ratio", "target", "gap", "center_x", "center_y",
+              "mass_outside", "spacing", "converged"]
+
+    def test_golden(self, interval_cfg, tmp_path):
+        out = tmp_path / "sw.csv"
+        rc = cli.main(["sweep", "--config", str(interval_cfg), "--p", "4",
+                       "--h-list", "0.1,0.05", "--out", str(out)])
+        assert rc == 0
+        config, header, rows = _read(out)
+        assert f"# config_file = {interval_cfg}" in config
+        assert "# geometry.domain = interval" in config
+        assert "# h_list = 0.1,0.05" in config and "# p = 4.0" in config
+        assert header == self.HEADER
+        assert [float(r[0]) for r in rows] == [0.1, 0.05]
+        assert [r[-1] for r in rows] == ["1", "1"]
+        for r in rows:
+            # the zoom limit is reached up to mesh error on the interval
+            assert abs(float(r[4])) < 1e-3
+
+
+class TestConcentration:
+    def test_golden(self, interval_cfg, tmp_path):
+        out, js = tmp_path / "c.csv", tmp_path / "c.json"
+        rc = cli.main(["concentration", "--config", str(interval_cfg),
+                       "--p", "4", "--out", str(out), "--json", str(js)])
+        assert rc == 0
+        config, header, rows = _read(out)
+        assert "# eps = 0.2" in config and "# p = 4.0" in config
+        assert "# geometry.bc = robin robin" in config
+        assert header == ["x", "y", "kind", "lambda"]
+        kinds = [r[2] for r in rows]
+        assert kinds.count("interior") == 25 and kinds.count("boundary") == 2
+        # p = 4, V = 1: the whole-line soliton inside, the gamma = 0
+        # half-line (c = 0) at the two Robin ends
+        for r in rows:
+            exact = 2.0 * math.sqrt(4.0 / 3.0 if r[2] == "interior" else 2.0 / 3.0)
+            assert float(r[3]) == pytest.approx(exact, rel=1e-4)
+        payload = json.loads(js.read_text())
+        assert set(payload) == {"argmin", "config", "delta", "eps", "inf"}
+        assert payload["config"]["p"] == 4.0
+        assert sorted(payload["argmin"]) == [[-1.0], [1.0]]
+        assert payload["inf"] == pytest.approx(2.0 * math.sqrt(2.0 / 3.0), rel=1e-4)
+
+
+class TestSolve:
+    def test_golden(self, interval_cfg, tmp_path):
+        out = tmp_path / "s.json"
+        rc = cli.main(["solve", "--config", str(interval_cfg), "--h", "0.1",
+                       "--p", "4", "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"config", "converged", "el_residual",
+                                "free_nodes", "iterations", "lambda", "nodes",
+                                "normalized_ratio", "restart_values"}
+        cfg = payload["config"]
+        assert (cfg["h"], cfg["p"], cfg["seed"]) == (0.1, 4.0, 0)
+        assert cfg["geometry.domain"] == "interval"
+        assert payload["converged"] is True
+        assert payload["free_nodes"] == payload["nodes"] == 101
+        assert payload["lambda"] == pytest.approx(min(payload["restart_values"]),
+                                                  rel=1e-12)
+
+
+class TestWaveguide:
+    HEADER = ["h", "lambda_reduced", "ratio", "mass_outside", "spacing_s",
+              "converged"]
+
+    def test_constant_profile_golden(self, tmp_path):
+        out = tmp_path / "wg.csv"
+        rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
+                       "--h-list", "0.5", "--out", str(out)])
+        assert rc == 0
+        config, header, rows = _read(out)
+        assert config == ["# h_list = 0.5", "# p = 4.0",
+                          "# profile = constant:1", "# seed = 0"]
+        assert header == self.HEADER
+        (row,) = rows
+        assert row[-1] == "1"
+        # constant height: the rescale onto the reference strip is exact on
+        # matched lattices, so the ratio is 1 to rounding
+        assert abs(float(row[2]) - 1.0) <= 1e-9
+
+    @pytest.mark.usefixtures("fresh_reference")
+    def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(waveguide, "minimize_quotient",
+                            lambda form, p, opts: SimpleNamespace(
+                                lam=1.0, converged=False, grad_norm=1.0))
+        rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
+                       "--h-list", "0.5", "--out", str(tmp_path / "wg.csv")])
+        assert rc == 2
+        assert "straight reference unconverged" in capsys.readouterr().err
+        assert not (tmp_path / "wg.csv").exists()

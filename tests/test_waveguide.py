@@ -1,0 +1,54 @@
+"""Waveguide reduction: the strip form's edge weights and the reference cache."""
+
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+
+from semisobolev import discretize as dz
+from semisobolev import geometry as ge
+from semisobolev import waveguide as wg
+from semisobolev.errors import NoConvergence
+
+
+def test_energy_is_the_weighted_edge_sum():
+    prof = wg.gaussian_profile(0.5, 0.0, 1.0)
+    h, p = 0.5, 4.0
+    form = wg.assemble_waveguide_form(prof, h, p, s_halfwidth=2.0)
+    # the plain Dirichlet strip at the waveguide's resolution: s-spacing
+    # h a_max / 14, 41 transverse nodes
+    spec = ge.GeometrySpec(domain=ge.strip(-2.0, 2.0), V=0.0,
+                           gamma=ge.DIRICHLET)
+    plain = dz.build_grid(spec, (h * prof.a_max / 14.0, 2.0 / 40.0))
+    assert (plain.n_nodes, plain.n_free) == (form.grid.n_nodes, form.n)
+    a, b = plain.edges[:, 0], plain.edges[:, 1]
+    a_mid = prof(0.5 * (plain.points[a, 0] + plain.points[b, 0]))
+    mult = np.where(plain.edge_axis == 0, h * h * a_mid ** (1.0 - 2.0 / p),
+                    a_mid ** (-1.0 - 2.0 / p))
+    rng = np.random.default_rng(4)
+    psi = dz.WaveFunction(plain, rng.standard_normal(plain.n_nodes))
+    v = psi.values
+    expected = float(mult * plain.edge_coeff @ (v[b] - v[a]) ** 2)
+    assert form.energy(psi) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.usefixtures("fresh_reference")
+class TestStraightReference:
+    @staticmethod
+    def solver(converged, calls):
+        def fake(form, p, opts):
+            calls.append(form.n)
+            return SimpleNamespace(lam=5.0, converged=converged, grad_norm=1.0)
+        return fake
+
+    def test_unconverged_solve_raises_and_is_not_cached(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wg, "minimize_quotient", self.solver(False, calls))
+        with pytest.raises(NoConvergence):
+            wg.straight_reference(4.0)
+        assert len(calls) == 1
+        monkeypatch.setattr(wg, "minimize_quotient", self.solver(True, calls))
+        assert wg.straight_reference(4.0) == 5.0     # a miss: solved again
+        assert len(calls) == 3                       # truncation 12, then 24
+        assert wg.straight_reference(4.0) == 5.0     # now a hit
+        assert len(calls) == 3
