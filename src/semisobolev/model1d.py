@@ -33,6 +33,10 @@ from .errors import NoSolution, ToleranceNotMet
 # mass below 1e-18 for every p > 2, far under the 1e-6 targets.
 _ESCAPE_EPS = 1e-6
 _H_TOL = 1e-10
+# Spacing of the sampled orbit: the grid of the drift check, of
+# `PhaseTrajectory.r` and of the closest-approach scan.  It does not steer
+# the integrator, whose dense output is error-controlled between steps.
+_STEP = 0.01
 
 
 def hamiltonian(u: float, v: float, p: float) -> float:
@@ -82,12 +86,11 @@ def soliton_ode_residual(r, p: float):
 class PhaseTrajectory:
     """Sampled zero-energy orbit of the half-line model.
 
-    Samples sit on a uniform grid of the given step; the orbit is truncated
+    Samples sit on a uniform grid of spacing `_STEP`; the orbit is truncated
     at its closest numerical approach to the origin, and `tail_mass` carries
     the analytic remainder of int u^p beyond the truncation radius.
     """
 
-    step: float
     p: float
     c: float
     r: np.ndarray
@@ -104,28 +107,22 @@ class PhaseTrajectory:
         return float(np.max(np.abs(hamiltonian(self.u, self.v, self.p))))
 
 
-def integrate_trajectory(
-    c: float,
-    p: float,
-    r_max: float | None = None,
-    step: float = 0.01,
-) -> PhaseTrajectory:
+def integrate_trajectory(c: float, p: float) -> PhaseTrajectory:
     """Integrate the zero-energy orbit from (u0, c*u0).
 
-    Uses an 8th-order embedded pair with tight tolerances; the L^p mass is
+    Uses an 8th-order embedded pair (DOP853) at rtol 1e-12, atol 1e-14 and
+    lets it choose its own steps; the orbit is read off its 7th-order dense
+    output, which is error-controlled between steps.  The L^p mass is
     integrated alongside (u, v) so that quadrature error is controlled by
-    the same step-size machinery.  Raises ToleranceNotMet if the sampled
-    Hamiltonian drifts above 1e-10.
+    the same step-size machinery.  The orbit is cut where |u| + |v| first
+    falls to `_ESCAPE_EPS`, or, if it never does, at its closest approach
+    to the origin after the peak.  Raises ToleranceNotMet if the
+    Hamiltonian, sampled every `_STEP` up to the cut, drifts above 1e-10.
     """
-    if r_max is not None and r_max <= 0:
-        raise ValueError("r_max must be positive")
-    if step <= 0:
-        raise ValueError("step must be positive")
     u0 = initial_amplitude(c, p)
-    if r_max is None:
-        # enough room for the slow escape along the unstable manifold near
-        # c = 1 plus the e^{-r} decay down to the truncation threshold
-        r_max = 80.0 + 5.0 * abs(math.log(u0))
+    # enough room for the slow escape along the unstable manifold near
+    # c = 1 plus the e^{-r} decay down to the truncation threshold
+    r_max = 80.0 + 5.0 * abs(math.log(u0))
 
     def rhs(_, y):
         u, v = y[0], y[1]
@@ -144,22 +141,15 @@ def integrate_trajectory(
         method="DOP853",
         rtol=1e-12,
         atol=1e-14,
-        max_step=max(step, 0.05),
         dense_output=True,
         events=near_origin,
     )
     if sol.t_events[0].size:
         r_end = float(sol.t_events[0][0])
     else:
-        # closest approach to the origin on a dense scan; beyond it the
-        # numerical orbit is ejected along the unstable manifold
-        r_scan = np.linspace(0.0, sol.t[-1], 8 * len(sol.t) + 1)
-        y_scan = sol.sol(r_scan)
-        r_end = float(r_scan[np.argmin(np.abs(y_scan[0]) + np.abs(y_scan[1]))])
-        if r_end == 0.0:
-            r_end = float(sol.t[-1])
+        r_end = _closest_approach(sol)
 
-    r = np.arange(0.0, r_end + step / 2.0, step)
+    r = np.arange(0.0, r_end + _STEP / 2.0, _STEP)
     if r[-1] > r_end:
         r[-1] = r_end
     y = sol.sol(r)
@@ -169,7 +159,8 @@ def integrate_trajectory(
     drift = float(np.max(np.abs(hamiltonian(u, v, p))))
     if drift > _H_TOL:
         raise ToleranceNotMet(
-            f"Hamiltonian drift {drift:.2e} exceeds {_H_TOL:.0e}; reduce step"
+            f"Hamiltonian drift {drift:.2e} exceeds {_H_TOL:.0e}; the "
+            "integrator's rtol/atol are too loose for this orbit"
         )
 
     # on the stable manifold u ~ u_end e^{-(r - r_end)}, so the remaining
@@ -182,7 +173,6 @@ def integrate_trajectory(
     rising = np.nonzero(np.diff(amp) > 1e-13)[0]
     turning = int(rising[-1] + 1) if rising.size else 0
     return PhaseTrajectory(
-        step=step,
         p=p,
         c=c,
         r=r,
@@ -196,6 +186,25 @@ def integrate_trajectory(
     )
 
 
+def _closest_approach(sol) -> float:
+    """First local minimum of |u| + |v| after the peak of u, on the sample grid.
+
+    Past it the numerical orbit is ejected along the unstable manifold and
+    may loop back towards the origin, so a later (or global) minimum would
+    count a second lap of mass.  |u| + |v| has a kink minimum at the peak
+    itself (v = 0), so the scan starts at the first sample with v <= 0.
+    """
+    r = np.arange(0.0, sol.t[-1], _STEP)
+    u, v = sol.sol(r)[:2]
+    amp = np.abs(u) + np.abs(v)
+    start = int(np.argmax(v <= 0.0))
+    d = np.diff(amp[start:])
+    rebound = np.nonzero((d[:-1] < 0.0) & (d[1:] >= 0.0))[0]
+    if rebound.size == 0:
+        return float(sol.t[-1])
+    return float(r[start + rebound[0] + 1])
+
+
 def crossing_time(traj: PhaseTrajectory, c_target: float) -> float:
     """First radius where v/u crosses c_target from above (Lemma-style shift).
 
@@ -206,7 +215,7 @@ def crossing_time(traj: PhaseTrajectory, c_target: float) -> float:
         return 0.0
     lo, hi = 0.0, traj.r_end
     grid = np.linspace(lo, hi, 4001)
-    vals = np.array([f(g) for g in grid])
+    vals = f(grid)
     idx = np.nonzero(vals <= 0.0)[0]
     if idx.size == 0:
         raise NoSolution(f"phase never reaches slope {c_target}")
@@ -221,23 +230,6 @@ def escape_time(traj: PhaseTrajectory) -> float:
     return crossing_time(traj, 0.0)
 
 
-def lambda_c(c: float, p: float, step: float = 0.01) -> float:
-    """Half-line Robin constant ||u_c||_{L^p(R_+)}^{p-2}.
-
-    Defined for |c| < 1; raises NoSolution otherwise.  For 0.999 < |c| < 1
-    the escape time diverges and the limiting values (whole-line constant
-    as c -> 1, zero as c -> -1) are returned instead of integrating.
-    """
-    if p <= 2:
-        raise ValueError(f"exponent must satisfy p > 2, got {p}")
-    if abs(c) >= 1.0:
-        raise NoSolution(f"lambda_c undefined for |c| >= 1 (got c={c})")
-    if abs(c) > 0.999:
-        return soliton_line(p) if c > 0 else 0.0
-    traj = integrate_trajectory(c, p, step=step)
-    return traj.lp_mass ** ((p - 2.0) / p)
-
-
 @dataclass(frozen=True)
 class RobinPoint:
     """One row of a lambda_c sweep (for table emission)."""
@@ -249,21 +241,33 @@ class RobinPoint:
     limited: bool = False
 
 
-def lambda_c_point(c: float, p: float, step: float = 0.01) -> RobinPoint:
-    """lambda_c plus the diagnostics emitted by the CLI sweep."""
+def lambda_c_point(c: float, p: float) -> RobinPoint:
+    """lambda_c plus the diagnostics emitted by the CLI sweep.
+
+    Defined for |c| < 1; raises NoSolution otherwise.  For 0.999 < |c| < 1
+    the escape time diverges and the limiting values (whole-line constant
+    as c -> 1, zero as c -> -1) are returned instead of integrating.
+    """
+    if p <= 2:
+        raise ValueError(f"exponent must satisfy p > 2, got {p}")
     if abs(c) >= 1.0:
         raise NoSolution(f"lambda_c undefined for |c| >= 1 (got c={c})")
     if abs(c) > 0.999:
         lam = soliton_line(p) if c > 0 else 0.0
         return RobinPoint(c=c, lam=lam, u0=initial_amplitude(c, p),
                           t_escape=math.inf, limited=True)
-    traj = integrate_trajectory(c, p, step=step)
+    traj = integrate_trajectory(c, p)
     return RobinPoint(
         c=c,
         lam=traj.lp_mass ** ((p - 2.0) / p),
         u0=float(traj.u[0]),
         t_escape=escape_time(traj),
     )
+
+
+def lambda_c(c: float, p: float) -> float:
+    """Half-line Robin constant ||u_c||_{L^p(R_+)}^{p-2} (see lambda_c_point)."""
+    return lambda_c_point(c, p).lam
 
 
 def soliton_line(p: float) -> float:

@@ -182,3 +182,42 @@ class TestWaveguide:
         assert rc == 2
         assert "straight reference unconverged" in capsys.readouterr().err
         assert not (tmp_path / "wg.csv").exists()
+
+
+class TestPartitionCheck:
+    def test_golden(self, tmp_path):
+        out = tmp_path / "pc.json"
+        rc = cli.main(["partition-check", "--alpha", "0.5", "--rho", "0.33",
+                       "--h", "0.1", "--samples", "5", "--spacing", "0.1",
+                       "--out", str(out)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert set(payload) == {"acceptance_fraction", "accepted",
+                                "cell_grad_mass_constant", "config",
+                                "grad_bound_constant", "ims_identity_defect",
+                                "rescaled", "sum_sq_error", "tau"}
+        assert payload["config"] == {"alpha": 0.5, "h": 0.1, "p": 4.0,
+                                     "rho": 0.33, "samples": 5, "seed": 0,
+                                     "spacing": 0.1}
+        assert payload["sum_sq_error"] <= 1e-12
+        assert len(payload["tau"]) == 2
+
+
+class TestConfigValidation:
+    """A malformed geometry file is a validation error: exit 1, `error:`."""
+
+    @pytest.mark.parametrize("text,message", [
+        ("domain = interval\nbounds -1 1\n", "line 2: expected 'key = value'"),
+        ("domain = torus\n", "domain: unknown kind 'torus'"),
+        ("domain = rectangle\nbounds = -1 1 -1\n", "bounds: expected 4 numbers, got 3"),
+        ("domain = interval\nbounds = -1 0 1\n", "bounds: expected 2 numbers, got 3"),
+    ])
+    def test_rejected(self, text, message, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        out = tmp_path / "s.json"
+        rc = cli.main(["solve", "--config", str(cfg), "--h", "0.1", "--p", "4",
+                       "--out", str(out)])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,15 +1,22 @@
 """Half-line Robin model: phase-plane integration against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from semisobolev import model1d as m1
 from semisobolev.errors import NoSolution
+
+
+def p4_lambda(c: float) -> float:
+    """p = 4 closed form: the half-line orbit is sqrt(2) sech(r - artanh(c))."""
+    return 2.0 * math.sqrt(2.0 / 3.0 + c - c ** 3 / 3.0)
 
 
 def sech_soliton_mass(p: float, half_line: bool = False) -> float:
@@ -96,6 +103,73 @@ class TestTrajectory:
         uc = np.array([tc._dense(T + t)[0] for t in ts])
         ucp = np.array([tcp._dense(t)[0] for t in ts])
         assert np.abs(uc - ucp).max() <= 1e-6
+
+
+class TestShiftedSolitonOracle:
+    """The half-line orbit is the whole-line soliton started at s0 = -artanh(c)/a,
+    a = (p - 2)/2, so every CLI column has a closed form or a quadrature."""
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_general_p(self, p):
+        a = (p - 2.0) / 2.0
+        for c in np.linspace(-0.9, 0.9, 13):
+            c = float(c)
+            s0 = -math.atanh(c) / a
+            mass, err = quad(lambda s: float(m1.soliton(s, p)) ** p, s0, np.inf,
+                             epsabs=1e-14, epsrel=1e-13)
+            assert err < 1e-11
+            pt = m1.lambda_c_point(c, p)
+            assert abs(pt.lam - mass ** ((p - 2.0) / p)) <= 1e-10
+            assert abs(pt.u0 - (p / 2.0 * (1.0 - c * c)) ** (1.0 / (p - 2.0))) <= 1e-10
+            t_exact = 2.0 * math.atanh(c) / (p - 2.0) if c > 0.0 else 0.0
+            assert abs(pt.t_escape - t_exact) <= 1e-10
+
+
+class TestNoEventFallback:
+    """With the near-origin event switched off the orbit is cut at its closest
+    approach after the peak, not at a later approach after ejection."""
+
+    @pytest.mark.parametrize("c", [-0.5, 0.0, 0.5, 0.9])
+    def test_first_approach(self, c, monkeypatch):
+        monkeypatch.setattr(m1, "_ESCAPE_EPS", 0.0)
+        assert abs(m1.lambda_c(c, 4.0) - p4_lambda(c)) <= 1e-9
+
+
+class TestWorkCount:
+    """Counting proxies on the integrator and on the dense output."""
+
+    @pytest.mark.parametrize("c", [-0.9, 0.0, 0.5, 0.9])
+    def test_nfev_per_trajectory(self, c, monkeypatch):
+        real, nfev = m1.solve_ivp, []
+
+        def counting_solve_ivp(*args, **kwargs):
+            sol = real(*args, **kwargs)
+            nfev.append(sol.nfev)
+            return sol
+
+        monkeypatch.setattr(m1, "solve_ivp", counting_solve_ivp)
+        m1.integrate_trajectory(c, 4.0)
+        assert len(nfev) == 1 and nfev[0] <= 2500
+
+    def test_crossing_scan_is_one_dense_call(self):
+        traj = m1.integrate_trajectory(0.5, 4.0)
+        calls = []
+
+        def counting_dense(r):
+            calls.append(np.size(r))
+            return traj._dense(r)
+
+        counted = dataclasses.replace(traj, _dense=counting_dense)
+        T = m1.crossing_time(counted, 0.0)
+        assert len(calls) <= 50
+        assert 4001 in calls
+
+        # reference: the scan one scalar at a time gives the same crossing
+        f = lambda r: traj._dense(r)[1]
+        grid = np.linspace(0.0, traj.r_end, 4001)
+        vals = np.array([f(g) for g in grid])
+        k = np.nonzero(vals <= 0.0)[0][0]
+        assert T == brentq(f, grid[k - 1], grid[k], xtol=1e-13)
 
 
 class TestLambdaC:
