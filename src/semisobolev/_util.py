@@ -1,19 +1,9 @@
-"""Shared plumbing: thread caps and atomic file writes."""
+"""Shared plumbing: atomic file writes."""
 
 from __future__ import annotations
 
 import os
 import tempfile
-
-
-def max_workers(default: int = 1) -> int:
-    """Parallelism cap from SEMISOBOLEV_THREADS (>= 1)."""
-    raw = os.environ.get("SEMISOBOLEV_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -76,6 +76,19 @@ def default_sample_points(spec: GeometrySpec, n_interior: int = 25,
     return np.array(pts)
 
 
+def _rung(spec: GeometrySpec, h: float, p: float, centers: tuple,
+          seed: int) -> tuple:
+    """One rung of an h-ladder: (grid, minimizer result) at this h.
+
+    The grid follows default_mesh_rule(h); the minimizer starts from a
+    bump of width sqrt(h) at each center and from one random field.
+    """
+    grid = build_grid(spec, default_mesh_rule(h))
+    opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=seed,
+                           bump_width=math.sqrt(h), centers=centers)
+    return grid, minimize_quotient(assemble(spec, h, grid), p, opts)
+
+
 @dataclass
 class SweepRow:
     h: float
@@ -101,12 +114,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     centers = tuple(tuple(x) for x in cmap.argmin_points)
     rows = []
     for h in h_list:
-        spacing = default_mesh_rule(h)
-        grid = build_grid(spec, spacing)
-        form = assemble(spec, h, grid)
-        opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=7,
-                               bump_width=math.sqrt(h), centers=centers)
-        res = minimize_quotient(form, p, opts)
+        grid, res = _rung(spec, h, p, centers, seed=7)
         ratio = res.lam / h ** h_power(spec.dim, p)
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
@@ -115,7 +123,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
         mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,
-                             mass_outside=mass, spacing=spacing,
+                             mass_outside=mass, spacing=default_mesh_rule(h),
                              converged=res.converged))
     return rows
 
@@ -166,13 +174,7 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     rows = []
     for R in R_list:
         h = R ** (-2.0)
-        spacing = default_mesh_rule(h)
-        grid = build_grid(spec, spacing)
-        form = assemble(spec, h, grid)
-        opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=11,
-                               bump_width=math.sqrt(h),
-                               centers=boundary_centers(spec))
-        res = minimize_quotient(form, p, opts)
+        _, res = _rung(spec, h, p, boundary_centers(spec), seed=11)
         lam_neu = R ** (d + 2.0 - 2.0 * d / p) * res.lam
         rows.append(LargeDomainRow(R=R, h=h, lam_semiclassical=res.lam,
                                    lam_neumann=lam_neu,

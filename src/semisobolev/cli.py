@@ -287,7 +287,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(prog="semisobolev",
                  description="Sobolev constants of electro-magnetic Robin "
                              "Laplacians at desk scale")
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=0,
+                    help="seeds `solve` and `partition-check` only; the other "
+                         "subcommands fix their solver seeds and just write "
+                         "this value in their config header")
     sub = ap.add_subparsers(dest="command", required=True)
 
     m = sub.add_parser("model1d", help="half-line Robin model curves")

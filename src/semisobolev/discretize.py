@@ -318,9 +318,6 @@ class WaveFunction:
         self.values = np.asarray(self.values)
         self.values = np.where(self.grid.free, self.values, 0.0)
 
-    def copy(self) -> "WaveFunction":
-        return WaveFunction(self.grid, self.values.copy())
-
     def norm_lp(self, p: float) -> float:
         return lp_norm(self.grid.weight, self.values, p)
 

@@ -119,9 +119,10 @@ def magnetic_matrix_at(A: Callable, x, d: int, delta: float = 1e-5) -> np.ndarra
 # de Gennes constant and the Neumann lower bound
 # ---------------------------------------------------------------------------
 
-def _degennes_mu(xi: float, T: float = 12.0, n: int = 4001) -> float:
-    """Ground Neumann eigenvalue of -d_t^2 + (t - xi)^2 on (0, T)."""
-    t = np.linspace(0.0, T, n)
+def _degennes_mu(xi: float) -> float:
+    """Ground Neumann eigenvalue of -d_t^2 + (t - xi)^2 on (0, T = 12)."""
+    t = np.linspace(0.0, 12.0, 4001)
+    n = len(t)
     st = t[1] - t[0]
     w = np.full(n, st)
     w[0] = w[-1] = st / 2.0
@@ -139,16 +140,15 @@ def _degennes_mu(xi: float, T: float = 12.0, n: int = 4001) -> float:
 
 
 @functools.cache
-def de_gennes_constant(T: float = 12.0, n: int = 4001) -> float:
+def de_gennes_constant() -> float:
     """Theta0 = inf_xi of the half-line oscillator ground eigenvalue.
 
     Computed once by golden-section search over the fiber parameter xi and
     cached; the minimum sits at xi = sqrt(Theta0) ~ 0.768.
     """
     try:
-        res = minimize_scalar(lambda xi: _degennes_mu(xi, T, n),
-                              bracket=(0.4, 0.8, 1.2), method="golden",
-                              options={"xtol": 1e-10})
+        res = minimize_scalar(_degennes_mu, bracket=(0.4, 0.8, 1.2),
+                              method="golden", options={"xtol": 1e-10})
     except ValueError as exc:
         raise ConvergenceFailure(f"de Gennes bracket failed: {exc}") from exc
     if not np.isfinite(res.fun):

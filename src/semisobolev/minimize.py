@@ -37,10 +37,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import eigh_tridiagonal
 
-from .discretize import AssembledForm, WaveFunction, abs_pow, gaussian_bump, lp_norm
+from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
+                         gaussian_bump, lp_norm)
 from .errors import ZeroFunction
 
 _STAG_WINDOW = 60
+_POWER_ITERS = 200      # shift-invert power iteration cap
+_POWER_TOL = 1e-13      # relative eigenvalue change, three times in a row
 
 
 @dataclass
@@ -51,7 +54,6 @@ class MinimizeOptions:
     grad_tol: float = 1e-8      # on |grad|_M relative to max(1, |R|)
     restarts: int = 5
     seed: int = 0
-    precondition: bool = True
     centers: tuple = ()         # Gaussian-bump initialization centers
     bump_width: float | None = None
     inits: tuple = ()           # explicit initial fields (override randoms)
@@ -79,13 +81,6 @@ class _Stop(NamedTuple):
     grad_norm: float
 
 
-def _quotient(form, x, p):
-    np_ = lp_norm(form.weight, x, p)
-    if np_ < 1e-300:
-        raise ZeroFunction("zero trial function")
-    return float(np.real(np.vdot(x, form.K @ x))) / np_ ** 2
-
-
 def quotient_gradient(form: AssembledForm, psi: WaveFunction, p: float) -> WaveFunction:
     """Gradient of the quotient in the weighted L^2 pairing.
 
@@ -93,18 +88,10 @@ def quotient_gradient(form: AssembledForm, psi: WaveFunction, p: float) -> WaveF
     L = M^{-1} K; the directional derivative of R at psi along delta is
     Re <g, delta>_M.  The gradient is (-1)-homogeneous.
     """
-    x = form.free_values(psi)
-    g = _grad_free(form, x, p)
+    ev = evaluate(form, psi, p)     # ZeroFunction on a vanishing field
+    u = form.free_values(psi) / ev.lp_norm
+    g = _grad_unit(form.weight, u, form.K @ u, ev.quotient, p) / ev.lp_norm
     return WaveFunction(form.grid, form.full_values(g))
-
-
-def _grad_free(form, x, p):
-    np_ = lp_norm(form.weight, x, p)
-    if np_ < 1e-300:
-        raise ZeroFunction("zero trial function")
-    u = x / np_
-    Ku = form.K @ u
-    return _grad_unit(form.weight, u, Ku, float(np.real(np.vdot(u, Ku))), p) / np_
 
 
 def _line_energy(Q, dKx, dKd, a):
@@ -142,17 +129,17 @@ def _tridiagonal_eigen(form):
     return float(vals[0]), x
 
 
-def _inverse_power(form, sigma, x0, maxiter=200, tol=1e-13):
+def _inverse_power(form, sigma, x0):
     Md = sp.diags(form.weight.astype(form.K.dtype))
     lu = sp.linalg.splu((form.K - sigma * Md).tocsc(), permc_spec="MMD_AT_PLUS_A")
     x = x0 / np.sqrt(np.real(np.vdot(x0, form.weight * x0)))
     lam_old, streak = np.inf, 0
     lam = lam_old
-    for it in range(maxiter):
+    for it in range(_POWER_ITERS):
         x = lu.solve(form.weight * x)
         x = x / np.sqrt(np.real(np.vdot(x, form.weight * x)))
         lam = float(np.real(np.vdot(x, form.K @ x)))
-        if abs(lam - lam_old) <= tol * max(1.0, abs(lam)):
+        if abs(lam - lam_old) <= _POWER_TOL * max(1.0, abs(lam)):
             streak += 1
             if streak >= 3:
                 break
@@ -201,10 +188,10 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
     K = form.K
     max_iters = opts.max_iters if max_iters is None else max_iters
     grad_tol = opts.grad_tol if grad_tol is None else grad_tol
-    prec = form.preconditioner() if opts.precondition else None
+    prec = form.preconditioner()
 
     def pdir(g):
-        return prec.solve((w * g).astype(K.dtype)) if prec is not None else g
+        return prec.solve((w * g).astype(K.dtype))
 
     def wdot(a, b):
         return float(np.real(np.vdot(a, w * b)))
@@ -336,7 +323,7 @@ def minimize_quotient(form: AssembledForm, p: float,
     psi = WaveFunction(grid, form.full_values(x))
     nrm = psi.norm_lp(p)
     psi = WaveFunction(grid, psi.values / nrm)
-    lam = _quotient(form, psi.values[grid.free], p)
+    lam = evaluate(form, psi, p).quotient
     return MinimizerResult(lam=lam, psi=psi, iterations=sum(restart_iterations),
                            el_residual=el_residual(form, lam, psi, p),
                            restart_values=restart_values,

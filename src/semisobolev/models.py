@@ -20,19 +20,19 @@ reduces to the closed-form half-line Robin eigenvalue.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry, model1d
-from ._util import max_workers
 from .discretize import build_grid, assemble
 from .errors import AssumptionViolated, NotPositive
 from .geometry import GeometrySpec, check_exponent, field_matrix_2d, tr_plus
 from .minimize import MinimizeOptions, minimize_quotient
 
-_cache: dict = {}
+_cache: dict = {}      # scaled model key -> converged grid value
+_DELTA = 0.02          # relative tolerance of the argmin set M
+_BOUNDARY_TOL = 1e-8   # distance at which a sample counts as a boundary point
 
 
 def _as_field(B0, dim=None):
@@ -56,20 +56,29 @@ def _scaling_exponent(d: int, p: float) -> float:
     return 1.0 - d / 2.0 + d / p
 
 
-def _solver_options(d: int, seed: int = 0, centers=()) -> MinimizeOptions:
-    # one random restart next to the bump init; random starts that wander
-    # into the interior-soliton valley are cut off by the iteration cap
-    tol = 1e-9 if d == 1 else 1e-7
-    iters = 3000 if d == 1 else 700
-    return MinimizeOptions(grad_tol=tol, restarts=1, max_iters=iters,
-                           seed=seed, centers=centers)
+def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
+                centers: tuple = ()) -> float:
+    """Memoized grid solve of a model at h = 1; key = (kind, d, p, ...).
+
+    Only converged values are stored, so an unconverged one is re-solved
+    on the next call.  One random restart runs next to the bump init;
+    random starts that wander into the interior-soliton valley are cut
+    off by the iteration cap.
+    """
+    if key in _cache:
+        return _cache[key]
+    d, p = key[1], key[2]
+    opts = MinimizeOptions(grad_tol=1e-9 if d == 1 else 1e-7, restarts=1,
+                           max_iters=3000 if d == 1 else 700, centers=centers)
+    res = minimize_quotient(assemble(spec, 1.0, build_grid(spec, spacing)),
+                            p, opts)
+    if res.converged:
+        _cache[key] = res.lam
+    return res.lam
 
 
 def _whole_space_value(d: int, p: float, b: float, v: float) -> float:
     """Direct grid solve of the whole-space model at h = 1 (b is Tr+ B)."""
-    key = ("int", d, p, round(b, 12), round(v, 12))
-    if key in _cache:
-        return _cache[key]
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
     L = 10.0 * scale
     if d == 1:
@@ -80,27 +89,16 @@ def _whole_space_value(d: int, p: float, b: float, v: float) -> float:
         spacing = scale / 12.0
     A = None if b == 0.0 else geometry.linear_gauge(field_matrix_2d(b))
     spec = GeometrySpec(domain=dom, V=v, A=A, gamma=0.0)
-    grid = build_grid(spec, spacing)
-    form = assemble(spec, 1.0, grid)
-    res = minimize_quotient(form, p, _solver_options(d))
-    if res.converged:   # an unconverged value is re-solved on the next call
-        _cache[key] = res.lam
-    return res.lam
+    return _grid_value(("int", d, p, round(b, 12), round(v, 12)), spec, spacing)
 
 
 def _half_space_value(d: int, p: float, b: float, v: float, g: float) -> float:
     """Direct grid solve of the half-space model at h = 1."""
-    key = ("bd", d, p, round(b, 12), round(v, 12), round(g, 12))
-    if key in _cache:
-        return _cache[key]
     if p == 2.0 and b == 0.0:
         # separable: tangential bottom 0 plus the 1D Robin fiber
         if v > 0.0:
-            val = v * model1d.linear_eigenvalue(g / math.sqrt(v))
-        else:
-            val = -g * g if g < 0.0 else 0.0
-        _cache[key] = val
-        return val
+            return v * model1d.linear_eigenvalue(g / math.sqrt(v))
+        return -g * g if g < 0.0 else 0.0
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
     depth = min(scale, 1.0 / (1.0 + abs(g)))
     if d == 1:
@@ -114,12 +112,8 @@ def _half_space_value(d: int, p: float, b: float, v: float, g: float) -> float:
         centers = ((0.0, 0.0),)
     A = None if b == 0.0 else geometry.linear_gauge(field_matrix_2d(b))
     spec = GeometrySpec(domain=dom, V=v, A=A, gamma=g)
-    grid = build_grid(spec, spacing)
-    form = assemble(spec, 1.0, grid)
-    res = minimize_quotient(form, p, _solver_options(d, centers=centers))
-    if res.converged:   # an unconverged value is re-solved on the next call
-        _cache[key] = res.lam
-    return res.lam
+    key = ("bd", d, p, round(b, 12), round(v, 12), round(g, 12))
+    return _grid_value(key, spec, spacing, centers)
 
 
 def interior_constant(B0, V0: float, p: float, dim: int | None = None) -> float:
@@ -212,13 +206,12 @@ def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
 
 
 def concentration_map(spec: GeometrySpec, sample_points, p: float,
-                      eps: float = 0.1, delta: float = 0.02,
-                      boundary_tol: float = 1e-8) -> ConcentrationMap:
+                      eps: float = 0.1) -> ConcentrationMap:
     """Sample x -> lambda(model at x, 1, p) and extract the argmin set.
 
     The spectral assumption is checked at p = 2 on every sample first
     (AssumptionViolated otherwise).  M collects the samples within relative
-    tolerance delta of the infimum; M_eps is its eps-dilation.
+    tolerance _DELTA of the infimum; M_eps is its eps-dilation.
     """
     check_exponent(p, spec.dim)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -228,7 +221,7 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
         vx = float(spec.v_at(x[None, :])[0])
         Bx = spec.field_at(x)
         bx = tr_plus(Bx) if spec.dim > 1 else 0.0
-        if _is_boundary_point(dom, x, boundary_tol):
+        if _is_boundary_point(dom, x, _BOUNDARY_TOL):
             gx = float(spec.gamma_at(x[None, :])[0])
             p2 = boundary_constant(Bx if spec.dim > 1 else 0.0, vx, gx, 2.0,
                                    dim=spec.dim)
@@ -245,21 +238,16 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
                                     dim=spec.dim)
         return ConcentrationSample(tuple(x), "interior", val, p2, b=bx, v=vx)
 
-    workers = max_workers()
-    if workers > 1 and len(pts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            samples = list(ex.map(one, pts))
-    else:
-        samples = [one(x) for x in pts]
+    samples = [one(x) for x in pts]
 
     bad = [s for s in samples if s.p2_value <= 1e-12]
     if bad:
         raise AssumptionViolated(
             f"p=2 model value {bad[0].p2_value:.3e} at x={bad[0].x}")
     inf_value = min(s.value for s in samples)
-    argmin = [s for s in samples if s.value <= inf_value * (1.0 + delta)]
+    argmin = [s for s in samples if s.value <= inf_value * (1.0 + _DELTA)]
     return ConcentrationMap(samples=samples, inf_value=inf_value,
-                            argmin=argmin, eps=eps, delta=delta)
+                            argmin=argmin, eps=eps, delta=_DELTA)
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,8 @@ from scipy.integrate import quad
 from .discretize import AssembledForm, WaveFunction, abs_pow
 from .errors import InvalidScales, NoneAccepted
 
-_SQRT_EPS = 1e-300
+_N_CAL = 48        # translations averaged by the energy calibration
+_CAL_SEED = 1
 
 
 def _smoothstep(t):
@@ -228,54 +229,44 @@ class TranslationReport:
 
 
 def calibrate_energy_constant(form: AssembledForm, psi: WaveFunction,
-                              alpha: float, rho: float,
-                              n_cal: int = 48, seed: int = 1) -> float:
+                              alpha: float, rho: float) -> float:
     """Freeze C'' = 3 mean_tau[energy defect] / (h^{2-rho-alpha} |psi|_2^2)."""
     h = form.h
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_CAL_SEED)
     l2 = psi.norm_l2() ** 2
     step = build_partition(alpha, rho, h, form.grid.dim).step
     acc = 0.0
-    for _ in range(n_cal):
+    for _ in range(_N_CAL):
         fam = build_partition(alpha, rho, h, form.grid.dim,
                               tau=rng.uniform(0.0, step, size=form.grid.dim))
         parts = localization_split(form, psi, fam)
         acc += parts["q_sum"] - form.energy(psi)
-    mean = acc / n_cal
+    mean = acc / _N_CAL
     return 3.0 * max(mean, 0.0) / (h ** (2.0 - rho - alpha) * l2) + 1e-12
 
 
 def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
                      rho: float, p: float, n_samples: int = 200,
-                     seed: int = 0, constants=None) -> TranslationReport:
+                     seed: int = 0) -> TranslationReport:
     """Sample translations and accept those controlling mass and energy.
 
     Acceptance requires both
       (a) sum_k |chi_k psi|_p^p >= (1 - C' h^{alpha-rho}) |psi|_p^p,
       (b) sum_k Q(chi_k psi) - Q(psi) <= C'' h^{2-rho-alpha} |psi|_2^2.
     C' comes from the exact mean defect 1 - |chi^0|_p^p / L (per axis);
-    C'' is calibrated once on the given field and frozen.  If nothing is
-    accepted the constants are rescaled by the selection argument's factor
-    3 and the scan repeats; NoneAccepted if that fails too.
+    C'' is calibrated on the given field and frozen for the scan.  If
+    nothing is accepted the constants are rescaled by the selection
+    argument's factor 3 and the scan repeats; NoneAccepted if that fails
+    too.
     """
     if p < 2.0:
         raise ValueError("p must be >= 2")
     h = form.h
     dim = form.grid.dim
     base = build_partition(alpha, rho, h, dim)
-    if constants is None:
-        mean_ratio = base.template_lp_mass(p) / base.step
-        c_mass = 3.0 * (1.0 - mean_ratio ** dim) / h ** (alpha - rho) + 1e-12
-        cal = getattr(form, "_partition_cal", None)
-        key = (alpha, rho, p)
-        if cal is None:
-            cal = {}
-            form._partition_cal = cal
-        if key not in cal:
-            cal[key] = calibrate_energy_constant(form, psi, alpha, rho)
-        c_energy = cal[key]
-    else:
-        c_mass, c_energy = constants
+    mean_ratio = base.template_lp_mass(p) / base.step
+    c_mass = 3.0 * (1.0 - mean_ratio ** dim) / h ** (alpha - rho) + 1e-12
+    c_energy = calibrate_energy_constant(form, psi, alpha, rho)
 
     rng = np.random.default_rng(seed)
     taus = rng.uniform(0.0, base.step, size=(n_samples, dim))

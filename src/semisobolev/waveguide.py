@@ -67,19 +67,17 @@ def constant_profile(value: float = 1.0) -> WidthProfile:
 
 
 def gaussian_profile(amp: float = 0.5, center: float = 0.0,
-                     width: float = 1.0, base: float = 1.0) -> WidthProfile:
-    f = lambda s: base + amp * np.exp(-((s - center) / width) ** 2)
-    return WidthProfile(func=f, a0=base, a1=base + amp, s_max=center,
-                        a_max=base + amp, width=width,
+                     width: float = 1.0) -> WidthProfile:
+    f = lambda s: 1.0 + amp * np.exp(-((s - center) / width) ** 2)
+    return WidthProfile(func=f, a0=1.0, a1=1.0 + amp, s_max=center,
+                        a_max=1.0 + amp, width=width,
                         label=f"gaussian:{amp},{center},{width}")
 
 
-def cosine_profile(amp: float = 0.25, wavelength: float = 8.0,
-                   base: float = 1.0) -> WidthProfile:
-    f = lambda s: base + amp * np.cos(2.0 * math.pi * s / wavelength)
-    return WidthProfile(func=f, a0=base - amp, a1=base + amp, s_max=0.0,
-                        a_max=base + amp, width=wavelength / 2.0,
-                        label="cosine")
+def cosine_profile() -> WidthProfile:
+    f = lambda s: 1.0 + 0.25 * np.cos(2.0 * math.pi * s / 8.0)
+    return WidthProfile(func=f, a0=0.75, a1=1.25, s_max=0.0, a_max=1.25,
+                        width=4.0, label="cosine")
 
 
 def table_profile(s_vals, a_vals) -> WidthProfile:

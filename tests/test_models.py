@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from semisobolev import asymptotics
 from semisobolev import geometry as ge
 from semisobolev import model1d as m1
 from semisobolev import models
@@ -172,3 +173,22 @@ class TestCache:
             assert models._half_space_value(1, 4.0, 0.0, 1.0, 0.0) == 1.25
         assert len(models._cache) == (2 if converged else 0)
         assert len(calls) == (2 if converged else 4)
+
+    def test_one_solve_per_key_whatever_the_environment(self, monkeypatch):
+        # an interval has two p = 4 model keys, the line and the half-line;
+        # SEMISOBOLEV_THREADS must not make either one be solved twice
+        monkeypatch.setenv("SEMISOBOLEV_THREADS", "2")
+        monkeypatch.setattr(models, "_cache", {})
+        calls = []
+        real = models.minimize_quotient
+
+        def counting(form, p, opts=None):
+            calls.append(form.n)
+            return real(form, p, opts)
+
+        monkeypatch.setattr(models, "minimize_quotient", counting)
+        spec = ge.GeometrySpec(domain=ge.interval(-1.0, 1.0, ("robin", "robin")),
+                               V=1.0, gamma=0.0)
+        models.concentration_map(spec, asymptotics.default_sample_points(spec),
+                                 4.0)
+        assert len(calls) == 2

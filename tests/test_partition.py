@@ -108,6 +108,24 @@ class TestTranslationSelection:
         assert rep.accepted >= 1
         assert rep.tau.shape == (2,)
 
+    def test_each_field_is_calibrated_on_itself(self):
+        # C'' depends on the field; a second field on the same form must
+        # not reuse the first field's constant
+        spec = ge.GeometrySpec(domain=ge.plane(2.0), V=1.0, gamma=0.0)
+        grid = dz.build_grid(spec, 0.1)
+        form = dz.assemble(spec, 0.1, grid)
+        rng = np.random.default_rng(5)
+        fields = [dz.WaveFunction(grid, dz.gaussian_bump(grid, c, w).values
+                                  * (1.0 + 0.3 * rng.standard_normal(grid.n_nodes)))
+                  for c, w in (((0.2, -0.1), 0.8), ((-0.4, 0.3), 0.4))]
+        consts = [pt.calibrate_energy_constant(form, psi, 0.5, 1.0 / 3.0)
+                  for psi in fields]
+        assert consts[0] != consts[1]
+        for psi, c in zip(fields, consts):
+            rep = pt.find_translation(form, psi, 0.5, 1.0 / 3.0, 4.0,
+                                      n_samples=10, seed=1)
+            assert rep.c_energy == (3.0 * c if rep.rescaled else c)
+
     def test_defect_signs(self, box_form, localized_field):
         # localized L^p mass never exceeds the total (quadratic partition)
         _, grid, form = box_form
