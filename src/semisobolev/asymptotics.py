@@ -119,7 +119,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
         center = tuple(float(c) for c in grid.points[int(np.argmax(vals))])
-        outside = cmap.outside_m_eps(grid.points, _EPS)
+        outside = cmap.outside_m_eps(grid.points)
         mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,

@@ -139,6 +139,8 @@ def _cmd_solve(args) -> int:
         "iterations": res.iterations,
         "converged": res.converged,
         "restart_values": res.restart_values,
+        "restart_exits": res.restart_exits,
+        "restart_iterations": res.restart_iterations,
         "nodes": grid.n_nodes,
         "free_nodes": grid.n_free,
     }

@@ -21,8 +21,10 @@ and one L^p norm.  An accepted iterate is renormalized and K x is formed
 afresh (never updated by recurrence), and serves both the quotient and
 the gradient: one iteration costs one preconditioner solve and two sparse
 matvecs.  Each restart reports why it stopped: `grad_tol`, `stagnation`
-(no decrease over a window of iterations), `cap` (iteration limit) or
-`backtrack_floor` (no admissible step, so the iterate cannot move).
+(no decrease over a window of iterations), `cap` (iteration limit),
+`backtrack_floor` (no admissible step, so the iterate cannot move) or
+`outpaced` (at its recent pace it would still end above the best
+converged start at the cap; see `_descend`).
 Multiple restarts (random fields plus Gaussian bumps at candidate
 localization centers) guard against spurious local minima.
 """
@@ -42,6 +44,7 @@ from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
 from .errors import ZeroFunction
 
 _STAG_WINDOW = 60
+_TIE = 1e-10            # restart values this close count as equal
 _POWER_ITERS = 200      # shift-invert power iteration cap
 _POWER_TOL = 1e-13      # relative eigenvalue change, three times in a row
 
@@ -68,7 +71,8 @@ class MinimizerResult:
     el_residual: float
     restart_values: list = field(default_factory=list)
     restart_iterations: list = field(default_factory=list)
-    restart_exits: list = field(default_factory=list)   # _Stop.reason, or "eigen"
+    # per start: a _Stop.reason (grad_tol ... outpaced), or "eigen" at p = 2
+    restart_exits: list = field(default_factory=list)
     converged: bool = True
     grad_norm: float = 0.0
     history: list = field(default_factory=list)
@@ -77,7 +81,7 @@ class MinimizerResult:
 class _Stop(NamedTuple):
     """Why a descent stopped, with the gradient norm it last measured."""
 
-    reason: str     # grad_tol | stagnation | cap | backtrack_floor
+    reason: str     # grad_tol | stagnation | cap | backtrack_floor | outpaced
     grad_norm: float
 
 
@@ -182,8 +186,19 @@ def _eigen_path(form, opts):
 # p > 2: preconditioned projected gradient with L^p renormalization
 # ---------------------------------------------------------------------------
 
-def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
-    """Monotone BB descent on the quotient; returns (R, x, iters, _Stop)."""
+def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
+             incumbent=math.inf):
+    """Monotone BB descent on the quotient; returns (R, x, iters, _Stop).
+
+    `incumbent` is the best value a converged start has reached.  After
+    k >= W = _STAG_WINDOW accepted steps the descent stops as `outpaced`
+    when R_k - pace (max_iters - k) > incumbent + _TIE, with the recent
+    pace (R_{k-W} - R_k) / W: going on at that pace it would still end
+    above the incumbent at the cap, so it cannot be the selected start.
+    The forecast is linear, so a start that idles on a plateau and speeds
+    up later is cut too; that changes the answer only if it would have
+    ended strictly below every converged start.
+    """
     w = form.weight
     K = form.K
     max_iters = opts.max_iters if max_iters is None else max_iters
@@ -209,6 +224,7 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
     alpha = 1.0
     gnorm = math.sqrt(wdot(g, g))
     best_R, since_best = R, 0
+    trail = [R]             # R after each accepted step, for the pace
     reason = "cap"
     it = 0
     for it in range(max_iters):
@@ -251,6 +267,13 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None):
         x, Kx, g, d, R = xt, Kxt, gt, dt, Rt
         if history is not None:
             history.append(R)
+        trail.append(R)
+        k = it + 1          # accepted steps
+        if k >= _STAG_WINDOW:
+            pace = (trail[k - _STAG_WINDOW] - R) / _STAG_WINDOW
+            if R - pace * (max_iters - k) > incumbent + _TIE:
+                reason = "outpaced"
+                break
         if R < best_R - 1e-15 * max(1.0, abs(best_R)):
             best_R, since_best = R, 0
         else:
@@ -266,10 +289,14 @@ def minimize_quotient(form: AssembledForm, p: float,
     """Minimize the discrete Sobolev quotient at exponent p >= 2.
 
     p = 2 uses the eigensolver path; p > 2 runs the projected gradient flow
-    from `restarts` random fields plus one Gaussian bump per candidate
-    center, returning the best final value (ties broken by iteration
-    count).  The result's `converged` flag is False when the best restart
-    misses the gradient tolerance.
+    from one Gaussian bump per candidate center and then `restarts` random
+    fields (or from `inits`, in order), returning the best final value
+    (ties broken by iteration count).  Each start is given the lowest value
+    of the finished starts that met the gradient tolerance, and stops as
+    `outpaced` once its recent pace cannot bring it below that value by the
+    cap; such a start ends above it and is never the one returned.  The
+    result's `converged` flag is False when the best restart misses the
+    gradient tolerance.
     """
     opts = opts or MinimizeOptions()
     if p < 2.0:
@@ -304,19 +331,23 @@ def minimize_quotient(form: AssembledForm, p: float,
             inits.append(v)
 
     best = None
+    incumbent = math.inf    # lowest value of a start that met grad_tol
     restart_values, restart_iterations, restart_exits = [], [], []
     for x0 in inits:
         if lp_norm(form.weight, x0, p) < 1e-300:
             x0 = rng.standard_normal(form.n).astype(x0.dtype)
         hist = [] if opts.track_history else None
-        R, x, its, stop = _descend(form, x0, p, opts, history=hist)
+        R, x, its, stop = _descend(form, x0, p, opts, history=hist,
+                                   incumbent=incumbent)
         restart_values.append(R)
         restart_iterations.append(its)
         restart_exits.append(stop.reason)
         ok = stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R))
+        if ok:
+            incumbent = min(incumbent, R)
         cand = (R, its, x, stop.grad_norm, ok, hist)
-        if best is None or (R < best[0] - 1e-10) or (
-                abs(R - best[0]) <= 1e-10 and its < best[1]):
+        if best is None or (R < best[0] - _TIE) or (
+                abs(R - best[0]) <= _TIE and its < best[1]):
             best = cand
 
     R, its, x, gnorm, ok, hist = best

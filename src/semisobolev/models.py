@@ -61,9 +61,13 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     """Memoized grid solve of a model at h = 1; key = (kind, d, p, ...).
 
     Only converged values are stored, so an unconverged one is re-solved
-    on the next call.  One random restart runs next to the bump init;
-    random starts that wander into the interior-soliton valley are cut
-    off by the iteration cap.
+    on the next call.  One random restart runs after the bump init; a
+    random start that wanders into the interior-soliton valley stops as
+    `outpaced` once it cannot come down to the bump's converged value.
+    The 700-iteration cap in d = 2 stays: when the bump misses the
+    gradient tolerance there is no converged value to outpace, and the
+    cap is what bounds both starts (a strong-Robin disk-boundary model
+    took twice as long at the 3,000 default).
     """
     if key in _cache:
         return _cache[key]
@@ -180,16 +184,15 @@ class ConcentrationMap:
     def argmin_points(self) -> np.ndarray:
         return np.array([s.x for s in self.argmin], dtype=float)
 
-    def outside_m_eps(self, points: np.ndarray, eps: float | None = None) -> np.ndarray:
-        """Mask of points at distance > eps from every argmin sample."""
-        eps = self.eps if eps is None else eps
+    def outside_m_eps(self, points: np.ndarray) -> np.ndarray:
+        """Mask of points at distance > self.eps from every argmin sample."""
         pts = np.atleast_2d(points)
         m = self.argmin_points
         d2min = np.full(len(pts), np.inf)
         for q in m:
             d2 = ((pts - q) ** 2).sum(axis=1)
             d2min = np.minimum(d2min, d2)
-        return d2min > eps * eps
+        return d2min > self.eps * self.eps
 
 
 def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import pytest
 
 from semisobolev import asymptotics, cli, waveguide
+from semisobolev._util import atomic_write
 
 
 def _read(path):
@@ -143,7 +144,8 @@ class TestSolve:
         payload = json.loads(out.read_text())
         assert set(payload) == {"config", "converged", "el_residual",
                                 "free_nodes", "iterations", "lambda", "nodes",
-                                "normalized_ratio", "restart_values"}
+                                "normalized_ratio", "restart_exits",
+                                "restart_iterations", "restart_values"}
         cfg = payload["config"]
         assert (cfg["h"], cfg["p"], cfg["seed"]) == (0.1, 4.0, 0)
         assert cfg["geometry.domain"] == "interval"
@@ -221,3 +223,20 @@ class TestConfigValidation:
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestAtomicWrite:
+    def test_replaces_the_content(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        atomic_write(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()          # a file cannot be renamed onto a directory
+        with pytest.raises(OSError):
+            atomic_write(str(target), "text\n")
+        assert target.is_dir() and not any(target.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]

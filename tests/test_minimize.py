@@ -11,6 +11,7 @@ from semisobolev import geometry as ge
 from semisobolev import discretize as dz
 from semisobolev import minimize as mz
 from semisobolev import model1d as m1
+from semisobolev import waveguide as wg
 from semisobolev.minimize import (MinimizeOptions, el_residual,
                                   minimize_quotient, quotient_gradient)
 
@@ -20,6 +21,18 @@ def robin_1d():
     spec = ge.GeometrySpec(domain=ge.half_line(18.0), V=1.0, gamma=0.0)
     grid = dz.build_grid(spec, 0.01)
     return spec, grid, dz.assemble(spec, 1.0, grid)
+
+
+@pytest.fixture(scope="module")
+def short_strip():
+    # the straight Dirichlet strip of `straight_reference`, cut at |s| <= 4:
+    # nearly flat along s, so a random start creeps toward the center
+    return wg.assemble_waveguide_form(wg.constant_profile(1.0), 1.0, 4.0,
+                                      s_halfwidth=4.0)
+
+
+STRIP_OPTS = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
+                             centers=((0.0, 0.0),), bump_width=1.0)
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +210,46 @@ class TestExitReasons:
         res = minimize_quotient(f, 2.0)
         assert res.restart_exits == ["eigen"]
         assert res.restart_iterations == [res.iterations]
+
+    def test_outpaced_start_leaves_the_answer(self, short_strip):
+        both = minimize_quotient(short_strip, 4.0, STRIP_OPTS)
+        bump = minimize_quotient(short_strip, 4.0,
+                                 dataclasses.replace(STRIP_OPTS, restarts=0))
+        assert both.restart_exits == ["grad_tol", "outpaced"]
+        assert both.restart_iterations[1] < STRIP_OPTS.max_iters
+        assert both.restart_values[1] > both.restart_values[0] + mz._TIE
+        assert both.lam == bump.lam
+        assert np.array_equal(both.psi.values, bump.psi.values)
+        assert both.converged and bump.converged
+        assert both.grad_norm == bump.grad_norm
+
+    def test_first_start_is_never_cut(self, short_strip):
+        bump = dz.gaussian_bump(short_strip.grid, np.zeros(2), 1.0)
+        x0 = np.random.default_rng(3).standard_normal(short_strip.n)
+        opts = dataclasses.replace(STRIP_OPTS, max_iters=300)
+        first = minimize_quotient(short_strip, 4.0,
+                                  dataclasses.replace(opts, inits=(x0, bump)))
+        second = minimize_quotient(short_strip, 4.0,
+                                   dataclasses.replace(opts, inits=(bump, x0)))
+        # no start has converged before the first one: nothing to outpace
+        assert first.restart_exits == ["cap", "grad_tol"]
+        assert second.restart_exits == ["grad_tol", "outpaced"]
+
+    @pytest.mark.usefixtures("fresh_reference")
+    def test_straight_reference_work(self, monkeypatch):
+        iterations = []
+
+        def counting(form, p, opts):
+            res = minimize_quotient(form, p, opts)
+            iterations.append(res.iterations)
+            return res
+
+        monkeypatch.setattr(wg, "minimize_quotient", counting)
+        wg.straight_reference(4.0)
+        # two truncations; unless it is outpaced, the off-center random
+        # start at s_halfwidth = 12 runs to its 3,000-iteration cap
+        assert len(iterations) == 2
+        assert sum(iterations) <= 400
 
 
 class TestHotPath:
