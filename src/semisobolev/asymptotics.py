@@ -26,6 +26,7 @@ import numpy as np
 
 from . import model1d
 from .discretize import assemble, build_grid, lp_norm
+from .errors import ConfigError
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
 from .models import boundary_constant, concentration_map
@@ -158,13 +159,17 @@ def boundary_centers(spec: GeometrySpec) -> tuple:
 def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     """lambda^Neu(Omega_R, p) via the exact reformulation h = R^{-2}.
 
-    Requires the fixed data V = 1, A = 0, gamma = 0.  The reported ratio is
+    Requires the fixed data V = 1, A = 0, gamma = 0, each a constant; any
+    other data raises ConfigError.  The reported ratio is
     against the half-space (d = 2) or half-line (d = 1) Neumann constant,
     which the ratio approaches from below as R grows (for smooth domains;
     corners attract more strongly and push the limit ratio below 1).
     """
-    if spec.A is not None or (not callable(spec.V) and float(spec.V) != 1.0):
-        raise ValueError("large-domain reduction assumes V = 1, A = 0, gamma = 0")
+    if (spec.A is not None or spec.B is not None
+            or callable(spec.V) or float(spec.V) != 1.0
+            or callable(spec.gamma) or float(spec.gamma) != 0.0):
+        raise ConfigError("large-domain: the reduction assumes the constant "
+                          "data V = 1, B = 0, gamma = 0")
     d = spec.dim
     check_exponent(p, d)
     if d == 1:

@@ -20,7 +20,7 @@ import numpy as np
 from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
-from .discretize import assemble, build_grid, wavefunction_rows
+from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
 from .errors import NoConvergence, SemisobolevError
 from .minimize import MinimizeOptions, minimize_quotient
 
@@ -78,16 +78,19 @@ def _parse_h_list(s: str) -> list:
 
 def _parse_profile(s: str) -> waveguide.WidthProfile:
     kind, _, rest = s.partition(":")
-    if kind == "constant":
-        return waveguide.constant_profile(float(rest or 1.0))
-    if kind == "gaussian":
-        amp, s0, w = (float(x) for x in rest.split(","))
-        return waveguide.gaussian_profile(amp=amp, center=s0, width=w)
-    if kind == "cosine":
-        return waveguide.cosine_profile()
-    if kind == "table":
-        data = np.loadtxt(rest, delimiter=",")
-        return waveguide.table_profile(data[:, 0], data[:, 1])
+    try:
+        if kind == "constant":
+            return waveguide.constant_profile(float(rest or 1.0))
+        if kind == "gaussian":
+            amp, s0, w = (float(x) for x in rest.split(","))
+            return waveguide.gaussian_profile(amp=amp, center=s0, width=w)
+        if kind == "cosine":
+            return waveguide.cosine_profile()
+        if kind == "table":
+            data = np.loadtxt(rest, delimiter=",", ndmin=2)
+            return waveguide.table_profile(data[:, 0], data[:, 1])
+    except (ValueError, IndexError, OSError) as exc:
+        raise ConfigError(f"--profile: bad {kind} profile {rest!r}: {exc}") from exc
     raise ConfigError(f"--profile: unknown kind {kind!r}")
 
 
@@ -226,7 +229,6 @@ def _cmd_partition_check(args) -> int:
     grid = build_grid(spec, args.spacing)
     form = assemble(spec, args.h, grid)
     rng = np.random.default_rng(args.seed)
-    from .discretize import gaussian_bump
     psi = gaussian_bump(grid, np.zeros(spec.dim), 0.8)
     psi.values = psi.values * (1.0 + 0.3 * rng.standard_normal(grid.n_nodes))
     fam = partition.build_partition(args.alpha, args.rho, args.h, spec.dim)

@@ -167,8 +167,7 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
     V = _parse_scalar_field("V", kv.get("v", "0"), center)
     A, B = _parse_field_b(kv.get("b", "0"), center, dom.dim)
     gamma = _parse_gamma(kv.get("gamma", "0"), center)
-    spec = GeometrySpec(domain=dom, V=V, A=A, gamma=gamma, B=B,
-                        name=kv.get("name", ""))
+    spec = GeometrySpec(domain=dom, V=V, A=A, gamma=gamma, B=B)
     return spec, resolved
 
 

@@ -33,8 +33,6 @@ from .errors import DomainTooSmall, ZeroFunction
 from .geometry import Domain, GeometrySpec
 
 INTERIOR, ROBIN, DIRICHLET, TRUNCATION = 0, 1, 2, 3
-_KIND_NAMES = {INTERIOR: "interior", ROBIN: "robin",
-               DIRICHLET: "dirichlet", TRUNCATION: "truncation"}
 
 
 # ---------------------------------------------------------------------------
@@ -70,9 +68,6 @@ class Grid:
     @property
     def n_free(self) -> int:
         return int(self.free.sum())
-
-    def classification_histogram(self) -> dict:
-        return {name: int((self.kind == k).sum()) for k, name in _KIND_NAMES.items()}
 
 
 def _axis_nodes(lo: float, hi: float, spacing: float):
@@ -292,12 +287,9 @@ def _disk_grid(dom: Domain, spacing, gamma_is_dirichlet: bool = False) -> Grid:
     )
 
 
-def build_grid(spec: GeometrySpec, spacing, truncation=None) -> Grid:
-    """Build the lattice for a geometry; `truncation` overrides box bounds."""
+def build_grid(spec: GeometrySpec, spacing) -> Grid:
+    """Build the lattice for a geometry (a masked square lattice for disks)."""
     dom = spec.domain
-    if truncation is not None and dom.kind != "disk":
-        dom = Domain(kind=dom.kind, bounds=tuple(tuple(b) for b in truncation),
-                     radius=dom.radius, center=dom.center, bc=dom.bc)
     if dom.kind == "disk":
         return _disk_grid(dom, spacing, spec.dirichlet_boundary)
     return _box_grid(dom, spacing, spec.dirichlet_boundary)
@@ -336,10 +328,6 @@ def lp_norm(w: np.ndarray, x: np.ndarray, p: float) -> float:
     return float((w @ abs_pow(x, p)) ** (1.0 / p))
 
 
-def from_callable(grid: Grid, f: Callable) -> WaveFunction:
-    return WaveFunction(grid, np.asarray(f(grid.points)))
-
-
 def gaussian_bump(grid: Grid, center, width: float) -> WaveFunction:
     center = np.asarray(center, dtype=float)
     r2 = ((grid.points - center) ** 2).sum(axis=1)
@@ -347,6 +335,8 @@ def gaussian_bump(grid: Grid, center, width: float) -> WaveFunction:
 
 
 def random_field(grid: Grid, rng, complex_: bool = True) -> WaveFunction:
+    """Gaussian lattice field: the generic draw on which the exact discrete
+    identities (gauge covariance, the diamagnetic inequality) are tested."""
     v = rng.standard_normal(grid.n_nodes)
     if complex_:
         v = v + 1j * rng.standard_normal(grid.n_nodes)
@@ -523,7 +513,11 @@ def evaluate(form: AssembledForm, psi: WaveFunction, p: float) -> EvaluationResu
 
 def kinetic_energy(form: AssembledForm, psi: WaveFunction,
                    magnetic: bool = True) -> float:
-    """Link kinetic energy; magnetic=False drops phases and uses |psi|."""
+    """Link kinetic energy; magnetic=False drops phases and uses |psi|.
+
+    The two values bound each other by the diamagnetic inequality, edge by
+    edge: kinetic_energy(|psi|, magnetic=False) <= kinetic_energy(psi).
+    """
     a = form.grid.edges[:, 0]
     b = form.grid.edges[:, 1]
     v = psi.values
@@ -535,7 +529,8 @@ def kinetic_energy(form: AssembledForm, psi: WaveFunction,
 
 
 def gauge_transform(psi: WaveFunction, phi: Callable, h: float) -> WaveFunction:
-    """psi -> e^{i phi / h} psi."""
+    """psi -> e^{i phi / h} psi, the field side of the gauge covariance
+    Q_phi(e^{i phi/h} psi) = Q(psi), with Q_phi = assemble(gauge_phi=phi)."""
     ph = np.asarray(phi(psi.grid.points), dtype=float).reshape(psi.grid.n_nodes)
     return WaveFunction(psi.grid, np.exp(1j * ph / h) * psi.values)
 
@@ -551,24 +546,7 @@ def shifted_spec(spec: GeometrySpec, grad_phi: Callable) -> GeometrySpec:
         return np.asarray(base(pts), dtype=float) + gp
 
     return GeometrySpec(domain=spec.domain, V=spec.V, A=A, gamma=spec.gamma,
-                        B=spec.B, name=spec.name)
-
-
-# ---------------------------------------------------------------------------
-# exports
-# ---------------------------------------------------------------------------
-
-def grid_report(grid: Grid) -> dict:
-    return {
-        "dim": grid.dim,
-        "spacing": list(grid.spacing),
-        "nodes": grid.n_nodes,
-        "free_nodes": grid.n_free,
-        "edges": int(len(grid.edges)),
-        "classification": grid.classification_histogram(),
-        "weight_sum": float(grid.weight.sum()),
-        "domain_volume": grid.domain.volume(),
-    }
+                        B=spec.B)
 
 
 def wavefunction_rows(psi: WaveFunction):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -159,8 +159,9 @@ def de_gennes_constant() -> float:
 def neumann_lower_bound(B: np.ndarray) -> float:
     """max(Theta0 |B_par|_2, Tr+ B_perp) for the half-space Neumann problem.
 
-    The last coordinate is the inward normal: B_perp is the tangential
-    (d-1) x (d-1) block and B_par the normal column head.
+    It is a lower bound for the p = 2 half-space constant.  The last
+    coordinate is the inward normal: B_perp is the tangential (d-1) x (d-1)
+    block and B_par the normal column head.
     """
     B = check_skew(B)
     d = B.shape[0]
@@ -175,17 +176,6 @@ def neumann_lower_bound(B: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # exponents and geometry quintuples
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ExponentP:
-    """Validated Lebesgue exponent, subcritical for the given dimension."""
-
-    value: float
-    dim: int = 2
-
-    def __post_init__(self):
-        check_exponent(self.value, self.dim)
-
 
 def check_exponent(p: float, dim: int) -> float:
     if p < 2.0:
@@ -217,14 +207,6 @@ class Domain:
     @property
     def dim(self) -> int:
         return 1 if self.kind == "interval" else 2
-
-    def volume(self) -> float:
-        if self.kind == "disk":
-            return math.pi * self.radius ** 2
-        v = 1.0
-        for lo, hi in self.bounds:
-            v *= hi - lo
-        return v
 
 
 def interval(a: float, b: float, bc=("robin", "truncation")) -> Domain:
@@ -284,8 +266,7 @@ class GeometrySpec:
     V: object = 0.0
     A: object = None
     gamma: object = 0.0
-    B: object = field(default=None)
-    name: str = ""
+    B: object = None
 
     @property
     def dim(self) -> int:

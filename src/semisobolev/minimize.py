@@ -42,6 +42,7 @@ from scipy.linalg import eigh_tridiagonal
 from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
                          gaussian_bump, lp_norm)
 from .errors import ZeroFunction
+from .geometry import check_exponent
 
 _STAG_WINDOW = 60
 _TIE = 1e-10            # restart values this close count as equal
@@ -60,7 +61,6 @@ class MinimizeOptions:
     centers: tuple = ()         # Gaussian-bump initialization centers
     bump_width: float | None = None
     inits: tuple = ()           # explicit initial fields (override randoms)
-    track_history: bool = False
 
 
 @dataclass
@@ -75,7 +75,6 @@ class MinimizerResult:
     restart_exits: list = field(default_factory=list)
     converged: bool = True
     grad_norm: float = 0.0
-    history: list = field(default_factory=list)
 
 
 class _Stop(NamedTuple):
@@ -123,8 +122,6 @@ def _tridiagonal_eigen(form):
     K = form.K.tocsr()
     d = K.diagonal().real
     off = K.diagonal(1)
-    if form.is_complex:
-        return None
     dinv = 1.0 / np.sqrt(form.weight)
     main = d * dinv * dinv
     sub = np.real(off) * dinv[:-1] * dinv[1:]
@@ -154,11 +151,8 @@ def _inverse_power(form, sigma, x0):
 
 
 def _eigen_path(form, opts):
-    tri = None
     if form.grid.dim == 1 and not form.is_complex:
-        tri = _tridiagonal_eigen(form)
-    if tri is not None:
-        lam, x = tri
+        lam, x = _tridiagonal_eigen(form)
         iterations = 1
     else:
         rng = np.random.default_rng(opts.seed)
@@ -189,6 +183,8 @@ def _eigen_path(form, opts):
 def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
              incumbent=math.inf):
     """Monotone BB descent on the quotient; returns (R, x, iters, _Stop).
+
+    `history`, when a list, receives R at the start and after each step.
 
     `incumbent` is the best value a converged start has reached.  After
     k >= W = _STAG_WINDOW accepted steps the descent stops as `outpaced`
@@ -299,8 +295,7 @@ def minimize_quotient(form: AssembledForm, p: float,
     gradient tolerance.
     """
     opts = opts or MinimizeOptions()
-    if p < 2.0:
-        raise ValueError("p must be >= 2")
+    check_exponent(p, form.grid.dim)
     if p == 2.0:
         return _eigen_path(form, opts)
 
@@ -336,21 +331,19 @@ def minimize_quotient(form: AssembledForm, p: float,
     for x0 in inits:
         if lp_norm(form.weight, x0, p) < 1e-300:
             x0 = rng.standard_normal(form.n).astype(x0.dtype)
-        hist = [] if opts.track_history else None
-        R, x, its, stop = _descend(form, x0, p, opts, history=hist,
-                                   incumbent=incumbent)
+        R, x, its, stop = _descend(form, x0, p, opts, incumbent=incumbent)
         restart_values.append(R)
         restart_iterations.append(its)
         restart_exits.append(stop.reason)
         ok = stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R))
         if ok:
             incumbent = min(incumbent, R)
-        cand = (R, its, x, stop.grad_norm, ok, hist)
+        cand = (R, its, x, stop.grad_norm, ok)
         if best is None or (R < best[0] - _TIE) or (
                 abs(R - best[0]) <= _TIE and its < best[1]):
             best = cand
 
-    R, its, x, gnorm, ok, hist = best
+    R, its, x, gnorm, ok = best
     psi = WaveFunction(grid, form.full_values(x))
     nrm = psi.norm_lp(p)
     psi = WaveFunction(grid, psi.values / nrm)
@@ -360,4 +353,4 @@ def minimize_quotient(form: AssembledForm, p: float,
                            restart_values=restart_values,
                            restart_iterations=restart_iterations,
                            restart_exits=restart_exits, converged=ok,
-                           grad_norm=gnorm, history=hist or [])
+                           grad_norm=gnorm)

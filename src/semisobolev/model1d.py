@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
-from .errors import NoSolution, ToleranceNotMet
+from .errors import InvalidExponent, NoSolution, ToleranceNotMet
 
 # The stable manifold of the origin cannot be shadowed in double precision
 # below roughly sqrt(eps_mach * growth): the outgoing mode amplifies local
@@ -39,6 +39,11 @@ _H_TOL = 1e-10
 _STEP = 0.01
 
 
+def _check_p(p: float) -> None:
+    if p <= 2:
+        raise InvalidExponent(f"exponent must satisfy p > 2, got {p}")
+
+
 def hamiltonian(u: float, v: float, p: float) -> float:
     """Conserved energy of the phase-plane system (vector-friendly)."""
     return (v * v - u * u) / 2.0 + np.abs(u) ** p / p
@@ -50,8 +55,7 @@ def initial_amplitude(c: float, p: float) -> float:
     Raises NoSolution for |c| >= 1, where the zero level set meets the ray
     v = c u only at the origin.
     """
-    if p <= 2:
-        raise ValueError(f"exponent must satisfy p > 2, got {p}")
+    _check_p(p)
     if abs(c) >= 1.0:
         raise NoSolution(f"no nontrivial zero-energy initial data for c={c}")
     return (p * (1.0 - c * c) / 2.0) ** (1.0 / (p - 2.0))
@@ -86,9 +90,8 @@ def soliton_ode_residual(r, p: float):
 class PhaseTrajectory:
     """Sampled zero-energy orbit of the half-line model.
 
-    Samples sit on a uniform grid of spacing `_STEP`; the orbit is truncated
-    at its closest numerical approach to the origin, and `tail_mass` carries
-    the analytic remainder of int u^p beyond the truncation radius.
+    Samples sit on a uniform grid of spacing `_STEP` up to the cut `r_end`;
+    `lp_mass` includes the analytic remainder of int u^p beyond the cut.
     """
 
     p: float
@@ -97,14 +100,9 @@ class PhaseTrajectory:
     u: np.ndarray
     v: np.ndarray
     lp_mass: float
-    tail_mass: float
     r_end: float
     turning_index: int
     _dense: object = field(default=None, repr=False)
-
-    @property
-    def energy_drift(self) -> float:
-        return float(np.max(np.abs(hamiltonian(self.u, self.v, self.p))))
 
 
 def integrate_trajectory(c: float, p: float) -> PhaseTrajectory:
@@ -179,7 +177,6 @@ def integrate_trajectory(c: float, p: float) -> PhaseTrajectory:
         u=u,
         v=v,
         lp_mass=float(mass + tail),
-        tail_mass=float(tail),
         r_end=r_end,
         turning_index=turning,
         _dense=sol.sol,
@@ -248,8 +245,7 @@ def lambda_c_point(c: float, p: float) -> RobinPoint:
     the escape time diverges and the limiting values (whole-line constant
     as c -> 1, zero as c -> -1) are returned instead of integrating.
     """
-    if p <= 2:
-        raise ValueError(f"exponent must satisfy p > 2, got {p}")
+    _check_p(p)
     if abs(c) >= 1.0:
         raise NoSolution(f"lambda_c undefined for |c| >= 1 (got c={c})")
     if abs(c) > 0.999:
@@ -272,8 +268,7 @@ def lambda_c(c: float, p: float) -> float:
 
 def soliton_line(p: float) -> float:
     """Whole-line constant ||u||_{L^p(R)}^{p-2} from the closed-form soliton."""
-    if p <= 2:
-        raise ValueError(f"exponent must satisfy p > 2, got {p}")
+    _check_p(p)
     half, err = quad(lambda r: float(soliton(r, p)) ** p, 0.0, np.inf,
                      epsabs=1e-14, epsrel=1e-13)
     if err > 1e-9:

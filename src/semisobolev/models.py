@@ -252,31 +252,3 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
     return ConcentrationMap(samples=samples, inf_value=inf_value,
                             argmin=argmin, eps=eps, delta=_DELTA)
 
-
-@dataclass(frozen=True)
-class IntBordResult:
-    boundary: float
-    interior: float
-    strict_less: bool
-    gap: float
-
-
-def int_bord_check(B0, V0: float, gamma0: float, p: float,
-                   dim: int | None = None) -> IntBordResult:
-    """Compare the half-space constant against the whole-space one.
-
-    Boundary attraction holds when the boundary constant is strictly
-    smaller; for gamma >= 1 in the 1D model the two coincide (the
-    minimizing sequence escapes to infinity).
-    """
-    if p <= 2.0:
-        raise ValueError("the comparison is a p > 2 statement")
-    b, d = _as_field(B0, dim)
-    interior = interior_constant(B0, V0, p, dim=d)
-    if d == 1 and gamma0 >= 1.0:
-        boundary = interior
-    else:
-        boundary = boundary_constant(B0, V0, gamma0, p, dim=d)
-    gap = interior - boundary
-    return IntBordResult(boundary=boundary, interior=interior,
-                         strict_less=gap > 0.0, gap=gap)

@@ -33,6 +33,7 @@ from scipy.integrate import quad
 
 from .discretize import AssembledForm, WaveFunction, abs_pow
 from .errors import InvalidScales, NoneAccepted
+from .geometry import check_exponent
 
 _N_CAL = 48        # translations averaged by the energy calibration
 _CAL_SEED = 1
@@ -174,30 +175,30 @@ def _grid_bounds(grid) -> list:
 
 def localization_split(form: AssembledForm, psi: WaveFunction,
                        family: PartitionFamily):
-    """(sum_k Q(chi_k psi), sum_k |chi_k psi|_p-masses helper, defect terms).
+    """Localized energies and the IMS remainder of one partition.
 
-    Returns a dict with the localized energy sum, the localized L^p masses
-    for later use, and the exact discrete IMS remainder computed from the
+    Returns a dict with "chi", the node values of each cell function that
+    is nonzero somewhere on the grid; "q_sum", sum_k Q(chi_k psi); and
+    "ims_remainder", the exact discrete IMS remainder computed from the
     edge expression (see module docstring).
     """
     grid = form.grid
     v = psi.values
-    cells = family.cells_for_box(_grid_bounds(grid))
     q_sum = 0.0
-    pieces = []
-    for k in cells:
+    chis = []
+    for k in family.cells_for_box(_grid_bounds(grid)):
         chi = family.cell_values(grid.points, k)
         if not np.any(chi > 0.0):
             continue
         loc = WaveFunction(grid, chi * v)
         x = form.free_values(loc)
         q_sum += float(np.real(np.vdot(x, form.K @ x)))
-        pieces.append((k, chi))
+        chis.append(chi)
 
     a = grid.edges[:, 0]
     b = grid.edges[:, 1]
     gsum = np.zeros(len(a))
-    for _, chi in pieces:
+    for chi in chis:
         d = chi[b] - chi[a]
         gsum += d * d
     if form.is_complex:
@@ -205,8 +206,7 @@ def localization_split(form: AssembledForm, psi: WaveFunction,
     else:
         cross = np.real(v[b] * np.conj(v[a]))
     ims_remainder = float(form.edge_kin @ (gsum * cross))
-    return {"cells": [k for k, _ in pieces], "chi": [c for _, c in pieces],
-            "q_sum": q_sum, "ims_remainder": ims_remainder}
+    return {"chi": chis, "q_sum": q_sum, "ims_remainder": ims_remainder}
 
 
 def ims_identity_defect(form: AssembledForm, psi: WaveFunction,
@@ -259,8 +259,7 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     argument's factor 3 and the scan repeats; NoneAccepted if that fails
     too.
     """
-    if p < 2.0:
-        raise ValueError("p must be >= 2")
+    check_exponent(p, form.grid.dim)
     h = form.h
     dim = form.grid.dim
     base = build_partition(alpha, rho, h, dim)

@@ -50,7 +50,6 @@ class WidthProfile:
     s_max: float
     a_max: float
     width: float = 1.0      # truncation length scale of the bump
-    label: str = ""
 
     def __post_init__(self):
         if self.a0 <= 0.0:
@@ -63,21 +62,20 @@ class WidthProfile:
 def constant_profile(value: float = 1.0) -> WidthProfile:
     return WidthProfile(func=lambda s: np.full_like(s, value, dtype=float),
                         a0=value, a1=value, s_max=0.0, a_max=value,
-                        width=1.0, label=f"constant:{value}")
+                        width=1.0)
 
 
 def gaussian_profile(amp: float = 0.5, center: float = 0.0,
                      width: float = 1.0) -> WidthProfile:
     f = lambda s: 1.0 + amp * np.exp(-((s - center) / width) ** 2)
     return WidthProfile(func=f, a0=1.0, a1=1.0 + amp, s_max=center,
-                        a_max=1.0 + amp, width=width,
-                        label=f"gaussian:{amp},{center},{width}")
+                        a_max=1.0 + amp, width=width)
 
 
 def cosine_profile() -> WidthProfile:
     f = lambda s: 1.0 + 0.25 * np.cos(2.0 * math.pi * s / 8.0)
     return WidthProfile(func=f, a0=0.75, a1=1.25, s_max=0.0, a_max=1.25,
-                        width=4.0, label="cosine")
+                        width=4.0)
 
 
 def table_profile(s_vals, a_vals) -> WidthProfile:
@@ -87,8 +85,7 @@ def table_profile(s_vals, a_vals) -> WidthProfile:
     k = int(np.argmax(a_vals))
     return WidthProfile(func=f, a0=float(a_vals.min()), a1=float(a_vals.max()),
                         s_max=float(s_vals[k]), a_max=float(a_vals.max()),
-                        width=float(max(s_vals.max() - s_vals.min(), 1.0) / 4.0),
-                        label="table")
+                        width=float(max(s_vals.max() - s_vals.min(), 1.0) / 4.0))
 
 
 def assemble_waveguide_form(profile: WidthProfile, h: float, p: float,

@@ -89,6 +89,26 @@ class TestLargeDomain:
         assert header == self.HEADER
         assert rows[0][-1] == "0"
 
+    @pytest.mark.parametrize("data", [
+        "domain = interval\nbounds = -1 1\nbc = robin robin\nV = 1.0\n"
+        "gamma = -0.5\n",
+        "domain = interval\nbounds = -1 1\nbc = robin robin\nV = 2.0\n",
+        "domain = interval\nbounds = -1 1\nbc = robin robin\n"
+        "V = quadratic 1 0.5\n",
+        "domain = disk\nradius = 1\nV = 1.0\nB = constant 1\n",
+    ], ids=["gamma", "V=2", "quadratic-V", "constant-B"])
+    def test_rejects_data_outside_the_reduction(self, data, tmp_path, capsys):
+        # the reduction and its Neumann reference hold for V = 1, B = 0,
+        # gamma = 0 only; anything else would be a quiet wrong ratio
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(data)
+        out = tmp_path / "ld.csv"
+        rc = cli.main(["large-domain", "--config", str(cfg), "--p", "4",
+                       "--R-list", "2", "--out", str(out)])
+        assert rc == 1
+        assert "error: large-domain: the reduction assumes" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     HEADER = ["h", "lambda", "ratio", "target", "gap", "center_x", "center_y",
@@ -222,6 +242,31 @@ class TestConfigValidation:
                        "--out", str(out)])
         assert rc == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBadInput:
+    """Bad argument values exit 1 with a message, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["model1d", "--p", "2", "--c", "0"],
+        ["waveguide", "--profile", "gaussian:1,2", "--p", "4", "--h-list", "0.5"],
+        ["waveguide", "--profile", "constant:abc", "--p", "4", "--h-list", "0.5"],
+        ["waveguide", "--profile", "table:{tmp}/missing.csv", "--p", "4",
+         "--h-list", "0.5"],
+        ["waveguide", "--profile", "table:{tmp}/one_column.csv", "--p", "4",
+         "--h-list", "0.5"],
+        ["waveguide", "--profile", "constant:1", "--p", "1.5", "--h-list", "0.5"],
+    ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
+            "table-columns", "waveguide-p"])
+    def test_exits_1(self, argv, tmp_path, capsys):
+        (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
+        out = tmp_path / "out.csv"
+        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        rc = cli.main(argv + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "Traceback" not in err
         assert not out.exists()
 
 

@@ -120,17 +120,17 @@ class TestNeumannLowerBound:
 
 class TestExponent:
     def test_accepts_subcritical(self):
-        ge.ExponentP(4.0, dim=2)
-        ge.ExponentP(2.0, dim=1)
-        ge.ExponentP(5.9, dim=3)
+        assert ge.check_exponent(4.0, 2) == 4.0
+        assert ge.check_exponent(2.0, 1) == 2.0
+        assert ge.check_exponent(5.9, 3) == 5.9
 
     def test_rejects_supercritical_3d(self):
         with pytest.raises(InvalidExponent):
-            ge.ExponentP(6.0, dim=3)
+            ge.check_exponent(6.0, 3)
 
     def test_rejects_below_two(self):
         with pytest.raises(InvalidExponent):
-            ge.ExponentP(1.5, dim=2)
+            ge.check_exponent(1.5, 2)
 
 
 class TestGeometrySpec:

@@ -1,18 +1,44 @@
-"""Static hygiene of the package: no stale imports, no orphaned private code.
+"""Static hygiene of the package: no stale imports, no orphaned code.
 
 A module-level import whose name is never used in its module, a private
 top-level function or class that nothing in its module refers to, or a
 private module-level constant that nothing in its module reads, is left
-over from code that was removed; the check reads the source with `ast`.
+over from code that was removed.  A public function, class or method
+that nothing in the package names either only feeds a test of itself or
+is an oracle tool kept for the tests (`ORACLES`).  Every CLI subcommand
+is run by some test.  The checks read the source with `ast`.
 """
 
+import argparse
 import ast
+import importlib
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "semisobolev"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+from semisobolev import cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "semisobolev"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(p for p in (ROOT / "tests").glob("*.py")
+               if p.name != "test_hygiene.py")
+
+# Public names with no caller in the package, kept because tests use them
+# to check an exact identity or bound; each maps to the words its
+# docstring uses to name that identity.
+ORACLES = {
+    "random_field": "identities",
+    "kinetic_energy": "diamagnetic inequality",
+    "gauge_transform": "gauge covariance",
+    "shifted_spec": "gauge shift",
+    "lorentz_potential": "exact for",
+    "linear_approx_potential": "exact for constant fields",
+    "neumann_lower_bound": "lower bound",
+    "quotient_gradient": "directional derivative",
+    "soliton_ode_residual": "residual",
+}
 
 
 def _private(name: str) -> bool:
@@ -66,3 +92,112 @@ def test_the_check_finds_each_kind():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_stale_names(path):
     assert stale_names(path.read_text()) == []
+
+
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
+def referenced_names(sources) -> set:
+    """Every Name id, Attribute attr and import alias in the sources."""
+    refs = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+    return refs
+
+
+def unreferenced_public(modules: dict) -> list:
+    """Public top-level functions and classes, and public methods of public
+    classes, that no source in `modules` (name -> source) refers to."""
+    refs = referenced_names(modules.values())
+    found = []
+    for mod, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not _public(node.name):
+                continue
+            if node.name not in refs:
+                found.append(f"{mod}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [f"{mod}.{node.name}.{m.name}" for m in node.body
+                          if isinstance(m, ast.FunctionDef)
+                          and _public(m.name) and m.name not in refs]
+    return found
+
+
+def test_the_reference_check_finds_each_kind():
+    modules = {
+        "a": ("import os\nfrom b import used_fn\n"
+              "def orphan():\n    return os.sep\n"
+              "def _private_orphan():\n    pass\n"
+              "class Kept:\n    def called(self):\n        pass\n"
+              "    def never(self):\n        pass\n"
+              "    def __post_init__(self):\n        pass\n"
+              "    def _helper(self):\n        pass\n"
+              "class Lost:\n    def also_lost(self):\n        pass\n"
+              "x = Kept()\nx.called()\n"),
+        "b": "def used_fn():\n    pass\n",
+    }
+    assert unreferenced_public(modules) == ["a.orphan", "a.Kept.never",
+                                            "a.Lost", "a.Lost.also_lost"]
+
+
+def test_public_names_have_callers_or_are_oracles():
+    modules = {p.stem: p.read_text() for p in SOURCES}
+    found = {name.split(".")[-1] for name in unreferenced_public(modules)}
+    assert found == set(ORACLES)
+
+
+@pytest.fixture(scope="module")
+def test_refs():
+    return referenced_names(p.read_text() for p in TESTS)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_is_documented_and_tested(name, test_refs):
+    objs = [getattr(importlib.import_module(f"semisobolev.{p.stem}"), name, None)
+            for p in MODULES]
+    (obj,) = [o for o in objs if o is not None]
+    assert ORACLES[name] in " ".join((obj.__doc__ or "").lower().split())
+    assert name in test_refs
+
+
+def untested_subcommands(parser: argparse.ArgumentParser, test_source: str) -> list:
+    """Subcommands of `parser` that are the first argv item of no
+    `cli.main([...])` call in `test_source`."""
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    run = set()
+    for node in ast.walk(ast.parse(test_source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "main"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "cli"
+                and node.args and isinstance(node.args[0], ast.List)
+                and node.args[0].elts
+                and isinstance(node.args[0].elts[0], ast.Constant)):
+            run.add(node.args[0].elts[0].value)
+    return [name for name in sub.choices if name not in run]
+
+
+def test_the_subcommand_check_finds_an_untested_one():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    for name in ("run", "plot", "report"):
+        sub.add_parser(name)
+    source = ("def test_a():\n    cli.main(['run', '--x', '1'])\n"
+              "def test_b():\n    other.main(['plot'])\n"
+              "    cli.main(argv)\n    cli.main(['--seed', '1', 'report'])\n")
+    assert untested_subcommands(parser, source) == ["plot", "report"]
+
+
+def test_every_subcommand_has_a_cli_test():
+    source = (ROOT / "tests" / "test_cli.py").read_text()
+    assert untested_subcommands(cli.build_parser(), source) == []
