@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import re
 import sys
 
@@ -69,11 +70,18 @@ def _json_text(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, indent=2, sort_keys=True)
 
 
-def _parse_h_list(s: str) -> list:
+def _positive(flag: str, value: float) -> float:
+    if not 0.0 < value < math.inf:
+        raise ConfigError(f"{flag}: expected a finite number > 0, got {value}")
+    return value
+
+
+def _parse_h_list(flag: str, s: str) -> list:
     try:
-        return [float(x) for x in s.replace(",", " ").split()]
+        values = [float(x) for x in s.replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"--h-list: {exc}") from exc
+        raise ConfigError(f"{flag}: {exc}") from exc
+    return [_positive(flag, x) for x in values]
 
 
 def _parse_profile(s: str) -> waveguide.WidthProfile:
@@ -125,6 +133,9 @@ def _cmd_model1d(args) -> int:
 
 def _cmd_solve(args) -> int:
     spec, resolved = load_geometry(args.config)
+    _positive("--h", args.h)
+    if args.spacing is not None:
+        _positive("--spacing", args.spacing)
     spacing = args.spacing or float(resolved.get("spacing", 0) or 0) or \
         asymptotics.default_mesh_rule(args.h)
     grid = build_grid(spec, spacing)
@@ -182,7 +193,7 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec, resolved = load_geometry(args.config)
-    h_list = _parse_h_list(args.h_list)
+    h_list = _parse_h_list("--h-list", args.h_list)
     rows = asymptotics.sweep(spec, args.p, h_list)
     config = {"config_file": args.config, "p": args.p, "h_list": args.h_list,
               "seed": args.seed,
@@ -205,7 +216,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_large_domain(args) -> int:
     spec, resolved = load_geometry(args.config)
-    R_list = _parse_h_list(args.R_list)
+    R_list = _parse_h_list("--R-list", args.R_list)
     rows = asymptotics.large_domain(spec, args.p, R_list)
     config = {"config_file": args.config, "p": args.p, "R_list": args.R_list,
               "seed": args.seed,
@@ -222,6 +233,10 @@ def _cmd_large_domain(args) -> int:
 
 
 def _cmd_partition_check(args) -> int:
+    _positive("--h", args.h)
+    _positive("--spacing", args.spacing)
+    if args.samples < 1:
+        raise ConfigError(f"--samples: expected at least 1, got {args.samples}")
     spec, _ = (None, None) if not args.config else load_geometry(args.config)
     if spec is None:
         dom = geometry.plane(3.0)
@@ -233,7 +248,7 @@ def _cmd_partition_check(args) -> int:
     psi.values = psi.values * (1.0 + 0.3 * rng.standard_normal(grid.n_nodes))
     fam = partition.build_partition(args.alpha, args.rho, args.h, spec.dim)
     pts = grid.points
-    sum_sq_err = float(np.abs(fam.sum_sq(pts) - 1.0).max())
+    sum_sq_err = float(np.abs(fam.overlap(pts) - 1.0).max())
     grad_bound = float(fam.grad_sq_sum(pts).max() * args.h ** (2 * args.alpha))
     cell_mass = fam.cell_grad_mass() / (args.h ** (fam.dim * args.rho)
                                         * args.h ** (-args.alpha - args.rho))
@@ -262,7 +277,7 @@ def _cmd_partition_check(args) -> int:
 
 def _cmd_waveguide(args) -> int:
     prof = _parse_profile(args.profile)
-    h_list = _parse_h_list(args.h_list)
+    h_list = _parse_h_list("--h-list", args.h_list)
     rows = waveguide.waveguide_sweep(prof, args.p, h_list)
     config = {"profile": args.profile, "p": args.p, "h_list": args.h_list,
               "seed": args.seed}

@@ -167,9 +167,6 @@ class ConcentrationSample:
     kind: str               # 'interior' | 'boundary'
     value: float
     p2_value: float
-    b: float = 0.0
-    v: float = 0.0
-    gamma: float = 0.0
 
 
 @dataclass
@@ -232,14 +229,13 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
             if p != 2.0 and p2 > 1e-12:
                 val = boundary_constant(Bx if spec.dim > 1 else 0.0, vx, gx,
                                         p, dim=spec.dim)
-            return ConcentrationSample(tuple(x), "boundary", val, p2,
-                                       b=bx, v=vx, gamma=gx)
+            return ConcentrationSample(tuple(x), "boundary", val, p2)
         p2 = bx + vx
         val = p2
         if p != 2.0 and p2 > 1e-12:
             val = interior_constant(Bx if spec.dim > 1 else 0.0, vx, p,
                                     dim=spec.dim)
-        return ConcentrationSample(tuple(x), "interior", val, p2, b=bx, v=vx)
+        return ConcentrationSample(tuple(x), "interior", val, p2)
 
     samples = [one(x) for x in pts]
 

@@ -20,6 +20,13 @@ quadratic sum.  Sampling the translation tau uniformly over a period cell
 accepts, with probability > 1/3, a tau for which both the local L^p mass
 and the local energies control the global ones (Markov's inequality on
 both defects with the factor-3 thresholds of the selection argument).
+
+The scan takes both defects from these identities and builds no cell:
+the localized mass is sum_k |chi_k|^p |psi|^p, and on an edge (a, b)
+sum_k (d_e chi_k)^2 = A(a) + A(b) - 2 S(a, b) with A = sum_k chi_k^2 and
+S = sum_k chi_k(a) chi_k(b); all three sums tensorize (`overlap`).
+`ims_identity_defect` sums Q(chi_k psi) cell by cell through K and is the
+check of that edge formula.
 """
 
 from __future__ import annotations
@@ -111,15 +118,27 @@ class PartitionFamily:
             out *= self.axis_profile(pts[:, ax], k[ax], ax)
         return out
 
-    def sum_sq(self, pts: np.ndarray) -> np.ndarray:
-        """sum_k chi_k^2 at points; identically 1 up to rounding."""
-        pts = np.atleast_2d(pts)
-        total = np.ones(len(pts))
+    def overlap(self, a: np.ndarray, b: np.ndarray | None = None,
+                q: float = 2.0) -> np.ndarray:
+        """sum_k (chi_k(a) chi_k(b))^{q/2} at point pairs (b = a by default).
+
+        With b = a and q = 2 this is the quadratic sum, identically 1; with
+        q = p it is the L^p weight of the localized pieces; with b the far
+        ends of edges it is the edge overlap of the IMS remainder.  The
+        cells are tensor products, so the sum is a product over axes of 1D
+        sums, and each 1D profile is evaluated once per distinct coordinate.
+        """
+        a = np.atleast_2d(a)
+        b = a if b is None else np.atleast_2d(b)
+        total = np.ones(len(a))
         for ax in range(self.dim):
-            c = pts[:, ax]
-            acc = np.zeros(len(pts))
-            for k in self.axis_cells(float(c.min()), float(c.max()), ax):
-                acc += self.axis_profile(c, k, ax) ** 2
+            u, inv = np.unique(np.concatenate((a[:, ax], b[:, ax])),
+                               return_inverse=True)
+            ia, ib = inv[:len(a)], inv[len(a):]
+            acc = np.zeros(len(a))
+            for k in self.axis_cells(float(u[0]), float(u[-1]), ax):
+                f = self.axis_profile(u, k, ax)
+                acc += (f[ia] * f[ib]) ** (0.5 * q)
             total *= acc
         return total
 
@@ -173,48 +192,29 @@ def _grid_bounds(grid) -> list:
             for ax in range(grid.dim)]
 
 
-def localization_split(form: AssembledForm, psi: WaveFunction,
-                       family: PartitionFamily):
-    """Localized energies and the IMS remainder of one partition.
-
-    Returns a dict with "chi", the node values of each cell function that
-    is nonzero somewhere on the grid; "q_sum", sum_k Q(chi_k psi); and
-    "ims_remainder", the exact discrete IMS remainder computed from the
-    edge expression (see module docstring).
-    """
-    grid = form.grid
+def _ims_remainder(form: AssembledForm, psi: WaveFunction,
+                   family: PartitionFamily) -> float:
+    """sum_k Q(chi_k psi) - Q(psi) from the IMS edge formula, where
+    sum_k (d_e chi_k)^2 = A(a) + A(b) - 2 S(a, b) on the edge e = (a, b)."""
+    pts = form.grid.points
+    a, b = form.grid.edges.T
+    quad_sum = family.overlap(pts)
+    gsum = quad_sum[a] + quad_sum[b] - 2.0 * family.overlap(pts[a], pts[b])
     v = psi.values
-    q_sum = 0.0
-    chis = []
-    for k in family.cells_for_box(_grid_bounds(grid)):
-        chi = family.cell_values(grid.points, k)
-        if not np.any(chi > 0.0):
-            continue
-        loc = WaveFunction(grid, chi * v)
-        x = form.free_values(loc)
-        q_sum += float(np.real(np.vdot(x, form.K @ x)))
-        chis.append(chi)
-
-    a = grid.edges[:, 0]
-    b = grid.edges[:, 1]
-    gsum = np.zeros(len(a))
-    for chi in chis:
-        d = chi[b] - chi[a]
-        gsum += d * d
-    if form.is_complex:
-        cross = np.real(v[b] * np.exp(-1j * form.edge_phase) * np.conj(v[a]))
-    else:
-        cross = np.real(v[b] * np.conj(v[a]))
-    ims_remainder = float(form.edge_kin @ (gsum * cross))
-    return {"chi": chis, "q_sum": q_sum, "ims_remainder": ims_remainder}
+    cross = np.real(v[b] * np.exp(-1j * form.edge_phase) * np.conj(v[a]))
+    return float(form.edge_kin @ (gsum * cross))
 
 
 def ims_identity_defect(form: AssembledForm, psi: WaveFunction,
                         family: PartitionFamily) -> float:
-    """|sum_k Q(chi_k psi) - Q(psi) - remainder| for the exact edge remainder."""
-    parts = localization_split(form, psi, family)
-    q = form.energy(psi)
-    return abs(parts["q_sum"] - q - parts["ims_remainder"])
+    """|sum_k Q(chi_k psi) - Q(psi) - remainder|, the sum taken cell by cell
+    through K: the check of the edge remainder that the scan relies on."""
+    grid = form.grid
+    q_sum = 0.0
+    for k in family.cells_for_box(_grid_bounds(grid)):
+        chi = family.cell_values(grid.points, k)
+        q_sum += form.energy(WaveFunction(grid, chi * psi.values))
+    return abs(q_sum - form.energy(psi) - _ims_remainder(form, psi, family))
 
 
 @dataclass
@@ -222,8 +222,6 @@ class TranslationReport:
     tau: np.ndarray
     fraction: float
     accepted: int
-    n_samples: int
-    c_mass: float
     c_energy: float
     rescaled: bool = False
 
@@ -239,8 +237,7 @@ def calibrate_energy_constant(form: AssembledForm, psi: WaveFunction,
     for _ in range(_N_CAL):
         fam = build_partition(alpha, rho, h, form.grid.dim,
                               tau=rng.uniform(0.0, step, size=form.grid.dim))
-        parts = localization_split(form, psi, fam)
-        acc += parts["q_sum"] - form.energy(psi)
+        acc += _ims_remainder(form, psi, fam)
     mean = acc / _N_CAL
     return 3.0 * max(mean, 0.0) / (h ** (2.0 - rho - alpha) * l2) + 1e-12
 
@@ -254,10 +251,11 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
       (a) sum_k |chi_k psi|_p^p >= (1 - C' h^{alpha-rho}) |psi|_p^p,
       (b) sum_k Q(chi_k psi) - Q(psi) <= C'' h^{2-rho-alpha} |psi|_2^2.
     C' comes from the exact mean defect 1 - |chi^0|_p^p / L (per axis);
-    C'' is calibrated on the given field and frozen for the scan.  If
-    nothing is accepted the constants are rescaled by the selection
-    argument's factor 3 and the scan repeats; NoneAccepted if that fails
-    too.
+    C'' is calibrated on the given field and frozen for the scan.  The
+    localized mass is w |psi|^p . overlap(q=p) and the energy defect is
+    the IMS remainder, so no cell is built.  If nothing is accepted the
+    constants are rescaled by the selection argument's factor 3 and the
+    scan repeats; NoneAccepted if that fails too.
     """
     check_exponent(p, form.grid.dim)
     h = form.h
@@ -271,19 +269,11 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     taus = rng.uniform(0.0, base.step, size=(n_samples, dim))
     lp_total = psi.norm_lp(p) ** p
     l2_total = psi.norm_l2() ** 2
-    q_total = form.energy(psi)
-    w = form.grid.weight
-
-    mass_defect = np.empty(n_samples)
-    energy_defect = np.empty(n_samples)
-    for i, tau in enumerate(taus):
-        fam = build_partition(alpha, rho, h, dim, tau=tau)
-        parts = localization_split(form, psi, fam)
-        loc_mass = 0.0
-        for chi in parts["chi"]:
-            loc_mass += float(w @ abs_pow(chi * psi.values, p))
-        mass_defect[i] = lp_total - loc_mass
-        energy_defect[i] = parts["q_sum"] - q_total
+    lp_density = form.grid.weight * abs_pow(psi.values, p)
+    fams = [build_partition(alpha, rho, h, dim, tau=tau) for tau in taus]
+    mass_defect = lp_total - np.array(
+        [lp_density @ fam.overlap(form.grid.points, q=p) for fam in fams])
+    energy_defect = np.array([_ims_remainder(form, psi, fam) for fam in fams])
 
     for rescaled, (cm, ce) in enumerate(((c_mass, c_energy),
                                          (3.0 * c_mass, 3.0 * c_energy))):
@@ -293,8 +283,7 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
             first = int(np.argmax(ok))
             return TranslationReport(
                 tau=taus[first], fraction=float(ok.mean()),
-                accepted=int(ok.sum()), n_samples=n_samples,
-                c_mass=cm, c_energy=ce, rescaled=bool(rescaled))
+                accepted=int(ok.sum()), c_energy=ce, rescaled=bool(rescaled))
     raise NoneAccepted(
         f"no translation accepted among {n_samples} samples; "
         f"constants ({c_mass:.3g}, {c_energy:.3g}) likely miscalibrated")

@@ -42,11 +42,10 @@ _REF_DOUBLINGS = 4
 
 @dataclass
 class WidthProfile:
-    """Variable half-height a(s) in [a0, a1] with an attained maximum."""
+    """Variable half-height a(s) >= a0 > 0 with an attained maximum."""
 
     func: object
     a0: float
-    a1: float
     s_max: float
     a_max: float
     width: float = 1.0      # truncation length scale of the bump
@@ -61,21 +60,19 @@ class WidthProfile:
 
 def constant_profile(value: float = 1.0) -> WidthProfile:
     return WidthProfile(func=lambda s: np.full_like(s, value, dtype=float),
-                        a0=value, a1=value, s_max=0.0, a_max=value,
-                        width=1.0)
+                        a0=value, s_max=0.0, a_max=value, width=1.0)
 
 
 def gaussian_profile(amp: float = 0.5, center: float = 0.0,
                      width: float = 1.0) -> WidthProfile:
     f = lambda s: 1.0 + amp * np.exp(-((s - center) / width) ** 2)
-    return WidthProfile(func=f, a0=1.0, a1=1.0 + amp, s_max=center,
-                        a_max=1.0 + amp, width=width)
+    return WidthProfile(func=f, a0=1.0, s_max=center, a_max=1.0 + amp,
+                        width=width)
 
 
 def cosine_profile() -> WidthProfile:
     f = lambda s: 1.0 + 0.25 * np.cos(2.0 * math.pi * s / 8.0)
-    return WidthProfile(func=f, a0=0.75, a1=1.25, s_max=0.0, a_max=1.25,
-                        width=4.0)
+    return WidthProfile(func=f, a0=0.75, s_max=0.0, a_max=1.25, width=4.0)
 
 
 def table_profile(s_vals, a_vals) -> WidthProfile:
@@ -83,7 +80,7 @@ def table_profile(s_vals, a_vals) -> WidthProfile:
     a_vals = np.asarray(a_vals, dtype=float)
     f = lambda s: np.interp(s, s_vals, a_vals)
     k = int(np.argmax(a_vals))
-    return WidthProfile(func=f, a0=float(a_vals.min()), a1=float(a_vals.max()),
+    return WidthProfile(func=f, a0=float(a_vals.min()),
                         s_max=float(s_vals[k]), a_max=float(a_vals.max()),
                         width=float(max(s_vals.max() - s_vals.min(), 1.0) / 4.0))
 
@@ -98,8 +95,6 @@ def assemble_waveguide_form(profile: WidthProfile, h: float, p: float,
     h^2 a^{1-2/p} (s-edges) and a^{-1-2/p} (t-edges) multiply the plain
     strip's edge coefficients, and the form is assembled at h = 1.
     """
-    if profile.a0 <= 0.0:
-        raise InvalidProfile("a must be bounded below by a positive constant")
     s_halfwidth = 8.0 * profile.width if s_halfwidth is None else s_halfwidth
     ds = h * profile.a_max * _DSIGMA
     dt = 2.0 / (_NT - 1)

@@ -257,12 +257,27 @@ class TestBadInput:
         ["waveguide", "--profile", "table:{tmp}/one_column.csv", "--p", "4",
          "--h-list", "0.5"],
         ["waveguide", "--profile", "constant:1", "--p", "1.5", "--h-list", "0.5"],
+        ["solve", "--config", "{cfg}", "--h", "0", "--p", "4"],
+        ["solve", "--config", "{cfg}", "--h", "-0.1", "--p", "4"],
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "0"],
+        ["large-domain", "--config", "{cfg}", "--p", "4", "--R-list", "0"],
+        ["large-domain", "--config", "{cfg}", "--p", "3", "--R-list", "-2"],
+        ["waveguide", "--profile", "constant:1", "--p", "4", "--h-list", "0"],
+        ["partition-check", "--alpha", "0.5", "--rho", "0.33", "--h", "0"],
+        ["partition-check", "--alpha", "0.5", "--rho", "0.33", "--h", "0.1",
+         "--spacing", "0"],
+        ["partition-check", "--alpha", "0.5", "--rho", "0.33", "--h", "0.1",
+         "--samples", "0"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
-            "table-columns", "waveguide-p"])
-    def test_exits_1(self, argv, tmp_path, capsys):
+            "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
+            "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
+            "waveguide-h-zero", "partition-h-zero", "partition-spacing-zero",
+            "partition-no-samples"])
+    def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         out = tmp_path / "out.csv"
-        argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+        argv = [a.replace("{tmp}", str(tmp_path)).replace("{cfg}", str(interval_cfg))
+                for a in argv]
         rc = cli.main(argv + ["--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 1

@@ -5,8 +5,10 @@ top-level function or class that nothing in its module refers to, or a
 private module-level constant that nothing in its module reads, is left
 over from code that was removed.  A public function, class or method
 that nothing in the package names either only feeds a test of itself or
-is an oracle tool kept for the tests (`ORACLES`).  Every CLI subcommand
-is run by some test.  The checks read the source with `ast`.
+is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
+that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
+lists the planned exceptions).  Every CLI subcommand is run by some test.
+The checks read the source with `ast`.
 """
 
 import argparse
@@ -24,6 +26,7 @@ SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 TESTS = sorted(p for p in (ROOT / "tests").glob("*.py")
                if p.name != "test_hygiene.py")
+PERFBENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 # Public names with no caller in the package, kept because tests use them
 # to check an exact identity or bound; each maps to the words its
@@ -38,6 +41,12 @@ ORACLES = {
     "neumann_lower_bound": "lower bound",
     "quotient_gradient": "directional derivative",
     "soliton_ode_residual": "residual",
+}
+
+
+# Dataclass fields that nothing reads yet, each with its planned reader.
+UNREAD_FIELDS = {
+    "Grid.axes": "the per-axis coordinates of tensor grids (ROADMAP 2(d))",
 }
 
 
@@ -201,3 +210,47 @@ def test_the_subcommand_check_finds_an_untested_one():
 def test_every_subcommand_has_a_cli_test():
     source = (ROOT / "tests" / "test_cli.py").read_text()
     assert untested_subcommands(cli.build_parser(), source) == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def unread_fields(sources, readers) -> list:
+    """Fields of the @dataclass classes in `sources` whose name is the
+    attribute of no `ast.Attribute` load in `readers`.
+
+    Names are matched, not objects: a field passes when any object's
+    attribute of the same name is read somewhere.  So an unread field named
+    like a common attribute (`v`, `gamma`, `x`) goes unseen.
+    """
+    loads = {n.attr for source in readers for n in ast.walk(ast.parse(source))
+             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    found = []
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                found += [f"{node.name}.{f.target.id}" for f in node.body
+                          if isinstance(f, ast.AnnAssign)
+                          and isinstance(f.target, ast.Name)
+                          and f.target.id not in loads]
+    return found
+
+
+def test_the_field_check_finds_an_unread_field():
+    source = ("from dataclasses import dataclass\n"
+              "@dataclass\nclass Report:\n    read: int\n    stored: int\n"
+              "    kept: int = 0\n"
+              "@dataclass(frozen=True)\nclass Sample:\n    x: float\n"
+              "class Plain:\n    loose: int\n"
+              "def use(r, s):\n    r.stored = s.x\n    return r.read\n")
+    reader = "def other(o):\n    return o.kept\n"
+    assert unread_fields([source], [source, reader]) == ["Report.stored"]
+
+
+def test_dataclass_fields_are_read():
+    readers = [p.read_text() for p in SOURCES + TESTS + PERFBENCH]
+    unread = unread_fields([p.read_text() for p in SOURCES], readers)
+    assert sorted(unread) == sorted(UNREAD_FIELDS)

@@ -44,7 +44,7 @@ class TestFamily:
         fam = pt.build_partition(0.5, 1.0 / 3.0, 0.1, dim,
                                  tau=rng.uniform(0, 1, dim))
         pts = rng.uniform(-4, 4, size=(10000, dim))
-        assert np.abs(fam.sum_sq(pts) - 1.0).max() <= 1e-12
+        assert np.abs(fam.overlap(pts) - 1.0).max() <= 1e-12
 
     def test_gradient_bound_h_independent(self, rng):
         pts = rng.uniform(-2, 2, size=(4000, 2))
@@ -127,11 +127,14 @@ class TestTranslationSelection:
             assert rep.c_energy == (3.0 * c if rep.rescaled else c)
 
     def test_defect_signs(self, box_form, localized_field):
-        # localized L^p mass never exceeds the total (quadratic partition)
+        # localized L^p mass never exceeds the total (quadratic partition),
+        # and the tensor overlap the scan uses gives the cell-by-cell mass
         _, grid, form = box_form
         fam = pt.build_partition(0.5, 1.0 / 3.0, form.h, 2, tau=(0.1, 0.1))
-        parts = pt.localization_split(form, localized_field, fam)
-        w = grid.weight
-        loc = sum(float(w @ np.abs(chi * localized_field.values) ** 4)
-                  for chi in parts["chi"])
+        w, v = grid.weight, localized_field.values
+        bounds = [(c.min(), c.max()) for c in grid.points.T]
+        loc = sum(float(w @ np.abs(fam.cell_values(grid.points, k) * v) ** 4)
+                  for k in fam.cells_for_box(bounds))
         assert loc <= localized_field.norm_lp(4.0) ** 4 + 1e-12
+        mass = float((w * np.abs(v) ** 4) @ fam.overlap(grid.points, q=4.0))
+        assert abs(mass - loc) <= 1e-12

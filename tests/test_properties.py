@@ -2,7 +2,9 @@
 
 `TestDiamagnetic` and `TestGauge` in test_discretize.py check these on one
 fixed half-plane; here hypothesis draws the domain, the field, V, gamma,
-h, the lattice field and the gauge phase.  Grids stay at 400 nodes or
+h, the lattice field and the gauge phase.  The IMS localization identity
+and the partition sums that `partition.find_translation` relies on are
+checked on a drawn sliding partition as well.  Grids stay at 400 nodes or
 fewer, and the draws are derandomized so that the suite is repeatable.
 """
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from semisobolev import discretize as dz
 from semisobolev import geometry as ge
+from semisobolev import partition as pt
 
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     database=None)
@@ -68,3 +71,28 @@ def test_gauge_covariance(case, c):
     x = np.abs(form.free_values(psi))
     scale = float(x @ (abs(form.K) @ x))
     assert abs(q1 - q0) <= 1e-12 * scale
+
+
+@st.composite
+def partitions(draw):
+    """A sliding partition on the plane: alpha >= rho > 0, h in (0, 1)."""
+    rho = draw(st.floats(0.1, 1.0))
+    alpha = rho + draw(st.floats(0.0, 1.0))
+    tau = [draw(st.floats(-1.0, 1.0)) for _ in range(2)]
+    return pt.build_partition(alpha, rho, draw(st.floats(0.05, 0.95)), 2,
+                              tau=tau)
+
+
+@PROPERTY
+@given(forms(), partitions(), st.floats(2.0, 8.0))
+def test_partition_identities(case, fam, p):
+    # the cell-by-cell energies match the IMS edge remainder, and the
+    # tensor overlaps give the quadratic sum 1 and an L^p weight <= 1
+    form, rng = case
+    psi = dz.random_field(form.grid, rng)
+    x = np.abs(form.free_values(psi))
+    scale = float(x @ (abs(form.K) @ x))
+    assert pt.ims_identity_defect(form, psi, fam) <= 1e-12 * scale
+    pts = form.grid.points
+    assert np.abs(fam.overlap(pts) - 1.0).max() <= 1e-12
+    assert fam.overlap(pts, q=p).max() <= 1.0 + 1e-12
