@@ -169,25 +169,30 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
+    """Exits 0 even when a sample is unconverged; it says so in its row.
+    Exit 2 waits on the same decision as `large-domain` (ROADMAP item 8)."""
     spec, resolved = load_geometry(args.config)
     pts = asymptotics.default_sample_points(spec, args.n_interior, args.n_boundary)
     cmap = models.concentration_map(spec, pts, args.p, eps=args.eps)
     config = {"config_file": args.config, "p": args.p, "eps": args.eps,
               "seed": args.seed,
               **{f"geometry.{k}": v for k, v in resolved.items()}}
-    rows = [(s.x[0], (s.x[1] if len(s.x) > 1 else 0.0), s.kind, s.value)
-            for s in cmap.samples]
-    _emit(args.out, _csv_text(config, ["x", "y", "kind", "lambda"], rows))
+    rows = [(s.x[0], (s.x[1] if len(s.x) > 1 else 0.0), s.kind, s.value,
+             int(s.converged)) for s in cmap.samples]
+    _emit(args.out, _csv_text(config, ["x", "y", "kind", "lambda", "converged"],
+                              rows))
+    bad = sum(1 for s in cmap.samples if not s.converged)
     if args.json:
         payload = {
             "inf": cmap.inf_value,
             "argmin": [list(s.x) for s in cmap.argmin],
             "eps": cmap.eps,
             "delta": cmap.delta,
+            "unconverged": bad,
         }
         atomic_write(args.json, _json_text(config, payload))
     print(f"concentration: {len(rows)} samples, inf={cmap.inf_value:.8g}, "
-          f"|M|={len(cmap.argmin)}")
+          f"|M|={len(cmap.argmin)}" + (f", {bad} unconverged" if bad else ""))
     return 0
 
 

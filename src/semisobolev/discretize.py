@@ -18,6 +18,15 @@ surface trapezoid weight multiplying h^{3/2} gamma.  Disks are handled by
 masking a square lattice: volume weights are exact cell/disk intersection
 areas (so quadrature weights sum to the disk area to rounding) while edge
 coefficients near the curved rim are first-order only.
+
+The descent's preconditioner K + tau M is solved in one of two ways.  On
+a 2-D box the real forms split exactly into a transverse operator times a
+coefficient that varies along the other axis, so a one-axis fast
+diagonalization solves them with two small GEMMs and one tridiagonal
+solve; it is exact on the variable-height waveguide strip too, because
+that strip's coefficients vary along s only.  Magnetic forms, disks and
+d = 1 forms use an MMD-ordered SuperLU factorization
+(`AssembledForm.preconditioner`).
 """
 
 from __future__ import annotations
@@ -28,6 +37,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from .errors import DomainTooSmall, ZeroFunction
 from .geometry import Domain, GeometrySpec
@@ -53,8 +63,7 @@ class Grid:
     edge_axis: np.ndarray       # (E,)
     edge_coeff: np.ndarray      # (E,) kinetic coefficient (transverse/length)
     domain: Domain
-    axes: tuple | None = None   # per-axis coordinates for tensor grids
-    shape: tuple | None = None
+    shape: tuple | None = None  # per-axis node counts of box grids
 
     def __post_init__(self):
         self.free = self.kind <= ROBIN
@@ -158,7 +167,7 @@ def _box_grid(dom: Domain, spacing, gamma_is_dirichlet: bool) -> Grid:
         surface_weight=surface,
         edges=np.concatenate(edges), edge_axis=np.concatenate(eaxis),
         edge_coeff=np.concatenate(ecoeff),
-        domain=dom, axes=tuple(axes), shape=shape,
+        domain=dom, shape=shape,
     )
 
 
@@ -283,7 +292,7 @@ def _disk_grid(dom: Domain, spacing, gamma_is_dirichlet: bool = False) -> Grid:
         dim=2, spacing=(s, s), points=pts, kind=kind, weight=weight,
         surface_weight=surface, edges=e, edge_axis=eaxis,
         edge_coeff=np.concatenate(ecoeff),
-        domain=dom, axes=None, shape=None,
+        domain=dom, shape=None,
     )
 
 
@@ -417,19 +426,125 @@ class AssembledForm:
         return base + 1.5 * max(0.0, -lb)
 
     def preconditioner(self):
-        """Factorized (K + tau M)^{-1}, built lazily and reused.
+        """A solve with P = K + tau M, built lazily and reused.
 
-        SuperLU orders the columns by minimum degree on the pattern of
-        A^T + A, which is the pattern of K itself (K is Hermitian).  On
-        these lattice graphs that cuts the L + U fill of the default
-        COLAMD ordering by a third to a half, and the cost of every
-        solve with it.
+        A real form on a 2-D box grid whose free nodes fill a sub-block
+        gets the exact tensor solve `_TensorSolve` when P passes its
+        structure check.  That covers field-free boxes and the half- and
+        whole-plane models with constant V and gamma, and the waveguide
+        strip, whose coefficients vary along s only.
+
+        Everything else gets SuperLU: complex (magnetic) forms, disks and
+        the structure the check rejects.  Two more paths stay on SuperLU
+        by choice: d = 1 forms, whose solve (27 us on 1,000 nodes against
+        8 us for a tridiagonal one) is too small to carry a branch, and
+        the shift-invert of `minimize._inverse_power` at p = 2, whose
+        shift makes K - sigma M indefinite.  SuperLU orders the columns by
+        minimum degree on the pattern of A^T + A, which is the pattern of
+        K itself (K is Hermitian); on these lattice graphs that cuts the
+        L + U fill of the default COLAMD ordering by a third to a half,
+        and the cost of every solve with it.
         """
         if self._prec is None:
             Md = sp.diags(self.weight.astype(self.K.dtype))
-            P = self.K + self.preconditioner_shift() * Md
-            self._prec = sp.linalg.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            P = (self.K + self.preconditioner_shift() * Md).tocsr()
+            block = None if self.is_complex else _free_block(self.grid)
+            if block is not None:
+                self._prec = _TensorSolve.build(P, self.weight, block)
+            if self._prec is None:
+                self._prec = sp.linalg.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._prec
+
+
+def _free_block(grid: Grid):
+    """(m0, m1) when the free nodes of a 2-D box grid fill a sub-block."""
+    if grid.dim != 2 or grid.shape is None:
+        return None
+    free = grid.free.reshape(grid.shape)
+    rows, cols = free.any(axis=1), free.any(axis=0)
+    if not np.array_equal(free, np.outer(rows, cols)):
+        return None
+    return int(rows.sum()), int(cols.sum())
+
+
+class _TensorSolve:
+    """Exact solve with P = S (x) W + D (x) T on an m0 x m1 free block.
+
+    The free nodes are ordered row-major, the last axis contiguous.  W is
+    the last-axis weight diagonal and T a tridiagonal operator along that
+    axis; S is tridiagonal along axis 0 and D = diag(f).  This is the
+    one-axis fast diagonalization of Lynch, Rice and Thomas (Numer. Math.
+    6, 1964): with T V = W V Lambda and V^T W V = I,
+
+        P^{-1} = (I (x) V) blockdiag_j(S + lambda_j D)^{-1} (I (x) V^T),
+
+    so a solve is two small GEMMs and one SPD tridiagonal solve of
+    length m0 m1 in j-major order (dpttrf once, dpttrs per call).
+
+    The split exists when the last-axis couplings are rank one f(i) g(j),
+    the axis-0 couplings are proportional to W, and the diagonal is
+    sdiag(i) W(j) + f(i) t(j).  Constant V and gamma, and constant Robin
+    faces on either axis, fit that form.  So does the waveguide strip:
+    its t-edges carry a(s)^{-1-2/p} g(t) and its s-edges
+    h^2 a(s_{i+1/2})^{1-2/p} dt, which vary along s only, so splitting
+    along t alone is exact where a two-axis diagonalization is not.
+    `build` fits the factors by projection and accepts them only if the
+    rebuilt Kronecker sum equals P to 1e-14 relative.
+    """
+
+    def __init__(self, shape, V, d, e):
+        self.shape = shape
+        self.V = V
+        self.d, self.e = d, e
+
+    @classmethod
+    def build(cls, P: sp.csr_matrix, weight: np.ndarray, shape):
+        """The solve for P on the free block `shape`, or None if P has no
+        exact split."""
+        m0, m1 = shape
+        W = weight.reshape(shape).sum(axis=0)
+        W = W / W.max()
+        diag = P.diagonal().reshape(shape)
+        c1 = np.append(P.diagonal(1), 0.0).reshape(shape)[:, :-1]
+        c0 = P.diagonal(m1).reshape(m0 - 1, m1)
+        s_off = c0 @ W / (W @ W)
+        s_diag = diag @ W / (W @ W)
+        f = -c1.sum(axis=1)
+        t_off = f @ c1 / (f @ f)
+        t_diag = f @ (diag - np.outer(s_diag, W)) / (f @ f)
+        S = sp.diags([s_off, s_diag, s_off], [-1, 0, 1])
+        T = sp.diags([t_off, t_diag, t_off], [-1, 0, 1])
+        rebuilt = sp.kron(S, sp.diags(W)) + sp.kron(sp.diags(f), T)
+        if not abs(P - rebuilt).max() <= 1e-14 * abs(P).max():
+            return None
+        # T V = W V Lambda through the symmetric W^{-1/2} T W^{-1/2}
+        r = 1.0 / np.sqrt(W)
+        lam, U = eigh_tridiagonal(t_diag * r * r, t_off * r[:-1] * r[1:])
+        # blockdiag_j(S + lambda_j D) as one tridiagonal, j-major
+        e = np.zeros((m1, m0))
+        e[:, :-1] = s_off
+        d, e, info = lapack.dpttrf(
+            (s_diag + lam[:, None] * f).ravel(), e.ravel()[:-1])
+        if info != 0:
+            return None
+        return cls(shape, U * r[:, None], d, e)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        z = self.V.T @ b.reshape(self.shape).T
+        y, _ = lapack.dpttrs(self.d, self.e, z.reshape(-1, 1), overwrite_b=1)
+        return (y.reshape(z.shape).T @ self.V.T).ravel()
+
+    @property
+    def L(self) -> sp.csr_matrix:
+        """Bidiagonal Cholesky factor of the j-major tridiagonal."""
+        r = np.sqrt(self.d)
+        L = sp.diags([r, self.e * r[:-1]], [0, -1], format="csr")
+        L.eliminate_zeros()
+        return L
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return self.L.T
 
 
 def assemble(spec: GeometrySpec, h: float, grid: Grid,

@@ -10,8 +10,11 @@ Krylov schemes stall on the near-degenerate subspace).
 For p > 2 the quotient is 0-homogeneous and is minimized by projected
 gradient descent on the L^p unit sphere.  Steps are Barzilai-Borwein with
 a monotone (Armijo) backtracking safeguard; directions are preconditioned
-by a factorized shifted operator (K + tau M)^{-1}, which removes the
-mesh-scale stiffness of the raw gradient flow.  Along a direction d the
+by the shifted operator (K + tau M)^{-1}, which removes the mesh-scale
+stiffness of the raw gradient flow.  Real forms on 2-D boxes (the model
+half- and whole-planes, the waveguide strip) solve it exactly by a
+one-axis fast diagonalization, everything else by an MMD-ordered SuperLU
+factorization (`AssembledForm.preconditioner`).  Along a direction d the
 energy is the quadratic
 
     Q(x - a d) = Q(x) - 2a Re<d, K x> + a^2 <d, K d>,

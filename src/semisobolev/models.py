@@ -31,6 +31,7 @@ from .geometry import GeometrySpec, check_exponent, field_matrix_2d, tr_plus
 from .minimize import MinimizeOptions, minimize_quotient
 
 _cache: dict = {}      # scaled model key -> converged grid value
+_unconverged = 0       # grid solves so far that missed the gradient tolerance
 _DELTA = 0.02          # relative tolerance of the argmin set M
 _BOUNDARY_TOL = 1e-8   # distance at which a sample counts as a boundary point
 
@@ -61,9 +62,11 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     """Memoized grid solve of a model at h = 1; key = (kind, d, p, ...).
 
     Only converged values are stored, so an unconverged one is re-solved
-    on the next call.  One random restart runs after the bump init; a
-    random start that wanders into the interior-soliton valley stops as
-    `outpaced` once it cannot come down to the bump's converged value.
+    on the next call; each such solve adds one to `_unconverged`, which
+    is how `concentration_map` flags the sample it was made for.  One
+    random restart runs after the bump init; a random start that wanders
+    into the interior-soliton valley stops as `outpaced` once it cannot
+    come down to the bump's converged value.
     The 700-iteration cap in d = 2 stays: when the bump misses the
     gradient tolerance there is no converged value to outpace, and the
     cap is what bounds both starts (a strong-Robin disk-boundary model
@@ -78,6 +81,9 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
                             p, opts)
     if res.converged:
         _cache[key] = res.lam
+    else:
+        global _unconverged
+        _unconverged += 1
     return res.lam
 
 
@@ -167,6 +173,7 @@ class ConcentrationSample:
     kind: str               # 'interior' | 'boundary'
     value: float
     p2_value: float
+    converged: bool = True  # every grid solve behind `value` converged
 
 
 @dataclass
@@ -211,7 +218,9 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
 
     The spectral assumption is checked at p = 2 on every sample first
     (AssumptionViolated otherwise).  M collects the samples within relative
-    tolerance _DELTA of the infimum; M_eps is its eps-dilation.
+    tolerance _DELTA of the infimum; M_eps is its eps-dilation.  A sample
+    whose grid solve missed the gradient tolerance keeps its value (the
+    model constants never raise on it) and says so in `converged`.
     """
     check_exponent(p, spec.dim)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -221,7 +230,9 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
         vx = float(spec.v_at(x[None, :])[0])
         Bx = spec.field_at(x)
         bx = tr_plus(Bx) if spec.dim > 1 else 0.0
+        misses = _unconverged
         if _is_boundary_point(dom, x, _BOUNDARY_TOL):
+            kind = "boundary"
             gx = float(spec.gamma_at(x[None, :])[0])
             p2 = boundary_constant(Bx if spec.dim > 1 else 0.0, vx, gx, 2.0,
                                    dim=spec.dim)
@@ -229,13 +240,15 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
             if p != 2.0 and p2 > 1e-12:
                 val = boundary_constant(Bx if spec.dim > 1 else 0.0, vx, gx,
                                         p, dim=spec.dim)
-            return ConcentrationSample(tuple(x), "boundary", val, p2)
-        p2 = bx + vx
-        val = p2
-        if p != 2.0 and p2 > 1e-12:
-            val = interior_constant(Bx if spec.dim > 1 else 0.0, vx, p,
-                                    dim=spec.dim)
-        return ConcentrationSample(tuple(x), "interior", val, p2)
+        else:
+            kind = "interior"
+            p2 = bx + vx
+            val = p2
+            if p != 2.0 and p2 > 1e-12:
+                val = interior_constant(Bx if spec.dim > 1 else 0.0, vx, p,
+                                        dim=spec.dim)
+        return ConcentrationSample(tuple(x), kind, val, p2,
+                                   converged=_unconverged == misses)
 
     samples = [one(x) for x in pts]
 

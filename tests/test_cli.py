@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from semisobolev import asymptotics, cli, waveguide
+from semisobolev import asymptotics, cli, models, waveguide
 from semisobolev._util import atomic_write
 
 
@@ -140,7 +140,8 @@ class TestConcentration:
         config, header, rows = _read(out)
         assert "# eps = 0.2" in config and "# p = 4.0" in config
         assert "# geometry.bc = robin robin" in config
-        assert header == ["x", "y", "kind", "lambda"]
+        assert header == ["x", "y", "kind", "lambda", "converged"]
+        assert {r[4] for r in rows} == {"1"}
         kinds = [r[2] for r in rows]
         assert kinds.count("interior") == 25 and kinds.count("boundary") == 2
         # p = 4, V = 1: the whole-line soliton inside, the gamma = 0
@@ -149,10 +150,31 @@ class TestConcentration:
             exact = 2.0 * math.sqrt(4.0 / 3.0 if r[2] == "interior" else 2.0 / 3.0)
             assert float(r[3]) == pytest.approx(exact, rel=1e-4)
         payload = json.loads(js.read_text())
-        assert set(payload) == {"argmin", "config", "delta", "eps", "inf"}
+        assert set(payload) == {"argmin", "config", "delta", "eps", "inf",
+                                "unconverged"}
+        assert payload["unconverged"] == 0
         assert payload["config"]["p"] == 4.0
         assert sorted(payload["argmin"]) == [[-1.0], [1.0]]
         assert payload["inf"] == pytest.approx(2.0 * math.sqrt(2.0 / 3.0), rel=1e-4)
+
+    @pytest.mark.parametrize("p", ["2", "4"])
+    def test_unconverged_samples_are_flagged(self, p, interval_cfg, tmp_path,
+                                             monkeypatch):
+        # a grid solve that misses the gradient tolerance marks its row and
+        # is counted in the JSON; the exit code stays 0 (ROADMAP item 8)
+        monkeypatch.setattr(models, "_cache", {})
+        monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
+                            SimpleNamespace(lam=1.25, converged=False))
+        out, js = tmp_path / "c.csv", tmp_path / "c.json"
+        rc = cli.main(["concentration", "--config", str(interval_cfg),
+                       "--p", p, "--out", str(out), "--json", str(js)])
+        assert rc == 0
+        _, header, rows = _read(out)
+        assert header[-1] == "converged"
+        # p = 2 values are closed forms: no grid solve, nothing to flag
+        assert {r[4] for r in rows} == {"1" if p == "2" else "0"}
+        assert json.loads(js.read_text())["unconverged"] == (
+            0 if p == "2" else len(rows))
 
 
 class TestSolve:

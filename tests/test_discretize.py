@@ -1,5 +1,6 @@
 """Lattice discretization: grids, links, gauge covariance, diamagnetism."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import dblquad
 
 from semisobolev import geometry as ge
 from semisobolev import discretize as dz
+from semisobolev import waveguide as wg
 from semisobolev.errors import DomainTooSmall, ZeroFunction
 
 
@@ -154,24 +156,100 @@ class TestAssembleEvaluate:
         assert math.log2(e1 / e2) >= 1.8
 
 
+def _preconditioner_form(case):
+    """(form, expected path) for TestPreconditioner."""
+    if case == "waveguide_strip":
+        return wg.assemble_waveguide_form(wg.gaussian_profile(0.5, 0.0, 1.0),
+                                          0.2, 4.0)
+    if case == "disk":
+        spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=-0.5)
+        h, spacing = 0.05, 0.04
+    elif case == "magnetic_box":
+        spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
+                               V=1.0, A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
+        h, spacing = 0.1, 0.05
+    elif case == "half_plane":
+        spec = ge.GeometrySpec(domain=ge.half_plane(3.0), V=1.0, gamma=-0.5)
+        h, spacing = 0.5, 0.1
+    elif case == "whole_plane":
+        spec = ge.GeometrySpec(domain=ge.plane(3.0), V=1.0)
+        h, spacing = 1.0, 0.1
+    elif case == "box_v_xy":
+        spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
+                               V=lambda pts: 1.0 + pts[:, 0] * pts[:, 1],
+                               gamma=0.3)
+        h, spacing = 0.1, 0.05
+    else:   # half_plane_gamma_x: gamma varies along the Robin face
+        spec = ge.GeometrySpec(domain=ge.half_plane(3.0), V=1.0,
+                               gamma=lambda pts: -0.5 + 0.2 * np.sin(pts[:, 0]))
+        h, spacing = 0.5, 0.1
+    return dz.assemble(spec, h, dz.build_grid(spec, spacing))
+
+
+TENSOR = ("waveguide_strip", "half_plane", "whole_plane")
+SUPERLU = ("disk", "magnetic_box", "box_v_xy", "half_plane_gamma_x")
+
+
+def _shifted(f):
+    return f.K + f.preconditioner_shift() * sp.diags(f.weight)
+
+
 class TestPreconditioner:
-    @pytest.mark.parametrize("case", ["disk", "magnetic_box"])
-    def test_solve_residual(self, case, rng):
-        if case == "disk":
-            spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=-0.5)
-            h, spacing = 0.05, 0.04
-        else:
-            spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
-                                   V=1.0, A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
-            h, spacing = 0.1, 0.05
-        f = dz.assemble(spec, h, dz.build_grid(spec, spacing))
+    @pytest.fixture
+    def splu_calls(self, monkeypatch):
+        calls, real = [], sp.linalg.splu
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sp.linalg, "splu", counting)
+        return calls
+
+    @pytest.mark.parametrize("case", TENSOR + SUPERLU)
+    def test_solve_residual(self, case, rng, splu_calls):
+        f = _preconditioner_form(case)
         assert f.is_complex == (case == "magnetic_box")
-        P = f.K + f.preconditioner_shift() * sp.diags(f.weight)
+        P = _shifted(f)
         b = rng.standard_normal(f.n).astype(f.K.dtype)
         if f.is_complex:
             b = b + 1j * rng.standard_normal(f.n)
         x = f.preconditioner().solve(b)
-        assert np.linalg.norm(P @ x - b) <= 1e-10 * np.linalg.norm(b)
+        if case in TENSOR:
+            assert splu_calls == []
+            assert np.linalg.norm(P @ x - b) <= 1e-12 * np.linalg.norm(b)
+        else:
+            assert splu_calls == [1]
+            assert np.linalg.norm(P @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("case", ["box_v_xy", "half_plane_gamma_x"])
+    def test_structure_check_rejects(self, case):
+        # real forms on a full free block: the block is there, the split not
+        f = _preconditioner_form(case)
+        block = dz._free_block(f.grid)
+        assert block is not None
+        assert dz._TensorSolve.build(_shifted(f), f.weight, block) is None
+
+    def test_perturbed_entry_is_rejected(self, splu_calls):
+        f = _preconditioner_form("half_plane")
+        K = f.K.tolil()
+        k = f.n // 2
+        K[k, k] *= 1.0 + 1e-8
+        g = dataclasses.replace(f, K=K.tocsr(), _prec=None)
+        assert dz._TensorSolve.build(_shifted(g), g.weight,
+                                     dz._free_block(g.grid)) is None
+        g.preconditioner()
+        assert splu_calls == [1]
+
+    def test_factor_is_exposed(self):
+        # the bidiagonal Cholesky factor of the j-major tridiagonal
+        f = _preconditioner_form("whole_plane")
+        prec = f.preconditioner()
+        m0, m1 = dz._free_block(f.grid)
+        assert prec.L.shape == (f.n, f.n)
+        assert sp.tril(prec.L, -2).nnz == sp.triu(prec.L, 1).nnz == 0
+        assert prec.L.nnz == 2 * f.n - m1   # no coupling between the blocks
+        assert (prec.U != prec.L.T).nnz == 0
 
 
 class TestGauge:

@@ -45,9 +45,7 @@ ORACLES = {
 
 
 # Dataclass fields that nothing reads yet, each with its planned reader.
-UNREAD_FIELDS = {
-    "Grid.axes": "the per-axis coordinates of tensor grids (ROADMAP 2(d))",
-}
+UNREAD_FIELDS: dict = {}
 
 
 def _private(name: str) -> bool:
