@@ -169,8 +169,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_concentration(args) -> int:
-    """Exits 0 even when a sample is unconverged; it says so in its row.
-    Exit 2 waits on the same decision as `large-domain` (ROADMAP item 8)."""
+    """Exits 2 when a sample is unconverged, after writing every row."""
     spec, resolved = load_geometry(args.config)
     pts = asymptotics.default_sample_points(spec, args.n_interior, args.n_boundary)
     cmap = models.concentration_map(spec, pts, args.p, eps=args.eps)
@@ -193,7 +192,7 @@ def _cmd_concentration(args) -> int:
         atomic_write(args.json, _json_text(config, payload))
     print(f"concentration: {len(rows)} samples, inf={cmap.inf_value:.8g}, "
           f"|M|={len(cmap.argmin)}" + (f", {bad} unconverged" if bad else ""))
-    return 0
+    return 2 if bad else 0
 
 
 def _cmd_sweep(args) -> int:
@@ -220,6 +219,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_large_domain(args) -> int:
+    """Exits 2 when a rung is unconverged, after writing every row."""
     spec, resolved = load_geometry(args.config)
     R_list = _parse_h_list("--R-list", args.R_list)
     rows = asymptotics.large_domain(spec, args.p, R_list)
@@ -234,7 +234,7 @@ def _cmd_large_domain(args) -> int:
     bad = [r for r in rows if not r.converged]
     print(f"large-domain: {len(rows)} rows, last ratio={rows[-1].ratio:.6g}"
           + (f", {len(bad)} unconverged" if bad else ""))
-    return 0
+    return 2 if bad else 0
 
 
 def _cmd_partition_check(args) -> int:

@@ -7,27 +7,33 @@ descent that brackets the eigenvalue followed by shift-invert power
 iteration (robust in the presence of Landau-level clustering, where
 Krylov schemes stall on the near-degenerate subspace).
 
-For p > 2 the quotient is 0-homogeneous and is minimized by projected
-gradient descent on the L^p unit sphere.  Steps are Barzilai-Borwein with
-a monotone (Armijo) backtracking safeguard; directions are preconditioned
-by the shifted operator (K + tau M)^{-1}, which removes the mesh-scale
-stiffness of the raw gradient flow.  Real forms on 2-D boxes (the model
-half- and whole-planes, the waveguide strip) solve it exactly by a
-one-axis fast diagonalization, everything else by an MMD-ordered SuperLU
-factorization (`AssembledForm.preconditioner`).  Along a direction d the
-energy is the quadratic
+For p > 2 the quotient is 0-homogeneous and is minimized on the L^p unit
+sphere by Polak-Ribiere+ nonlinear conjugate gradients in the metric of
+the shifted operator P = K + tau M, which removes the mesh-scale
+stiffness of the raw gradient flow (as for Gross-Pitaevskii ground
+states: Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  Real
+forms on 2-D boxes (the model half- and whole-planes, the waveguide
+strip) solve P exactly by a one-axis fast diagonalization, everything
+else by an MMD-ordered SuperLU factorization
+(`AssembledForm.preconditioner`).  Along a direction d the energy is the
+quadratic
 
     Q(x - a d) = Q(x) - 2a Re<d, K x> + a^2 <d, K d>,
 
-so with K d formed once per iteration a backtracking trial costs one axpy
-and one L^p norm.  An accepted iterate is renormalized and K x is formed
-afresh (never updated by recurrence), and serves both the quotient and
-the gradient: one iteration costs one preconditioner solve and two sparse
-matvecs.  Each restart reports why it stopped: `grad_tol`, `stagnation`
-(no decrease over a window of iterations), `cap` (iteration limit),
-`backtrack_floor` (no admissible step, so the iterate cannot move) or
-`outpaced` (at its recent pace it would still end above the best
-converged start at the cap; see `_descend`).
+and at p = 4 the norm |x - a d|_4^4 is a quartic in a whose coefficients
+are five weighted moments of x and d, so the line quotient is an exact
+rational function of a and is minimized in closed form with no L^p norm.
+Other p backtrack with one axpy and one L^p norm per trial.  Decreases
+are formed without cancellation (`_decrease`), so they keep their sign
+at the gradient tolerance.  An accepted iterate is renormalized and K x
+is formed afresh (never updated by recurrence), and serves both the
+quotient and the gradient: one iteration costs one preconditioner solve
+and two sparse matvecs.  Each restart reports why it stopped: `grad_tol`,
+`stagnation` (no decrease over a window of iterations), `cap` (iteration
+limit), `backtrack_floor` (no step lowers the quotient, so the iterate
+cannot move) or `outpaced` (by the forecast of its recent decreases it
+would still end above the best converged start at the cap; see
+`_descend`).
 Multiple restarts (random fields plus Gaussian bumps at candidate
 localization centers) guard against spurious local minima.
 """
@@ -55,7 +61,7 @@ _POWER_TOL = 1e-13      # relative eigenvalue change, three times in a row
 
 @dataclass
 class MinimizeOptions:
-    """Iteration controls for the projected gradient flow."""
+    """Iteration controls for the p > 2 descent."""
 
     max_iters: int = 3000
     grad_tol: float = 1e-8      # on |grad|_M relative to max(1, |R|)
@@ -98,11 +104,6 @@ def quotient_gradient(form: AssembledForm, psi: WaveFunction, p: float) -> WaveF
     u = form.free_values(psi) / ev.lp_norm
     g = _grad_unit(form.weight, u, form.K @ u, ev.quotient, p) / ev.lp_norm
     return WaveFunction(form.grid, form.full_values(g))
-
-
-def _line_energy(Q, dKx, dKd, a):
-    """Q(x - a d) from Q(x), Re<d, K x> and <d, K d> (K Hermitian)."""
-    return Q - 2.0 * a * dKx + a * a * dKd
 
 
 def _grad_unit(w, x, Kx, R, p):
@@ -180,23 +181,131 @@ def _eigen_path(form, opts):
 
 
 # ---------------------------------------------------------------------------
-# p > 2: preconditioned projected gradient with L^p renormalization
+# p > 2: preconditioned nonlinear CG with L^p renormalization
 # ---------------------------------------------------------------------------
+
+def _quartic_moments(w, x, d):
+    """delta(a) = |x - a d|_4^4 - 1 at |x|_4 = 1: its a .. a^4 coefficients.
+
+    With u = |x|^2, v = Re(conj(x) d) and s = |d|^2 per node,
+    |x - a d|^2 = u - 2a v + a^2 s, so the coefficients are weighted sums
+    of u v, v^2, u s, v s and s^2, taken in one pass.
+    """
+    if np.iscomplexobj(x) or np.iscomplexobj(d):
+        u = x.real * x.real + x.imag * x.imag
+        v = x.real * d.real + x.imag * d.imag
+        s = d.real * d.real + d.imag * d.imag
+    else:
+        u, v, s = x * x, x * d, d * d
+    wv, ws = w * v, w * s
+    return (-4.0 * (wv @ u), 4.0 * (wv @ v) + 2.0 * (ws @ u),
+            -4.0 * (ws @ v), ws @ s)
+
+
+def _decrease(R, dKx, dKd, a, delta, p):
+    """q(a) - R for the line quotient q(a) = Q(x - a d) / |x - a d|_p^2.
+
+    x is L^p-normalized with R = Q(x), and |x - a d|_p^p = 1 + delta.
+    With r = (1 + delta)^{2/p} - 1 taken by expm1/log1p (at p = 4,
+    r = delta / (sqrt(1 + delta) + 1)), the difference is
+    [(-2a dKx + a^2 dKd) - R r] / (1 + r): no two large numbers cancel,
+    so the sign and size of a decrease far below R's roundoff survive.
+    """
+    if not delta > -1.0:
+        return math.inf
+    r = math.expm1(2.0 / p * math.log1p(delta))
+    return (a * (a * dKd - 2.0 * dKx) - R * r) / (1.0 + r)
+
+
+def _exact_step(R, dKx, dKd, n):
+    """Best step of the p = 4 line quotient, as (a, |x - a d|_4) or None.
+
+    With Q(a) = R - 2a dKx + a^2 dKd and N(a) = 1 + delta(a) (coefficients
+    n from `_quartic_moments`), q = Q / sqrt(N) is stationary where
+    Q' N - Q N' / 2 = 0.  Its a^5 terms cancel, leaving a quartic; every
+    positive real part of its roots is a candidate, and the one with the
+    most negative `_decrease` is taken.  When q falls all along the line
+    its infimum is the end point a = inf, the field -d, taken when it
+    lies below R.
+    """
+    q0, q1, q2 = R, -2.0 * dKx, dKd
+    n1, n2, n3, n4 = n
+    quartic = (0.5 * q2 * n3 - q1 * n4,
+               q2 * n2 - 0.5 * q1 * n3 - 2.0 * q0 * n4,
+               1.5 * (q2 * n1 - q0 * n3),
+               0.5 * q1 * n1 + 2.0 * q2 - q0 * n2,
+               q1 - 0.5 * q0 * n1)
+    best = (dKd / math.sqrt(n4) - R, math.inf, n4 ** 0.25)
+    for a in np.roots(quartic).real:
+        if a <= 0.0:
+            continue
+        a = float(a)
+        delta = a * (n1 + a * (n2 + a * (n3 + a * n4)))
+        dec = _decrease(R, dKx, dKd, a, delta, 4.0)
+        if dec < best[0]:
+            best = (dec, a, (1.0 + delta) ** 0.25)
+    return best[1:] if best[0] < 0.0 else None
+
+
+def _armijo_step(w, x, d, p, R, dKx, dKd, slope, a):
+    """Backtracking from a, one L^p norm per trial: (a, |x - a d|_p) or None."""
+    while a >= 1e-18:
+        nt = lp_norm(w, x - a * d, p)
+        dec = _decrease(R, dKx, dKd, a, nt ** p - 1.0, p)
+        if dec <= -1e-4 * a * slope:
+            return a, nt
+        # minimizer of the quadratic through q(0), q'(0) = -slope, q(a)
+        quad = 0.5 * slope * a * a / (dec + slope * a)
+        a = min(max(quad, 0.1 * a), 0.5 * a) if math.isfinite(quad) else 0.5 * a
+    return None
+
+
+def _forecast(trail, max_iters):
+    """Forecast of R at the cap from the trail R_0 .. R_k, k >= W.
+
+    W = _STAG_WINDOW.  With the window decreases D1 = R_{k-2W} - R_{k-W}
+    and D2 = R_{k-W} - R_k, a trail whose decreases shrink (0 < D2 < D1)
+    is taken to go on shrinking geometrically by rho = D2 / D1 per window,
+    so the m = (max_iters - k) / W windows left gain
+    D2 rho (1 - rho^m) / (1 - rho): exact on R_j = L + C r^j.  Otherwise
+    the last window's pace D2 / W is taken to hold to the cap.
+    """
+    W = _STAG_WINDOW
+    k = len(trail) - 1
+    d2 = trail[k - W] - trail[k]
+    m = (max_iters - k) / W
+    gain = d2 * m
+    if k >= 2 * W:
+        d1 = trail[k - 2 * W] - trail[k - W]
+        if 0.0 < d2 < d1:
+            shrink = (d1 - d2) / d1     # 1 - rho, free of cancellation
+            tail = -math.expm1(m * math.log1p(-shrink)) / shrink
+            gain = d2 * (1.0 - shrink) * tail
+    return trail[k] - gain
+
 
 def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
              incumbent=math.inf):
-    """Monotone BB descent on the quotient; returns (R, x, iters, _Stop).
+    """Preconditioned nonlinear CG on the quotient; (R, x, iters, _Stop).
+
+    The direction is d = z + beta d_prev with z = P^{-1} M g and the
+    Polak-Ribiere+ beta = max(0, <g - g_prev, z>_M / <g_prev, z_prev>_M);
+    it falls back to z when it is not a descent direction.  At p = 4 the
+    line quotient is an exact rational function of the step, minimized
+    in closed form (`_exact_step`) with no L^p norm; any other p
+    backtracks from twice the last step with one L^p norm per trial.
+    Every accepted step lowers R.
 
     `history`, when a list, receives R at the start and after each step.
 
     `incumbent` is the best value a converged start has reached.  After
-    k >= W = _STAG_WINDOW accepted steps the descent stops as `outpaced`
-    when R_k - pace (max_iters - k) > incumbent + _TIE, with the recent
-    pace (R_{k-W} - R_k) / W: going on at that pace it would still end
-    above the incumbent at the cap, so it cannot be the selected start.
-    The forecast is linear, so a start that idles on a plateau and speeds
-    up later is cut too; that changes the answer only if it would have
-    ended strictly below every converged start.
+    k >= _STAG_WINDOW accepted steps the descent stops as `outpaced` when
+    the `_forecast` of R at the cap exceeds incumbent + _TIE: it cannot be
+    the selected start.  The forecast assumes the recent decreases go on
+    at their pace, or keep shrinking at their rate when they shrink; a
+    start that idles on a plateau and speeds up later is cut too, which
+    changes the answer only if it would have ended strictly below every
+    converged start.
     """
     w = form.weight
     K = form.K
@@ -219,11 +328,13 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
     if history is not None:
         history.append(R)
     g = _grad_unit(w, x, Kx, R, p)
-    d = pdir(g)
-    alpha = 1.0
+    z = pdir(g)
+    gz = wdot(g, z)
+    d = z
+    a = 0.5                 # the first trial of a backtracking (p != 4) is 2a
     gnorm = math.sqrt(wdot(g, g))
     best_R, since_best = R, 0
-    trail = [R]             # R after each accepted step, for the pace
+    trail = [R]             # R after each accepted step, for the forecast
     reason = "cap"
     it = 0
     for it in range(max_iters):
@@ -233,46 +344,37 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
             break
         slope = wdot(g, d)
         if slope <= 0.0:
-            d, slope = g, wdot(g, g)
-        # quadratic line energy: trials need no matvec
+            d, slope = z, gz
         Kd = K @ d
         dKx = float(np.real(np.vdot(d, Kx)))
         dKd = float(np.real(np.vdot(d, Kd)))
-        a = alpha
-        while True:
-            xt = x - a * d
-            nt = lp_norm(w, xt, p)
-            if nt > 1e-300 and (_line_energy(R, dKx, dKd, a) / nt ** 2
-                                <= R - 1e-4 * a * slope):
-                break
-            a *= 0.5
-            if a < 1e-18:
-                xt = None
-                break
-        if xt is None:
+        if p == 4.0:
+            step = _exact_step(R, dKx, dKd, _quartic_moments(w, x, d))
+        else:
+            step = _armijo_step(w, x, d, p, R, dKx, dKd, slope, 2.0 * a)
+        if step is None:
             reason = "backtrack_floor"
             break
-        xt /= nt
+        a, nt = step
+        if a == math.inf:       # the line's end point: d_prev is along xt
+            xt, carry = -d / nt, 0.0
+        else:
+            xt, carry = (x - a * d) / nt, 1.0 / nt
         Kxt = K @ xt
         Rt = float(np.real(np.vdot(xt, Kxt)))
         gt = _grad_unit(w, xt, Kxt, Rt, p)
-        dt = pdir(gt)
-        s_v = xt - x
-        sy = wdot(s_v, dt - d)
-        ss = wdot(s_v, s_v)
-        alpha = abs(ss / sy) if sy != 0.0 and ss > 0.0 else 2.0 * a
-        if not np.isfinite(alpha) or alpha <= 0.0:
-            alpha = 2.0 * a
-        x, Kx, g, d, R = xt, Kxt, gt, dt, Rt
+        zt = pdir(gt)
+        gzt = wdot(gt, zt)
+        beta = max(0.0, (gzt - wdot(g, zt)) / gz)
+        d = zt + (beta * carry) * d
+        x, Kx, g, z, gz, R = xt, Kxt, gt, zt, gzt, Rt
         if history is not None:
             history.append(R)
         trail.append(R)
-        k = it + 1          # accepted steps
-        if k >= _STAG_WINDOW:
-            pace = (trail[k - _STAG_WINDOW] - R) / _STAG_WINDOW
-            if R - pace * (max_iters - k) > incumbent + _TIE:
-                reason = "outpaced"
-                break
+        if (len(trail) > _STAG_WINDOW
+                and _forecast(trail, max_iters) > incumbent + _TIE):
+            reason = "outpaced"
+            break
         if R < best_R - 1e-15 * max(1.0, abs(best_R)):
             best_R, since_best = R, 0
         else:
@@ -287,15 +389,15 @@ def minimize_quotient(form: AssembledForm, p: float,
                       opts: MinimizeOptions | None = None) -> MinimizerResult:
     """Minimize the discrete Sobolev quotient at exponent p >= 2.
 
-    p = 2 uses the eigensolver path; p > 2 runs the projected gradient flow
-    from one Gaussian bump per candidate center and then `restarts` random
-    fields (or from `inits`, in order), returning the best final value
-    (ties broken by iteration count).  Each start is given the lowest value
-    of the finished starts that met the gradient tolerance, and stops as
-    `outpaced` once its recent pace cannot bring it below that value by the
-    cap; such a start ends above it and is never the one returned.  The
-    result's `converged` flag is False when the best restart misses the
-    gradient tolerance.
+    p = 2 uses the eigensolver path; p > 2 runs the CG descent from one
+    Gaussian bump per candidate center and then `restarts` random fields
+    (or from `inits`, in order), returning the best final value (ties
+    broken by iteration count).  Each start is given the lowest value of
+    the finished starts that met the gradient tolerance, and stops as
+    `outpaced` once the forecast of its recent decreases cannot bring it
+    below that value by the cap; such a start ends above it and is never
+    the one returned.  The result's `converged` flag is False when the
+    best restart misses the gradient tolerance.
     """
     opts = opts or MinimizeOptions()
     check_exponent(p, form.grid.dim)

@@ -67,16 +67,12 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     random restart runs after the bump init; a random start that wanders
     into the interior-soliton valley stops as `outpaced` once it cannot
     come down to the bump's converged value.
-    The 700-iteration cap in d = 2 stays: when the bump misses the
-    gradient tolerance there is no converged value to outpace, and the
-    cap is what bounds both starts (a strong-Robin disk-boundary model
-    took twice as long at the 3,000 default).
     """
     if key in _cache:
         return _cache[key]
     d, p = key[1], key[2]
     opts = MinimizeOptions(grad_tol=1e-9 if d == 1 else 1e-7, restarts=1,
-                           max_iters=3000 if d == 1 else 700, centers=centers)
+                           centers=centers)
     res = minimize_quotient(assemble(spec, 1.0, build_grid(spec, spacing)),
                             p, opts)
     if res.converged:

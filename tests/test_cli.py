@@ -84,7 +84,7 @@ class TestLargeDomain:
         out = tmp_path / "ld.csv"
         rc = cli.main(["large-domain", "--config", str(interval_cfg),
                        "--p", "4", "--R-list", "2", "--out", str(out)])
-        assert rc == 0      # the exit-code policy of large-domain is unchanged
+        assert rc == 2      # every row is written, then non-convergence
         _, header, rows = _read(out)
         assert header == self.HEADER
         assert rows[0][-1] == "0"
@@ -160,15 +160,15 @@ class TestConcentration:
     @pytest.mark.parametrize("p", ["2", "4"])
     def test_unconverged_samples_are_flagged(self, p, interval_cfg, tmp_path,
                                              monkeypatch):
-        # a grid solve that misses the gradient tolerance marks its row and
-        # is counted in the JSON; the exit code stays 0 (ROADMAP item 8)
+        # a grid solve that misses the gradient tolerance marks its row, is
+        # counted in the JSON and makes the exit code 2
         monkeypatch.setattr(models, "_cache", {})
         monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
                             SimpleNamespace(lam=1.25, converged=False))
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
         rc = cli.main(["concentration", "--config", str(interval_cfg),
                        "--p", p, "--out", str(out), "--json", str(js)])
-        assert rc == 0
+        assert rc == (0 if p == "2" else 2)
         _, header, rows = _read(out)
         assert header[-1] == "converged"
         # p = 2 values are closed forms: no grid solve, nothing to flag

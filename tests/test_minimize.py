@@ -2,11 +2,14 @@
 
 import dataclasses
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from semisobolev import asymptotics
 from semisobolev import geometry as ge
 from semisobolev import discretize as dz
 from semisobolev import minimize as mz
@@ -227,7 +230,8 @@ class TestExitReasons:
     def test_first_start_is_never_cut(self, short_strip):
         bump = dz.gaussian_bump(short_strip.grid, np.zeros(2), 1.0)
         x0 = np.random.default_rng(3).standard_normal(short_strip.n)
-        opts = dataclasses.replace(STRIP_OPTS, max_iters=300)
+        # a cap below the random start's own grad_tol stop (295 iterations)
+        opts = dataclasses.replace(STRIP_OPTS, max_iters=150)
         first = minimize_quotient(short_strip, 4.0,
                                   dataclasses.replace(opts, inits=(x0, bump)))
         second = minimize_quotient(short_strip, 4.0,
@@ -252,21 +256,120 @@ class TestExitReasons:
         assert len(iterations) == 2
         assert sum(iterations) <= 400
 
+    def test_neumann_disk_rung_converges(self):
+        # R = 3 rung of the unit-disk Neumann ladder: every start converges,
+        # the random one to a boundary state below both bumps
+        spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
+        (row,) = asymptotics.large_domain(spec, 4.0, [3.0])
+        assert row.converged
+        assert row.lam_semiclassical == pytest.approx(0.11404484277, rel=1e-9)
+
+
+class TestForecast:
+    W = mz._STAG_WINDOW
+
+    @pytest.mark.parametrize("k", [2 * mz._STAG_WINDOW, 7 * mz._STAG_WINDOW + 13])
+    def test_exact_on_a_geometric_trail(self, k):
+        # R_j = L + C r^j: the two-window tail lands on R at the cap
+        L, C, r, cap = 5.0, 0.3, 0.993, 3000
+        trail = [L + C * r ** j for j in range(k + 1)]
+        assert mz._forecast(trail, cap) == pytest.approx(L + C * r ** cap,
+                                                         rel=1e-14)
+
+    def test_linear_pace_when_decreases_do_not_shrink(self):
+        # a steady slide and an accelerating one keep the linear forecast;
+        # decreases that shrink by parts in 1e14 give the same value
+        cap = 500
+        steady = [1.0 - 1e-4 * j for j in range(3 * self.W + 1)]
+        assert mz._forecast(steady, cap) == pytest.approx(1.0 - 1e-4 * cap,
+                                                          rel=1e-13)
+        nearly = [1.0 - 1e-4 * j * (1.0 - 1e-16 * j)
+                  for j in range(3 * self.W + 1)]
+        assert mz._forecast(nearly, cap) == pytest.approx(1.0 - 1e-4 * cap,
+                                                          rel=1e-13)
+        faster = [1.0 - 1e-6 * j * j for j in range(3 * self.W + 1)]
+        k = 3 * self.W
+        pace = (faster[k - self.W] - faster[k]) / self.W
+        assert mz._forecast(faster, cap) == pytest.approx(
+            faster[k] - pace * (cap - k), rel=1e-13)
+
 
 class TestHotPath:
-    def test_line_energy(self, magnetic_2d, rng):
-        _, _, f = magnetic_2d
-        K = f.K
-        x = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
-        d = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
-        Q = float(np.real(np.vdot(x, K @ x)))
-        dKx = float(np.real(np.vdot(d, K @ x)))
-        dKd = float(np.real(np.vdot(d, K @ d)))
-        for a in (1e-6, 0.3, 5.0):
-            xa = x - a * d
-            direct = float(np.real(np.vdot(xa, K @ xa)))
-            line = mz._line_energy(Q, dKx, dKd, a)
-            assert abs(line - direct) <= 1e-12 * abs(direct)
+    @staticmethod
+    def _line(f, x):
+        """x / |x|_4, its R, the preconditioned gradient d, Re<d, K x>,
+        <d, K d> and the p = 4 quartic moments along d."""
+        x = x / dz.lp_norm(f.weight, x, 4.0)
+        Kx = f.K @ x
+        R = float(np.real(np.vdot(x, Kx)))
+        g = mz._grad_unit(f.weight, x, Kx, R, 4.0)
+        d = f.preconditioner().solve(f.weight * g)
+        dKx = float(np.real(np.vdot(d, Kx)))
+        dKd = float(np.real(np.vdot(d, f.K @ d)))
+        return x, R, d, dKx, dKd, mz._quartic_moments(f.weight, x, d)
+
+    def test_line_energy(self, magnetic_2d):
+        # the p = 4 line quotient in closed form against `evaluate`, and
+        # the exact step along the preconditioned gradient below it
+        # everywhere on the line; a real Robin and a magnetic half plane
+        spec = ge.GeometrySpec(domain=ge.half_plane(5.0, 5.0), V=1.0,
+                               gamma=-0.5)
+        robin = dz.assemble(spec, 1.0, dz.build_grid(spec, 0.2))
+        for f in (robin, magnetic_2d[2]):
+            pts = f.grid.points[f.grid.free]
+            x = np.exp(-((pts - 0.3) ** 2).sum(axis=1) / 4.5)
+            if f.is_complex:
+                x = x * np.exp(0.5j * pts[:, 0])
+            x, R, d, dKx, dKd, n = self._line(f, x)
+
+            def line(a):
+                delta = a * (n[0] + a * (n[1] + a * (n[2] + a * n[3])))
+                return R + mz._decrease(R, dKx, dKd, a, delta, 4.0)
+
+            for a in (1e-6, 0.3, 5.0, -0.7):
+                psi = dz.WaveFunction(f.grid, f.full_values(x - a * d))
+                direct = dz.evaluate(f, psi, 4.0).quotient
+                assert abs(line(a) - direct) <= 1e-13 * abs(direct)
+            a_star, nt = mz._exact_step(R, dKx, dKd, n)
+            psi = dz.WaveFunction(f.grid, f.full_values(x - a_star * d))
+            assert nt == pytest.approx(psi.norm_lp(4.0), rel=1e-13)
+            for a in np.geomspace(1e-4, 1e4, 81):
+                assert line(a_star) <= line(a) + 1e-14 * abs(R)
+
+    def test_decrease_keeps_its_sign_at_grad_tol(self):
+        # at a grad_tol-converged minimizer the best step lowers R by about
+        # 1e-19, far below R's roundoff; the closed form keeps that decrease
+        # against an exact rational reference, a direct |x - a d|_4^2
+        # comparison with R does not
+        spec = ge.GeometrySpec(domain=ge.half_line(18.0), V=1.0, gamma=0.0)
+        f = dz.assemble(spec, 1.0, dz.build_grid(spec, 0.05))
+        res = minimize_quotient(f, 4.0, MinimizeOptions(
+            grad_tol=1e-8, restarts=0, centers=((0.0,),)))
+        assert res.restart_exits == ["grad_tol"]
+        x, R, d, dKx, dKd, n = self._line(f, f.free_values(res.psi))
+        a, _ = mz._exact_step(R, dKx, dKd, n)
+        delta = a * (n[0] + a * (n[1] + a * (n[2] + a * n[3])))
+        dec = mz._decrease(R, dKx, dKd, a, delta, 4.0)
+
+        K = f.K.tocoo()
+
+        def exact_quotient(a):
+            y = [Fraction(xi) - Fraction(a) * Fraction(di)
+                 for xi, di in zip(x.tolist(), d.tolist())]
+            Q = sum(Fraction(v) * y[i] * y[j] for i, j, v in
+                    zip(K.row.tolist(), K.col.tolist(), K.data.tolist()))
+            N = sum(Fraction(wi) * yi ** 4 for wi, yi in zip(f.weight.tolist(), y))
+            return (Decimal(Q.numerator) / Decimal(Q.denominator)
+                    / (Decimal(N.numerator) / Decimal(N.denominator)).sqrt())
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = float(exact_quotient(a) - exact_quotient(0.0))
+        assert -1e-16 * R < exact < 0.0
+        assert abs(dec - exact) <= 1e-3 * abs(exact)
+        xa = x - a * d
+        naive = float(xa @ (f.K @ xa)) / dz.lp_norm(f.weight, xa, 4.0) ** 2 - R
+        assert abs(naive - exact) > abs(exact)
 
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("complex_", [False, True])
@@ -308,16 +411,22 @@ class TestHotPath:
             return dz.lp_norm(w, x, p)
 
         monkeypatch.setattr(mz, "lp_norm", counting_lp_norm)
-        K, lu = CountingMatrix(f.K), CountingLU(f.preconditioner())
-        form = dataclasses.replace(f, K=K, _prec=lu)
         x0 = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
-        hist = []
-        _, _, its, stop = mz._descend(form, x0, 4.0, MinimizeOptions(max_iters=40),
-                                      history=hist)
-        assert stop.reason == "cap"
-        steps = len(hist) - 1               # accepted steps
-        trials = len(norms) - 1             # line-search trials
-        assert steps == its == 40
-        assert trials > steps               # the run did backtrack
-        assert lu.solves == steps + 1       # one per iterate, none per trial
-        assert K.matvecs <= 2 * its + 1
+        for p in (4.0, 3.0):
+            K, lu = CountingMatrix(f.K), CountingLU(f.preconditioner())
+            form = dataclasses.replace(f, K=K, _prec=lu)
+            norms.clear()
+            hist = []
+            _, _, its, stop = mz._descend(form, x0, p,
+                                          MinimizeOptions(max_iters=40),
+                                          history=hist)
+            assert stop.reason == "cap"
+            steps = len(hist) - 1               # accepted steps
+            trials = len(norms) - 1             # line-search trials
+            assert steps == its == 40
+            if p == 4.0:
+                assert trials == 0              # closed-form line search
+            else:
+                assert trials > steps           # the run did backtrack
+            assert lu.solves == steps + 1       # one per iterate, none per trial
+            assert K.matvecs <= 2 * its + 1

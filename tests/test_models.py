@@ -148,6 +148,7 @@ class TestConcentrationMap:
         assert kinds[(0.0, 1.0)].kind == "boundary"
         assert all(s.kind == "boundary" for s in cmap.argmin)
         assert kinds[(1.0, 0.0)].value < kinds[(0.0, 1.0)].value
+        assert all(s.converged for s in cmap.samples)
 
     def test_assumption_violated(self):
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=-1.0, gamma=0.0)

@@ -1,5 +1,6 @@
 """Waveguide reduction: the strip form's edge weights and the reference cache."""
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -52,3 +53,17 @@ class TestStraightReference:
         assert len(calls) == 3                       # truncation 12, then 24
         assert wg.straight_reference(4.0) == 5.0     # now a hit
         assert len(calls) == 3
+
+
+def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
+    # the h = 0.1 rung at the sweep's grad_tol 1e-8 against a re-solve at
+    # 1e-11: the printed mass outside the bump is a converged figure
+    monkeypatch.setattr(wg, "straight_reference", lambda p: 1.0)
+    prof = wg.gaussian_profile(0.5, 0.0, 1.0)
+    (row,) = wg.waveguide_sweep(prof, 4.0, [0.1])
+    real = wg.minimize_quotient
+    monkeypatch.setattr(wg, "minimize_quotient", lambda form, p, opts: real(
+        form, p, dataclasses.replace(opts, grad_tol=1e-11)))
+    (tight,) = wg.waveguide_sweep(prof, 4.0, [0.1])
+    assert row.converged and tight.converged
+    assert row.mass_outside == pytest.approx(tight.mass_outside, rel=1e-6)
