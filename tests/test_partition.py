@@ -66,6 +66,22 @@ class TestFamily:
         assert consts.max() / consts.min() <= 1.6
         assert consts.max() <= 200.0
 
+    @pytest.mark.parametrize("p", [2.0, 2.5, 3.0, 4.0, 6.0, 17.3])
+    def test_template_integrals_match_adaptive_quadrature(self, p):
+        from scipy.integrate import quad
+        fam = pt.build_partition(0.5, 1.0 / 3.0, 0.1, 1)
+        ramp = quad(lambda t: np.cos(0.5 * np.pi * pt._smoothstep(t)) ** p,
+                    0.0, 1.0, epsabs=1e-14)[0]
+        lp = 2.0 * fam.plateau + 2.0 * fam.layer * ramp
+        assert abs(fam.template_lp_mass(p) - lp) <= 1e-13 * lp
+        grad = quad(lambda t: (0.5 * np.pi * pt._smoothstep_d(t)
+                               * np.sin(0.5 * np.pi * pt._smoothstep(t))) ** 2,
+                    0.0, 1.0, epsabs=1e-14)[0] * 2.0 / fam.layer
+        assert abs(fam.template_grad_mass() - grad) <= 1e-13 * grad
+        # chi^2 ramps pair with their mirror images to 1: one period exactly
+        assert fam.template_lp_mass(2.0) == pytest.approx(
+            2.0 * fam.plateau + fam.layer, rel=1e-15)
+
     def test_translation_covariance(self):
         fam0 = pt.build_partition(0.5, 1.0 / 3.0, 0.1, 1, tau=(0.0,))
         fam1 = pt.build_partition(0.5, 1.0 / 3.0, 0.1, 1, tau=(0.3,))
