@@ -104,26 +104,32 @@ def _parse_profile(s: str) -> waveguide.WidthProfile:
 
 def _cmd_model1d(args) -> int:
     p = args.p
-    rows = []
     if args.sweep:
         try:
             lo, hi, n = args.sweep.split(":")
-            cs = np.linspace(float(lo), float(hi), int(n))
+            lo, hi, n = float(lo), float(hi), int(n)
         except ValueError as exc:
             raise ConfigError(f"--sweep: expected lo:hi:n ({exc})") from exc
+        if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
+            raise ConfigError(f"--sweep: expected finite lo, hi and n >= 1, "
+                              f"got {args.sweep}")
+        cs = np.linspace(lo, hi, n)
     elif args.c is not None:
+        if not math.isfinite(args.c):
+            raise ConfigError(f"--c: expected a finite number, got {args.c}")
         cs = [args.c]
     else:
         raise ConfigError("model1d: pass --c or --sweep")
-    for c in cs:
-        pt = model1d.lambda_c_point(float(c), p)
-        rows.append((pt.c, pt.lam, pt.u0, pt.t_escape))
+    points = model1d.lambda_c_points(cs, p)
+    rows = [(pt.c, pt.lam, pt.u0, pt.t_escape) for pt in points]
     config = {"p": p, "sweep": args.sweep or f"{args.c}", "seed": args.seed}
     text = _csv_text(config, ["c", "lambda_c", "u0", "T_escape"], rows)
     _emit(args.out, text)
     if args.json:
-        payload = {"rows": [dict(zip(("c", "lambda_c", "u0", "T_escape"), r))
-                            for r in rows]}
+        # a limited row's T_escape is infinite; strict JSON has no inf
+        payload = {"rows": [{"c": pt.c, "lambda_c": pt.lam, "u0": pt.u0,
+                             "T_escape": None if pt.limited else pt.t_escape}
+                            for pt in points]}
         atomic_write(args.json, _json_text(config, payload))
     print(f"model1d: {len(rows)} rows, p={p}, "
           f"lambda range [{min(r[1] for r in rows):.6g}, "

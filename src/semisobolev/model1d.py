@@ -15,6 +15,19 @@ which interpolates between 0 (c -> -1) and the whole-line soliton value
 integrator tracks the zero-energy orbit, and the L^p mass is accumulated
 as an auxiliary quadrature variable of the same integrator.
 
+The system is autonomous and its decaying zero-energy orbit with u > 0 is
+unique up to translation in r: every u_c is a time translate of the one
+homoclinic orbit (the shifted whole-line soliton).  Along it the phase
+v/u decreases strictly, from +1 at r = -inf to -1 at r = +inf, so the
+orbit launched at slope c passes slope c' < c exactly once, at a radius
+r_{c'}, and from there on it is u_{c'}:
+
+    u_{c'}(r) = u_c(r + r_{c'}),   lambda_{c'} = (M_c(inf) - M_c(r_{c'}))^{(p-2)/p},
+
+with M_c the running L^p mass of u_c.  So one orbit, launched at the
+largest slope of a sweep, carries every smaller slope of it
+(`lambda_c_points`).
+
 scipy.integrate and scipy.optimize are imported where they are called,
 so a lattice subcommand, which imports this module for the p = 2
 closed forms only, never loads them.
@@ -39,6 +52,9 @@ _H_TOL = 1e-10
 # `PhaseTrajectory.r` and of the closest-approach scan.  It does not steer
 # the integrator, whose dense output is error-controlled between steps.
 _STEP = 0.01
+# Largest relative error in lambda_c accepted for a row read off an orbit
+# launched at a larger slope (see `lambda_c_points`).
+_READ_TOL = 1e-11
 
 
 def solve_ivp(*args, **kwargs):
@@ -100,8 +116,9 @@ def soliton_ode_residual(r, p: float):
 class PhaseTrajectory:
     """Sampled zero-energy orbit of the half-line model.
 
-    Samples sit on a uniform grid of spacing `_STEP` up to the cut `r_end`;
-    `lp_mass` includes the analytic remainder of int u^p beyond the cut.
+    Samples sit on a uniform grid of spacing `_STEP` up to the cut, which
+    is the last sample; `lp_mass` includes the analytic remainder of
+    int u^p beyond the cut.
     """
 
     p: float
@@ -110,7 +127,6 @@ class PhaseTrajectory:
     u: np.ndarray
     v: np.ndarray
     lp_mass: float
-    r_end: float
     turning_index: int
     _dense: object = field(default=None, repr=False)
 
@@ -125,9 +141,17 @@ def integrate_trajectory(c: float, p: float) -> PhaseTrajectory:
     the same step-size machinery.  The orbit is cut where |u| + |v| first
     falls to `_ESCAPE_EPS`, or, if it never does, at its closest approach
     to the origin after the peak.  Raises ToleranceNotMet if the
-    Hamiltonian, sampled every `_STEP` up to the cut, drifts above 1e-10.
+    Hamiltonian, sampled every `_STEP` up to the cut, drifts above 1e-10,
+    or if c < 0 and the launch point already lies inside the cut.
     """
     u0 = initial_amplitude(c, p)
+    if c < 0.0 and u0 * (1.0 - c) <= _ESCAPE_EPS:
+        # such an orbit never meets the near-origin event on its way in:
+        # it is thrown out along the unstable manifold and counts a whole
+        # lap of mass (p = 2.4, c = -0.999 gave lambda 1.49 for about 0.002)
+        raise ToleranceNotMet(
+            f"c={c} at p={p} starts inside the cut |u| + |v| = "
+            f"{_ESCAPE_EPS:g}; the orbit cannot be followed")
     # enough room for the slow escape along the unstable manifold near
     # c = 1 plus the e^{-r} decay down to the truncation threshold
     r_max = 80.0 + 5.0 * abs(math.log(u0))
@@ -187,7 +211,6 @@ def integrate_trajectory(c: float, p: float) -> PhaseTrajectory:
         u=u,
         v=v,
         lp_mass=float(mass + tail),
-        r_end=r_end,
         turning_index=turning,
         _dense=sol.sol,
     )
@@ -215,21 +238,21 @@ def _closest_approach(sol) -> float:
 def crossing_time(traj: PhaseTrajectory, c_target: float) -> float:
     """First radius where v/u crosses c_target from above (Lemma-style shift).
 
-    The phase arctan(v/u) decreases strictly, so the crossing is unique.
+    The phase v/u decreases strictly along the orbit, so the crossing is
+    unique: it is bracketed by the first `_STEP` sample with v - c u <= 0
+    and its predecessor, and refined on the dense output.  Raises
+    NoSolution if no sample up to the cut reaches the slope.
     """
-    f = lambda r: (lambda y: y[1] - c_target * y[0])(traj._dense(r))
-    if f(0.0) <= 0.0:
-        return 0.0
-    lo, hi = 0.0, traj.r_end
-    grid = np.linspace(lo, hi, 4001)
-    vals = f(grid)
-    idx = np.nonzero(vals <= 0.0)[0]
-    if idx.size == 0:
+    vals = traj.v - c_target * traj.u
+    k = int(np.argmax(vals <= 0.0))
+    if vals[k] > 0.0:
         raise NoSolution(f"phase never reaches slope {c_target}")
-    k = idx[0]
+    if k == 0:
+        return 0.0
     from scipy.optimize import brentq
 
-    return float(brentq(f, grid[k - 1], grid[k], xtol=1e-13))
+    f = lambda r: (lambda y: y[1] - c_target * y[0])(traj._dense(r))
+    return float(brentq(f, traj.r[k - 1], traj.r[k], xtol=1e-13))
 
 
 def escape_time(traj: PhaseTrajectory) -> float:
@@ -250,27 +273,65 @@ class RobinPoint:
     limited: bool = False
 
 
-def lambda_c_point(c: float, p: float) -> RobinPoint:
-    """lambda_c plus the diagnostics emitted by the CLI sweep.
+def lambda_c_points(cs, p: float) -> list[RobinPoint]:
+    """lambda_c plus the diagnostics emitted by the CLI, for each c in cs.
 
-    Defined for |c| < 1; raises NoSolution otherwise.  For 0.999 < |c| < 1
-    the escape time diverges and the limiting values (whole-line constant
-    as c -> 1, zero as c -> -1) are returned instead of integrating.
+    Every c must be finite with |c| < 1 (NoSolution otherwise); all are
+    checked before any work.  For 0.999 < |c| < 1 the escape time diverges
+    and the limiting values (whole-line constant as c -> 1, zero as
+    c -> -1) are returned instead of integrating.  The other rows are read
+    off one orbit, launched at the largest of them, `top`.  That orbit is
+    the one decaying zero-energy orbit translated (module docstring), and
+    its phase v/u falls strictly from top towards -1, so it passes every
+    smaller slope c once, at r_c = `crossing_time`, and is u_c from there:
+
+        lambda_c = (lp_mass - M(r_c))^{(p-2)/p},   T_c = T_top - r_c (c > 0),
+
+    with M the running L^p mass of its dense output; the top row itself
+    has r_c = 0.  Near the origin a residual energy H on the orbit moves
+    the point of slope c, and with it lambda_c, by a relative
+    2 |H| / (u^2 (1 - c^2)) at r_c.  Where that exceeds `_READ_TOL`, or
+    the orbit is cut before slope c, that c is launched afresh and the
+    smaller ones are read off its orbit.  This happens only for |c| near
+    1, the more so as p nears 2: the sweep -0.9:0.9 makes one
+    integration for p = 3, 4, 6 and 10, and -0.99:0.99 at p = 2.5 makes
+    seven.
     """
     _check_p(p)
-    if abs(c) >= 1.0:
-        raise NoSolution(f"lambda_c undefined for |c| >= 1 (got c={c})")
-    if abs(c) > 0.999:
-        lam = soliton_line(p) if c > 0 else 0.0
-        return RobinPoint(c=c, lam=lam, u0=initial_amplitude(c, p),
-                          t_escape=math.inf, limited=True)
-    traj = integrate_trajectory(c, p)
-    return RobinPoint(
-        c=c,
-        lam=traj.lp_mass ** ((p - 2.0) / p),
-        u0=float(traj.u[0]),
-        t_escape=escape_time(traj),
-    )
+    cs = [float(c) for c in cs]
+    for c in cs:
+        if not abs(c) < 1.0:
+            raise NoSolution(f"lambda_c undefined unless |c| < 1 (got c={c})")
+    read = {}
+    todo = sorted({c for c in cs if abs(c) <= 0.999}, reverse=True)
+    while todo:
+        traj = integrate_trajectory(todo[0], p)
+        t_top = escape_time(traj)
+        while todo:
+            c = todo[0]
+            try:
+                r_c = crossing_time(traj, c)
+            except NoSolution:
+                break
+            u, v, m = traj._dense(r_c)
+            if r_c and 2.0 * abs(hamiltonian(u, v, p)) > \
+                    _READ_TOL * u * u * (1.0 - c * c):
+                break
+            read[c] = RobinPoint(c=c, lam=(traj.lp_mass - m) ** ((p - 2.0) / p),
+                                 u0=initial_amplitude(c, p),
+                                 t_escape=t_top - r_c if c > 0.0 else 0.0)
+            todo.pop(0)
+    return [read[c] if c in read else
+            RobinPoint(c=c, lam=soliton_line(p) if c > 0 else 0.0,
+                       u0=initial_amplitude(c, p), t_escape=math.inf,
+                       limited=True)
+            for c in cs]
+
+
+def lambda_c_point(c: float, p: float) -> RobinPoint:
+    """`lambda_c_points` of the one slope c: its orbit is launched at c
+    itself, so r_c = 0 and lambda_c = lp_mass^{(p-2)/p}."""
+    return lambda_c_points([c], p)[0]
 
 
 def lambda_c(c: float, p: float) -> float:

@@ -49,6 +49,20 @@ class TestModel1d:
         _, _, rows = _read(out)
         assert [float(r[0]) for r in rows] == [-1e-3]
 
+    def test_limited_row_is_strict_json(self, tmp_path):
+        out, js = tmp_path / "m.csv", tmp_path / "m.json"
+        assert cli.main(["model1d", "--p", "4", "--sweep=0.9:0.9995:2",
+                         "--out", str(out), "--json", str(js)]) == 0
+
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        rows = json.loads(js.read_text(), parse_constant=refuse)["rows"]
+        assert [r["T_escape"] is None for r in rows] == [False, True]
+        assert rows[0]["T_escape"] == pytest.approx(math.atanh(0.9))
+        _, _, csv_rows = _read(out)
+        assert [r[3] for r in csv_rows][1] == "inf"
+
     def test_missing_sweep_value_is_a_validation_error(self, capsys):
         assert cli.main(["model1d", "--p", "4", "--sweep"]) == 1
         assert "expected one argument" in capsys.readouterr().err
@@ -303,11 +317,15 @@ class TestBadInput:
          "--spacing", "0"],
         ["partition-check", "--alpha", "0.5", "--rho", "0.33", "--h", "0.1",
          "--samples", "0"],
+        ["model1d", "--p", "4", "--sweep=0:0.5:0"],
+        ["model1d", "--p", "4", "--c=nan"],
+        ["model1d", "--p", "4", "--sweep=nan:0.5:3"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
             "waveguide-h-zero", "partition-h-zero", "partition-spacing-zero",
-            "partition-no-samples"])
+            "partition-no-samples", "model1d-empty-sweep", "model1d-c-nan",
+            "model1d-sweep-nan"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         out = tmp_path / "out.csv"

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from semisobolev import model1d as m1
-from semisobolev.errors import NoSolution
+from semisobolev.errors import NoSolution, ToleranceNotMet
 
 
 def p4_lambda(c: float) -> float:
@@ -112,13 +112,13 @@ class TestShiftedSolitonOracle:
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     def test_general_p(self, p):
         a = (p - 2.0) / 2.0
-        for c in np.linspace(-0.9, 0.9, 13):
-            c = float(c)
+        cs = [float(c) for c in np.linspace(-0.9, 0.9, 13)]
+        for c, pt in zip(cs, m1.lambda_c_points(cs, p)):
             s0 = -math.atanh(c) / a
             mass, err = quad(lambda s: float(m1.soliton(s, p)) ** p, s0, np.inf,
                              epsabs=1e-14, epsrel=1e-13)
             assert err < 1e-11
-            pt = m1.lambda_c_point(c, p)
+            assert pt.c == c
             assert abs(pt.lam - mass ** ((p - 2.0) / p)) <= 1e-10
             assert abs(pt.u0 - (p / 2.0 * (1.0 - c * c)) ** (1.0 / (p - 2.0))) <= 1e-10
             t_exact = 2.0 * math.atanh(c) / (p - 2.0) if c > 0.0 else 0.0
@@ -151,25 +151,109 @@ class TestWorkCount:
         m1.integrate_trajectory(c, 4.0)
         assert len(nfev) == 1 and nfev[0] <= 2500
 
-    def test_crossing_scan_is_one_dense_call(self):
+    def test_crossing_refines_the_sample_bracket(self):
         traj = m1.integrate_trajectory(0.5, 4.0)
         calls = []
 
         def counting_dense(r):
-            calls.append(np.size(r))
+            calls.append(np.ndim(r))
             return traj._dense(r)
 
         counted = dataclasses.replace(traj, _dense=counting_dense)
         T = m1.crossing_time(counted, 0.0)
-        assert len(calls) <= 50
-        assert 4001 in calls
+        # the bracket comes from the orbit's own samples: no array-valued
+        # dense call, only the scalar calls of the root finder
+        assert calls and set(calls) == {0} and len(calls) <= 15
 
-        # reference: the scan one scalar at a time gives the same crossing
+        # reference: the first sample with v <= 0, evaluated one scalar at
+        # a time, and its predecessor
         f = lambda r: traj._dense(r)[1]
-        grid = np.linspace(0.0, traj.r_end, 4001)
-        vals = np.array([f(g) for g in grid])
-        k = np.nonzero(vals <= 0.0)[0][0]
-        assert T == brentq(f, grid[k - 1], grid[k], xtol=1e-13)
+        k = next(i for i, r in enumerate(traj.r) if f(r) <= 0.0)
+        assert T == brentq(f, traj.r[k - 1], traj.r[k], xtol=1e-13)
+
+
+class TestSweep:
+    """A sweep reads every row off one orbit, launched at its largest c."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        real, launches = m1.solve_ivp, []
+
+        def counting_solve_ivp(*args, **kwargs):
+            launches.append(args[2][1] / args[2][0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(m1, "solve_ivp", counting_solve_ivp)
+        return launches
+
+    def test_one_integration(self, monkeypatch):
+        launches = self.counted(monkeypatch)
+        cs = np.linspace(-0.9, 0.9, 81)
+        rows = m1.lambda_c_points(cs, 4.0)
+        assert launches == pytest.approx([0.9], abs=1e-15)
+        assert [r.c for r in rows] == list(cs)
+        for r in rows:
+            assert abs(r.lam - p4_lambda(r.c)) <= 1e-11
+
+    def test_limited_points_integrate_nothing(self, monkeypatch):
+        launches = self.counted(monkeypatch)
+        rows = m1.lambda_c_points([0.9995, -0.9995, 0.99999], 4.0)
+        assert launches == []
+        assert [r.limited for r in rows] == [True, True, True]
+        assert [r.lam for r in rows] == [m1.soliton_line(4.0), 0.0,
+                                         m1.soliton_line(4.0)]
+
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    def test_rows_match_single_points(self, p, monkeypatch):
+        # descending, with a limited point and a repeat
+        cs = [0.9, 0.9995, 0.6, 0.05, 0.0, -0.3, -0.3, -0.75, -0.9]
+        launches = self.counted(monkeypatch)
+        rows = m1.lambda_c_points(cs, p)
+        assert len(launches) == 1
+        for c, row in zip(cs, rows):
+            one = m1.lambda_c_point(c, p)
+            assert row.c == c and row.limited == one.limited
+            assert row.u0 == one.u0
+            assert abs(row.lam - one.lam) <= 5e-11
+            if not row.limited:
+                assert abs(row.t_escape - one.t_escape) <= 5e-11
+        assert rows[0] == m1.lambda_c_point(0.9, p)
+        assert rows[1] == m1.lambda_c_point(0.9995, p)
+
+    def test_top_row_is_the_single_point(self):
+        top = m1.lambda_c_points([-0.5, 0.3, 0.71], 6.0)[2]
+        assert top == m1.lambda_c_point(0.71, 6.0)
+        traj = m1.integrate_trajectory(0.71, 6.0)
+        assert top.u0 == float(traj.u[0])
+        assert top.lam == traj.lp_mass ** (4.0 / 6.0)
+        assert top.t_escape == m1.escape_time(traj)
+
+    def test_deep_tail_is_launched_afresh(self, monkeypatch):
+        # at p = 2.5 the c = 0.9 orbit's residual energy of about 1e-14
+        # would move lambda_{-0.999} by about 20%; such rows get an orbit
+        # of their own
+        launches = self.counted(monkeypatch)
+        cs = [0.9, -0.5, -0.999]
+        rows = m1.lambda_c_points(cs, 2.5)
+        assert launches[0] == pytest.approx(0.9) and len(launches) > 1
+        assert launches[-1] == pytest.approx(-0.999)
+        for c, row in zip(cs, rows):
+            one = m1.lambda_c_point(c, 2.5)
+            assert abs(row.lam - one.lam) <= 5e-11 * one.lam
+
+    def test_launch_inside_the_cut_is_refused(self):
+        # (u0, c u0) is within 1e-6 of the origin: the orbit would loop
+        with pytest.raises(ToleranceNotMet):
+            m1.lambda_c_point(-0.999, 2.4)
+        with pytest.raises(ToleranceNotMet):
+            m1.lambda_c_points([0.5, -0.999], 2.4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.0, -1.2])
+    def test_bad_c_is_refused_before_any_work(self, bad, monkeypatch):
+        launches = self.counted(monkeypatch)
+        with pytest.raises(NoSolution):
+            m1.lambda_c_points([0.5, bad, 0.0], 4.0)
+        assert launches == []
 
 
 class TestLambdaC:
