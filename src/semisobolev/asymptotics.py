@@ -111,7 +111,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     initialization, and the set M_eps for the exterior mass.
     """
     check_exponent(p, spec.dim)
-    cmap = concentration_map(spec, default_sample_points(spec), p, eps=_EPS)
+    cmap = concentration_map(spec, default_sample_points(spec), p)
     centers = tuple(tuple(x) for x in cmap.argmin_points)
     rows = []
     for h in h_list:
@@ -120,7 +120,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
         center = tuple(float(c) for c in grid.points[int(np.argmax(vals))])
-        outside = cmap.outside_m_eps(grid.points)
+        outside = cmap.outside_m_eps(grid.points, _EPS)
         mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,

@@ -122,14 +122,11 @@ def _cmd_model1d(args) -> int:
         raise ConfigError("model1d: pass --c or --sweep")
     points = model1d.lambda_c_points(cs, p)
     rows = [(pt.c, pt.lam, pt.u0, pt.t_escape) for pt in points]
+    header = ["c", "lambda_c", "u0", "T_escape"]
     config = {"p": p, "sweep": args.sweep or f"{args.c}", "seed": args.seed}
-    text = _csv_text(config, ["c", "lambda_c", "u0", "T_escape"], rows)
-    _emit(args.out, text)
+    _emit(args.out, _csv_text(config, header, rows))
     if args.json:
-        # a limited row's T_escape is infinite; strict JSON has no inf
-        payload = {"rows": [{"c": pt.c, "lambda_c": pt.lam, "u0": pt.u0,
-                             "T_escape": None if pt.limited else pt.t_escape}
-                            for pt in points]}
+        payload = {"rows": [dict(zip(header, r)) for r in rows]}
         atomic_write(args.json, _json_text(config, payload))
     print(f"model1d: {len(rows)} rows, p={p}, "
           f"lambda range [{min(r[1] for r in rows):.6g}, "
@@ -147,6 +144,7 @@ def _cmd_solve(args) -> int:
     """
     spec, resolved = load_geometry(args.config)
     _positive("--h", args.h)
+    _positive("--grad-tol", args.grad_tol)
     if args.spacing is not None:
         _positive("--spacing", args.spacing)
     spacing = args.spacing or float(resolved.get("spacing", 0) or 0) or \
@@ -185,9 +183,8 @@ def _cmd_concentration(args) -> int:
     """Exits 2 when a sample is unconverged, after writing every row."""
     spec, resolved = load_geometry(args.config)
     pts = asymptotics.default_sample_points(spec, args.n_interior, args.n_boundary)
-    cmap = models.concentration_map(spec, pts, args.p, eps=args.eps)
-    config = {"config_file": args.config, "p": args.p, "eps": args.eps,
-              "seed": args.seed,
+    cmap = models.concentration_map(spec, pts, args.p)
+    config = {"config_file": args.config, "p": args.p, "seed": args.seed,
               **{f"geometry.{k}": v for k, v in resolved.items()}}
     rows = [(s.x[0], (s.x[1] if len(s.x) > 1 else 0.0), s.kind, s.value,
              int(s.converged)) for s in cmap.samples]
@@ -198,7 +195,6 @@ def _cmd_concentration(args) -> int:
         payload = {
             "inf": cmap.inf_value,
             "argmin": [list(s.x) for s in cmap.argmin],
-            "eps": cmap.eps,
             "delta": cmap.delta,
             "unconverged": bad,
         }
@@ -330,9 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
                          "this value in their config header")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    m = sub.add_parser("model1d", help="half-line Robin model curves")
-    m.add_argument("--p", type=float, required=True)
-    m.add_argument("--c", type=float)
+    m = sub.add_parser("model1d", help="half-line Robin model curves",
+                       description="lambda_c, u0 and T_escape of the half-line "
+                                   "Robin model (R_+, Id, 1, 0, c) in closed "
+                                   "form: the whole-line soliton shifted by "
+                                   "artanh(c)")
+    m.add_argument("--p", type=float, required=True, help="exponent, 2 < p < inf")
+    m.add_argument("--c", type=float, help="Robin slope, |c| < 1")
     m.add_argument("--sweep", help="c_min:c_max:n")
     m.add_argument("--out", help="CSV path (stdout when omitted)")
     m.add_argument("--json", help="optional JSON path")
@@ -352,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("concentration", help="sample the concentration function")
     c.add_argument("--config", required=True)
     c.add_argument("--p", type=float, required=True)
-    c.add_argument("--eps", type=float, default=0.2)
     c.add_argument("--n-interior", type=int, default=25)
     c.add_argument("--n-boundary", type=int, default=16)
     c.add_argument("--out", help="CSV path (stdout when omitted)")
@@ -404,9 +403,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except NoConvergence as exc:
         print(f"solver did not converge: {exc}", file=sys.stderr)
         return 2

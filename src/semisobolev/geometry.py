@@ -78,12 +78,6 @@ def lorentz_potential(B, x0, x, n_quad: int = 32) -> np.ndarray:
     return 0.5 * (np.asarray(B, dtype=float).T @ dx)
 
 
-def linear_approx_potential(B0: np.ndarray, x0, x) -> np.ndarray:
-    """Linearized gauge (1/2) B(x0)(x - x0); exact for constant fields."""
-    B0 = np.asarray(B0, dtype=float)
-    return 0.5 * (B0.T @ (np.asarray(x, dtype=float) - np.asarray(x0, dtype=float)))
-
-
 def linear_gauge(B0: np.ndarray, x0=None) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized vector-potential callback for a constant field B0.
 
@@ -179,8 +173,8 @@ def neumann_lower_bound(B: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def check_exponent(p: float, dim: int) -> float:
-    if p < 2.0:
-        raise InvalidExponent(f"p must be >= 2, got {p}")
+    if not 2.0 <= p < math.inf:
+        raise InvalidExponent(f"p must be finite and >= 2, got {p}")
     if dim >= 3:
         crit = 2.0 * dim / (dim - 2.0)
         if p > crit - 1e-6:

@@ -1,4 +1,4 @@
-"""Exactly solvable half-line Robin model.
+"""Exactly solvable half-line Robin model (R_+, Id, 1, 0, c).
 
 The model is the planar Hamiltonian system
 
@@ -11,24 +11,26 @@ amplitude u0(c, p) uniquely for |c| < 1.  The constant of interest is
     lambda_c = (integral_0^inf u^p dr)^{(p-2)/p},
 
 which interpolates between 0 (c -> -1) and the whole-line soliton value
-(c -> 1).  Everything here is plain ODE work: an embedded high-order
-integrator tracks the zero-energy orbit, and the L^p mass is accumulated
-as an auxiliary quadrature variable of the same integrator.
+(c -> 1).
 
 The system is autonomous and its decaying zero-energy orbit with u > 0 is
-unique up to translation in r: every u_c is a time translate of the one
-homoclinic orbit (the shifted whole-line soliton).  Along it the phase
-v/u decreases strictly, from +1 at r = -inf to -1 at r = +inf, so the
-orbit launched at slope c passes slope c' < c exactly once, at a radius
-r_{c'}, and from there on it is u_{c'}:
+unique up to translation in r: with b = 2/(p-2), every u_c is the
+whole-line soliton A sech^b(r/b), A^{p-2} = p/2, shifted,
 
-    u_{c'}(r) = u_c(r + r_{c'}),   lambda_{c'} = (M_c(inf) - M_c(r_{c'}))^{(p-2)/p},
+    u_c(r) = A sech^b(r/b - artanh c).
 
-with M_c the running L^p mass of u_c.  So one orbit, launched at the
-largest slope of a sweep, carries every smaller slope of it
-(`lambda_c_points`).
+The substitution t = (1 + tanh(r/b - artanh c))/2 turns its L^p mass into
+an incomplete beta function, so that
 
-scipy.integrate and scipy.optimize are imported where they are called,
+    lambda_c = soliton_line(p) I_{(1+c)/2}(b+1, b+1)^{(p-2)/p},
+    soliton_line(p) = (2 b A^p 4^b B(b+1, b+1))^{(p-2)/p},
+
+with I the regularized incomplete beta function, and u_c peaks at
+T_c = b artanh(c) for c > 0.  These closed forms give every number the
+package publishes.  `integrate_trajectory` follows the orbit with an
+embedded high-order integrator instead and is kept as their ODE oracle.
+
+scipy.special and scipy.integrate are imported where they are called,
 so a lattice subcommand, which imports this module for the p = 2
 closed forms only, never loads them.
 """
@@ -52,9 +54,6 @@ _H_TOL = 1e-10
 # `PhaseTrajectory.r` and of the closest-approach scan.  It does not steer
 # the integrator, whose dense output is error-controlled between steps.
 _STEP = 0.01
-# Largest relative error in lambda_c accepted for a row read off an orbit
-# launched at a larger slope (see `lambda_c_points`).
-_READ_TOL = 1e-11
 
 
 def solve_ivp(*args, **kwargs):
@@ -66,8 +65,8 @@ def solve_ivp(*args, **kwargs):
 
 
 def _check_p(p: float) -> None:
-    if p <= 2:
-        raise InvalidExponent(f"exponent must satisfy p > 2, got {p}")
+    if not 2.0 < p < math.inf:
+        raise InvalidExponent(f"exponent must satisfy 2 < p < inf, got {p}")
 
 
 def hamiltonian(u: float, v: float, p: float) -> float:
@@ -132,7 +131,8 @@ class PhaseTrajectory:
 
 
 def integrate_trajectory(c: float, p: float) -> PhaseTrajectory:
-    """Integrate the zero-energy orbit from (u0, c*u0).
+    """Integrate the zero-energy orbit from (u0, c*u0): the ODE oracle that
+    the tests hold the closed forms against.
 
     Uses an 8th-order embedded pair (DOP853) at rtol 1e-12, atol 1e-14 and
     lets it choose its own steps; the orbit is read off its 7th-order dense
@@ -235,31 +235,11 @@ def _closest_approach(sol) -> float:
     return float(r[start + rebound[0] + 1])
 
 
-def crossing_time(traj: PhaseTrajectory, c_target: float) -> float:
-    """First radius where v/u crosses c_target from above (Lemma-style shift).
-
-    The phase v/u decreases strictly along the orbit, so the crossing is
-    unique: it is bracketed by the first `_STEP` sample with v - c u <= 0
-    and its predecessor, and refined on the dense output.  Raises
-    NoSolution if no sample up to the cut reaches the slope.
-    """
-    vals = traj.v - c_target * traj.u
-    k = int(np.argmax(vals <= 0.0))
-    if vals[k] > 0.0:
-        raise NoSolution(f"phase never reaches slope {c_target}")
-    if k == 0:
-        return 0.0
-    from scipy.optimize import brentq
-
-    f = lambda r: (lambda y: y[1] - c_target * y[0])(traj._dense(r))
-    return float(brentq(f, traj.r[k - 1], traj.r[k], xtol=1e-13))
-
-
-def escape_time(traj: PhaseTrajectory) -> float:
-    """Time T_c at which the orbit crosses v = 0 (zero for c <= 0)."""
-    if traj.c <= 0.0:
-        return 0.0
-    return crossing_time(traj, 0.0)
+def escape_time(c: float, p: float) -> float:
+    """Radius T_c = b artanh(c), b = 2/(p-2), of the peak of u_c (zero for
+    c <= 0, where u_c decreases from r = 0)."""
+    _check_p(p)
+    return 2.0 * math.atanh(c) / (p - 2.0) if c > 0.0 else 0.0
 
 
 @dataclass(frozen=True)
@@ -270,85 +250,56 @@ class RobinPoint:
     lam: float
     u0: float
     t_escape: float
-    limited: bool = False
 
 
 def lambda_c_points(cs, p: float) -> list[RobinPoint]:
     """lambda_c plus the diagnostics emitted by the CLI, for each c in cs.
 
-    Every c must be finite with |c| < 1 (NoSolution otherwise); all are
-    checked before any work.  For 0.999 < |c| < 1 the escape time diverges
-    and the limiting values (whole-line constant as c -> 1, zero as
-    c -> -1) are returned instead of integrating.  The other rows are read
-    off one orbit, launched at the largest of them, `top`.  That orbit is
-    the one decaying zero-energy orbit translated (module docstring), and
-    its phase v/u falls strictly from top towards -1, so it passes every
-    smaller slope c once, at r_c = `crossing_time`, and is u_c from there:
+    Every c must be finite with |c| < 1 (NoSolution otherwise).  Each row
+    takes the closed form of the module docstring,
 
-        lambda_c = (lp_mass - M(r_c))^{(p-2)/p},   T_c = T_top - r_c (c > 0),
+        lambda_c = soliton_line(p) I_{(1+c)/2}(b+1, b+1)^{(p-2)/p},
 
-    with M the running L^p mass of its dense output; the top row itself
-    has r_c = 0.  Near the origin a residual energy H on the orbit moves
-    the point of slope c, and with it lambda_c, by a relative
-    2 |H| / (u^2 (1 - c^2)) at r_c.  Where that exceeds `_READ_TOL`, or
-    the orbit is cut before slope c, that c is launched afresh and the
-    smaller ones are read off its orbit.  This happens only for |c| near
-    1, the more so as p nears 2: the sweep -0.9:0.9 makes one
-    integration for p = 3, 4, 6 and 10, and -0.99:0.99 at p = 2.5 makes
-    seven.
+    and T_c = `escape_time`.  As p -> 2 and c -> -1 the share I of the
+    whole-line mass underflows (p = 2.01, c = -0.99); such a row raises
+    ToleranceNotMet rather than report lambda_c = 0.
     """
     _check_p(p)
     cs = [float(c) for c in cs]
     for c in cs:
         if not abs(c) < 1.0:
             raise NoSolution(f"lambda_c undefined unless |c| < 1 (got c={c})")
-    read = {}
-    todo = sorted({c for c in cs if abs(c) <= 0.999}, reverse=True)
-    while todo:
-        traj = integrate_trajectory(todo[0], p)
-        t_top = escape_time(traj)
-        while todo:
-            c = todo[0]
-            try:
-                r_c = crossing_time(traj, c)
-            except NoSolution:
-                break
-            u, v, m = traj._dense(r_c)
-            if r_c and 2.0 * abs(hamiltonian(u, v, p)) > \
-                    _READ_TOL * u * u * (1.0 - c * c):
-                break
-            read[c] = RobinPoint(c=c, lam=(traj.lp_mass - m) ** ((p - 2.0) / p),
-                                 u0=initial_amplitude(c, p),
-                                 t_escape=t_top - r_c if c > 0.0 else 0.0)
-            todo.pop(0)
-    return [read[c] if c in read else
-            RobinPoint(c=c, lam=soliton_line(p) if c > 0 else 0.0,
-                       u0=initial_amplitude(c, p), t_escape=math.inf,
-                       limited=True)
-            for c in cs]
+    from scipy.special import betainc
 
-
-def lambda_c_point(c: float, p: float) -> RobinPoint:
-    """`lambda_c_points` of the one slope c: its orbit is launched at c
-    itself, so r_c = 0 and lambda_c = lp_mass^{(p-2)/p}."""
-    return lambda_c_points([c], p)[0]
+    b = 2.0 / (p - 2.0)
+    shares = betainc(b + 1.0, b + 1.0, (1.0 + np.array(cs)) / 2.0)
+    for c, share in zip(cs, shares):
+        if share < np.finfo(float).tiny:
+            raise ToleranceNotMet(
+                f"c={c}, p={p}: the share I_(1+c)/2(b+1, b+1) = {share:g} of "
+                "the whole-line L^p mass underflows, so lambda_c cannot be "
+                "computed to full precision")
+    line = soliton_line(p)
+    return [RobinPoint(c=c, lam=line * float(share) ** (1.0 / (b + 1.0)),
+                       u0=initial_amplitude(c, p), t_escape=escape_time(c, p))
+            for c, share in zip(cs, shares)]
 
 
 def lambda_c(c: float, p: float) -> float:
-    """Half-line Robin constant ||u_c||_{L^p(R_+)}^{p-2} (see lambda_c_point)."""
-    return lambda_c_point(c, p).lam
+    """Half-line Robin constant ||u_c||_{L^p(R_+)}^{p-2} (see lambda_c_points)."""
+    return lambda_c_points([c], p)[0].lam
 
 
 def soliton_line(p: float) -> float:
-    """Whole-line constant ||u||_{L^p(R)}^{p-2} from the closed-form soliton."""
-    from scipy.integrate import quad
-
+    """Whole-line constant ||u||_{L^p(R)}^{p-2} of the soliton, by the
+    complete beta function of the module docstring."""
     _check_p(p)
-    half, err = quad(lambda r: float(soliton(r, p)) ** p, 0.0, np.inf,
-                     epsabs=1e-14, epsrel=1e-13)
-    if err > 1e-9:
-        raise ToleranceNotMet(f"soliton quadrature error estimate {err:.2e}")
-    return (2.0 * half) ** ((p - 2.0) / p)
+    b = 2.0 / (p - 2.0)
+    # (p - 2)/p = 1/(b + 1) and A^p = (p/2)^{b+1}
+    log_mass = (math.log(2.0 * b) + (b + 1.0) * math.log(p / 2.0)
+                + b * math.log(4.0) + 2.0 * math.lgamma(b + 1.0)
+                - math.lgamma(2.0 * b + 2.0))
+    return math.exp(log_mass / (b + 1.0))
 
 
 def linear_eigenvalue(c: float) -> float:

@@ -177,22 +177,21 @@ class ConcentrationMap:
     samples: list
     inf_value: float
     argmin: list = field(default_factory=list)
-    eps: float = 0.0
     delta: float = 0.02
 
     @property
     def argmin_points(self) -> np.ndarray:
         return np.array([s.x for s in self.argmin], dtype=float)
 
-    def outside_m_eps(self, points: np.ndarray) -> np.ndarray:
-        """Mask of points at distance > self.eps from every argmin sample."""
+    def outside_m_eps(self, points: np.ndarray, eps: float) -> np.ndarray:
+        """Mask of points at distance > eps from every argmin sample."""
         pts = np.atleast_2d(points)
         m = self.argmin_points
         d2min = np.full(len(pts), np.inf)
         for q in m:
             d2 = ((pts - q) ** 2).sum(axis=1)
             d2min = np.minimum(d2min, d2)
-        return d2min > self.eps * self.eps
+        return d2min > eps * eps
 
 
 def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
@@ -208,15 +207,15 @@ def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
     return False
 
 
-def concentration_map(spec: GeometrySpec, sample_points, p: float,
-                      eps: float = 0.1) -> ConcentrationMap:
+def concentration_map(spec: GeometrySpec, sample_points, p: float) -> ConcentrationMap:
     """Sample x -> lambda(model at x, 1, p) and extract the argmin set.
 
     The spectral assumption is checked at p = 2 on every sample first
     (AssumptionViolated otherwise).  M collects the samples within relative
-    tolerance _DELTA of the infimum; M_eps is its eps-dilation.  A sample
-    whose grid solve missed the gradient tolerance keeps its value (the
-    model constants never raise on it) and says so in `converged`.
+    tolerance _DELTA of the infimum; `outside_m_eps` tests its dilation
+    M_eps.  A sample whose grid solve missed the gradient tolerance keeps
+    its value (the model constants never raise on it) and says so in
+    `converged`.
     """
     check_exponent(p, spec.dim)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
@@ -255,5 +254,5 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float,
     inf_value = min(s.value for s in samples)
     argmin = [s for s in samples if s.value <= inf_value * (1.0 + _DELTA)]
     return ConcentrationMap(samples=samples, inf_value=inf_value,
-                            argmin=argmin, eps=eps, delta=_DELTA)
+                            argmin=argmin, delta=_DELTA)
 

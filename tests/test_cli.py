@@ -50,6 +50,7 @@ class TestModel1d:
         assert [float(r[0]) for r in rows] == [-1e-3]
 
     def test_limited_row_is_strict_json(self, tmp_path):
+        # next to c = 1 the escape time is large but finite
         out, js = tmp_path / "m.csv", tmp_path / "m.json"
         assert cli.main(["model1d", "--p", "4", "--sweep=0.9:0.9995:2",
                          "--out", str(out), "--json", str(js)]) == 0
@@ -58,10 +59,20 @@ class TestModel1d:
             raise ValueError(f"non-standard JSON constant {name}")
 
         rows = json.loads(js.read_text(), parse_constant=refuse)["rows"]
-        assert [r["T_escape"] is None for r in rows] == [False, True]
-        assert rows[0]["T_escape"] == pytest.approx(math.atanh(0.9))
+        assert [r["T_escape"] for r in rows] == pytest.approx(
+            [math.atanh(0.9), math.atanh(0.9995)], rel=1e-14)
         _, _, csv_rows = _read(out)
-        assert [r[3] for r in csv_rows][1] == "inf"
+        assert float(csv_rows[1][3]) == pytest.approx(math.atanh(0.9995), rel=1e-11)
+
+    def test_deep_tail_near_p_two(self, tmp_path):
+        # p = 2.2: the DOP853 orbit could not be followed at c = -0.99,
+        # and near c = 1 it drifted off the peak
+        js = tmp_path / "m.json"
+        assert cli.main(["model1d", "--p", "2.2", "--sweep=-0.99:0.999:2",
+                         "--out", str(tmp_path / "m.csv"), "--json", str(js)]) == 0
+        low, high = json.loads(js.read_text())["rows"]
+        assert 0.0 < low["lambda_c"] < high["lambda_c"]
+        assert high["T_escape"] == pytest.approx(10.0 * math.atanh(0.999), rel=1e-12)
 
     def test_missing_sweep_value_is_a_validation_error(self, capsys):
         assert cli.main(["model1d", "--p", "4", "--sweep"]) == 1
@@ -152,7 +163,8 @@ class TestConcentration:
                        "--p", "4", "--out", str(out), "--json", str(js)])
         assert rc == 0
         config, header, rows = _read(out)
-        assert "# eps = 0.2" in config and "# p = 4.0" in config
+        assert "# p = 4.0" in config
+        assert not any(ln.startswith("# eps") for ln in config)
         assert "# geometry.bc = robin robin" in config
         assert header == ["x", "y", "kind", "lambda", "converged"]
         assert {r[4] for r in rows} == {"1"}
@@ -164,7 +176,7 @@ class TestConcentration:
             exact = 2.0 * math.sqrt(4.0 / 3.0 if r[2] == "interior" else 2.0 / 3.0)
             assert float(r[3]) == pytest.approx(exact, rel=1e-4)
         payload = json.loads(js.read_text())
-        assert set(payload) == {"argmin", "config", "delta", "eps", "inf",
+        assert set(payload) == {"argmin", "config", "delta", "inf",
                                 "unconverged"}
         assert payload["unconverged"] == 0
         assert payload["config"]["p"] == 4.0
@@ -320,12 +332,22 @@ class TestBadInput:
         ["model1d", "--p", "4", "--sweep=0:0.5:0"],
         ["model1d", "--p", "4", "--c=nan"],
         ["model1d", "--p", "4", "--sweep=nan:0.5:3"],
+        ["model1d", "--p", "inf", "--c", "0.1"],
+        ["model1d", "--p", "nan", "--c", "0.1"],
+        ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "inf"],
+        ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "nan"],
+        ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "4",
+         "--grad-tol", "nan"],
+        ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "4",
+         "--grad-tol", "-1"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
             "waveguide-h-zero", "partition-h-zero", "partition-spacing-zero",
             "partition-no-samples", "model1d-empty-sweep", "model1d-c-nan",
-            "model1d-sweep-nan"])
+            "model1d-sweep-nan", "model1d-p-inf", "model1d-p-nan",
+            "solve-p-inf", "solve-p-nan", "solve-grad-tol-nan",
+            "solve-grad-tol-negative"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         out = tmp_path / "out.csv"

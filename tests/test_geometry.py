@@ -1,5 +1,7 @@
 """Field algebra, de Gennes constant, exponent validation."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -49,7 +51,7 @@ class TestLorentzPotential:
         x0 = np.array([0.3, -0.2])
         x = np.array([1.0, 0.7])
         assert_allclose(ge.lorentz_potential(B, x0, x),
-                        ge.linear_approx_potential(B, x0, x), rtol=1e-14)
+                        ge.linear_gauge(B, x0)(x)[0], rtol=1e-14)
 
     def test_vanishes_at_base_point(self):
         Bf = lambda x: ge.field_matrix_2d(1.0 + x[0] ** 2)
@@ -70,7 +72,7 @@ class TestLorentzPotential:
 class TestLinearApprox:
     def test_zero_at_base(self):
         B = ge.field_matrix_2d(1.0)
-        assert_allclose(ge.linear_approx_potential(B, [1.0, 2.0], [1.0, 2.0]), 0.0)
+        assert_allclose(ge.linear_gauge(B, [1.0, 2.0])([1.0, 2.0]), 0.0)
 
     def test_discrete_curl_recovers_field(self):
         B = ge.field_matrix_2d(1.3)
@@ -131,6 +133,12 @@ class TestExponent:
     def test_rejects_below_two(self):
         with pytest.raises(InvalidExponent):
             ge.check_exponent(1.5, 2)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_rejects_non_finite(self, p):
+        # nan fails no comparison and inf passes p >= 2
+        with pytest.raises(InvalidExponent):
+            ge.check_exponent(p, 1)
 
 
 class TestGeometrySpec:

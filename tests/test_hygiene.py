@@ -8,9 +8,10 @@ that nothing in the package names either only feeds a test of itself or
 is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
 that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
 lists the planned exceptions).  Every CLI subcommand is run by some test.
-The checks read the source with `ast`, except one: importing the CLI
+The checks read the source with `ast`, except two: importing the CLI
 loads no scipy module that only the half-line model and the de Gennes
-constant use.
+constant use, and a `model1d` run loads neither the ODE integrator nor
+the optimizer, which only its oracle and the de Gennes constant use.
 """
 
 import argparse
@@ -42,7 +43,7 @@ ORACLES = {
     "gauge_transform": "gauge covariance",
     "shifted_spec": "gauge shift",
     "lorentz_potential": "exact for",
-    "linear_approx_potential": "exact for constant fields",
+    "integrate_trajectory": "ode oracle",
     "neumann_lower_bound": "lower bound",
     "quotient_gradient": "directional derivative",
     "soliton_ode_residual": "residual",
@@ -259,13 +260,29 @@ def test_dataclass_fields_are_read():
     assert sorted(unread) == sorted(UNREAD_FIELDS)
 
 
-def test_cli_import_loads_no_ode_or_optimizer():
-    # scipy.optimize and scipy.integrate add about half to the import time;
-    # only model1d and de_gennes_constant call them, at their call sites
+def _loaded_after(code: str, modules) -> list:
+    """Which of `modules` a fresh interpreter has loaded after `code`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    code = ("import sys, semisobolev.cli; print(sorted(m for m in "
-            "('scipy.optimize', 'scipy.integrate') if m in sys.modules))")
+    code += f"\nprint(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def test_cli_import_loads_no_ode_or_optimizer():
+    # scipy.optimize and scipy.integrate add about half to the import time;
+    # only the model1d oracle and de_gennes_constant call them, and only
+    # model1d calls scipy.special, all at their call sites
+    assert _loaded_after("import sys, semisobolev.cli",
+                         ("scipy.optimize", "scipy.integrate",
+                          "scipy.special")) == []
+
+
+def test_model1d_run_loads_no_ode_or_optimizer(tmp_path):
+    # the closed forms need scipy.special only
+    code = ("import sys\nfrom semisobolev import cli\n"
+            f"assert cli.main(['model1d', '--p', '4', '--sweep=-0.9:0.9:81', "
+            f"'--out', {str(tmp_path / 'm.csv')!r}]) == 0")
+    assert _loaded_after(code, ("scipy.optimize", "scipy.integrate",
+                                "scipy.special")) == ["scipy.special"]

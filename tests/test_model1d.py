@@ -1,6 +1,5 @@
-"""Half-line Robin model: phase-plane integration against closed forms."""
+"""Half-line Robin model: closed forms against the DOP853 orbit and quadrature."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -11,12 +10,31 @@ from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 
 from semisobolev import model1d as m1
-from semisobolev.errors import NoSolution, ToleranceNotMet
+from semisobolev.errors import InvalidExponent, NoSolution, ToleranceNotMet
 
 
 def p4_lambda(c: float) -> float:
-    """p = 4 closed form: the half-line orbit is sqrt(2) sech(r - artanh(c))."""
-    return 2.0 * math.sqrt(2.0 / 3.0 + c - c ** 3 / 3.0)
+    """p = 4 closed form: the half-line orbit is sqrt(2) sech(r - artanh(c)),
+    so lambda_c = 2 (2/3 + c - c^3/3)^{1/2}, here factored as
+    2 (1 + c) ((2 - c)/3)^{1/2} to keep its digits as c -> -1."""
+    return 2.0 * (1.0 + c) * math.sqrt((2.0 - c) / 3.0)
+
+
+def oracle_escape(traj) -> float:
+    """Radius where the oracle orbit's v crosses 0, refined on its dense output."""
+    k = int(np.argmax(traj.v <= 0.0))
+    return brentq(lambda r: traj._dense(r)[1], traj.r[k - 1], traj.r[k],
+                  xtol=1e-14)
+
+
+def quad_lambda(c: float, p: float) -> float:
+    """lambda_c by adaptive quadrature of the closed-form soliton from
+    s0 = -artanh(c)/a, a = (p - 2)/2."""
+    s0 = -math.atanh(c) / ((p - 2.0) / 2.0)
+    mass, err = quad(lambda s: float(m1.soliton(s, p)) ** p, s0, np.inf,
+                     epsabs=0.0, epsrel=1e-13)
+    assert err <= 1e-11 * mass
+    return mass ** ((p - 2.0) / p)
 
 
 def sech_soliton_mass(p: float, half_line: bool = False) -> float:
@@ -96,8 +114,9 @@ class TestTrajectory:
         c, cp = 0.5, 0.0
         tc = m1.integrate_trajectory(c, 4.0)
         tcp = m1.integrate_trajectory(cp, 4.0)
-        T = m1.crossing_time(tc, cp)
-        # closed form for p = 4: T = arctanh(c)
+        # the c orbit reaches slope cp = 0 at its peak, T = artanh(c) at p = 4
+        T = oracle_escape(tc)
+        assert_allclose(T, m1.escape_time(c, 4.0), atol=1e-10)
         assert_allclose(T, math.atanh(c), atol=1e-10)
         ts = np.linspace(0.0, 5.0, 200)
         uc = np.array([tc._dense(T + t)[0] for t in ts])
@@ -111,18 +130,56 @@ class TestShiftedSolitonOracle:
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     def test_general_p(self, p):
-        a = (p - 2.0) / 2.0
         cs = [float(c) for c in np.linspace(-0.9, 0.9, 13)]
         for c, pt in zip(cs, m1.lambda_c_points(cs, p)):
-            s0 = -math.atanh(c) / a
-            mass, err = quad(lambda s: float(m1.soliton(s, p)) ** p, s0, np.inf,
-                             epsabs=1e-14, epsrel=1e-13)
-            assert err < 1e-11
             assert pt.c == c
-            assert abs(pt.lam - mass ** ((p - 2.0) / p)) <= 1e-10
+            assert abs(pt.lam - quad_lambda(c, p)) <= 1e-10
             assert abs(pt.u0 - (p / 2.0 * (1.0 - c * c)) ** (1.0 / (p - 2.0))) <= 1e-10
             t_exact = 2.0 * math.atanh(c) / (p - 2.0) if c > 0.0 else 0.0
             assert abs(pt.t_escape - t_exact) <= 1e-10
+
+
+class TestOdeOracle:
+    """The closed forms against the DOP853 orbit, wherever it can be followed."""
+
+    @pytest.mark.parametrize("p,rtol", [(2.2, 1e-8), (2.5, 1e-10), (3.0, 1e-10),
+                                        (4.0, 1e-10), (6.0, 1e-10), (10.0, 1e-10)])
+    def test_rows_match_the_orbit(self, p, rtol):
+        cs = [float(c) for c in np.linspace(-0.99, 0.99, 11)]
+        followed = 0
+        for c, row in zip(cs, m1.lambda_c_points(cs, p)):
+            try:
+                traj = m1.integrate_trajectory(c, p)
+            except ToleranceNotMet:
+                continue        # p = 2.2, c = -0.99 launches inside the cut
+            followed += 1
+            assert row.u0 == float(traj.u[0])
+            assert row.lam == pytest.approx(traj.lp_mass ** ((p - 2.0) / p),
+                                            rel=rtol)
+            if c > 0.0:
+                assert row.t_escape == pytest.approx(oracle_escape(traj),
+                                                     rel=rtol)
+        assert followed >= 10
+
+
+class TestClosedForms:
+    def test_near_two_orbits_the_walk_could_not_follow(self):
+        low, high = m1.lambda_c_points([-0.99, 0.999], 2.2)
+        assert low.lam == pytest.approx(quad_lambda(-0.99, 2.2), rel=1e-12)
+        assert high.lam == pytest.approx(quad_lambda(0.999, 2.2), rel=1e-12)
+        assert high.t_escape == pytest.approx(10.0 * math.atanh(0.999), rel=1e-12)
+
+    def test_underflow_is_refused(self):
+        # I_{0.005}(201, 201) is below the smallest double
+        with pytest.raises(ToleranceNotMet, match="underflows"):
+            m1.lambda_c_points([0.5, -0.99], 2.01)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf, 2.0, 1.5])
+    def test_bad_p_is_refused(self, p):
+        with pytest.raises(InvalidExponent):
+            m1.lambda_c_points([0.1], p)
+        with pytest.raises(InvalidExponent):
+            m1.soliton_line(p)
 
 
 class TestNoEventFallback:
@@ -132,11 +189,12 @@ class TestNoEventFallback:
     @pytest.mark.parametrize("c", [-0.5, 0.0, 0.5, 0.9])
     def test_first_approach(self, c, monkeypatch):
         monkeypatch.setattr(m1, "_ESCAPE_EPS", 0.0)
-        assert abs(m1.lambda_c(c, 4.0) - p4_lambda(c)) <= 1e-9
+        lam = m1.integrate_trajectory(c, 4.0).lp_mass ** 0.5
+        assert abs(lam - p4_lambda(c)) <= 1e-9
 
 
 class TestWorkCount:
-    """Counting proxies on the integrator and on the dense output."""
+    """A counting proxy on the integrator."""
 
     @pytest.mark.parametrize("c", [-0.9, 0.0, 0.5, 0.9])
     def test_nfev_per_trajectory(self, c, monkeypatch):
@@ -151,29 +209,9 @@ class TestWorkCount:
         m1.integrate_trajectory(c, 4.0)
         assert len(nfev) == 1 and nfev[0] <= 2500
 
-    def test_crossing_refines_the_sample_bracket(self):
-        traj = m1.integrate_trajectory(0.5, 4.0)
-        calls = []
-
-        def counting_dense(r):
-            calls.append(np.ndim(r))
-            return traj._dense(r)
-
-        counted = dataclasses.replace(traj, _dense=counting_dense)
-        T = m1.crossing_time(counted, 0.0)
-        # the bracket comes from the orbit's own samples: no array-valued
-        # dense call, only the scalar calls of the root finder
-        assert calls and set(calls) == {0} and len(calls) <= 15
-
-        # reference: the first sample with v <= 0, evaluated one scalar at
-        # a time, and its predecessor
-        f = lambda r: traj._dense(r)[1]
-        k = next(i for i, r in enumerate(traj.r) if f(r) <= 0.0)
-        assert T == brentq(f, traj.r[k - 1], traj.r[k], xtol=1e-13)
-
 
 class TestSweep:
-    """A sweep reads every row off one orbit, launched at its largest c."""
+    """A sweep takes every row from the closed forms; nothing is integrated."""
 
     @staticmethod
     def counted(monkeypatch):
@@ -186,67 +224,62 @@ class TestSweep:
         monkeypatch.setattr(m1, "solve_ivp", counting_solve_ivp)
         return launches
 
-    def test_one_integration(self, monkeypatch):
+    def test_integrates_nothing(self, monkeypatch):
         launches = self.counted(monkeypatch)
         cs = np.linspace(-0.9, 0.9, 81)
         rows = m1.lambda_c_points(cs, 4.0)
-        assert launches == pytest.approx([0.9], abs=1e-15)
+        assert launches == []
         assert [r.c for r in rows] == list(cs)
         for r in rows:
-            assert abs(r.lam - p4_lambda(r.c)) <= 1e-11
+            assert r.lam == pytest.approx(p4_lambda(r.c), rel=1e-14)
+            assert r.t_escape == pytest.approx(max(math.atanh(r.c), 0.0),
+                                               rel=1e-14, abs=1e-14)
 
     def test_limited_points_integrate_nothing(self, monkeypatch):
+        # slopes next to +-1 are ordinary rows with a finite escape time
         launches = self.counted(monkeypatch)
-        rows = m1.lambda_c_points([0.9995, -0.9995, 0.99999], 4.0)
+        cs = [0.9995, -0.9995, 0.99999]
+        rows = m1.lambda_c_points(cs, 4.0)
         assert launches == []
-        assert [r.limited for r in rows] == [True, True, True]
-        assert [r.lam for r in rows] == [m1.soliton_line(4.0), 0.0,
-                                         m1.soliton_line(4.0)]
+        for c, r in zip(cs, rows):
+            assert r.lam == pytest.approx(p4_lambda(c), rel=1e-14)
+            assert r.t_escape == pytest.approx(max(math.atanh(c), 0.0), rel=1e-14)
+        assert rows[0].lam < rows[2].lam < m1.soliton_line(4.0)
+        assert rows[1].lam < 1e-3
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
-    def test_rows_match_single_points(self, p, monkeypatch):
-        # descending, with a limited point and a repeat
+    def test_rows_match_single_points(self, p):
+        # descending, with a near-limit point and a repeat
         cs = [0.9, 0.9995, 0.6, 0.05, 0.0, -0.3, -0.3, -0.75, -0.9]
-        launches = self.counted(monkeypatch)
         rows = m1.lambda_c_points(cs, p)
-        assert len(launches) == 1
         for c, row in zip(cs, rows):
-            one = m1.lambda_c_point(c, p)
-            assert row.c == c and row.limited == one.limited
-            assert row.u0 == one.u0
-            assert abs(row.lam - one.lam) <= 5e-11
-            if not row.limited:
-                assert abs(row.t_escape - one.t_escape) <= 5e-11
-        assert rows[0] == m1.lambda_c_point(0.9, p)
-        assert rows[1] == m1.lambda_c_point(0.9995, p)
+            assert row == m1.lambda_c_points([c], p)[0]
+            assert row.lam == m1.lambda_c(c, p)
+            assert row.t_escape == m1.escape_time(c, p)
 
     def test_top_row_is_the_single_point(self):
+        # the row of the largest slope is the orbit launched at that slope
         top = m1.lambda_c_points([-0.5, 0.3, 0.71], 6.0)[2]
-        assert top == m1.lambda_c_point(0.71, 6.0)
         traj = m1.integrate_trajectory(0.71, 6.0)
         assert top.u0 == float(traj.u[0])
-        assert top.lam == traj.lp_mass ** (4.0 / 6.0)
-        assert top.t_escape == m1.escape_time(traj)
+        assert top.lam == pytest.approx(traj.lp_mass ** (4.0 / 6.0), rel=1e-10)
+        assert top.t_escape == pytest.approx(oracle_escape(traj), rel=1e-12)
 
-    def test_deep_tail_is_launched_afresh(self, monkeypatch):
-        # at p = 2.5 the c = 0.9 orbit's residual energy of about 1e-14
-        # would move lambda_{-0.999} by about 20%; such rows get an orbit
-        # of their own
-        launches = self.counted(monkeypatch)
+    def test_deep_tail_against_quadrature(self):
+        # at p = 2.5 the DOP853 orbit launched at c = -0.999 misses lambda
+        # by about 1e-7 (its tail is cut at |u| + |v| = 1e-6, next to u0);
+        # the closed form has no such limit
         cs = [0.9, -0.5, -0.999]
-        rows = m1.lambda_c_points(cs, 2.5)
-        assert launches[0] == pytest.approx(0.9) and len(launches) > 1
-        assert launches[-1] == pytest.approx(-0.999)
-        for c, row in zip(cs, rows):
-            one = m1.lambda_c_point(c, 2.5)
-            assert abs(row.lam - one.lam) <= 5e-11 * one.lam
+        for c, row in zip(cs, m1.lambda_c_points(cs, 2.5)):
+            assert row.lam == pytest.approx(quad_lambda(c, 2.5), rel=1e-12)
 
     def test_launch_inside_the_cut_is_refused(self):
-        # (u0, c u0) is within 1e-6 of the origin: the orbit would loop
+        # (u0, c u0) is within 1e-6 of the origin: the oracle orbit would
+        # loop, so it refuses; the closed form does not need it
         with pytest.raises(ToleranceNotMet):
-            m1.lambda_c_point(-0.999, 2.4)
-        with pytest.raises(ToleranceNotMet):
-            m1.lambda_c_points([0.5, -0.999], 2.4)
+            m1.integrate_trajectory(-0.999, 2.4)
+        low, high = m1.lambda_c_points([-0.999, 0.5], 2.4)
+        assert 0.0 < low.lam < high.lam
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.0, -1.2])
     def test_bad_c_is_refused_before_any_work(self, bad, monkeypatch):
@@ -264,8 +297,8 @@ class TestLambdaC:
         assert err < 1e-7
         assert_allclose(oracle_mass, 8.0 / 3.0, rtol=1e-12)
         lam = m1.lambda_c(0.0, 4.0)
-        assert abs(lam - oracle_mass ** 0.5) <= 1e-6
-        assert_allclose(lam, 4.0 / math.sqrt(6.0), atol=1e-6)
+        assert abs(lam - oracle_mass ** 0.5) <= 1e-12
+        assert_allclose(lam, 4.0 / math.sqrt(6.0), rtol=1e-15)
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     def test_strictly_increasing(self, p):
@@ -294,27 +327,36 @@ class TestLambdaC:
             m1.lambda_c(-1.5, 4.0)
 
     def test_point_diagnostics(self):
-        pt = m1.lambda_c_point(0.5, 4.0)
-        assert_allclose(pt.t_escape, math.atanh(0.5), atol=1e-9)
-        assert pt.u0 == pytest.approx(m1.initial_amplitude(0.5, 4.0))
-        lim = m1.lambda_c_point(0.9995, 4.0)
-        assert lim.limited and lim.lam == pytest.approx(m1.soliton_line(4.0))
+        (pt,) = m1.lambda_c_points([0.5], 4.0)
+        assert pt.t_escape == pytest.approx(math.atanh(0.5), rel=1e-15)
+        assert pt.u0 == m1.initial_amplitude(0.5, 4.0)
+        (near,) = m1.lambda_c_points([0.9995], 4.0)
+        assert near.lam == pytest.approx(m1.soliton_line(4.0), rel=1e-6)
+        assert near.t_escape == pytest.approx(math.atanh(0.9995), rel=1e-15)
 
 
 class TestSolitonLine:
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     def test_against_beta_function_oracle(self, p):
         oracle = sech_soliton_mass(p) ** ((p - 2.0) / p)
-        assert_allclose(m1.soliton_line(p), oracle, rtol=1e-10)
+        assert_allclose(m1.soliton_line(p), oracle, rtol=1e-13)
+
+    @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0, 10.0])
+    def test_against_quadrature(self, p):
+        half, err = quad(lambda r: float(m1.soliton(r, p)) ** p, 0.0, np.inf,
+                         epsabs=1e-14, epsrel=1e-13)
+        assert err < 1e-11
+        assert_allclose(m1.soliton_line(p), (2.0 * half) ** ((p - 2.0) / p),
+                        rtol=1e-14)
 
     def test_p4_closed_form(self):
-        assert abs(m1.soliton_line(4.0) - 4.0 / math.sqrt(3.0)) <= 1e-9
+        assert m1.soliton_line(4.0) == pytest.approx(4.0 / math.sqrt(3.0), rel=1e-15)
 
     @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
     def test_half_line_relation(self, p):
         # the c = 0 trajectory is half of the symmetric soliton
         assert_allclose(m1.soliton_line(p),
-                        2.0 ** (1.0 - 2.0 / p) * m1.lambda_c(0.0, p), rtol=1e-8)
+                        2.0 ** (1.0 - 2.0 / p) * m1.lambda_c(0.0, p), rtol=1e-14)
 
 
 class TestLinearEigenvalue:

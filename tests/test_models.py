@@ -109,7 +109,7 @@ class TestConcentrationMap:
                                A=ge.linear_gauge(ge.field_matrix_2d(1.0)),
                                B=lambda pts: np.ones(len(np.atleast_2d(pts))))
         pts = [(0.0, 0.0), (0.3, 0.0), (0.0, -0.4)]
-        cmap = models.concentration_map(spec, pts, 2.0, eps=0.1)
+        cmap = models.concentration_map(spec, pts, 2.0)
         assert len(cmap.argmin) == 3
         for s in cmap.samples:
             assert s.value == pytest.approx(2.0)  # Tr+ B + V = 1 + 1
@@ -127,7 +127,7 @@ class TestConcentrationMap:
 
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=0.0, A=A, B=Bfield)
         pts = [(0.0, 0.0), (0.5, 0.0), (0.8, 0.0), (-0.6, 0.1)]
-        cmap = models.concentration_map(spec, pts, 2.0, eps=0.1)
+        cmap = models.concentration_map(spec, pts, 2.0)
         assert cmap.argmin_points.shape[0] == 1
         assert_allclose(cmap.argmin_points[0], [0.0, 0.0])
         assert cmap.inf_value == pytest.approx(1.0)
@@ -142,7 +142,7 @@ class TestConcentrationMap:
 
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=gam)
         pts = [(0.0, 0.0), (0.4, 0.2), (1.0, 0.0), (0.0, 1.0)]
-        cmap = models.concentration_map(spec, pts, 4.0, eps=0.1)
+        cmap = models.concentration_map(spec, pts, 4.0)
         kinds = {tuple(s.x): s for s in cmap.samples}
         assert kinds[(1.0, 0.0)].kind == "boundary"
         assert kinds[(0.0, 1.0)].kind == "boundary"
@@ -157,9 +157,9 @@ class TestConcentrationMap:
 
     def test_outside_mask(self):
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
-        cmap = models.concentration_map(spec, [(0.0, 0.0)], 2.0, eps=0.25)
+        cmap = models.concentration_map(spec, [(0.0, 0.0)], 2.0)
         pts = np.array([[0.1, 0.0], [0.5, 0.0]])
-        out = cmap.outside_m_eps(pts)
+        out = cmap.outside_m_eps(pts, 0.25)
         assert list(out) == [False, True]
 
 
