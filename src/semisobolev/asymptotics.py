@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model1d
+from . import models
 from .discretize import assemble, build_grid, lp_norm
 from .errors import ConfigError
 from .geometry import GeometrySpec, check_exponent
@@ -108,10 +108,12 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
 
     The concentration map on the default samples fixes the target
     inf_x lambda(G_x, 1, p), the candidate localization centers for
-    initialization, and the set M_eps for the exterior mass.
+    initialization, and the set M_eps for the exterior mass.  A row is
+    converged only if its rung and every sample behind the target are.
     """
     check_exponent(p, spec.dim)
     cmap = concentration_map(spec, default_sample_points(spec), p)
+    target_ok = all(s.converged for s in cmap.samples)
     centers = tuple(tuple(x) for x in cmap.argmin_points)
     rows = []
     for h in h_list:
@@ -125,7 +127,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,
                              mass_outside=mass, spacing=default_mesh_rule(h),
-                             converged=res.converged))
+                             converged=res.converged and target_ok))
     return rows
 
 
@@ -163,7 +165,8 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     other data raises ConfigError.  The reported ratio is
     against the half-space (d = 2) or half-line (d = 1) Neumann constant,
     which the ratio approaches from below as R grows (for smooth domains;
-    corners attract more strongly and push the limit ratio below 1).
+    corners attract more strongly and push the limit ratio below 1).  A
+    row is converged only if its rung and that reference are.
     """
     if (spec.A is not None or spec.B is not None
             or callable(spec.V) or float(spec.V) != 1.0
@@ -172,10 +175,9 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
                           "data V = 1, B = 0, gamma = 0")
     d = spec.dim
     check_exponent(p, d)
-    if d == 1:
-        reference = model1d.lambda_c(0.0, p)
-    else:
-        reference = boundary_constant(0.0, 1.0, 0.0, p, dim=d)
+    misses = models._unconverged
+    reference = boundary_constant(0.0, 1.0, 0.0, p, dim=d)
+    reference_ok = models._unconverged == misses
     rows = []
     for R in R_list:
         h = R ** (-2.0)
@@ -184,5 +186,5 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
         rows.append(LargeDomainRow(R=R, h=h, lam_semiclassical=res.lam,
                                    lam_neumann=lam_neu,
                                    ratio=lam_neu / reference,
-                                   converged=res.converged))
+                                   converged=res.converged and reference_ok))
     return rows

@@ -147,8 +147,7 @@ def _cmd_solve(args) -> int:
     _positive("--grad-tol", args.grad_tol)
     if args.spacing is not None:
         _positive("--spacing", args.spacing)
-    spacing = args.spacing or float(resolved.get("spacing", 0) or 0) or \
-        asymptotics.default_mesh_rule(args.h)
+    spacing = args.spacing or asymptotics.default_mesh_rule(args.h)
     grid = build_grid(spec, spacing)
     form = assemble(spec, args.h, grid)
     opts = MinimizeOptions(seed=args.seed, grad_tol=args.grad_tol)
@@ -205,6 +204,8 @@ def _cmd_concentration(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    """Exits 2 when a rung or the target is unconverged, after writing
+    every row."""
     spec, resolved = load_geometry(args.config)
     h_list = _parse_h_list("--h-list", args.h_list)
     rows = asymptotics.sweep(spec, args.p, h_list)
@@ -216,11 +217,7 @@ def _cmd_sweep(args) -> int:
               r.spacing, int(r.converged)) for r in rows]
     hdr = ["h", "lambda", "ratio", "target", "gap", "center_x", "center_y",
            "mass_outside", "spacing", "converged"]
-    if args.format == "json":
-        payload = {"rows": [dict(zip(hdr, t)) for t in table]}
-        atomic_write(args.out, _json_text(config, payload))
-    else:
-        _emit(args.out, _csv_text(config, hdr, table))
+    _emit(args.out, _csv_text(config, hdr, table))
     bad = [r for r in rows if not r.converged]
     print(f"sweep: {len(rows)} rows, final gap={rows[-1].gap:+.4%}"
           + (f", {len(bad)} unconverged" if bad else ""))
@@ -228,7 +225,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_large_domain(args) -> int:
-    """Exits 2 when a rung is unconverged, after writing every row."""
+    """Exits 2 when a rung or the reference is unconverged, after writing
+    every row."""
     spec, resolved = load_geometry(args.config)
     R_list = _parse_h_list("--R-list", args.R_list)
     rows = asymptotics.large_domain(spec, args.p, R_list)
@@ -299,11 +297,7 @@ def _cmd_waveguide(args) -> int:
            "converged"]
     table = [(r.h, r.lam_reduced, r.ratio, r.mass_outside, r.spacing_s,
               int(r.converged)) for r in rows]
-    if args.format == "json":
-        atomic_write(args.out, _json_text(config,
-                                          {"rows": [dict(zip(hdr, t)) for t in table]}))
-    else:
-        _emit(args.out, _csv_text(config, hdr, table))
+    _emit(args.out, _csv_text(config, hdr, table))
     bad = [r for r in rows if not r.converged]
     print(f"waveguide: {len(rows)} rows, last ratio={rows[-1].ratio:.6f}")
     return 2 if bad else 0
@@ -362,8 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--config", required=True)
     w.add_argument("--p", type=float, required=True)
     w.add_argument("--h-list", required=True)
-    w.add_argument("--out", required=True)
-    w.add_argument("--format", choices=("csv", "json"), default="csv")
+    w.add_argument("--out", required=True, help="CSV path")
     w.set_defaults(func=_cmd_sweep)
 
     ld = sub.add_parser("large-domain", help="Neumann constants of dilated domains")
@@ -390,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--p", type=float, required=True)
     wg.add_argument("--h-list", required=True)
     wg.add_argument("--out", help="CSV path (stdout when omitted)")
-    wg.add_argument("--format", choices=("csv", "json"), default="csv")
     wg.set_defaults(func=_cmd_waveguide)
     return ap
 

@@ -12,11 +12,11 @@ Schema (one `key = value` per line, `#` comments):
     V        = 1.0 | quadratic a b | x1-quadratic a b
     B        = 0 | constant b | x1-quadratic a b        (2D only)
     gamma    = -0.3 | dirichlet | angular-dip base amp theta0 width
-    spacing  = 0.05                  # optional mesh hint
 
-Field presets: `quadratic a b` means a + b |x - center|^2; `x1-quadratic`
-uses the first coordinate only; `angular-dip` lowers gamma in a Gaussian
-window of polar angle around theta0 (disk boundaries).
+Keys are case-insensitive; any other key is a ConfigError.  Field
+presets: `quadratic a b` means a + b |x - center|^2; `x1-quadratic` uses
+the first coordinate only; `angular-dip` lowers gamma in a Gaussian window
+of polar angle around theta0 (disk boundaries).
 """
 
 from __future__ import annotations
@@ -121,11 +121,16 @@ def _parse_field_b(val: str, center, dim: int):
 
 
 _FACES = ("robin", "dirichlet", "truncation")
+_KEYS = ("domain", "radius", "center", "bounds", "bc", "halfwidth", "v", "b",
+         "gamma")
 
 
 def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
     """GeometrySpec plus the resolved key-value dict (for output embedding)."""
     kv = _parse_kv(text)
+    for key in kv:
+        if key not in _KEYS:
+            raise ConfigError(f"{key}: unknown key (known: {', '.join(_KEYS)})")
     resolved = dict(kv)
     kind = kv.get("domain")
     if kind is None:

@@ -283,8 +283,7 @@ def _forecast(trail, max_iters):
     return trail[k] - gain
 
 
-def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
-             incumbent=math.inf):
+def _descend(form, x0, p, opts, history=None, incumbent=math.inf):
     """Preconditioned nonlinear CG on the quotient; (R, x, iters, _Stop).
 
     The direction is d = z + beta d_prev with z = P^{-1} M g and the
@@ -308,8 +307,7 @@ def _descend(form, x0, p, opts, max_iters=None, grad_tol=None, history=None,
     """
     w = form.weight
     K = form.K
-    max_iters = opts.max_iters if max_iters is None else max_iters
-    grad_tol = opts.grad_tol if grad_tol is None else grad_tol
+    max_iters, grad_tol = opts.max_iters, opts.grad_tol
     prec = form.preconditioner()
 
     def pdir(g):

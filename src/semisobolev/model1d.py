@@ -47,7 +47,10 @@ from .errors import InvalidExponent, NoSolution, ToleranceNotMet
 # The stable manifold of the origin cannot be shadowed in double precision
 # below roughly sqrt(eps_mach * growth): the outgoing mode amplifies local
 # integration errors as e^{+r}.  Truncating at |u|+|v| ~ 1e-6 leaves a tail
-# mass below 1e-18 for every p > 2, far under the 1e-6 targets.
+# mass of about 1e-6^p / p, added back as u_end^p / p with relative error
+# O(u_end^{p-2}).  Against an orbit of O(1) mass that is negligible, but not
+# for one launched next to the cut: at p = 2.5, c = -0.999 (u0 = 6.2e-6)
+# lambda comes out 8.5e-8 relative off the closed form.
 _ESCAPE_EPS = 1e-6
 _H_TOL = 1e-10
 # Spacing of the sampled orbit: the grid of the drift check, of

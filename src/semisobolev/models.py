@@ -4,10 +4,13 @@ Freezing the electro-magnetic data at a point x gives a homogeneous model:
 the whole space with (V(x), B(x)) for interior points, the half space with
 additionally the Robin coefficient gamma(x) for boundary points.  The map
 x -> lambda(model at x, 1, p) is the concentration function; minimizers of
-the semiclassical problem localize near its argmin set M.
+the semiclassical problem localize near its argmin set M.  The field
+enters the models only through b = Tr+ B(x).
 
-Model constants are computed on truncated grids at h = 1.  Exact zoom
-scalings collapse the parameter space before any grid work:
+In d = 1 every constant is a `model1d` closed form: the whole-line soliton
+inside, the shifted soliton lambda_c on the half-line.  In d = 2 they are
+grid solves at h = 1 on truncated lattices.  Exact zoom scalings collapse
+the parameter space before any grid work:
 
     lambda(b B1, v, g; p)  =  b^{1 - d/2 + d/p} lambda(B1, v/b, g/sqrt(b); p)
 
@@ -36,21 +39,10 @@ _DELTA = 0.02          # relative tolerance of the argmin set M
 _BOUNDARY_TOL = 1e-8   # distance at which a sample counts as a boundary point
 
 
-def _as_field(B0, dim=None):
-    """Normalize a field argument (None, scalar, or skew matrix) to (b, d)."""
-    if B0 is None:
-        return 0.0, (dim or 2)
-    if np.isscalar(B0):
-        if dim == 1:
-            if B0 != 0:
-                raise ValueError("no magnetic field in dimension 1")
-            return 0.0, 1
-        return abs(float(B0)), (dim or 2)
-    B0 = np.asarray(B0, dtype=float)
-    d = B0.shape[0]
-    if dim is not None and dim != d:
-        raise ValueError(f"field matrix is {d}x{d} but dim={dim}")
-    return tr_plus(B0), d
+def _check_field(b: float, dim: int) -> None:
+    if b < 0.0 or (dim == 1 and b != 0.0):
+        raise ValueError(f"b = Tr+ B must be >= 0, and 0 in dimension 1; "
+                         f"got b={b} with dim={dim}")
 
 
 def _scaling_exponent(d: int, p: float) -> float:
@@ -59,22 +51,20 @@ def _scaling_exponent(d: int, p: float) -> float:
 
 def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
                 centers: tuple = ()) -> float:
-    """Memoized grid solve of a model at h = 1; key = (kind, d, p, ...).
+    """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
 
     Only converged values are stored, so an unconverged one is re-solved
     on the next call; each such solve adds one to `_unconverged`, which
-    is how `concentration_map` flags the sample it was made for.  One
-    random restart runs after the bump init; a random start that wanders
-    into the interior-soliton valley stops as `outpaced` once it cannot
-    come down to the bump's converged value.
+    is how callers flag the result it was made for.  One random restart
+    runs after the bump init; a random start that wanders into the
+    interior-soliton valley stops as `outpaced` once it cannot come down
+    to the bump's converged value.
     """
     if key in _cache:
         return _cache[key]
-    d, p = key[1], key[2]
-    opts = MinimizeOptions(grad_tol=1e-9 if d == 1 else 1e-7, restarts=1,
-                           centers=centers)
+    opts = MinimizeOptions(grad_tol=1e-7, restarts=1, centers=centers)
     res = minimize_quotient(assemble(spec, 1.0, build_grid(spec, spacing)),
-                            p, opts)
+                            key[1], opts)
     if res.converged:
         _cache[key] = res.lam
     else:
@@ -83,23 +73,19 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     return res.lam
 
 
-def _whole_space_value(d: int, p: float, b: float, v: float) -> float:
-    """Direct grid solve of the whole-space model at h = 1 (b is Tr+ B)."""
+def _whole_space_value(p: float, b: float, v: float) -> float:
+    """Grid solve of the whole-plane model at h = 1 (b is Tr+ B)."""
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
-    L = 10.0 * scale
-    if d == 1:
-        dom = geometry.line(L)
-        spacing = scale / 100.0
-    else:
-        dom = geometry.plane(L)
-        spacing = scale / 12.0
     A = None if b == 0.0 else geometry.linear_gauge(field_matrix_2d(b))
-    spec = GeometrySpec(domain=dom, V=v, A=A, gamma=0.0)
-    return _grid_value(("int", d, p, round(b, 12), round(v, 12)), spec, spacing)
+    spec = GeometrySpec(domain=geometry.plane(10.0 * scale), V=v, A=A,
+                        gamma=0.0)
+    return _grid_value(("int", p, round(b, 12), round(v, 12)), spec,
+                       scale / 12.0)
 
 
-def _half_space_value(d: int, p: float, b: float, v: float, g: float) -> float:
-    """Direct grid solve of the half-space model at h = 1."""
+def _half_space_value(p: float, b: float, v: float, g: float) -> float:
+    """Grid solve of the half-plane model at h = 1; closed form at p = 2
+    with no field, which also holds on the half-line."""
     if p == 2.0 and b == 0.0:
         # separable: tangential bottom 0 plus the 1D Robin fiber
         if v > 0.0:
@@ -107,58 +93,68 @@ def _half_space_value(d: int, p: float, b: float, v: float, g: float) -> float:
         return -g * g if g < 0.0 else 0.0
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
     depth = min(scale, 1.0 / (1.0 + abs(g)))
-    if d == 1:
-        spacing = depth / 100.0
-        dom = geometry.half_line(10.0 * scale)
-        centers = ((0.0,),)
-    else:
-        spacing = min(depth / 10.0, scale / 12.0)
-        height = max(5.0 * scale, 12.0 * depth)
-        dom = geometry.half_plane(8.0 * scale, height)
-        centers = ((0.0, 0.0),)
+    height = max(5.0 * scale, 12.0 * depth)
     A = None if b == 0.0 else geometry.linear_gauge(field_matrix_2d(b))
-    spec = GeometrySpec(domain=dom, V=v, A=A, gamma=g)
-    key = ("bd", d, p, round(b, 12), round(v, 12), round(g, 12))
-    return _grid_value(key, spec, spacing, centers)
+    spec = GeometrySpec(domain=geometry.half_plane(8.0 * scale, height),
+                        V=v, A=A, gamma=g)
+    key = ("bd", p, round(b, 12), round(v, 12), round(g, 12))
+    return _grid_value(key, spec, min(depth / 10.0, scale / 12.0),
+                       ((0.0, 0.0),))
 
 
-def interior_constant(B0, V0: float, p: float, dim: int | None = None) -> float:
-    """lambda((R^d, Id, V0, linear gauge of B0, -), 1, p).
+def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
+    """lambda((R^d, Id, V0, field with Tr+ B = b, -), 1, p).
 
-    p = 2 is the exact Landau value Tr+ B0 + V0; p > 2 is a grid solve at
-    h = 1, reduced by the zoom scaling to a normalized cached instance.
+    b = Tr+ B >= 0 is the scalar the field enters by; it must be 0 when
+    dim = 1 (ValueError).  p = 2 is the exact Landau value b + V0; p > 2
+    is V0^e soliton_line(p) in d = 1 and a grid solve at h = 1, reduced
+    by the zoom scaling to a normalized cached instance, in d = 2.
     Raises NotPositive when the p = 2 value is not positive.
     """
-    b, d = _as_field(B0, dim)
-    check_exponent(p, d)
+    _check_field(b, dim)
+    check_exponent(p, dim)
     p2 = b + V0
     if p2 <= 0.0:
         raise NotPositive(f"Tr+ B + V = {p2} violates the spectral assumption")
     if p == 2.0:
         return p2
-    e = _scaling_exponent(d, p)
+    e = _scaling_exponent(dim, p)
+    if dim == 1:
+        return V0 ** e * model1d.soliton_line(p)
     if b == 0.0:
-        return V0 ** e * _whole_space_value(d, p, 0.0, 1.0)
-    return b ** e * _whole_space_value(d, p, 1.0, V0 / b)
+        return V0 ** e * _whole_space_value(p, 0.0, 1.0)
+    return b ** e * _whole_space_value(p, 1.0, V0 / b)
 
 
-def boundary_constant(B0, V0: float, gamma0: float, p: float,
-                      dim: int | None = None) -> float:
+def boundary_constant(b: float, V0: float, gamma0: float, p: float,
+                      dim: int = 2) -> float:
     """lambda(half-space model with Robin coefficient gamma0, 1, p).
 
-    The last coordinate is the inward normal; in d = 2 the scalar field
-    enters through |b| only.  Scaled and cached like interior_constant.
+    The last coordinate is the inward normal; b = Tr+ B >= 0 as in
+    interior_constant.  In d = 1 with p > 2 and c = gamma0/sqrt(V0) the
+    value is V0^e lambda_c(c, p) for |c| < 1 and V0^e soliton_line(p) for
+    c >= 1, where the minimizing sequence escapes to infinity; c <= -1 or
+    V0 <= 0 raise NotPositive.  In d = 2 it is scaled and cached like
+    interior_constant.
     """
-    b, d = _as_field(B0, dim)
-    check_exponent(p, d)
-    e = _scaling_exponent(d, p)
+    _check_field(b, dim)
+    check_exponent(p, dim)
+    e = _scaling_exponent(dim, p)
     if b > 0.0:
         s = math.sqrt(b)
-        return b ** e * _half_space_value(d, p, 1.0, V0 / b, gamma0 / s)
+        return b ** e * _half_space_value(p, 1.0, V0 / b, gamma0 / s)
+    if dim == 1 and p != 2.0:
+        c = gamma0 / math.sqrt(V0) if V0 > 0.0 else -math.inf
+        if c <= -1.0:
+            raise NotPositive(f"V = {V0}, gamma = {gamma0}: the half-line "
+                              "model is not bounded below by a positive "
+                              "constant")
+        lam = model1d.soliton_line(p) if c >= 1.0 else model1d.lambda_c(c, p)
+        return V0 ** e * lam
     if V0 > 0.0:
         s = math.sqrt(V0)
-        return V0 ** e * _half_space_value(d, p, 0.0, 1.0, gamma0 / s)
-    return _half_space_value(d, p, 0.0, V0, gamma0)
+        return V0 ** e * _half_space_value(p, 0.0, 1.0, gamma0 / s)
+    return _half_space_value(p, 0.0, V0, gamma0)
 
 
 @dataclass(frozen=True)
@@ -223,25 +219,21 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float) -> Concentrat
 
     def one(x):
         vx = float(spec.v_at(x[None, :])[0])
-        Bx = spec.field_at(x)
-        bx = tr_plus(Bx) if spec.dim > 1 else 0.0
+        bx = tr_plus(spec.field_at(x))
         misses = _unconverged
         if _is_boundary_point(dom, x, _BOUNDARY_TOL):
             kind = "boundary"
             gx = float(spec.gamma_at(x[None, :])[0])
-            p2 = boundary_constant(Bx if spec.dim > 1 else 0.0, vx, gx, 2.0,
-                                   dim=spec.dim)
+            p2 = boundary_constant(bx, vx, gx, 2.0, dim=spec.dim)
             val = p2
             if p != 2.0 and p2 > 1e-12:
-                val = boundary_constant(Bx if spec.dim > 1 else 0.0, vx, gx,
-                                        p, dim=spec.dim)
+                val = boundary_constant(bx, vx, gx, p, dim=spec.dim)
         else:
             kind = "interior"
             p2 = bx + vx
             val = p2
             if p != 2.0 and p2 > 1e-12:
-                val = interior_constant(Bx if spec.dim > 1 else 0.0, vx, p,
-                                        dim=spec.dim)
+                val = interior_constant(bx, vx, p, dim=spec.dim)
         return ConcentrationSample(tuple(x), kind, val, p2,
                                    converged=_unconverged == misses)
 

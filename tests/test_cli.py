@@ -114,6 +114,24 @@ class TestLargeDomain:
         assert header == self.HEADER
         assert rows[0][-1] == "0"
 
+    def test_unconverged_reference_is_flagged(self, tmp_path, monkeypatch):
+        # the d = 2 reference is a grid solve; when it misses its tolerance
+        # every ratio rests on it, so every row says so
+        monkeypatch.setattr(models, "_cache", {})
+        monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
+                            SimpleNamespace(lam=3.0, converged=False))
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text("domain = disk\nradius = 0.3\nV = 1.0\ngamma = 0\n")
+        out = tmp_path / "ld.csv"
+        rc = cli.main(["large-domain", "--config", str(cfg), "--p", "4",
+                       "--R-list", "2", "--out", str(out)])
+        assert rc == 2      # every row is written, then non-convergence
+        _, header, rows = _read(out)
+        assert header == self.HEADER
+        (row,) = rows
+        assert row[-1] == "0"
+        assert float(row[4]) == pytest.approx(float(row[3]) / 3.0, rel=1e-11)
+
     @pytest.mark.parametrize("data", [
         "domain = interval\nbounds = -1 1\nbc = robin robin\nV = 1.0\n"
         "gamma = -0.5\n",
@@ -155,6 +173,26 @@ class TestSweep:
             # the zoom limit is reached up to mesh error on the interval
             assert abs(float(r[4])) < 1e-3
 
+    def test_unconverged_target_is_flagged(self, tmp_path, monkeypatch):
+        # the edge samples of a magnetic box are grid solves; an unconverged
+        # one is only an upper bound, so the infimum behind every row's
+        # target is unsure and each row says so
+        monkeypatch.setattr(models, "_cache", {})
+        monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
+                            SimpleNamespace(lam=3.0, converged=False))
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("domain = rectangle\nbounds = -0.2 0.2 -0.2 0.2\n"
+                       "V = 1.0\nB = constant 1.0\ngamma = 0\n")
+        out = tmp_path / "sw.csv"
+        rc = cli.main(["sweep", "--config", str(cfg), "--p", "2",
+                       "--h-list", "0.5", "--out", str(out)])
+        assert rc == 2      # every row is written, then non-convergence
+        _, header, rows = _read(out)
+        assert header == self.HEADER
+        (row,) = rows
+        assert row[-1] == "0"
+        assert float(row[3]) == 2.0     # Tr+ B + V inside, below the fake
+
 
 class TestConcentration:
     def test_golden(self, interval_cfg, tmp_path):
@@ -184,11 +222,13 @@ class TestConcentration:
         assert payload["inf"] == pytest.approx(2.0 * math.sqrt(2.0 / 3.0), rel=1e-4)
 
     @pytest.mark.parametrize("box, p, solved", [
-        # interval, p = 2: the values are closed forms, nothing to flag
+        # interval: every d = 1 value is a closed form, nothing to flag
         pytest.param(False, "2", set(), id="2"),
-        pytest.param(False, "4", {"interior", "boundary"}, id="4"),
+        pytest.param(False, "4", set(), id="4"),
         # magnetic box, p = 2: Tr+ B + V inside, a grid solve on the edge
         pytest.param(True, "2", {"boundary"}, id="magnetic-box-2"),
+        # magnetic box, p = 4: grid solves inside and on the edge
+        pytest.param(True, "4", {"interior", "boundary"}, id="magnetic-box-4"),
     ])
     def test_unconverged_samples_are_flagged(self, box, p, solved,
                                              interval_cfg, tmp_path,
@@ -204,8 +244,11 @@ class TestConcentration:
         monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
                             SimpleNamespace(lam=1.25, converged=False))
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
-        rc = cli.main(["concentration", "--config", str(cfg),
-                       "--p", p, "--out", str(out), "--json", str(js)])
+        # a few samples suffice: the fake solve caches nothing, so each
+        # sample builds its model lattice afresh
+        rc = cli.main(["concentration", "--config", str(cfg), "--p", p,
+                       "--n-interior", "4", "--n-boundary", "4",
+                       "--out", str(out), "--json", str(js)])
         assert rc == (2 if solved else 0)
         _, header, rows = _read(out)
         assert header[-1] == "converged"
@@ -234,6 +277,22 @@ class TestSolve:
         assert payload["free_nodes"] == payload["nodes"] == 101
         assert payload["lambda"] == pytest.approx(min(payload["restart_values"]),
                                                   rel=1e-12)
+
+
+    def test_spacing_and_psi_csv(self, interval_cfg, tmp_path):
+        out, psi = tmp_path / "s.json", tmp_path / "psi.csv"
+        rc = cli.main(["solve", "--config", str(interval_cfg), "--h", "0.1",
+                       "--p", "4", "--spacing", "0.05", "--out", str(out),
+                       "--psi-csv", str(psi)])
+        assert rc == 0
+        payload = json.loads(out.read_text())
+        assert payload["config"]["spacing"] == 0.05
+        assert payload["nodes"] == 41       # [-1, 1] at spacing 0.05
+        config, header, rows = _read(psi)
+        assert "# spacing = 0.05" in config
+        assert header == ["x", "re", "im", "abs"]
+        assert len(rows) == payload["nodes"]
+        assert float(rows[0][0]) == -1.0 and float(rows[-1][0]) == 1.0
 
 
 class TestWaveguide:
@@ -294,6 +353,9 @@ class TestConfigValidation:
         ("domain = torus\n", "domain: unknown kind 'torus'"),
         ("domain = rectangle\nbounds = -1 1 -1\n", "bounds: expected 4 numbers, got 3"),
         ("domain = interval\nbounds = -1 0 1\n", "bounds: expected 2 numbers, got 3"),
+        ("domain = disk\nradus = 3.0\n", "radus: unknown key"),
+        ("domain = interval\nbounds = -1 1\nspacing = 0.05\n",
+         "spacing: unknown key"),
     ])
     def test_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -340,6 +402,10 @@ class TestBadInput:
          "--grad-tol", "nan"],
         ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "4",
          "--grad-tol", "-1"],
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "0.1",
+         "--format", "json"],
+        ["waveguide", "--profile", "constant:1", "--p", "4", "--h-list", "0.5",
+         "--format", "json"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -347,7 +413,7 @@ class TestBadInput:
             "partition-no-samples", "model1d-empty-sweep", "model1d-c-nan",
             "model1d-sweep-nan", "model1d-p-inf", "model1d-p-nan",
             "solve-p-inf", "solve-p-nan", "solve-grad-tol-nan",
-            "solve-grad-tol-negative"])
+            "solve-grad-tol-negative", "sweep-format", "waveguide-format"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         out = tmp_path / "out.csv"

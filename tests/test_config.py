@@ -1,0 +1,68 @@
+"""Geometry config files: field presets and domain kinds."""
+
+import math
+
+import numpy as np
+import pytest
+from numpy.testing import assert_allclose
+
+from semisobolev import geometry as ge
+from semisobolev.config import parse_geometry
+
+DISK = "domain = disk\nradius = 1.0\n"
+
+
+def _polar(r, th):
+    return [r * math.cos(th), r * math.sin(th)]
+
+
+@pytest.mark.parametrize("text, at, pts, formula", [
+    # a + b |x - center|^2
+    ("domain = disk\ncenter = 0.5 -0.25\nV = quadratic 1.5 2\n",
+     lambda s, x: s.v_at(x), [[0.5, -0.25], [1.5, 0.75]],
+     lambda x: 1.5 + 2.0 * ((x[:, 0] - 0.5) ** 2 + (x[:, 1] + 0.25) ** 2)),
+    # a + b x1^2
+    (DISK + "V = x1-quadratic 1 -0.5\n",
+     lambda s, x: s.v_at(x), [[0.0, 0.7], [0.6, -0.3]],
+     lambda x: 1.0 - 0.5 * x[:, 0] ** 2),
+    (DISK + "B = x1-quadratic 1 0.5\n",
+     lambda s, x: s.B(x), [[0.0, 0.7], [0.6, -0.3]],
+     lambda x: 1.0 + 0.5 * x[:, 0] ** 2),
+    # the potential of that preset has exactly that curl
+    (DISK + "B = x1-quadratic 1 0.5\n",
+     lambda s, x: [ge.magnetic_matrix_at(s.a_at, xi, 2)[0, 1] for xi in x],
+     [[0.0, 0.7], [0.6, -0.3]], lambda x: 1.0 + 0.5 * x[:, 0] ** 2),
+    # base - amp exp(-(angle - theta0)^2 / width^2): the ROADMAP's disk.cfg
+    (DISK + "gamma = angular-dip -0.1 0.8 0 0.5\n",
+     lambda s, x: s.gamma_at(x), [_polar(1.0, 0.0), _polar(1.0, -0.5)],
+     lambda x: np.array([-0.9, -0.1 - 0.8 / math.e])),
+    (DISK + "gamma = dirichlet\n",
+     lambda s, x: s.gamma_at(x), [[1.0, 0.0], [0.0, -1.0]],
+     lambda x: np.full(len(x), np.inf)),
+], ids=["V-quadratic", "V-x1-quadratic", "B-x1-quadratic",
+        "B-x1-quadratic-curl", "gamma-angular-dip", "gamma-dirichlet"])
+def test_preset(text, at, pts, formula):
+    spec, _ = parse_geometry(text)
+    pts = np.array(pts, dtype=float)
+    assert_allclose(at(spec, pts), formula(pts), rtol=1e-9)
+
+
+@pytest.mark.parametrize("text, kind, bounds, bc", [
+    ("domain = plane\nhalfwidth = 3\n", "rectangle", ((-3.0, 3.0), (-3.0, 3.0)),
+     (("truncation", "truncation"), ("truncation", "truncation"))),
+    ("domain = half-plane\nhalfwidth = 3\n", "rectangle",
+     ((-3.0, 3.0), (0.0, 3.0)),
+     (("truncation", "truncation"), ("robin", "truncation"))),
+    ("domain = line\nhalfwidth = 3\n", "interval", ((-3.0, 3.0),),
+     ("truncation", "truncation")),
+    ("domain = half-line\nhalfwidth = 3\n", "interval", ((0.0, 3.0),),
+     ("robin", "truncation")),
+    # the y-range of a strip is always (-1, 1)
+    ("domain = strip\nbounds = -2 2 -5 5\n", "rectangle", ((-2.0, 2.0), (-1.0, 1.0)),
+     (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"))),
+], ids=["plane", "half-plane", "line", "half-line", "strip"])
+def test_domain(text, kind, bounds, bc):
+    spec, _ = parse_geometry(text)
+    dom = spec.domain
+    assert (dom.kind, dom.bounds, dom.bc) == (kind, bounds, bc)
+    assert spec.dim == len(bounds)

@@ -99,6 +99,17 @@ class TestMinimize1D:
             grad_tol=1e-9, restarts=1, centers=((0.0,),)))
         assert abs(res.lam - m1.lambda_c(-0.4, 4.0)) <= 2e-4
 
+    def test_line_p3_against_soliton(self):
+        # brute-force lattice minimization vs the closed-form whole-line
+        # soliton at a p with no polynomial closed form
+        spec = ge.GeometrySpec(domain=ge.line(10.0), V=1.0, gamma=0.0)
+        g = dz.build_grid(spec, 0.01)
+        f = dz.assemble(spec, 1.0, g)
+        res = minimize_quotient(f, 3.0, MinimizeOptions(
+            grad_tol=1e-9, restarts=1, centers=((0.0,),)))
+        assert res.converged
+        assert abs(res.lam - m1.soliton_line(3.0)) <= 1e-5   # O(spacing^2)
+
     def test_result_contract(self, robin_1d):
         _, _, f = robin_1d
         res = minimize_quotient(f, 4.0, MinimizeOptions(

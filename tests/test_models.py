@@ -2,6 +2,7 @@
 
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +12,17 @@ from semisobolev import asymptotics
 from semisobolev import geometry as ge
 from semisobolev import model1d as m1
 from semisobolev import models
+from semisobolev.config import load_geometry
 from semisobolev.errors import AssumptionViolated, NotPositive
+
+BOX_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
+              / "box.cfg")
 
 
 class TestInteriorConstant:
     def test_p2_landau(self):
         assert models.interior_constant(1.0, 0.0, 2.0) == pytest.approx(1.0)
-        B = ge.field_matrix_2d(0.7)
-        assert models.interior_constant(B, 0.25, 2.0) == pytest.approx(0.95)
+        assert models.interior_constant(0.7, 0.25, 2.0) == pytest.approx(0.95)
 
     def test_p2_pure_potential(self):
         assert models.interior_constant(0.0, 2.5, 2.0, dim=2) == pytest.approx(2.5)
@@ -29,27 +33,50 @@ class TestInteriorConstant:
         with pytest.raises(NotPositive):
             models.interior_constant(0.0, 0.0, 4.0, dim=1)
 
+    def test_field_is_a_nonnegative_scalar(self):
+        with pytest.raises(ValueError):
+            models.interior_constant(0.5, 1.0, 4.0, dim=1)
+        with pytest.raises(ValueError):
+            models.boundary_constant(0.5, 1.0, 0.0, 4.0, dim=1)
+        with pytest.raises(ValueError):
+            models.interior_constant(-1.0, 1.0, 2.0)
+
     def test_d1_p4_is_soliton_line(self):
         v = models.interior_constant(0.0, 1.0, 4.0, dim=1)
-        assert abs(v - m1.soliton_line(4.0)) <= 1e-4
-
-    def test_d1_p3_grid_oracle(self):
-        # brute-force grid minimization vs the closed-form quadrature
-        v = models.interior_constant(0.0, 1.0, 3.0, dim=1)
-        assert abs(v - m1.soliton_line(3.0)) <= 1e-3
+        assert v == pytest.approx(m1.soliton_line(4.0), rel=1e-12)
 
     def test_scaling_consistency_direct_solve(self):
-        # the V-scaling shortcut agrees with a direct grid solve
-        fast = models.interior_constant(0.0, 2.0, 4.0, dim=1)
-        direct = models._whole_space_value(1, 4.0, 0.0, 2.0)
-        assert abs(fast - direct) <= 2e-4 * direct
+        # the V-scaling shortcut agrees with a direct grid solve: at V = 2
+        # the lattice is the V = 1 lattice zoomed by 1/sqrt(2), so the
+        # scaling holds to rounding
+        fast = models.interior_constant(0.0, 2.0, 4.0, dim=2)
+        direct = models._whole_space_value(4.0, 0.0, 2.0)
+        assert fast == pytest.approx(direct, rel=1e-12)
 
 
 class TestBoundaryConstant:
+    @pytest.mark.parametrize("p", [3.0, 4.0, 6.0])
+    @pytest.mark.parametrize("c", [-0.9, -0.5, 0.0, 0.5, 0.9])
+    def test_d1_closed_forms(self, c, p):
+        # V = 2.5 exercises the zoom scaling V^e, e = 1 - d/2 + d/p
+        e = 0.5 + 1.0 / p
+        for V in (1.0, 2.5):
+            b = models.boundary_constant(0.0, V, c * math.sqrt(V), p, dim=1)
+            assert b == pytest.approx(V ** e * m1.lambda_c(c, p), rel=1e-12)
+            i = models.interior_constant(0.0, V, p, dim=1)
+            assert i == pytest.approx(V ** e * m1.soliton_line(p), rel=1e-12)
+
     @pytest.mark.parametrize("c", [-0.4, 0.0, 0.3])
     def test_d1_matches_model1d(self, c):
         b = models.boundary_constant(0.0, 1.0, c, 4.0, dim=1)
-        assert abs(b - m1.lambda_c(c, 4.0)) <= 2e-4
+        assert b == pytest.approx(m1.lambda_c(c, 4.0), rel=1e-12)
+
+    @pytest.mark.parametrize("V, gamma", [(1.0, -1.2), (1.0, -1.0), (-0.5, 0.0),
+                                          (0.0, 0.3)])
+    def test_d1_not_positive(self, V, gamma):
+        # gamma <= -sqrt(V) or V <= 0: no positive constant
+        with pytest.raises(NotPositive):
+            models.boundary_constant(0.0, V, gamma, 4.0, dim=1)
 
     def test_d2_neumann_flat(self):
         assert models.boundary_constant(0.0, 1.0, 0.0, 2.0, dim=2) == pytest.approx(1.0)
@@ -71,14 +98,14 @@ class TestBoundaryConstant:
         vals = np.array([models.boundary_constant(0.0, 1.0, g, 4.0, dim=1)
                          for g in gammas])
         assert np.all(np.diff(vals) > 0.0)
-        second = np.diff(vals, 2)
-        assert np.all(second <= 1e-4 * vals.max())
+        # lambda_c = 2 (2/3 + c - c^3/3)^{1/2} at p = 4 is concave here
+        assert np.all(np.diff(vals, 2) < 0.0)
 
     def test_boundary_below_interior(self):
         for c in (-0.5, 0.0, 0.5):
             bd = models.boundary_constant(0.0, 1.0, c, 4.0, dim=1)
             it = models.interior_constant(0.0, 1.0, 4.0, dim=1)
-            assert bd <= it + 1e-6
+            assert bd < it
 
 
 class TestIntBord:
@@ -88,7 +115,7 @@ class TestIntBord:
         boundary = models.boundary_constant(0.0, 1.0, 0.0, 4.0, dim=1)
         interior = models.interior_constant(0.0, 1.0, 4.0, dim=1)
         assert boundary < interior
-        assert_allclose(boundary / interior, 2.0 ** (-0.5), atol=2e-4)
+        assert_allclose(boundary / interior, 2.0 ** (-0.5), rtol=1e-12)
 
     def test_symmetrization_bound(self):
         # boundary <= 2^{2/p-1} interior at gamma = 0 (equality for B = 0)
@@ -98,9 +125,10 @@ class TestIntBord:
 
     def test_escape_for_large_gamma(self):
         # for gamma >= 1 the half-line minimizing sequence escapes to
-        # infinity, so the grid solve finds the whole-line soliton value
-        boundary = models.boundary_constant(0.0, 1.0, 1.5, 4.0, dim=1)
-        assert boundary == pytest.approx(m1.soliton_line(4.0), rel=5e-4)
+        # infinity, and the infimum is the whole-line soliton value
+        for p in (3.0, 4.0, 6.0):
+            boundary = models.boundary_constant(0.0, 1.0, 1.5, p, dim=1)
+            assert boundary == m1.soliton_line(p)
 
 
 class TestConcentrationMap:
@@ -175,14 +203,15 @@ class TestCache:
         monkeypatch.setattr(models, "_cache", {})
         monkeypatch.setattr(models, "minimize_quotient", fake_minimize)
         for _ in range(2):
-            assert models._whole_space_value(1, 4.0, 0.0, 1.0) == 1.25
-            assert models._half_space_value(1, 4.0, 0.0, 1.0, 0.0) == 1.25
+            assert models._whole_space_value(4.0, 0.0, 1.0) == 1.25
+            assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
         assert len(models._cache) == (2 if converged else 0)
         assert len(calls) == (2 if converged else 4)
 
     def test_one_solve_per_key_whatever_the_environment(self, monkeypatch):
-        # an interval has two p = 4 model keys, the line and the half-line,
-        # and neither is solved twice
+        # the magnetic box has one boundary key at p = 2, the constant
+        # field at gamma = 0; its 16 edge samples solve it once and the
+        # interior samples take the Landau value
         monkeypatch.setattr(models, "_cache", {})
         calls = []
         real = models.minimize_quotient
@@ -192,8 +221,8 @@ class TestCache:
             return real(form, p, opts)
 
         monkeypatch.setattr(models, "minimize_quotient", counting)
-        spec = ge.GeometrySpec(domain=ge.interval(-1.0, 1.0, ("robin", "robin")),
-                               V=1.0, gamma=0.0)
-        models.concentration_map(spec, asymptotics.default_sample_points(spec),
-                                 4.0)
-        assert len(calls) == 2
+        spec, _ = load_geometry(BOX_CFG)
+        cmap = models.concentration_map(
+            spec, asymptotics.default_sample_points(spec), 2.0)
+        assert sum(s.kind == "boundary" for s in cmap.samples) == 16
+        assert len(calls) == 1
