@@ -5,18 +5,21 @@ Schema (one `key = value` per line, `#` comments):
     domain   = disk | rectangle | plane | half-plane | interval | line |
                half-line | strip
     radius   = 1.0                   # disk
-    center   = 0 0                   # disk
+    center   = 0 0                   # disk; the center of the presets
     bounds   = -1 1 -1 1             # rectangle / interval / strip (s-range)
-    bc       = robin robin robin robin   # faces xlo xhi ylo yhi
-    halfwidth = 10                   # truncation for plane / half-plane / line
+    bc       = robin robin robin robin   # rectangle / interval: faces
+                                         # xlo xhi ylo yhi
+    halfwidth = 10                   # plane / half-plane / line / half-line
     V        = 1.0 | quadratic a b | x1-quadratic a b
     B        = 0 | constant b | x1-quadratic a b        (2D only)
     gamma    = -0.3 | dirichlet | angular-dip base amp theta0 width
 
-Keys are case-insensitive; any other key is a ConfigError.  Field
-presets: `quadratic a b` means a + b |x - center|^2; `x1-quadratic` uses
-the first coordinate only; `angular-dip` lowers gamma in a Gaussian window
-of polar angle around theta0 (disk boundaries).
+Keys are case-insensitive; any other key is a ConfigError, and so is a
+shape key that the chosen domain does not use (`radius` on a rectangle).
+Field presets: `quadratic a b` means a + b |x - center|^2; `x1-quadratic`
+uses the first coordinate only; `constant b` is taken in the Landau gauge
+A = (-b (x2 - center_2), 0); `angular-dip` lowers gamma in a Gaussian
+window of polar angle around theta0 (disk boundaries).
 """
 
 from __future__ import annotations
@@ -103,8 +106,7 @@ def _parse_field_b(val: str, center, dim: int):
         raise ConfigError("B: magnetic fields need dimension 2")
     if len(words) == 1 or words[0] in ("constant", "const"):
         b = float(words[-1])
-        A = geometry.linear_gauge(geometry.field_matrix_2d(b),
-                                  np.asarray(center, dtype=float))
+        A = geometry.landau_gauge(b, center[1] if len(center) > 1 else 0.0)
         return A, (lambda pts, b=b: np.full(len(np.atleast_2d(pts)), b))
     if words[0] == "x1-quadratic":
         a, b = _floats("B", " ".join(words[1:]), 2)
@@ -123,6 +125,11 @@ def _parse_field_b(val: str, center, dim: int):
 _FACES = ("robin", "dirichlet", "truncation")
 _KEYS = ("domain", "radius", "center", "bounds", "bc", "halfwidth", "v", "b",
          "gamma")
+# the shape keys each domain reads; the others are errors there
+_SHAPE_KEYS = {"disk": ("radius",), "rectangle": ("bounds", "bc"),
+               "interval": ("bounds", "bc"), "strip": ("bounds",),
+               "plane": ("halfwidth",), "half-plane": ("halfwidth",),
+               "line": ("halfwidth",), "half-line": ("halfwidth",)}
 
 
 def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
@@ -135,6 +142,11 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
     kind = kv.get("domain")
     if kind is None:
         raise ConfigError("domain: key is required")
+    if kind not in _SHAPE_KEYS:
+        raise ConfigError(f"domain: unknown kind {kind!r}")
+    for key in ("radius", "bounds", "bc", "halfwidth"):
+        if key in kv and key not in _SHAPE_KEYS[kind]:
+            raise ConfigError(f"{key}: not used by domain = {kind}")
     center = _floats("center", kv.get("center", "0 0"))
     halfwidth = float(kv.get("halfwidth", 10.0))
 
@@ -148,7 +160,7 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
         dom = geometry.line(halfwidth)
     elif kind == "half-line":
         dom = geometry.half_line(halfwidth)
-    elif kind in ("rectangle", "interval", "strip"):
+    else:
         nb = 2 if kind == "interval" else 4
         if "bounds" not in kv:
             raise ConfigError(f"bounds: required for domain = {kind}")
@@ -166,8 +178,6 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
                 raise ConfigError(f"bc: need 4 of {_FACES}")
             dom = geometry.rectangle(((b[0], b[1]), (b[2], b[3])),
                                      ((bcs[0], bcs[1]), (bcs[2], bcs[3])))
-    else:
-        raise ConfigError(f"domain: unknown kind {kind!r}")
 
     V = _parse_scalar_field("V", kv.get("v", "0"), center)
     A, B = _parse_field_b(kv.get("b", "0"), center, dom.dim)

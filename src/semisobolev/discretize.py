@@ -19,14 +19,17 @@ masking a square lattice: volume weights are exact cell/disk intersection
 areas (so quadrature weights sum to the disk area to rounding) while edge
 coefficients near the curved rim are first-order only.
 
-The descent's preconditioner K + tau M is solved in one of two ways.  On
-a 2-D box the real forms split exactly into a transverse operator times a
-coefficient that varies along the other axis, so a one-axis fast
-diagonalization solves them with two small GEMMs and one tridiagonal
-solve; it is exact on the variable-height waveguide strip too, because
-that strip's coefficients vary along s only.  Magnetic forms, disks and
-d = 1 forms use an MMD-ordered SuperLU factorization
-(`AssembledForm.preconditioner`).
+The descent's preconditioner K + tau M is solved in one of three ways
+(`AssembledForm.preconditioner`).  On a 2-D box the real forms split
+exactly into a transverse operator times a coefficient that varies along
+the other axis, so a one-axis fast diagonalization solves them with two
+small GEMMs and one tridiagonal solve; it is exact on the variable-height
+waveguide strip too, because that strip's coefficients vary along s only.
+Magnetic forms on a 2-D box whose interior x1 columns are equal (a
+constant field in Landau gauge with constant V and gamma) are solved
+exactly by an FFT along x1, one real tridiagonal per mode, and a
+capacitance correction on the two end columns.  Other magnetic forms,
+disks and d = 1 forms use an MMD-ordered SuperLU factorization.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
 from .errors import DomainTooSmall, ZeroFunction
 from .geometry import Domain, GeometrySpec
@@ -428,27 +431,32 @@ class AssembledForm:
     def preconditioner(self):
         """A solve with P = K + tau M, built lazily and reused.
 
-        A real form on a 2-D box grid whose free nodes fill a sub-block
-        gets the exact tensor solve `_TensorSolve` when P passes its
-        structure check.  That covers field-free boxes and the half- and
-        whole-plane models with constant V and gamma, and the waveguide
-        strip, whose coefficients vary along s only.
+        On a 2-D box grid whose free nodes fill a sub-block, a real form
+        gets the exact tensor solve `_TensorSolve` and a complex one the
+        exact Fourier-capacitance solve `_FourierSolve`, each when P passes
+        its structure check.  The tensor solve covers field-free boxes, the
+        half- and whole-plane models with constant V and gamma, and the
+        waveguide strip, whose coefficients vary along s only.  The Fourier
+        solve covers a constant field in Landau gauge on such boxes: the
+        magnetic half- and whole-plane models and constant-field
+        rectangles with constant V and gamma.
 
-        Everything else gets SuperLU: complex (magnetic) forms, disks and
-        the structure the check rejects.  d = 1 forms stay on SuperLU by
-        choice: their solve (27 us on 1,000 nodes against 8 us for a
-        tridiagonal one) is too small to carry a branch.  SuperLU orders
-        the columns by minimum degree on the pattern of A^T + A, which is
-        the pattern of K itself (K is Hermitian); on these lattice graphs
-        that cuts the L + U fill of the default COLAMD ordering by a third
-        to a half, and the cost of every solve with it.
+        Everything else gets SuperLU: disks, magnetic forms in other gauges
+        or with varying data, and the structure the checks reject.  d = 1
+        forms stay on SuperLU by choice: their solve (27 us on 1,000 nodes
+        against 8 us for a tridiagonal one) is too small to carry a branch.
+        SuperLU orders the columns by minimum degree on the pattern of
+        A^T + A, which is the pattern of K itself (K is Hermitian); on
+        these lattice graphs that cuts the L + U fill of the default COLAMD
+        ordering by a third to a half, and the cost of every solve with it.
         """
         if self._prec is None:
             Md = sp.diags(self.weight.astype(self.K.dtype))
             P = (self.K + self.preconditioner_shift() * Md).tocsr()
-            block = None if self.is_complex else _free_block(self.grid)
+            block = _free_block(self.grid)
             if block is not None:
-                self._prec = _TensorSolve.build(P, self.weight, block)
+                self._prec = (_FourierSolve.build(P, block) if self.is_complex
+                              else _TensorSolve.build(P, self.weight, block))
             if self._prec is None:
                 self._prec = sp.linalg.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._prec
@@ -465,7 +473,35 @@ def _free_block(grid: Grid):
     return int(rows.sum()), int(cols.sum())
 
 
-class _TensorSolve:
+class _PttrfFactor:
+    """An exact box solve built on dpttrf of one long SPD tridiagonal (`d`,
+    `e`); its bidiagonal Cholesky factor is exposed as L and U = L^T."""
+
+    d: np.ndarray
+    e: np.ndarray
+
+    @property
+    def L(self) -> sp.csr_matrix:
+        """Bidiagonal Cholesky factor of the long tridiagonal."""
+        r = np.sqrt(self.d)
+        L = sp.diags([r, self.e * r[:-1]], [0, -1], format="csr")
+        L.eliminate_zeros()
+        return L
+
+    @property
+    def U(self) -> sp.csc_matrix:
+        return self.L.T
+
+
+def _blocks_tridiagonal(diag: np.ndarray, off: np.ndarray):
+    """dpttrf of blockdiag of the rows of (diag, off): one tridiagonal per
+    row of `diag`, uncoupled, laid out row-major."""
+    e = np.zeros(diag.shape)
+    e[:, :-1] = off
+    return lapack.dpttrf(diag.ravel(), e.ravel()[:-1])
+
+
+class _TensorSolve(_PttrfFactor):
     """Exact solve with P = S (x) W + D (x) T on an m0 x m1 free block.
 
     The free nodes are ordered row-major, the last axis contiguous.  W is
@@ -519,10 +555,7 @@ class _TensorSolve:
         r = 1.0 / np.sqrt(W)
         lam, U = eigh_tridiagonal(t_diag * r * r, t_off * r[:-1] * r[1:])
         # blockdiag_j(S + lambda_j D) as one tridiagonal, j-major
-        e = np.zeros((m1, m0))
-        e[:, :-1] = s_off
-        d, e, info = lapack.dpttrf(
-            (s_diag + lam[:, None] * f).ravel(), e.ravel()[:-1])
+        d, e, info = _blocks_tridiagonal(s_diag + lam[:, None] * f, s_off)
         if info != 0:
             return None
         return cls(shape, U * r[:, None], d, e)
@@ -532,17 +565,136 @@ class _TensorSolve:
         y, _ = lapack.dpttrs(self.d, self.e, z.reshape(-1, 1), overwrite_b=1)
         return (y.reshape(z.shape).T @ self.V.T).ravel()
 
-    @property
-    def L(self) -> sp.csr_matrix:
-        """Bidiagonal Cholesky factor of the j-major tridiagonal."""
-        r = np.sqrt(self.d)
-        L = sp.diags([r, self.e * r[:-1]], [0, -1], format="csr")
-        L.eliminate_zeros()
-        return L
 
-    @property
-    def U(self) -> sp.csc_matrix:
-        return self.L.T
+class _FourierSolve(_PttrfFactor):
+    """Exact solve with a magnetic P whose interior axis-0 columns are equal.
+
+    On an m0 x m1 free block (row-major, the last axis contiguous) P is
+    block tridiagonal along axis 0: a real tridiagonal A on every interior
+    column, Hermitian tridiagonals A_0, A_last on the two end columns, and
+    one diagonal coupling C between neighbouring columns.  A constant field
+    in Landau gauge A = (-b (x2 - c2), 0) gives exactly that: its phases
+    sit on the axis-0 links and depend on x2 only.
+
+    Wrapping axis 0 onto a circle gives P_per, which a DFT along axis 0
+    splits into one real SPD tridiagonal per mode k,
+
+        T_k = A + 2 Re(C omega^k),    omega = e^{2 pi i / m0},
+
+    factored once as one k-major tridiagonal (dpttrf); a call runs dpttrs
+    with Re and Im as two columns.  E = P_per - P lives on the 2 m1 nodes S
+    of the two end columns, so P x = b is solved exactly by the capacitance
+    method (Buzbee, Dorr, George and Golub, SIAM J. Numer. Anal. 8, 1971):
+    with G = P_per^{-1} and y = G b,
+
+        (I - G_SS E_SS) x_S = y_S,    x = y + G R^T E_SS x_S,
+
+    where R restricts to S.  The Green's blocks G_{i i'} = (1/m0) sum_k
+    omega^{k (i - i')} T_k^{-1} come from the per-mode pivots: a symmetric
+    tridiagonal inverse is semiseparable, (T^{-1})_{jl} = g_l prod_{m=j}^{l-1}
+    r_m for j <= l, with g the diagonal of T^{-1} from the forward and
+    backward pivots and r_m = -t_m / delta_m from the forward ones, so the
+    sum over k is one GEMM.  `build` rebuilds P from A, A_0, A_last and C and
+    accepts it only if the rebuild equals P to 1e-14 relative.
+    """
+
+    _RANGE = 600.0     # largest exponent of e taken in one Green's-block GEMM
+
+    def __init__(self, shape, d, e, lu, E, omega):
+        self.shape = shape
+        self.d, self.e = d, e
+        self.lu, self.E, self.omega = lu, E, omega
+
+    @classmethod
+    def build(cls, P: sp.csr_matrix, shape):
+        """The solve for P on the free block `shape`, or None if P is not
+        of that form."""
+        m0, m1 = shape
+        if m0 < 3:
+            return None
+        diag = P.diagonal().reshape(shape)
+        off = np.append(P.diagonal(1), 0.0).reshape(shape)[:, :-1]
+        c = P.diagonal(m1).reshape(m0 - 1, m1)
+        a_diag, a_off, C = diag[1].real, off[1].real, c[0]
+        rd, ro = diag.copy(), off.copy()
+        rd[1:-1], ro[1:-1] = a_diag, a_off
+        ro = np.hstack([ro, np.zeros((m0, 1))]).ravel()[:-1]
+        cc = np.tile(C, m0 - 1)
+        rebuilt = sp.diags([np.conj(cc), np.conj(ro), rd.ravel(), ro, cc],
+                           [-m1, -1, 0, 1, m1])
+        if not (abs(P - rebuilt).max() <= 1e-14 * abs(P).max()
+                and np.all(a_off < 0.0)):
+            return None
+        omega = np.exp(2j * np.pi * np.arange(m0) / m0)
+        T = a_diag + 2.0 * (np.outer(omega.real, C.real)
+                            - np.outer(omega.imag, C.imag))
+        # forward pivots delta and, on the reversed rows, backward pivots eta
+        d, e, info = _blocks_tridiagonal(T, a_off)
+        db, _, info_b = _blocks_tridiagonal(T[:, ::-1], a_off[::-1])
+        if info != 0 or info_b != 0:
+            return None
+        delta, eta = d.reshape(shape), db.reshape(shape)[:, ::-1]
+        g = 1.0 / (delta + eta - T)
+        # ell_{k,j} = log prod_{m<j} r_{k,m}; 0 < r < 1 on lattice forms,
+        # whose T_k are diagonally dominant, so ell falls along j
+        ell = np.zeros(shape)
+        r = -np.append(e, 0.0).reshape(shape)[:, :-1]
+        ell[:, 1:] = np.cumsum(np.log(r), axis=1)
+        G0, G1 = cls._green_blocks(ell, g, omega)
+        A = sp.diags([a_off, a_diag, a_off], [-1, 0, 1]).toarray()
+        ends = [sp.diags([np.conj(off[i]), diag[i], off[i]], [-1, 0, 1]).toarray()
+                for i in (0, -1)]
+        E = np.block([[A - ends[0], np.diag(np.conj(C))],
+                      [np.diag(C), A - ends[1]]])
+        G = np.block([[G0, G1], [np.conj(G1), G0]])
+        lu = lu_factor(np.eye(2 * m1) - G @ E)
+        return cls(shape, d, e, lu, E, omega)
+
+    @classmethod
+    def _green_blocks(cls, ell, g, omega):
+        """(1/m0) sum_k w_k T_k^{-1} for w_k = 1 and w_k = omega^k.
+
+        The entries g_l e^{ell_l - ell_j} (j <= l) are formed as products of
+        e^{a - ell_j} and g_l e^{ell_l - a}; the columns are cut into bins
+        over which ell moves by at most _RANGE for every k, and the anchor
+        a is ell at the end of the row bin, so no factor overflows.
+        """
+        m0, m1 = ell.shape
+        step = np.abs(np.diff(ell, axis=1)).max(axis=0)
+        cuts, acc = [0], 0.0
+        for j in range(1, m1):
+            acc += step[j - 1]
+            if acc > cls._RANGE:
+                cuts.append(j)
+                acc = 0.0
+        cuts.append(m1)
+        bins = [slice(a, b) for a, b in zip(cuts[:-1], cuts[1:])]
+        W = np.stack([np.ones(m0), omega.real, omega.imag], axis=1) / m0
+        S = np.zeros((3, m1, m1))
+        for bi, J in enumerate(bins):
+            a = ell[:, J.stop - 1:J.stop]
+            X = np.exp(a - ell[:, J])
+            for L in bins[bi:]:
+                Y = g[:, L] * np.exp(ell[:, L] - a)
+                XY = X.T @ (W[:, :, None] * Y[:, None, :]).reshape(m0, -1)
+                S[:, J, L] = XY.reshape(X.shape[1], 3, -1).transpose(1, 0, 2)
+        S = np.triu(S) + np.transpose(np.triu(S, 1), (0, 2, 1))
+        return S[0], S[1] + 1j * S[2]
+
+    def _modes(self, z: np.ndarray) -> np.ndarray:
+        """T_k^{-1} z[k] for every mode k (z has shape (m0, m1))."""
+        rhs = np.stack([z.real.ravel(), z.imag.ravel()], axis=1)
+        y, _ = lapack.dpttrs(self.d, self.e, rhs, overwrite_b=1)
+        return (y[:, 0] + 1j * y[:, 1]).reshape(self.shape)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        m0, m1 = self.shape
+        y = self._modes(np.fft.fft(b.reshape(self.shape), axis=0))
+        # y on the end columns i = 0 and i = m0 - 1, then the correction
+        y_s = np.concatenate([y.sum(axis=0), np.conj(self.omega) @ y]) / m0
+        w = self.E @ lu_solve(self.lu, y_s)
+        y += self._modes(w[:m1] + np.outer(self.omega, w[m1:]))
+        return np.fft.ifft(y, axis=0).ravel()
 
 
 def assemble(spec: GeometrySpec, h: float, grid: Grid,

@@ -79,9 +79,11 @@ def lorentz_potential(B, x0, x, n_quad: int = 32) -> np.ndarray:
 
 
 def linear_gauge(B0: np.ndarray, x0=None) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized vector-potential callback for a constant field B0.
+    """Vectorized symmetric gauge of a constant field B0, in any dimension.
 
-    Returns A with A(pts)[n] = (1/2) B0(pts[n] - x0); curl A = B0.
+    Returns A with A(pts)[n] = (1/2) B0(pts[n] - x0); curl A = B0.  In the
+    plane it differs from `landau_gauge` by the gradient of a bilinear
+    phase, which the lattice links carry exactly.
     """
     B0 = check_skew(B0)
     d = B0.shape[0]
@@ -90,6 +92,23 @@ def linear_gauge(B0: np.ndarray, x0=None) -> Callable[[np.ndarray], np.ndarray]:
     def A(pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return 0.5 * (pts - x0) @ B0
+
+    return A
+
+
+def landau_gauge(b: float, x2_0: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Landau gauge A = (-b (x2 - x2_0), 0) of the constant planar field b.
+
+    Its curl is field_matrix_2d(b).  A depends on x2 only and has no x2
+    component, so box lattices stay invariant under translation along x1
+    (the Fourier preconditioner of `discretize` relies on that).
+    """
+
+    def A(pts: np.ndarray) -> np.ndarray:
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        out = np.zeros_like(pts)
+        out[:, 0] = -b * (pts[:, 1] - x2_0)
+        return out
 
     return A
 

@@ -14,8 +14,10 @@ the shifted operator P = K + tau M, which removes the mesh-scale
 stiffness of the raw gradient flow (as for Gross-Pitaevskii ground
 states: Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  Real
 forms on 2-D boxes (the model half- and whole-planes, the waveguide
-strip) solve P exactly by a one-axis fast diagonalization, everything
-else by an MMD-ordered SuperLU factorization
+strip) solve P exactly by a one-axis fast diagonalization, and magnetic
+ones in Landau gauge (the magnetic models, constant-field rectangles) by
+an FFT along x1 with a capacitance correction; disks, d = 1 and the other
+magnetic forms use an MMD-ordered SuperLU factorization
 (`AssembledForm.preconditioner`).  Along a direction d the energy is the
 quadratic
 

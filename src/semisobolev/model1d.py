@@ -308,12 +308,10 @@ def soliton_line(p: float) -> float:
 def linear_eigenvalue(c: float) -> float:
     """lambda((R_+, Id, 1, 0, c), 1, 2).
 
-    For c in (-1, 0) the single bound state e^{c r} gives 1 - c^2; for
-    c >= 0 there is no spectrum below the essential threshold 1; below
-    c = -1 the form is unbounded from below in the limit, value 0.
+    For every c < 0 the single bound state e^{c r} gives 1 - c^2, which is
+    not positive once c <= -1; for c >= 0 there is no spectrum below the
+    essential threshold 1.
     """
-    if c <= -1.0:
-        return 0.0
     if c < 0.0:
         return 1.0 - c * c
     return 1.0

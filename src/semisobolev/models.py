@@ -9,15 +9,20 @@ enters the models only through b = Tr+ B(x).
 
 In d = 1 every constant is a `model1d` closed form: the whole-line soliton
 inside, the shifted soliton lambda_c on the half-line.  In d = 2 they are
-grid solves at h = 1 on truncated lattices.  Exact zoom scalings collapse
-the parameter space before any grid work:
+grid solves at h = 1 on truncated lattices, the field in the Landau gauge
+A = (-b x2, 0).  That gauge is parallel to the half-plane boundary and
+leaves the lattice invariant along x1, so the descent's preconditioner is
+the exact Fourier solve of `discretize`; any other gauge is a lattice
+gauge transform of it and gives the same constants.  Exact zoom scalings
+collapse the parameter space before any grid work:
 
     lambda(b B1, v, g; p)  =  b^{1 - d/2 + d/p} lambda(B1, v/b, g/sqrt(b); p)
 
 (and the same with v in place of b when the field vanishes), so each
 distinct scaled key is solved once and cached.  At p = 2 the interior
 constant is exactly Tr+ B + V and the field-free half-space constant
-reduces to the closed-form half-line Robin eigenvalue.
+reduces to the closed-form half-line Robin eigenvalue, V - gamma^2 for
+gamma < 0 and V otherwise.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 from . import geometry, model1d
 from .discretize import build_grid, assemble
 from .errors import AssumptionViolated, NotPositive
-from .geometry import GeometrySpec, check_exponent, field_matrix_2d, tr_plus
+from .geometry import GeometrySpec, check_exponent, tr_plus
 from .minimize import MinimizeOptions, minimize_quotient
 
 _cache: dict = {}      # scaled model key -> converged grid value
@@ -76,7 +81,7 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
 def _whole_space_value(p: float, b: float, v: float) -> float:
     """Grid solve of the whole-plane model at h = 1 (b is Tr+ B)."""
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
-    A = None if b == 0.0 else geometry.linear_gauge(field_matrix_2d(b))
+    A = None if b == 0.0 else geometry.landau_gauge(b)
     spec = GeometrySpec(domain=geometry.plane(10.0 * scale), V=v, A=A,
                         gamma=0.0)
     return _grid_value(("int", p, round(b, 12), round(v, 12)), spec,
@@ -87,14 +92,15 @@ def _half_space_value(p: float, b: float, v: float, g: float) -> float:
     """Grid solve of the half-plane model at h = 1; closed form at p = 2
     with no field, which also holds on the half-line."""
     if p == 2.0 and b == 0.0:
-        # separable: tangential bottom 0 plus the 1D Robin fiber
+        # separable: tangential bottom 0 plus the 1D Robin fiber, whose
+        # bound state e^{g t} (g < 0) lowers the bottom v by g^2
         if v > 0.0:
             return v * model1d.linear_eigenvalue(g / math.sqrt(v))
-        return -g * g if g < 0.0 else 0.0
+        return v - g * g if g < 0.0 else v
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
     depth = min(scale, 1.0 / (1.0 + abs(g)))
     height = max(5.0 * scale, 12.0 * depth)
-    A = None if b == 0.0 else geometry.linear_gauge(field_matrix_2d(b))
+    A = None if b == 0.0 else geometry.landau_gauge(b)
     spec = GeometrySpec(domain=geometry.half_plane(8.0 * scale, height),
                         V=v, A=A, gamma=g)
     key = ("bd", p, round(b, 12), round(v, 12), round(g, 12))
@@ -131,11 +137,13 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     """lambda(half-space model with Robin coefficient gamma0, 1, p).
 
     The last coordinate is the inward normal; b = Tr+ B >= 0 as in
-    interior_constant.  In d = 1 with p > 2 and c = gamma0/sqrt(V0) the
-    value is V0^e lambda_c(c, p) for |c| < 1 and V0^e soliton_line(p) for
-    c >= 1, where the minimizing sequence escapes to infinity; c <= -1 or
-    V0 <= 0 raise NotPositive.  In d = 2 it is scaled and cached like
-    interior_constant.
+    interior_constant.  At p = 2 with no field the value is the closed form
+    V0 - gamma0^2 for gamma0 < 0 and V0 otherwise.  At p > 2 with no field
+    and c = gamma0/sqrt(V0), c <= -1 or V0 <= 0 raise NotPositive: the
+    p = 2 value is then not positive, and neither is the infimum.  In d = 1
+    the value is V0^e lambda_c(c, p) for |c| < 1 and V0^e soliton_line(p)
+    for c >= 1, where the minimizing sequence escapes to infinity.  In
+    d = 2 it is scaled and cached like interior_constant.
     """
     _check_field(b, dim)
     check_exponent(p, dim)
@@ -143,14 +151,16 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     if b > 0.0:
         s = math.sqrt(b)
         return b ** e * _half_space_value(p, 1.0, V0 / b, gamma0 / s)
-    if dim == 1 and p != 2.0:
+    if p != 2.0:
         c = gamma0 / math.sqrt(V0) if V0 > 0.0 else -math.inf
         if c <= -1.0:
-            raise NotPositive(f"V = {V0}, gamma = {gamma0}: the half-line "
+            raise NotPositive(f"V = {V0}, gamma = {gamma0}: the half-space "
                               "model is not bounded below by a positive "
                               "constant")
-        lam = model1d.soliton_line(p) if c >= 1.0 else model1d.lambda_c(c, p)
-        return V0 ** e * lam
+        if dim == 1:
+            lam = (model1d.soliton_line(p) if c >= 1.0
+                   else model1d.lambda_c(c, p))
+            return V0 ** e * lam
     if V0 > 0.0:
         s = math.sqrt(V0)
         return V0 ** e * _half_space_value(p, 0.0, 1.0, gamma0 / s)

@@ -356,6 +356,15 @@ class TestConfigValidation:
         ("domain = disk\nradus = 3.0\n", "radus: unknown key"),
         ("domain = interval\nbounds = -1 1\nspacing = 0.05\n",
          "spacing: unknown key"),
+        ("domain = rectangle\nbounds = -1 1 -1 1\nradius = 3\n",
+         "radius: not used by domain = rectangle"),
+        ("domain = rectangle\nbounds = -1 1 -1 1\nhalfwidth = 7\n",
+         "halfwidth: not used by domain = rectangle"),
+        ("domain = disk\nbounds = -1 1 -1 1\n", "bounds: not used by domain = disk"),
+        ("domain = plane\nbc = robin robin robin robin\n",
+         "bc: not used by domain = plane"),
+        ("domain = strip\nbounds = -2 2\nbc = robin robin\n",
+         "bc: not used by domain = strip"),
     ])
     def test_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

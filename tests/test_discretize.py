@@ -164,9 +164,26 @@ def _preconditioner_form(case):
     if case == "disk":
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=-0.5)
         h, spacing = 0.05, 0.04
-    elif case == "magnetic_box":
+    elif case == "magnetic_box":   # symmetric gauge
         spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
                                V=1.0, A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
+        h, spacing = 0.1, 0.05
+    elif case == "landau_half_plane":
+        spec = ge.GeometrySpec(domain=ge.half_plane(3.0), V=0.5,
+                               A=ge.landau_gauge(1.0), gamma=-0.3)
+        h, spacing = 0.5, 0.1
+    elif case == "landau_whole_plane":
+        spec = ge.GeometrySpec(domain=ge.plane(3.0), V=1.0,
+                               A=ge.landau_gauge(1.0))
+        h, spacing = 1.0, 0.1
+    elif case == "landau_rectangle":   # Robin on all four faces
+        spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1.5))),
+                               V=1.0, A=ge.landau_gauge(1.0, 0.3), gamma=0.4)
+        h, spacing = 0.1, 0.05
+    elif case == "landau_box_v_xy":
+        spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
+                               V=lambda pts: 1.0 + pts[:, 0] * pts[:, 1],
+                               A=ge.landau_gauge(1.0), gamma=0.3)
         h, spacing = 0.1, 0.05
     elif case == "half_plane":
         spec = ge.GeometrySpec(domain=ge.half_plane(3.0), V=1.0, gamma=-0.5)
@@ -187,7 +204,10 @@ def _preconditioner_form(case):
 
 
 TENSOR = ("waveguide_strip", "half_plane", "whole_plane")
-SUPERLU = ("disk", "magnetic_box", "box_v_xy", "half_plane_gamma_x")
+FOURIER = ("landau_half_plane", "landau_whole_plane", "landau_rectangle")
+SUPERLU = ("disk", "magnetic_box", "box_v_xy", "half_plane_gamma_x",
+           "landau_box_v_xy")
+COMPLEX = FOURIER + ("magnetic_box", "landau_box_v_xy")
 
 
 def _shifted(f):
@@ -206,16 +226,16 @@ class TestPreconditioner:
         monkeypatch.setattr(sp.linalg, "splu", counting)
         return calls
 
-    @pytest.mark.parametrize("case", TENSOR + SUPERLU)
+    @pytest.mark.parametrize("case", TENSOR + FOURIER + SUPERLU)
     def test_solve_residual(self, case, rng, splu_calls):
         f = _preconditioner_form(case)
-        assert f.is_complex == (case == "magnetic_box")
+        assert f.is_complex == (case in COMPLEX)
         P = _shifted(f)
         b = rng.standard_normal(f.n).astype(f.K.dtype)
         if f.is_complex:
             b = b + 1j * rng.standard_normal(f.n)
         x = f.preconditioner().solve(b)
-        if case in TENSOR:
+        if case in TENSOR + FOURIER:
             assert splu_calls == []
             assert np.linalg.norm(P @ x - b) <= 1e-12 * np.linalg.norm(b)
         else:
@@ -250,6 +270,59 @@ class TestPreconditioner:
         assert sp.tril(prec.L, -2).nnz == sp.triu(prec.L, 1).nnz == 0
         assert prec.L.nnz == 2 * f.n - m1   # no coupling between the blocks
         assert (prec.U != prec.L.T).nnz == 0
+
+    @pytest.mark.parametrize("case", ["magnetic_box", "landau_box_v_xy"])
+    def test_fourier_check_rejects(self, case):
+        # complex forms on a full free block whose columns differ
+        f = _preconditioner_form(case)
+        block = dz._free_block(f.grid)
+        assert block is not None
+        assert dz._FourierSolve.build(_shifted(f), block) is None
+
+    def test_perturbed_interior_entry_is_rejected_fourier(self, splu_calls):
+        f = _preconditioner_form("landau_half_plane")
+        assert isinstance(f.preconditioner(), dz._FourierSolve)
+        K = f.K.tolil()
+        k = f.n // 2   # a node of an interior column
+        K[k, k] *= 1.0 + 1e-8
+        g = dataclasses.replace(f, K=K.tocsr(), _prec=None)
+        assert dz._FourierSolve.build(_shifted(g), dz._free_block(g.grid)) is None
+        g.preconditioner()
+        assert splu_calls == [1]
+
+    def test_end_columns_are_free(self, rng):
+        # the capacitance correction takes any Hermitian end column
+        f = _preconditioner_form("landau_half_plane")
+        K = f.K.tolil()
+        K[0, 0] *= 1.3
+        K[f.n - 2, f.n - 1], K[f.n - 1, f.n - 2] = 0.2 - 0.1j, 0.2 + 0.1j
+        g = dataclasses.replace(f, K=K.tocsr(), _prec=None)
+        P = _shifted(g)
+        b = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        x = g.preconditioner().solve(b)
+        assert isinstance(g.preconditioner(), dz._FourierSolve)
+        assert np.linalg.norm(P @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+    def test_fourier_factor_is_exposed(self):
+        # the bidiagonal Cholesky factor of the k-major tridiagonal
+        f = _preconditioner_form("landau_whole_plane")
+        prec = f.preconditioner()
+        m0, m1 = dz._free_block(f.grid)
+        assert isinstance(prec, dz._FourierSolve)
+        assert prec.L.shape == (f.n, f.n)
+        assert sp.tril(prec.L, -2).nnz == sp.triu(prec.L, 1).nnz == 0
+        assert prec.L.nnz == 2 * f.n - m0   # one block per mode
+        assert (prec.U != prec.L.T).nnz == 0
+
+    def test_green_blocks_in_bins(self, rng, monkeypatch):
+        # a fine axis makes the semiseparable factors span more than the
+        # exponent range of a double; the bins keep the solve exact
+        f = _preconditioner_form("landau_half_plane")
+        monkeypatch.setattr(dz._FourierSolve, "_RANGE", 5.0)
+        P = _shifted(f)
+        b = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
+        x = f.preconditioner().solve(b)
+        assert np.linalg.norm(P @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
 class TestGauge:

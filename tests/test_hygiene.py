@@ -10,8 +10,9 @@ that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
 lists the planned exceptions).  Every CLI subcommand is run by some test.
 The checks read the source with `ast`, except two: importing the CLI
 loads no scipy module that only the half-line model and the de Gennes
-constant use, and a `model1d` run loads neither the ODE integrator nor
-the optimizer, which only its oracle and the de Gennes constant use.
+constant use, nor scipy.fft, and a `model1d` run loads neither the ODE
+integrator nor the optimizer, which only its oracle and the de Gennes
+constant use.
 """
 
 import argparse
@@ -43,6 +44,7 @@ ORACLES = {
     "gauge_transform": "gauge covariance",
     "shifted_spec": "gauge shift",
     "lorentz_potential": "exact for",
+    "linear_gauge": "symmetric gauge",
     "integrate_trajectory": "ode oracle",
     "neumann_lower_bound": "lower bound",
     "quotient_gradient": "directional derivative",
@@ -273,10 +275,11 @@ def _loaded_after(code: str, modules) -> list:
 def test_cli_import_loads_no_ode_or_optimizer():
     # scipy.optimize and scipy.integrate add about half to the import time;
     # only the model1d oracle and de_gennes_constant call them, and only
-    # model1d calls scipy.special, all at their call sites
+    # model1d calls scipy.special, all at their call sites; the Fourier
+    # preconditioner uses numpy.fft, since scipy.fft adds about 0.1 s
     assert _loaded_after("import sys, semisobolev.cli",
                          ("scipy.optimize", "scipy.integrate",
-                          "scipy.special")) == []
+                          "scipy.special", "scipy.fft")) == []
 
 
 def test_model1d_run_loads_no_ode_or_optimizer(tmp_path):

@@ -365,4 +365,4 @@ class TestLinearEigenvalue:
         assert m1.linear_eigenvalue(0.0) == 1.0
         assert m1.linear_eigenvalue(0.7) == 1.0
         assert m1.linear_eigenvalue(-1.0) == 0.0
-        assert m1.linear_eigenvalue(-2.0) == 0.0
+        assert m1.linear_eigenvalue(-2.0) == -3.0   # e^{-2r}: 1 - c^2

@@ -9,11 +9,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semisobolev import asymptotics
+from semisobolev import discretize as dz
 from semisobolev import geometry as ge
 from semisobolev import model1d as m1
 from semisobolev import models
 from semisobolev.config import load_geometry
 from semisobolev.errors import AssumptionViolated, NotPositive
+from semisobolev.minimize import MinimizeOptions, minimize_quotient
 
 BOX_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
               / "box.cfg")
@@ -77,6 +79,23 @@ class TestBoundaryConstant:
         # gamma <= -sqrt(V) or V <= 0: no positive constant
         with pytest.raises(NotPositive):
             models.boundary_constant(0.0, V, gamma, 4.0, dim=1)
+
+    @pytest.mark.parametrize("V, gamma", [(1.0, -1.2), (1.0, -1.0), (-0.5, 0.3),
+                                          (0.0, 0.3)])
+    def test_d2_not_positive(self, V, gamma, monkeypatch):
+        # the same bound as in d = 1, raised before any lattice is built
+        monkeypatch.setattr(models, "_grid_value", None)
+        with pytest.raises(NotPositive):
+            models.boundary_constant(0.0, V, gamma, 4.0, dim=2)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("V, gamma, value", [
+        (-0.5, 0.3, -0.5), (-0.5, -0.3, -0.59), (1.0, -1.5, -1.25),
+        (1.0, -1.0, 0.0), (0.0, 0.3, 0.0)])
+    def test_p2_closed_form_not_positive(self, V, gamma, value, dim):
+        # V0 - gamma0^2 for gamma0 < 0, V0 otherwise, whatever the sign
+        lam = models.boundary_constant(0.0, V, gamma, 2.0, dim=dim)
+        assert lam == pytest.approx(value, rel=1e-15, abs=1e-15)
 
     def test_d2_neumann_flat(self):
         assert models.boundary_constant(0.0, 1.0, 0.0, 2.0, dim=2) == pytest.approx(1.0)
@@ -183,6 +202,12 @@ class TestConcentrationMap:
         with pytest.raises(AssumptionViolated):
             models.concentration_map(spec, [(0.0, 0.0)], 4.0)
 
+    def test_assumption_violated_reports_the_value(self):
+        # the boundary p = 2 value at V = 1, gamma = -1.5 is 1 - 2.25
+        spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=-1.5)
+        with pytest.raises(AssumptionViolated, match=r"-1\.250e\+00"):
+            models.concentration_map(spec, [(0.0, 0.0), (1.0, 0.0)], 4.0)
+
     def test_outside_mask(self):
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
         cmap = models.concentration_map(spec, [(0.0, 0.0)], 2.0)
@@ -226,3 +251,48 @@ class TestCache:
             spec, asymptotics.default_sample_points(spec), 2.0)
         assert sum(s.kind == "boundary" for s in cmap.samples) == 16
         assert len(calls) == 1
+
+
+class TestFourierPath:
+    """The magnetic models are built in Landau gauge, so their lattices take
+    the exact Fourier-capacitance preconditioner, and its constants equal
+    the SuperLU ones within the solve tolerance."""
+
+    def test_model_lattices_take_the_fourier_path(self, monkeypatch):
+        forms = []
+
+        def coarse(key, spec, spacing, centers=()):
+            forms.append(dz.assemble(spec, 1.0, dz.build_grid(spec, 4 * spacing)))
+            return 1.0
+
+        monkeypatch.setattr(models, "_grid_value", coarse)
+        models.interior_constant(1.0, 1.0, 4.0)
+        models.boundary_constant(1.0, 1.0, -0.3, 4.0)
+        models.boundary_constant(1.0, 1.0, 0.0, 2.0)
+        assert len(forms) == 3
+        for form in forms:
+            assert form.is_complex
+            assert isinstance(form.preconditioner(), dz._FourierSolve)
+
+    @pytest.mark.parametrize("kind, p, gamma", [
+        ("half", 2.0, 0.0), ("half", 2.0, -0.3), ("half", 4.0, 0.0),
+        ("whole", 4.0, 0.0)])
+    def test_constant_equals_superlu(self, kind, p, gamma, monkeypatch):
+        # b = 1, V = 1 on test-size versions of the model lattices
+        dom = ge.half_plane(4.0, 5.0) if kind == "half" else ge.plane(4.0)
+        spec = ge.GeometrySpec(domain=dom, V=1.0, A=ge.landau_gauge(1.0),
+                               gamma=gamma)
+        opts = MinimizeOptions(grad_tol=1e-7, restarts=1,
+                               centers=((0.0, 0.0),) if kind == "half" else ())
+
+        def solve():
+            form = dz.assemble(spec, 1.0, dz.build_grid(spec, 0.15))
+            return minimize_quotient(form, p, opts), form.preconditioner()
+
+        fourier, prec = solve()
+        assert isinstance(prec, dz._FourierSolve)
+        monkeypatch.setattr(dz._FourierSolve, "build", lambda P, shape: None)
+        superlu, prec = solve()
+        assert not isinstance(prec, dz._FourierSolve)
+        assert fourier.converged and superlu.converged
+        assert abs(fourier.lam - superlu.lam) <= opts.grad_tol * superlu.lam

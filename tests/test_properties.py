@@ -6,13 +6,15 @@ h, the lattice field and the gauge phase.  The IMS localization identity
 and the partition sums that `partition.find_translation` relies on are
 checked on a drawn sliding partition as well, and so are two exact
 symmetries of the lattice: the semiclassical zoom on matched grids and the
-even reflection across a Neumann face.  Grids stay at 400 nodes or fewer,
+even reflection across a Neumann face.  The exact Fourier-capacitance
+preconditioner is checked on drawn Landau-gauge boxes.  Grids stay at 400 nodes or fewer,
 and the draws are derandomized so that the suite is repeatable.
 """
 
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,6 +146,35 @@ def test_zoom_scaling(case, seed):
     x1 = unit.preconditioner().solve(rhs.astype(unit.K.dtype)) / (h * h)
     xh = prec.solve(rhs.astype(zoomed.K.dtype))
     assert np.linalg.norm(xh - x1) <= 1e-12 * np.linalg.norm(x1)
+
+
+@st.composite
+def landau_boxes(draw):
+    """A drawn box form with a constant field b != 0 in Landau gauge and
+    constant V and gamma: every interior x1 column of P is the same."""
+    s = draw(st.floats(0.1, 0.3))
+    nx, ny = draw(st.integers(8, 20)), draw(st.integers(8, 20))
+    bc = tuple((draw(FACES), draw(FACES)) for _ in range(2))
+    dom = ge.rectangle(((0.0, (nx - 1) * s), (0.0, (ny - 1) * s)), bc)
+    b = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    spec = ge.GeometrySpec(domain=dom, V=draw(st.floats(-1.0, 2.0)),
+                           A=ge.landau_gauge(b, draw(st.floats(-1.0, 1.0))),
+                           gamma=draw(st.floats(-1.0, 1.0)))
+    return dz.assemble(spec, draw(st.floats(0.1, 1.0)), dz.build_grid(spec, s))
+
+
+@PROPERTY
+@given(landau_boxes(), st.integers(0, 2 ** 32 - 1))
+def test_landau_preconditioner_is_exact(form, seed):
+    # whatever the faces, the Fourier-capacitance solve takes the form and
+    # solves P = K + tau M to rounding
+    assert form.grid.n_nodes <= MAX_NODES
+    prec = form.preconditioner()
+    assert isinstance(prec, dz._FourierSolve)
+    rng = np.random.default_rng(seed)
+    rhs = rng.standard_normal(form.n) + 1j * rng.standard_normal(form.n)
+    P = form.K + form.preconditioner_shift() * sp.diags(form.weight)
+    assert np.linalg.norm(P @ prec.solve(rhs) - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
 @st.composite
