@@ -1,7 +1,7 @@
 """Numerical Sobolev constants for electro-magnetic Robin Laplacians.
 
-Subpackages cover the exactly solvable half-line Robin model, magnetic
-field algebra, gauge-covariant lattice discretization of the quadratic
+Subpackages cover the exactly solvable half-line Robin model, the planar
+magnetic field, gauge-covariant lattice discretization of the quadratic
 form, Sobolev-quotient minimization, homogeneous model constants, the
 semiclassical and waveguide sweep harnesses, and two-scale partitions of
 unity.  The command-line entry point is `semisobolev.cli`.

@@ -111,7 +111,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     initialization, and the set M_eps for the exterior mass.  A row is
     converged only if its rung and every sample behind the target are.
     """
-    check_exponent(p, spec.dim)
+    check_exponent(p)
     cmap = concentration_map(spec, default_sample_points(spec), p)
     target_ok = all(s.converged for s in cmap.samples)
     centers = tuple(tuple(x) for x in cmap.argmin_points)
@@ -174,7 +174,7 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
         raise ConfigError("large-domain: the reduction assumes the constant "
                           "data V = 1, B = 0, gamma = 0")
     d = spec.dim
-    check_exponent(p, d)
+    check_exponent(p)
     misses = models._unconverged
     reference = boundary_constant(0.0, 1.0, 0.0, p, dim=d)
     reference_ok = models._unconverged == misses

@@ -81,6 +81,8 @@ def _parse_h_list(flag: str, s: str) -> list:
         values = [float(x) for x in s.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
+    if not values:
+        raise ConfigError(f"{flag}: expected at least one value")
     return [_positive(flag, x) for x in values]
 
 
@@ -180,6 +182,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_concentration(args) -> int:
     """Exits 2 when a sample is unconverged, after writing every row."""
+    for flag, n in (("--n-interior", args.n_interior),
+                    ("--n-boundary", args.n_boundary)):
+        if n < 1:
+            raise ConfigError(f"{flag}: expected at least 1, got {n}")
     spec, resolved = load_geometry(args.config)
     pts = asymptotics.default_sample_points(spec, args.n_interior, args.n_boundary)
     cmap = models.concentration_map(spec, pts, args.p)

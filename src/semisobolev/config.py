@@ -16,6 +16,9 @@ Schema (one `key = value` per line, `#` comments):
 
 Keys are case-insensitive; any other key is a ConfigError, and so is a
 shape key that the chosen domain does not use (`radius` on a rectangle).
+Every number must be finite, `radius` and `halfwidth` positive, each
+`bounds` pair increasing and `center` two numbers; a bare number is a
+constant, and `gamma = dirichlet` is the only way to write Dirichlet data.
 Field presets: `quadratic a b` means a + b |x - center|^2; `x1-quadratic`
 uses the first coordinate only; `constant b` is taken in the Landau gauge
 A = (-b (x2 - center_2), 0); `angular-dip` lowers gamma in a Gaussian
@@ -45,27 +48,36 @@ def _parse_kv(text: str) -> dict:
 
 
 def _floats(key: str, val: str, n: int | None = None) -> list[float]:
+    """The numbers of a value; ConfigError unless each is finite and there
+    are n of them (when n is given)."""
     try:
         parts = [float(x) for x in val.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"{key}: expected numbers, got {val!r}") from exc
+    if not all(np.isfinite(parts)):
+        raise ConfigError(f"{key}: expected finite numbers, got {val!r}")
     if n is not None and len(parts) != n:
         raise ConfigError(f"{key}: expected {n} numbers, got {len(parts)}")
     return parts
 
 
+def _preset(val: str) -> tuple[str, str]:
+    """(preset name, its parameters); a value that starts with a number,
+    or is empty, is `constant`."""
+    kind, _, rest = val.strip().partition(" ")
+    try:
+        float(kind or 0)
+    except ValueError:
+        return kind, rest
+    return "constant", val
+
+
 def _parse_scalar_field(key: str, val: str, center) -> object:
-    words = val.split()
-    if len(words) == 1:
-        try:
-            return float(words[0])
-        except ValueError as exc:
-            raise ConfigError(f"{key}: bad value {val!r}") from exc
-    kind, *rest = words
+    kind, rest = _preset(val)
     if kind in ("constant", "const"):
-        return float(rest[0])
+        return _floats(key, rest, 1)[0]
     if kind == "quadratic":
-        a, b = _floats(key, " ".join(rest), 2)
+        a, b = _floats(key, rest, 2)
         c = np.asarray(center, dtype=float)
 
         def f(pts, a=a, b=b, c=c):
@@ -74,7 +86,7 @@ def _parse_scalar_field(key: str, val: str, center) -> object:
 
         return f
     if kind == "x1-quadratic":
-        a, b = _floats(key, " ".join(rest), 2)
+        a, b = _floats(key, rest, 2)
         return lambda pts, a=a, b=b: a + b * np.atleast_2d(pts)[:, 0] ** 2
     raise ConfigError(f"{key}: unknown preset {kind!r}")
 
@@ -82,9 +94,9 @@ def _parse_scalar_field(key: str, val: str, center) -> object:
 def _parse_gamma(val: str, center) -> object:
     if val.lower() == "dirichlet":
         return geometry.DIRICHLET
-    words = val.split()
-    if words[0] == "angular-dip":
-        base, amp, th0, width = _floats("gamma", " ".join(words[1:]), 4)
+    kind, rest = _preset(val)
+    if kind == "angular-dip":
+        base, amp, th0, width = _floats("gamma", rest, 4)
         c = np.asarray(center, dtype=float)
 
         def g(pts, base=base, amp=amp, th0=th0, width=width, c=c):
@@ -97,19 +109,17 @@ def _parse_gamma(val: str, center) -> object:
     return _parse_scalar_field("gamma", val, center)
 
 
-def _parse_field_b(val: str, center, dim: int):
+def _parse_field_b(val: str, center):
     """Returns (A callback or None, exact B callback or None)."""
-    words = val.split()
-    if len(words) == 1 and float(words[0]) == 0.0:
-        return None, None
-    if dim == 1:
-        raise ConfigError("B: magnetic fields need dimension 2")
-    if len(words) == 1 or words[0] in ("constant", "const"):
-        b = float(words[-1])
-        A = geometry.landau_gauge(b, center[1] if len(center) > 1 else 0.0)
+    kind, rest = _preset(val)
+    if kind in ("constant", "const"):
+        (b,) = _floats("B", rest, 1)
+        if b == 0.0:
+            return None, None
+        A = geometry.landau_gauge(b, center[1])
         return A, (lambda pts, b=b: np.full(len(np.atleast_2d(pts)), b))
-    if words[0] == "x1-quadratic":
-        a, b = _floats("B", " ".join(words[1:]), 2)
+    if kind == "x1-quadratic":
+        a, b = _floats("B", rest, 2)
 
         def A(pts, a=a, b=b):
             pts = np.atleast_2d(pts)
@@ -119,7 +129,14 @@ def _parse_field_b(val: str, center, dim: int):
             return out
 
         return A, (lambda pts, a=a, b=b: a + b * np.atleast_2d(pts)[:, 0] ** 2)
-    raise ConfigError(f"B: unknown preset {words[0]!r}")
+    raise ConfigError(f"B: unknown preset {kind!r}")
+
+
+def _positive(key: str, val: str) -> float:
+    (x,) = _floats(key, val, 1)
+    if x <= 0.0:
+        raise ConfigError(f"{key}: expected a number > 0, got {val!r}")
+    return x
 
 
 _FACES = ("robin", "dirichlet", "truncation")
@@ -147,11 +164,12 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
     for key in ("radius", "bounds", "bc", "halfwidth"):
         if key in kv and key not in _SHAPE_KEYS[kind]:
             raise ConfigError(f"{key}: not used by domain = {kind}")
-    center = _floats("center", kv.get("center", "0 0"))
-    halfwidth = float(kv.get("halfwidth", 10.0))
+    center = _floats("center", kv.get("center", "0 0"), 2)
+    halfwidth = _positive("halfwidth", kv.get("halfwidth", "10"))
 
     if kind == "disk":
-        dom = geometry.disk(float(kv.get("radius", 1.0)), tuple(center[:2]))
+        dom = geometry.disk(_positive("radius", kv.get("radius", "1")),
+                            tuple(center))
     elif kind == "plane":
         dom = geometry.plane(halfwidth)
     elif kind == "half-plane":
@@ -165,6 +183,8 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
         if "bounds" not in kv:
             raise ConfigError(f"bounds: required for domain = {kind}")
         b = _floats("bounds", kv["bounds"], nb)
+        if any(lo >= hi for lo, hi in zip(b[::2], b[1::2])):
+            raise ConfigError(f"bounds: each pair needs lo < hi, got {kv['bounds']!r}")
         if kind == "interval":
             bcs = kv.get("bc", "robin truncation").split()
             if len(bcs) != 2 or any(x not in _FACES for x in bcs):
@@ -180,7 +200,9 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
                                      ((bcs[0], bcs[1]), (bcs[2], bcs[3])))
 
     V = _parse_scalar_field("V", kv.get("v", "0"), center)
-    A, B = _parse_field_b(kv.get("b", "0"), center, dom.dim)
+    A, B = _parse_field_b(kv.get("b", "0"), center)
+    if A is not None and dom.dim == 1:
+        raise ConfigError("B: magnetic fields need dimension 2")
     gamma = _parse_gamma(kv.get("gamma", "0"), center)
     spec = GeometrySpec(domain=dom, V=V, A=A, gamma=gamma, B=B)
     return spec, resolved

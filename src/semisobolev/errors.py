@@ -13,14 +13,6 @@ class ToleranceNotMet(SemisobolevError):
     """A conserved quantity or accuracy target drifted beyond its tolerance."""
 
 
-class NotSkew(SemisobolevError):
-    """A magnetic matrix violates skew-symmetry beyond tolerance."""
-
-
-class ConvergenceFailure(SemisobolevError):
-    """An outer search (bracketing, golden section) failed to converge."""
-
-
 class DomainTooSmall(SemisobolevError):
     """Grid construction was asked for fewer than 8 nodes per axis."""
 
@@ -30,7 +22,7 @@ class ZeroFunction(SemisobolevError):
 
 
 class InvalidExponent(SemisobolevError):
-    """Exponent p outside [2, 2*) for the given dimension."""
+    """Exponent p outside [2, inf); every such p is subcritical in d = 1, 2."""
 
 
 class NoConvergence(SemisobolevError):

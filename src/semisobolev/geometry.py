@@ -1,13 +1,12 @@
-"""Geometry descriptors and magnetic-field algebra.
+"""Geometry descriptors, the planar magnetic field and Theta0.
 
 A problem instance is a quintuple (domain, metric=Id, V, A, gamma): an open
 set, an electric potential, a magnetic vector potential and a Robin
-coefficient on the boundary (gamma = +inf encodes Dirichlet).  The magnetic
-field is the skew matrix B_kl = d_k A_l - d_l A_k; its spectral invariant
-Tr+ B (sum of the positive beta_k in the eigenvalue pairs +-i beta_k) is
-the Landau-level energy entering the interior spectral assumption.  This
-module also computes the de Gennes constant Theta0 and the half-space
-Neumann lower bound max(Theta0 |B_par|, Tr+ B_perp).
+coefficient on the boundary (gamma = +inf encodes Dirichlet).  Every domain
+here is a line or a plane, so the field is the scalar b = d1 A2 - d2 A1,
+and Tr+ B, the Landau-level energy entering the interior spectral
+assumption, is |b|.  This module also computes the de Gennes constant
+Theta0, the half-plane Neumann constant at b = 1.
 """
 
 from __future__ import annotations
@@ -18,80 +17,27 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConvergenceFailure, InvalidExponent, NotSkew
+from .errors import InvalidExponent
 
 DIRICHLET = math.inf
 
 
 # ---------------------------------------------------------------------------
-# magnetic matrix algebra
+# gauges of a constant planar field, and Theta0
 # ---------------------------------------------------------------------------
 
-def check_skew(B: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    B = np.asarray(B, dtype=float)
-    if B.ndim != 2 or B.shape[0] != B.shape[1]:
-        raise NotSkew(f"magnetic matrix must be square, got shape {B.shape}")
-    scale = max(1.0, float(np.abs(B).max()))
-    defect = float(np.abs(B + B.T).max())
-    if defect > tol * scale:
-        raise NotSkew(f"skew-symmetry defect {defect:.2e} exceeds tolerance")
-    return B
+def symmetric_gauge(b: float, x0=(0.0, 0.0)) -> Callable[[np.ndarray], np.ndarray]:
+    """Symmetric gauge A = (b/2) (-(x2 - x0_2), x1 - x0_1) of the field b.
 
-
-def tr_plus(B: np.ndarray, tol: float = 1e-12) -> float:
-    """Sum of the positive imaginary parts beta_k of the spectrum of B.
-
-    The singular values of a skew matrix come in pairs (beta_k, beta_k)
-    plus zeros, so Tr+ B is half their sum; this avoids a complex
-    eigensolver and is exactly zero iff B = 0.
-    """
-    B = check_skew(B, tol)
-    return float(np.linalg.svd(B, compute_uv=False).sum() / 2.0)
-
-
-def field_matrix_2d(b: float) -> np.ndarray:
-    """Magnetic matrix [[0, b], [-b, 0]] of a planar field of strength b."""
-    return np.array([[0.0, b], [-b, 0.0]])
-
-
-def lorentz_potential(B, x0, x, n_quad: int = 32) -> np.ndarray:
-    """Radial-gauge potential A_j(x) = int_0^1 t B(x0 + t(x-x0))(x-x0, e_j) dt.
-
-    B may be a constant matrix or a callable point -> matrix; the bilinear
-    form convention is B(u, v) = sum_kl B_kl u_k v_l, so the integrand is
-    t * B(x0+t dx)^T dx.  Gauss-Legendre quadrature; exact for polynomial
-    fields of degree below ~2 n_quad - 2.
+    Test oracle: it vanishes at x0 and differs from `landau_gauge` by the
+    gradient of a bilinear phase, which the lattice links carry exactly.
     """
     x0 = np.asarray(x0, dtype=float)
-    x = np.asarray(x, dtype=float)
-    dx = x - x0
-    if callable(B):
-        nodes, weights = leggauss(n_quad)
-        t = (nodes + 1.0) / 2.0
-        acc = np.zeros_like(dx)
-        for tk, wk in zip(t, weights / 2.0):
-            acc += wk * tk * (np.asarray(B(x0 + tk * dx), dtype=float).T @ dx)
-        return acc
-    return 0.5 * (np.asarray(B, dtype=float).T @ dx)
-
-
-def linear_gauge(B0: np.ndarray, x0=None) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized symmetric gauge of a constant field B0, in any dimension.
-
-    Returns A with A(pts)[n] = (1/2) B0(pts[n] - x0); curl A = B0.  In the
-    plane it differs from `landau_gauge` by the gradient of a bilinear
-    phase, which the lattice links carry exactly.
-    """
-    B0 = check_skew(B0)
-    d = B0.shape[0]
-    x0 = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
 
     def A(pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return 0.5 * (pts - x0) @ B0
+        dx = np.atleast_2d(np.asarray(pts, dtype=float)) - x0
+        return 0.5 * b * np.column_stack([-dx[:, 1], dx[:, 0]])
 
     return A
 
@@ -99,7 +45,7 @@ def linear_gauge(B0: np.ndarray, x0=None) -> Callable[[np.ndarray], np.ndarray]:
 def landau_gauge(b: float, x2_0: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
     """Landau gauge A = (-b (x2 - x2_0), 0) of the constant planar field b.
 
-    Its curl is field_matrix_2d(b).  A depends on x2 only and has no x2
+    Its curl d1 A2 - d2 A1 is b.  A depends on x2 only and has no x2
     component, so box lattices stay invariant under translation along x1
     (the Fourier preconditioner of `discretize` relies on that).
     """
@@ -113,91 +59,34 @@ def landau_gauge(b: float, x2_0: float = 0.0) -> Callable[[np.ndarray], np.ndarr
     return A
 
 
-def magnetic_matrix_at(A: Callable, x, d: int, delta: float = 1e-5) -> np.ndarray:
-    """Numerical curl B_kl = d_k A_l - d_l A_k by central differences."""
-    x = np.asarray(x, dtype=float)
-    J = np.empty((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = delta
-        Ap = np.asarray(A((x + e)[None, :]), dtype=float).reshape(d)
-        Am = np.asarray(A((x - e)[None, :]), dtype=float).reshape(d)
-        J[k] = (Ap - Am) / (2.0 * delta)
-    B = J - J.T
-    return 0.5 * (B - B.T)
-
-
-# ---------------------------------------------------------------------------
-# de Gennes constant and the Neumann lower bound
-# ---------------------------------------------------------------------------
-
-def _degennes_mu(xi: float) -> float:
-    """Ground Neumann eigenvalue of -d_t^2 + (t - xi)^2 on (0, T = 12)."""
-    t = np.linspace(0.0, 12.0, 4001)
-    n = len(t)
-    st = t[1] - t[0]
-    w = np.full(n, st)
-    w[0] = w[-1] = st / 2.0
-    main = np.zeros(n)
-    main[:-1] += 1.0 / st
-    main[1:] += 1.0 / st
-    main += w * (t - xi) ** 2
-    off = np.full(n - 1, -1.0 / st)
-    # Dirichlet cap at T; the ground state decays like a Gaussian there
-    mainf, offf, wf = main[:-1], off[:-1], w[:-1]
-    dinv = 1.0 / np.sqrt(wf)
-    vals = eigh_tridiagonal(mainf * dinv * dinv, offf * dinv[:-1] * dinv[1:],
-                            select="i", select_range=(0, 0))[0]
-    return float(vals[0])
-
-
 @functools.cache
 def de_gennes_constant() -> float:
-    """Theta0 = inf_xi of the half-line oscillator ground eigenvalue.
+    """Theta0 = inf_xi mu(xi), mu(xi) the ground eigenvalue of
+    -u'' + (t - xi)^2 u on t > 0 with u'(0) = 0.
 
-    Computed once by golden-section search over the fiber parameter xi and
-    cached; the minimum sits at xi = sqrt(Theta0) ~ 0.768.
+    Test oracle.  The decaying solutions are D_nu(sqrt(2) (t - xi)) with
+    mu = 2 nu + 1 (parabolic cylinder functions).  At the only critical
+    point xi0 of mu, mu(xi0) = xi0^2 (Dauge-Helffer), so Theta0 = 2 nu + 1
+    at the root of D_nu'(-sqrt(2 (2 nu + 1))) = 0 in (-0.45, -0.05).
     """
-    # imported here, so the lattice subcommands never load scipy.optimize
-    from scipy.optimize import minimize_scalar
-    try:
-        res = minimize_scalar(_degennes_mu, bracket=(0.4, 0.8, 1.2),
-                              method="golden", options={"xtol": 1e-10})
-    except ValueError as exc:
-        raise ConvergenceFailure(f"de Gennes bracket failed: {exc}") from exc
-    if not np.isfinite(res.fun):
-        raise ConvergenceFailure("golden-section search did not converge")
-    return float(res.fun)
+    # imported here, so the lattice subcommands never load these modules
+    from scipy.optimize import brentq
+    from scipy.special import pbdv
 
-
-def neumann_lower_bound(B: np.ndarray) -> float:
-    """max(Theta0 |B_par|_2, Tr+ B_perp) for the half-space Neumann problem.
-
-    It is a lower bound for the p = 2 half-space constant.  The last
-    coordinate is the inward normal: B_perp is the tangential (d-1) x (d-1)
-    block and B_par the normal column head.
-    """
-    B = check_skew(B)
-    d = B.shape[0]
-    if d < 2:
-        raise ValueError("half-space splitting needs d >= 2")
-    B_perp = B[: d - 1, : d - 1]
-    B_par = B[: d - 1, d - 1]
-    return max(de_gennes_constant() * float(np.linalg.norm(B_par)),
-               tr_plus(B_perp))
+    nu = brentq(lambda nu: pbdv(nu, -math.sqrt(2.0 * (2.0 * nu + 1.0)))[1],
+                -0.45, -0.05, xtol=1e-15)
+    return 2.0 * nu + 1.0
 
 
 # ---------------------------------------------------------------------------
 # exponents and geometry quintuples
 # ---------------------------------------------------------------------------
 
-def check_exponent(p: float, dim: int) -> float:
+def check_exponent(p: float) -> float:
+    """p itself; InvalidExponent unless 2 <= p < inf (every p is
+    subcritical in d = 1 and 2)."""
     if not 2.0 <= p < math.inf:
         raise InvalidExponent(f"p must be finite and >= 2, got {p}")
-    if dim >= 3:
-        crit = 2.0 * dim / (dim - 2.0)
-        if p > crit - 1e-6:
-            raise InvalidExponent(f"p={p} above subcritical margin for d={dim}")
     return p
 
 
@@ -272,8 +161,8 @@ class GeometrySpec:
     V and gamma may be constants or vectorized callbacks on point arrays;
     A is a callback pts -> (N, d) or None for the free case.  gamma may be
     +inf (geometry.DIRICHLET) to put Dirichlet data on the Robin faces.
-    An exact field callback B (pts -> scalar for d=2) can be supplied to
-    bypass the finite-difference curl of A.
+    An exact field callback B (pts -> b, d = 2) can be supplied to bypass
+    the finite-difference curl of A.
     """
 
     domain: Domain
@@ -310,13 +199,16 @@ class GeometrySpec:
         pts = np.atleast_2d(pts)
         return np.asarray(self.A(pts), dtype=float).reshape(len(pts), self.dim)
 
-    def field_at(self, x) -> np.ndarray:
-        """Magnetic matrix at a point, exact when B was supplied."""
-        d = self.dim
-        if d == 1 or self.A is None and self.B is None:
-            return np.zeros((d, d))
+    def b_at(self, pts: np.ndarray) -> np.ndarray:
+        """Field b = d1 A2 - d2 A1 at each point: the exact B callback when
+        one was given, else central differences of A; 0 in d = 1."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self.dim == 1 or self.A is None and self.B is None:
+            return np.zeros(len(pts))
         if self.B is not None:
-            b = self.B(np.atleast_2d(np.asarray(x, dtype=float)))
-            b = float(np.asarray(b).reshape(-1)[0])
-            return field_matrix_2d(b)
-        return magnetic_matrix_at(self.a_at, x, d)
+            return np.asarray(self.B(pts), dtype=float).reshape(len(pts))
+        delta = 1e-5
+        e1, e2 = np.array([delta, 0.0]), np.array([0.0, delta])
+        d1A2 = self.a_at(pts + e1)[:, 1] - self.a_at(pts - e1)[:, 1]
+        d2A1 = self.a_at(pts + e2)[:, 0] - self.a_at(pts - e2)[:, 0]
+        return (d1A2 - d2A1) / (2.0 * delta)

@@ -399,7 +399,7 @@ def minimize_quotient(form: AssembledForm, p: float,
     best restart misses the gradient tolerance.
     """
     opts = opts or MinimizeOptions()
-    check_exponent(p, form.grid.dim)
+    check_exponent(p)
     if p == 2.0:
         return _eigen_path(form, opts)
 

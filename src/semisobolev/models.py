@@ -5,7 +5,7 @@ the whole space with (V(x), B(x)) for interior points, the half space with
 additionally the Robin coefficient gamma(x) for boundary points.  The map
 x -> lambda(model at x, 1, p) is the concentration function; minimizers of
 the semiclassical problem localize near its argmin set M.  The field
-enters the models only through b = Tr+ B(x).
+enters the models only through b = |b(x)|, which is Tr+ B in the plane.
 
 In d = 1 every constant is a `model1d` closed form: the whole-line soliton
 inside, the shifted soliton lambda_c on the half-line.  In d = 2 they are
@@ -35,7 +35,7 @@ import numpy as np
 from . import geometry, model1d
 from .discretize import build_grid, assemble
 from .errors import AssumptionViolated, NotPositive
-from .geometry import GeometrySpec, check_exponent, tr_plus
+from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
 
 _cache: dict = {}      # scaled model key -> converged grid value
@@ -118,7 +118,7 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
     Raises NotPositive when the p = 2 value is not positive.
     """
     _check_field(b, dim)
-    check_exponent(p, dim)
+    check_exponent(p)
     p2 = b + V0
     if p2 <= 0.0:
         raise NotPositive(f"Tr+ B + V = {p2} violates the spectral assumption")
@@ -146,7 +146,7 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     d = 2 it is scaled and cached like interior_constant.
     """
     _check_field(b, dim)
-    check_exponent(p, dim)
+    check_exponent(p)
     e = _scaling_exponent(dim, p)
     if b > 0.0:
         s = math.sqrt(b)
@@ -223,13 +223,13 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float) -> Concentrat
     its value (the model constants never raise on it) and says so in
     `converged`.
     """
-    check_exponent(p, spec.dim)
+    check_exponent(p)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
     dom = spec.domain
 
     def one(x):
         vx = float(spec.v_at(x[None, :])[0])
-        bx = tr_plus(spec.field_at(x))
+        bx = abs(float(spec.b_at(x[None, :])[0]))
         misses = _unconverged
         if _is_boundary_point(dom, x, _BOUNDARY_TOL):
             kind = "boundary"

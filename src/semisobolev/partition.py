@@ -267,7 +267,7 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     constants are rescaled by the selection argument's factor 3 and the
     scan repeats; NoneAccepted if that fails too.
     """
-    check_exponent(p, form.grid.dim)
+    check_exponent(p)
     h = form.h
     dim = form.grid.dim
     base = build_partition(alpha, rho, h, dim)

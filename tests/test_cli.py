@@ -258,6 +258,24 @@ class TestConcentration:
         assert json.loads(js.read_text())["unconverged"] == sum(
             r[2] in solved for r in rows)
 
+    def test_field_sign_does_not_matter(self, tmp_path):
+        # the models see |b|: B = -1 and B = 1 give the same rows, b + V
+        # inside and the b = 1 half-plane constant on the Robin edges
+        rows = {}
+        for b in ("1.0", "-1.0"):
+            cfg = tmp_path / f"box{b}.cfg"
+            cfg.write_text("domain = rectangle\nbounds = -1 1 -1 1\n"
+                           f"V = 1.0\nB = constant {b}\ngamma = 0\n")
+            out = tmp_path / f"c{b}.csv"
+            assert cli.main(["concentration", "--config", str(cfg), "--p", "2",
+                             "--out", str(out)]) == 0
+            rows[b] = _read(out)[2]
+        assert rows["1.0"] == rows["-1.0"]
+        interior = [float(r[3]) for r in rows["1.0"] if r[2] == "interior"]
+        boundary = [float(r[3]) for r in rows["1.0"] if r[2] == "boundary"]
+        assert interior == [2.0] * 25
+        assert boundary == pytest.approx([1.63843291582] * 16, rel=1e-10)
+
 
 class TestSolve:
     def test_golden(self, interval_cfg, tmp_path):
@@ -365,6 +383,25 @@ class TestConfigValidation:
          "bc: not used by domain = plane"),
         ("domain = strip\nbounds = -2 2\nbc = robin robin\n",
          "bc: not used by domain = strip"),
+        # every number goes through one reader: malformed or non-finite
+        # values, and empty or out-of-range shapes, are errors
+        ("domain = disk\nB = constant\n", "B: expected 1 numbers, got 0"),
+        ("domain = disk\nB = abc\n", "B: unknown preset 'abc'"),
+        ("domain = disk\nradius = abc\n", "radius: expected numbers"),
+        ("domain = plane\nhalfwidth = x\n", "halfwidth: expected numbers"),
+        ("domain = disk\ncenter = 1\n", "center: expected 2 numbers, got 1"),
+        ("domain = disk\nB = nan\n", "B: expected finite numbers"),
+        ("domain = disk\nV = nan\n", "V: expected finite numbers"),
+        ("domain = disk\nV = 1\nB = inf\n", "B: expected finite numbers"),
+        ("domain = disk\nV = 1\ngamma = nan\n",
+         "gamma: expected finite numbers"),
+        ("domain = disk\nV = 1\nradius = 0\n", "radius: expected a number > 0"),
+        ("domain = disk\nV = 1\nradius = -1\n",
+         "radius: expected a number > 0"),
+        ("domain = plane\nV = 1\nhalfwidth = -3\n",
+         "halfwidth: expected a number > 0"),
+        ("domain = rectangle\nV = 1\nbounds = 1 -1 -1 1\n",
+         "bounds: each pair needs lo < hi"),
     ])
     def test_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -415,6 +452,10 @@ class TestBadInput:
          "--format", "json"],
         ["waveguide", "--profile", "constant:1", "--p", "4", "--h-list", "0.5",
          "--format", "json"],
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", ""],
+        ["large-domain", "--config", "{cfg}", "--p", "4", "--R-list", ""],
+        ["concentration", "--config", "{cfg}", "--p", "4", "--n-interior", "-3"],
+        ["concentration", "--config", "{cfg}", "--p", "4", "--n-boundary", "0"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -422,7 +463,10 @@ class TestBadInput:
             "partition-no-samples", "model1d-empty-sweep", "model1d-c-nan",
             "model1d-sweep-nan", "model1d-p-inf", "model1d-p-nan",
             "solve-p-inf", "solve-p-nan", "solve-grad-tol-nan",
-            "solve-grad-tol-negative", "sweep-format", "waveguide-format"])
+            "solve-grad-tol-negative", "sweep-format", "waveguide-format",
+            "sweep-h-empty", "large-domain-R-empty",
+            "concentration-n-interior-negative",
+            "concentration-n-boundary-zero"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         out = tmp_path / "out.csv"

@@ -18,7 +18,7 @@ from semisobolev.errors import DomainTooSmall, ZeroFunction
 @pytest.fixture(scope="module")
 def magnetic_form():
     spec = ge.GeometrySpec(domain=ge.half_plane(3.0), V=0.5,
-                           A=ge.linear_gauge(ge.field_matrix_2d(1.0)),
+                           A=ge.symmetric_gauge(1.0),
                            gamma=-0.3)
     grid = dz.build_grid(spec, 0.1)
     return spec, grid, dz.assemble(spec, 0.5, grid)
@@ -77,7 +77,7 @@ class TestLinkPhase:
         assert_allclose(th[0], 0.7 * 0.05 / 0.25, rtol=1e-14)
 
     def test_linear_potential_matches_gauss_quadrature(self, rng):
-        A = ge.linear_gauge(ge.field_matrix_2d(1.0))
+        A = ge.symmetric_gauge(1.0)
         a = rng.uniform(-1, 1, size=(20, 2))
         b = a + 0.01 * rng.standard_normal((20, 2))
         th = dz.link_phase(A, a, b, 1.0)
@@ -166,7 +166,7 @@ def _preconditioner_form(case):
         h, spacing = 0.05, 0.04
     elif case == "magnetic_box":   # symmetric gauge
         spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1))),
-                               V=1.0, A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
+                               V=1.0, A=ge.symmetric_gauge(1.0))
         h, spacing = 0.1, 0.05
     elif case == "landau_half_plane":
         spec = ge.GeometrySpec(domain=ge.half_plane(3.0), V=0.5,
@@ -353,7 +353,7 @@ class TestGauge:
         # the continuum shift A -> A + grad(phi) agrees with exact node
         # differences up to the midpoint-rule error O(s^2) per edge
         spec = ge.GeometrySpec(domain=ge.plane(2.0), V=0.0,
-                               A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
+                               A=ge.symmetric_gauge(1.0))
         phi = lambda pts: np.sin(pts[:, 0]) * pts[:, 1]
         grad_phi = lambda pts: np.stack(
             [np.cos(pts[:, 0]) * pts[:, 1], np.sin(pts[:, 0])], axis=-1)
@@ -380,14 +380,14 @@ class TestMagneticTranslation:
     def test_lattice_translation_invariance(self):
         b, h = 1.0, 1.0
         spec = ge.GeometrySpec(domain=ge.plane(6.0), V=0.0,
-                               A=ge.linear_gauge(ge.field_matrix_2d(b)))
+                               A=ge.symmetric_gauge(b))
         g = dz.build_grid(spec, 0.2)
         f = dz.assemble(spec, h, g)
         bump = dz.gaussian_bump(g, (-1.0, -0.5), 0.6)
         mask = np.linalg.norm(g.points - [-1.0, -0.5], axis=1) < 3.0
         psi = dz.WaveFunction(g, bump.values * mask)
         x0 = np.array([3 * 0.2, 2 * 0.2])
-        A_x0 = 0.5 * (ge.field_matrix_2d(b).T @ x0)
+        A_x0 = 0.5 * b * np.array([-x0[1], x0[0]])   # symmetric gauge at x0
         shift = np.round((g.points - x0) / 0.2).astype(int)
         # build tau psi by index shift (exact lattice translation)
         idx = {(i, j): k for k, (i, j) in

@@ -43,10 +43,9 @@ ORACLES = {
     "kinetic_energy": "diamagnetic inequality",
     "gauge_transform": "gauge covariance",
     "shifted_spec": "gauge shift",
-    "lorentz_potential": "exact for",
-    "linear_gauge": "symmetric gauge",
+    "symmetric_gauge": "symmetric gauge",
     "integrate_trajectory": "ode oracle",
-    "neumann_lower_bound": "lower bound",
+    "de_gennes_constant": "critical point",
     "quotient_gradient": "directional derivative",
     "soliton_ode_residual": "residual",
 }
@@ -274,9 +273,10 @@ def _loaded_after(code: str, modules) -> list:
 
 def test_cli_import_loads_no_ode_or_optimizer():
     # scipy.optimize and scipy.integrate add about half to the import time;
-    # only the model1d oracle and de_gennes_constant call them, and only
-    # model1d calls scipy.special, all at their call sites; the Fourier
-    # preconditioner uses numpy.fft, since scipy.fft adds about 0.1 s
+    # model1d.integrate_trajectory loads scipy.integrate, the model1d
+    # closed forms load scipy.special, and geometry.de_gennes_constant
+    # loads scipy.special and scipy.optimize, all at their call sites; the
+    # Fourier preconditioner uses numpy.fft, since scipy.fft adds about 0.1 s
     assert _loaded_after("import sys, semisobolev.cli",
                          ("scipy.optimize", "scipy.integrate",
                           "scipy.special", "scipy.fft")) == []

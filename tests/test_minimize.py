@@ -44,7 +44,7 @@ STRIP_OPTS = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
 @pytest.fixture(scope="module")
 def magnetic_2d():
     spec = ge.GeometrySpec(domain=ge.half_plane(5.0, 5.0), V=0.0,
-                           A=ge.linear_gauge(ge.field_matrix_2d(1.0)),
+                           A=ge.symmetric_gauge(1.0),
                            gamma=0.0)
     grid = dz.build_grid(spec, 0.2)
     return spec, grid, dz.assemble(spec, 1.0, grid)

@@ -107,8 +107,8 @@ class TestBoundaryConstant:
     def test_d2_magnetic_between_bounds(self):
         for b in (0.6, 1.0):
             lam = models.boundary_constant(b, 0.0, 0.0, 2.0, dim=2)
-            nlb = ge.neumann_lower_bound(ge.field_matrix_2d(b))
-            assert nlb <= lam * 1.02
+            # Theta0 |b| from below (the d = 2 Neumann half-plane bound)
+            assert ge.de_gennes_constant() * b <= lam * 1.02
             assert lam <= b * 1.02   # Tr+ B from above
             assert abs(lam - ge.de_gennes_constant() * b) <= 0.03 * b
 
@@ -153,7 +153,7 @@ class TestIntBord:
 class TestConcentrationMap:
     def test_constant_geometry_all_argmin(self):
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=None or 0.0,
-                               A=ge.linear_gauge(ge.field_matrix_2d(1.0)),
+                               A=ge.symmetric_gauge(1.0),
                                B=lambda pts: np.ones(len(np.atleast_2d(pts))))
         pts = [(0.0, 0.0), (0.3, 0.0), (0.0, -0.4)]
         cmap = models.concentration_map(spec, pts, 2.0)

@@ -100,7 +100,7 @@ class TestIMS:
 
     def test_identity_magnetic(self, rng):
         spec = ge.GeometrySpec(domain=ge.plane(2.0), V=0.0,
-                               A=ge.linear_gauge(ge.field_matrix_2d(1.0)))
+                               A=ge.symmetric_gauge(1.0))
         grid = dz.build_grid(spec, 0.08)
         form = dz.assemble(spec, 0.2, grid)
         psi = dz.random_field(grid, rng)

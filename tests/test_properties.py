@@ -42,7 +42,7 @@ def forms(draw):
     b = draw(st.floats(-2.0, 2.0))
     x0 = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
     spec = ge.GeometrySpec(domain=dom, V=draw(st.floats(-1.0, 2.0)),
-                           A=ge.linear_gauge(ge.field_matrix_2d(b), x0),
+                           A=ge.symmetric_gauge(b, x0),
                            gamma=draw(st.floats(-1.0, 1.0)))
     grid = dz.build_grid(spec, s)
     assert grid.n_nodes <= MAX_NODES
@@ -108,7 +108,7 @@ def test_partition_identities(case, fam, p):
 def zooms(draw):
     """(unit form, zoomed form, h): a drawn box at spacing s and parameter 1,
     and the same box scaled by sqrt(h) at spacing s sqrt(h) and parameter h,
-    with B = 0 or a constant B in the linear gauge, constant V and gamma."""
+    with B = 0 or a constant B in the symmetric gauge, constant V and gamma."""
     s = draw(st.floats(0.1, 0.3))
     nx, ny = draw(st.integers(8, 20)), draw(st.integers(8, 20))
     x0, y0 = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
@@ -120,7 +120,7 @@ def zooms(draw):
     def form(c, hh):
         dom = ge.rectangle(((c * x0, c * (x0 + (nx - 1) * s)),
                             (c * y0, c * (y0 + (ny - 1) * s))), bc)
-        A = None if b == 0.0 else ge.linear_gauge(ge.field_matrix_2d(b))
+        A = None if b == 0.0 else ge.symmetric_gauge(b)
         spec = ge.GeometrySpec(domain=dom, V=v, A=A, gamma=gamma)
         return dz.assemble(spec, hh, dz.build_grid(spec, c * s))
 
