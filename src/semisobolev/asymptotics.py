@@ -19,6 +19,7 @@ R^{-2}, p); the R -> infinity limit is the half-space reference constant.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +47,9 @@ def default_mesh_rule(h: float) -> float:
 
 def default_sample_points(spec: GeometrySpec, n_interior: int = 25,
                           n_boundary: int = 16) -> np.ndarray:
-    """Interior lattice plus boundary ring used for the concentration map."""
+    """Interior lattice plus samples on the Robin faces (n_boundary on a
+    disk rim, max(1, n_boundary // 4) along each face of a rectangle, the
+    end itself on an interval) for the concentration map."""
     dom = spec.domain
     if dom.kind == "disk":
         R, (cx, cy) = dom.radius, dom.center
@@ -54,26 +57,23 @@ def default_sample_points(spec: GeometrySpec, n_interior: int = 25,
         for rr in np.linspace(0.25 * R, 0.85 * R, max(2, int(math.sqrt(n_interior)))):
             for th in np.linspace(0.0, 2 * math.pi, 8, endpoint=False):
                 pts.append((cx + rr * math.cos(th), cy + rr * math.sin(th)))
-        for th in np.linspace(0.0, 2 * math.pi, n_boundary, endpoint=False):
-            pts.append((cx + R * math.cos(th), cy + R * math.sin(th)))
+        if dom.bc[0][0] == "robin":
+            for th in np.linspace(0.0, 2 * math.pi, n_boundary, endpoint=False):
+                pts.append((cx + R * math.cos(th), cy + R * math.sin(th)))
         return np.array(pts)
-    if dom.dim == 1:
-        (lo, hi), = dom.bounds
-        inner = np.linspace(lo, hi, n_interior + 2)[1:-1, None]
-        ends = [[lo]] if dom.bc[0] == "robin" else []
-        ends += [[hi]] if dom.bc[1] == "robin" else []
-        return np.vstack([inner] + ([np.array(ends)] if ends else []))
-    (x0, x1), (y0, y1) = dom.bounds
-    k = max(3, int(math.sqrt(n_interior)))
-    xs = np.linspace(x0, x1, k + 2)[1:-1]
-    ys = np.linspace(y0, y1, k + 2)[1:-1]
-    pts = [(x, y) for x in xs for y in ys]
-    for axis, (lo, hi) in enumerate(dom.bounds):
-        for side, val in ((0, lo), (1, hi)):
-            if dom.bc[axis][side] == "robin":
-                other = np.linspace(*dom.bounds[1 - axis], n_boundary // 4 + 2)[1:-1]
-                for o in other:
-                    pts.append((val, o) if axis == 0 else (o, val))
+
+    def inner(bounds, k):
+        return np.linspace(*bounds, k + 2)[1:-1]
+
+    k = n_interior if dom.dim == 1 else max(3, int(math.sqrt(n_interior)))
+    pts = list(itertools.product(*(inner(b, k) for b in dom.bounds)))
+    per_face = max(1, n_boundary // 4)
+    for axis, bcs in enumerate(dom.bc):
+        across = [inner(b, per_face) for o, b in enumerate(dom.bounds) if o != axis]
+        for val, bc in zip(dom.bounds[axis], bcs):
+            if bc == "robin":
+                pts += [x[:axis] + (val,) + x[axis:]
+                        for x in itertools.product(*across)]
     return np.array(pts)
 
 
@@ -142,16 +142,15 @@ class LargeDomainRow:
 
 
 def boundary_centers(spec: GeometrySpec) -> tuple:
-    """Candidate localization points on the Robin boundary plus the center."""
+    """Candidate localization points on the boundary plus the center
+    (every face of a `large_domain` geometry is Robin)."""
     dom = spec.domain
     if dom.kind == "disk":
         cx, cy = dom.center
         return ((cx + dom.radius, cy), (cx, cy))
     if dom.dim == 1:
         (lo, hi), = dom.bounds
-        pts = [(lo,)] if dom.bc[0] == "robin" else []
-        pts += [(hi,)] if dom.bc[1] == "robin" else []
-        return tuple(pts) + ((0.5 * (lo + hi),),)
+        return ((lo,), (hi,), (0.5 * (lo + hi),))
     (x0, x1), (y0, y1) = dom.bounds
     pts = [(x0, y0), (x1, y1), (0.5 * (x0 + x1), y0), (x0, 0.5 * (y0 + y1))]
     pts.append((0.5 * (x0 + x1), 0.5 * (y0 + y1)))
@@ -161,8 +160,9 @@ def boundary_centers(spec: GeometrySpec) -> tuple:
 def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     """lambda^Neu(Omega_R, p) via the exact reformulation h = R^{-2}.
 
-    Requires the fixed data V = 1, A = 0, gamma = 0, each a constant; any
-    other data raises ConfigError.  The reported ratio is
+    Requires the fixed data V = 1, A = 0, gamma = 0, each a constant, on
+    a domain whose every face is Robin; any other data raises
+    ConfigError.  The reported ratio is
     against the half-space (d = 2) or half-line (d = 1) Neumann constant,
     which the ratio approaches from below as R grows (for smooth domains;
     corners attract more strongly and push the limit ratio below 1).  A
@@ -170,9 +170,10 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     """
     if (spec.A is not None or spec.B is not None
             or callable(spec.V) or float(spec.V) != 1.0
-            or callable(spec.gamma) or float(spec.gamma) != 0.0):
+            or callable(spec.gamma) or float(spec.gamma) != 0.0
+            or any(f != "robin" for faces in spec.domain.bc for f in faces)):
         raise ConfigError("large-domain: the reduction assumes the constant "
-                          "data V = 1, B = 0, gamma = 0")
+                          "data V = 1, B = 0, gamma = 0 on Robin faces only")
     d = spec.dim
     check_exponent(p)
     misses = models._unconverged

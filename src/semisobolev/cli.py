@@ -305,7 +305,8 @@ def _cmd_waveguide(args) -> int:
               int(r.converged)) for r in rows]
     _emit(args.out, _csv_text(config, hdr, table))
     bad = [r for r in rows if not r.converged]
-    print(f"waveguide: {len(rows)} rows, last ratio={rows[-1].ratio:.6f}")
+    print(f"waveguide: {len(rows)} rows, last ratio={rows[-1].ratio:.6f}"
+          + (f", {len(bad)} unconverged" if bad else ""))
     return 2 if bad else 0
 
 

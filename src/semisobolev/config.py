@@ -8,7 +8,7 @@ Schema (one `key = value` per line, `#` comments):
     center   = 0 0                   # disk; the center of the presets
     bounds   = -1 1 -1 1             # rectangle / interval / strip (s-range)
     bc       = robin robin robin robin   # rectangle / interval: faces
-                                         # xlo xhi ylo yhi
+                                         # xlo xhi ylo yhi (lo hi)
     halfwidth = 10                   # plane / half-plane / line / half-line
     V        = 1.0 | quadratic a b | x1-quadratic a b
     B        = 0 | constant b | x1-quadratic a b        (2D only)
@@ -18,7 +18,10 @@ Keys are case-insensitive; any other key is a ConfigError, and so is a
 shape key that the chosen domain does not use (`radius` on a rectangle).
 Every number must be finite, `radius` and `halfwidth` positive, each
 `bounds` pair increasing and `center` two numbers; a bare number is a
-constant, and `gamma = dirichlet` is the only way to write Dirichlet data.
+constant.  Dirichlet data is a face condition: `bc` names it face by face
+on rectangles and intervals, and `gamma = dirichlet` makes every Robin
+face of the domain Dirichlet (with gamma = 0, which no face then reads).
+On a disk, `gamma = dirichlet` is the only Dirichlet spelling.
 Field presets: `quadratic a b` means a + b |x - center|^2; `x1-quadratic`
 uses the first coordinate only; `constant b` is taken in the Landau gauge
 A = (-b (x2 - center_2), 0); `angular-dip` lowers gamma in a Gaussian
@@ -26,6 +29,8 @@ window of polar angle around theta0 (disk boundaries).
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -92,8 +97,6 @@ def _parse_scalar_field(key: str, val: str, center) -> object:
 
 
 def _parse_gamma(val: str, center) -> object:
-    if val.lower() == "dirichlet":
-        return geometry.DIRICHLET
     kind, rest = _preset(val)
     if kind == "angular-dip":
         base, amp, th0, width = _floats("gamma", rest, 4)
@@ -203,7 +206,13 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
     A, B = _parse_field_b(kv.get("b", "0"), center)
     if A is not None and dom.dim == 1:
         raise ConfigError("B: magnetic fields need dimension 2")
-    gamma = _parse_gamma(kv.get("gamma", "0"), center)
+    gamma = kv.get("gamma", "0")
+    if gamma.lower() == "dirichlet":
+        bc = tuple(tuple("dirichlet" if f == "robin" else f for f in axis)
+                   for axis in dom.bc)
+        dom, gamma = replace(dom, bc=bc), 0.0
+    else:
+        gamma = _parse_gamma(gamma, center)
     spec = GeometrySpec(domain=dom, V=V, A=A, gamma=gamma, B=B)
     return spec, resolved
 

@@ -13,11 +13,13 @@ differences of the phase function an exact symmetry of the discrete
 energy, and preserves the diamagnetic inequality edge by edge, since
 ||psi_b| - |psi_a|| <= |psi_b e^{-i theta} - psi_a|.
 
-Dirichlet and truncation nodes are eliminated; Robin nodes carry a
-surface trapezoid weight multiplying h^{3/2} gamma.  Disks are handled by
-masking a square lattice: volume weights are exact cell/disk intersection
-areas (so quadrature weights sum to the disk area to rounding) while edge
-coefficients near the curved rim are first-order only.
+Node kinds come from the domain's face table alone: Dirichlet data is a
+face condition, never a value of gamma.  Dirichlet and truncation nodes
+are eliminated; Robin nodes carry a surface trapezoid weight multiplying
+h^{3/2} gamma.  Disks are handled by masking a square lattice: volume
+weights are exact cell/disk intersection areas (so quadrature weights sum
+to the disk area to rounding) while edge coefficients near the curved rim
+are first-order only.
 
 The descent's preconditioner K + tau M is solved in one of three ways
 (`AssembledForm.preconditioner`).  On a 2-D box the real forms split
@@ -34,6 +36,7 @@ disks and d = 1 forms use an MMD-ordered SuperLU factorization.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -96,37 +99,38 @@ def _trapezoid_weights(n: int, s: float) -> np.ndarray:
     return w
 
 
-def _box_grid(dom: Domain, spacing, gamma_is_dirichlet: bool) -> Grid:
+def _outer(factors) -> np.ndarray:
+    """Raveled outer product of per-axis factors, in node order."""
+    return functools.reduce(np.multiply.outer, factors).ravel()
+
+
+def _box_grid(dom: Domain, spacing) -> Grid:
     d = dom.dim
     spacing = (spacing,) * d if np.isscalar(spacing) else tuple(spacing)
     axes = [_axis_nodes(lo, hi, s) for (lo, hi), s in zip(dom.bounds, spacing)]
     ss = tuple(ax[1] - ax[0] for ax in axes)
     shape = tuple(len(ax) for ax in axes)
-
-    if d == 1:
-        pts = axes[0][:, None]
-    else:
-        X = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([x.ravel() for x in X], axis=-1)
+    pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
+                   axis=-1)
 
     n_total = len(pts)
     kind = np.zeros(n_total, dtype=np.uint8)
     surface = np.zeros(n_total)
     waxes = [_trapezoid_weights(len(ax), s) for ax, s in zip(axes, ss)]
-    if d == 1:
-        weight = waxes[0].copy()
-    else:
-        weight = np.multiply.outer(waxes[0], waxes[1]).ravel()
+    weight = _outer(waxes)
 
     # precedence on shared corners: dirichlet > truncation > robin
     rank = {"robin": 1, "truncation": 2, "dirichlet": 3}
     code = {"robin": ROBIN, "truncation": TRUNCATION, "dirichlet": DIRICHLET}
     idx = np.arange(n_total).reshape(shape)
     face_rank = np.zeros(n_total, dtype=np.int8)
+    edges, eaxis, ecoeff = [], [], []
     for axis in range(d):
-        for side, bc in enumerate(dom.bc[axis] if d > 1 else dom.bc):
-            if bc == "robin" and gamma_is_dirichlet:
-                bc = "dirichlet"
+        # trapezoid measure of the other axes: the surface weight of this
+        # axis' faces and the transverse factor of its edges
+        trans = _outer([np.ones(n) if k == axis else w for k, (n, w)
+                        in enumerate(zip(shape, waxes))]).reshape(shape)
+        for side, bc in enumerate(dom.bc[axis]):
             sel = [slice(None)] * d
             sel[axis] = 0 if side == 0 else -1
             face_nodes = idx[tuple(sel)].ravel()
@@ -135,35 +139,19 @@ def _box_grid(dom: Domain, spacing, gamma_is_dirichlet: bool) -> Grid:
             kind[face_nodes[upgrade]] = code[bc]
             face_rank[face_nodes[upgrade]] = r
             if bc == "robin":
-                # surface trapezoid over the face (one factor per other axis)
-                if d == 1:
-                    surface[face_nodes] += 1.0
-                else:
-                    other = 1 - axis
-                    surface[face_nodes] += waxes[other]
-    # a node on any dirichlet/truncation face is pinned even if it also
-    # touches a robin face; clear its surface weight
-    surface[kind >= DIRICHLET] = 0.0
-
-    edges, eaxis, ecoeff = [], [], []
-    for axis in range(d):
+                surface[face_nodes] += trans[tuple(sel)].ravel()
         sl_a = [slice(None)] * d
         sl_b = [slice(None)] * d
         sl_a[axis] = slice(None, -1)
         sl_b[axis] = slice(1, None)
         a = idx[tuple(sl_a)].ravel()
         b = idx[tuple(sl_b)].ravel()
-        if d == 1:
-            trans = np.ones(a.size)
-        else:
-            other = 1 - axis
-            wother = waxes[other]
-            grids = np.meshgrid(*[np.arange(n) for n in shape], indexing="ij")
-            other_idx = grids[other][tuple(sl_a)].ravel()
-            trans = wother[other_idx]
         edges.append(np.stack([a, b], axis=-1))
         eaxis.append(np.full(a.size, axis, dtype=np.uint8))
-        ecoeff.append(trans / ss[axis])
+        ecoeff.append(trans[tuple(sl_a)].ravel() / ss[axis])
+    # a node on any dirichlet/truncation face is pinned even if it also
+    # touches a robin face; clear its surface weight
+    surface[kind >= DIRICHLET] = 0.0
 
     return Grid(
         dim=d, spacing=ss, points=pts, kind=kind, weight=weight,
@@ -210,7 +198,7 @@ def _cell_disk_area(ax, bx, ay, by, R) -> float:
             - _quarter_disk_area(bx, ay, R) + _quarter_disk_area(ax, ay, R))
 
 
-def _disk_grid(dom: Domain, spacing, gamma_is_dirichlet: bool = False) -> Grid:
+def _disk_grid(dom: Domain, spacing) -> Grid:
     R = dom.radius
     cx, cy = dom.center
     s = float(spacing) if np.isscalar(spacing) else float(spacing[0])
@@ -272,10 +260,8 @@ def _disk_grid(dom: Domain, spacing, gamma_is_dirichlet: bool = False) -> Grid:
         for la, lb in ((a_lat, b_lat), (b_lat, a_lat)):
             miss = inside[la] & ~inside[lb]
             has_all[grid_index[la[miss]]] = False
-    rim_bc = dom.bc[0]
-    if rim_bc == "robin" and gamma_is_dirichlet:
-        rim_bc = "dirichlet"
-    kind[~has_all] = ROBIN if rim_bc == "robin" else DIRICHLET
+    (rim,), = dom.bc
+    kind[~has_all] = ROBIN if rim == "robin" else DIRICHLET
 
     # arc-length surface weights by angular spacing of the rim nodes
     surface = np.zeros(n)
@@ -300,11 +286,14 @@ def _disk_grid(dom: Domain, spacing, gamma_is_dirichlet: bool = False) -> Grid:
 
 
 def build_grid(spec: GeometrySpec, spacing) -> Grid:
-    """Build the lattice for a geometry (a masked square lattice for disks)."""
+    """Build the lattice for a geometry (a masked square lattice for disks).
+
+    Node kinds come from the domain's face table alone; gamma plays no
+    part in the grid."""
     dom = spec.domain
     if dom.kind == "disk":
-        return _disk_grid(dom, spacing, spec.dirichlet_boundary)
-    return _box_grid(dom, spacing, spec.dirichlet_boundary)
+        return _disk_grid(dom, spacing)
+    return _box_grid(dom, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -747,8 +736,6 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
     robin_free = (g.kind == ROBIN)[g.free]
     if np.any(robin_free):
         gam = spec.gamma_at(fpts[robin_free])
-        if np.any(np.isinf(gam)):
-            raise ValueError("infinite gamma must be declared as Dirichlet")
         sw = g.surface_weight[g.free][robin_free]
         d2 = np.zeros(nf)
         d2[robin_free] = h ** 1.5 * gam * sw

@@ -2,7 +2,8 @@
 
 A problem instance is a quintuple (domain, metric=Id, V, A, gamma): an open
 set, an electric potential, a magnetic vector potential and a Robin
-coefficient on the boundary (gamma = +inf encodes Dirichlet).  Every domain
+coefficient on the boundary.  Dirichlet data, the gamma -> +inf limit, is
+a face condition of the domain and never a value of gamma.  Every domain
 here is a line or a plane, so the field is the scalar b = d1 A2 - d2 A1,
 and Tr+ B, the Landau-level energy entering the interior spectral
 assumption, is |b|.  This module also computes the de Gennes constant
@@ -18,9 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidExponent
-
-DIRICHLET = math.inf
+from .errors import ConfigError, InvalidExponent
 
 
 # ---------------------------------------------------------------------------
@@ -94,9 +93,11 @@ def check_exponent(p: float) -> float:
 class Domain:
     """Computational domain with per-face boundary conditions.
 
-    kind 'interval' (1D) or 'rectangle'/'disk' (2D); bc entries are
-    'robin', 'dirichlet' or 'truncation' per face (lo/hi per axis for
-    boxes, a single entry for the disk).  Truncation faces cut an
+    kind 'interval' (1D) or 'rectangle'/'disk' (2D).  bc holds one tuple
+    of faces per axis on every domain, each face 'robin', 'dirichlet' or
+    'truncation': a (lo, hi) pair per axis of a box (an interval is
+    ((lo, hi),)) and the rim alone on a disk, ((rim,),).  This table is
+    the only place boundary conditions live.  Truncation faces cut an
     unbounded set and carry Dirichlet data justified by the exponential
     decay of minimizers.
     """
@@ -113,7 +114,8 @@ class Domain:
 
 
 def interval(a: float, b: float, bc=("robin", "truncation")) -> Domain:
-    return Domain(kind="interval", bounds=((float(a), float(b)),), bc=tuple(bc))
+    return Domain(kind="interval", bounds=((float(a), float(b)),),
+                  bc=(tuple(bc),))
 
 
 def half_line(length: float) -> Domain:
@@ -151,7 +153,7 @@ def strip(s_lo: float, s_hi: float) -> Domain:
 
 def disk(radius: float, center=(0.0, 0.0)) -> Domain:
     return Domain(kind="disk", radius=float(radius),
-                  center=tuple(float(c) for c in center), bc=("robin",))
+                  center=tuple(float(c) for c in center), bc=(("robin",),))
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,12 @@ class GeometrySpec:
     """Euclidean quintuple (domain, Id, V, A, gamma).
 
     V and gamma may be constants or vectorized callbacks on point arrays;
-    A is a callback pts -> (N, d) or None for the free case.  gamma may be
-    +inf (geometry.DIRICHLET) to put Dirichlet data on the Robin faces.
-    An exact field callback B (pts -> b, d = 2) can be supplied to bypass
-    the finite-difference curl of A.
+    A is a callback pts -> (N, d) or None for the free case.  gamma is the
+    Robin coefficient on the domain's 'robin' faces and is read nowhere
+    else; Dirichlet data is a face of the domain.  An exact field callback
+    B (pts -> b, d = 2) can be supplied to bypass the finite-difference
+    curl of A.  v_at, gamma_at and an exact b_at raise ConfigError,
+    naming the key, at a point where the value is not finite.
     """
 
     domain: Domain
@@ -176,22 +180,10 @@ class GeometrySpec:
         return self.domain.dim
 
     def v_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if callable(self.V):
-            return np.asarray(self.V(pts), dtype=float).reshape(len(pts))
-        return np.full(len(pts), float(self.V))
+        return _finite_at("V", self.V, pts)
 
     def gamma_at(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        if self.gamma is DIRICHLET or (np.isscalar(self.gamma) and np.isinf(self.gamma)):
-            return np.full(len(pts), np.inf)
-        if callable(self.gamma):
-            return np.asarray(self.gamma(pts), dtype=float).reshape(len(pts))
-        return np.full(len(pts), float(self.gamma))
-
-    @property
-    def dirichlet_boundary(self) -> bool:
-        return (not callable(self.gamma)) and np.isinf(float(self.gamma))
+        return _finite_at("gamma", self.gamma, pts)
 
     def a_at(self, pts: np.ndarray) -> np.ndarray | None:
         if self.A is None:
@@ -206,9 +198,24 @@ class GeometrySpec:
         if self.dim == 1 or self.A is None and self.B is None:
             return np.zeros(len(pts))
         if self.B is not None:
-            return np.asarray(self.B(pts), dtype=float).reshape(len(pts))
+            return _finite_at("B", self.B, pts)
         delta = 1e-5
         e1, e2 = np.array([delta, 0.0]), np.array([0.0, delta])
         d1A2 = self.a_at(pts + e1)[:, 1] - self.a_at(pts - e1)[:, 1]
         d2A1 = self.a_at(pts + e2)[:, 0] - self.a_at(pts - e2)[:, 0]
         return (d1A2 - d2A1) / (2.0 * delta)
+
+
+def _finite_at(key: str, value, pts: np.ndarray) -> np.ndarray:
+    """A constant or a vectorized callback at each point; ConfigError
+    naming the key at the first point where it is not finite."""
+    pts = np.atleast_2d(pts)
+    if callable(value):
+        values = np.asarray(value(pts), dtype=float).reshape(len(pts))
+    else:
+        values = np.full(len(pts), float(value))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        x = tuple(float(c) for c in pts[bad[0]])
+        raise ConfigError(f"{key}: value {values[bad[0]]} at x = {x} is not finite")
+    return values

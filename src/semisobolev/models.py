@@ -201,11 +201,12 @@ class ConcentrationMap:
 
 
 def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
+    """Whether x lies on a Robin face; a Dirichlet or truncation face,
+    the disk's rim included, is never a boundary sample."""
     if dom.kind == "disk":
         r = float(np.hypot(x[0] - dom.center[0], x[1] - dom.center[1]))
-        return abs(r - dom.radius) <= tol
-    for axis, (lo, hi) in enumerate(dom.bounds):
-        bcs = dom.bc[axis] if dom.dim > 1 else dom.bc
+        return dom.bc[0][0] == "robin" and abs(r - dom.radius) <= tol
+    for axis, ((lo, hi), bcs) in enumerate(zip(dom.bounds, dom.bc)):
         if bcs[0] == "robin" and abs(x[axis] - lo) <= tol:
             return True
         if bcs[1] == "robin" and abs(x[axis] - hi) <= tol:

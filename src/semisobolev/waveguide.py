@@ -99,7 +99,7 @@ def assemble_waveguide_form(profile: WidthProfile, h: float, p: float,
     ds = h * profile.a_max * _DSIGMA
     dt = 2.0 / (_NT - 1)
     dom = geometry.strip(profile.s_max - s_halfwidth, profile.s_max + s_halfwidth)
-    spec = GeometrySpec(domain=dom, V=0.0, A=None, gamma=geometry.DIRICHLET)
+    spec = GeometrySpec(domain=dom, V=0.0, A=None, gamma=0.0)
     grid = build_grid(spec, (ds, dt))
     mids = 0.5 * (grid.points[grid.edges[:, 0], 0]
                   + grid.points[grid.edges[:, 1], 0])

@@ -4,10 +4,13 @@ import json
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from semisobolev import asymptotics, cli, models, waveguide
 from semisobolev._util import atomic_write
+from semisobolev.config import parse_geometry
+from semisobolev.discretize import build_grid
 
 
 def _read(path):
@@ -139,10 +142,17 @@ class TestLargeDomain:
         "domain = interval\nbounds = -1 1\nbc = robin robin\n"
         "V = quadratic 1 0.5\n",
         "domain = disk\nradius = 1\nV = 1.0\nB = constant 1\n",
-    ], ids=["gamma", "V=2", "quadratic-V", "constant-B"])
+        "domain = rectangle\nbounds = 0 1 0 1\n"
+        "bc = dirichlet dirichlet dirichlet dirichlet\nV = 1.0\n",
+        "domain = interval\nbounds = -1 1\nbc = robin robin\nV = 1.0\n"
+        "gamma = dirichlet\n",
+        "domain = half-line\nhalfwidth = 3\nV = 1.0\n",
+    ], ids=["gamma", "V=2", "quadratic-V", "constant-B", "dirichlet-bc",
+            "gamma-dirichlet", "truncation"])
     def test_rejects_data_outside_the_reduction(self, data, tmp_path, capsys):
         # the reduction and its Neumann reference hold for V = 1, B = 0,
-        # gamma = 0 only; anything else would be a quiet wrong ratio
+        # gamma = 0 on Robin faces only; anything else would be a quiet
+        # wrong ratio
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(data)
         out = tmp_path / "ld.csv"
@@ -258,6 +268,35 @@ class TestConcentration:
         assert json.loads(js.read_text())["unconverged"] == sum(
             r[2] in solved for r in rows)
 
+    @pytest.mark.parametrize("n_boundary", [1, 2, 3])
+    def test_every_robin_face_is_sampled(self, n_boundary, tmp_path):
+        # fewer than 4 boundary samples still put one on each face of the
+        # magnetic box, whose boundary constant is below the interior b + V
+        cfg = tmp_path / "box.cfg"
+        cfg.write_text("domain = rectangle\nbounds = -1 1 -1 1\n"
+                       "V = 1.0\nB = constant 1.0\ngamma = 0\n")
+        out, js = tmp_path / "c.csv", tmp_path / "c.json"
+        assert cli.main(["concentration", "--config", str(cfg), "--p", "2",
+                         "--n-interior", "1", "--n-boundary", str(n_boundary),
+                         "--out", str(out), "--json", str(js)]) == 0
+        _, _, rows = _read(out)
+        edges = sorted((float(r[0]), float(r[1])) for r in rows
+                       if r[2] == "boundary")
+        assert edges == [(-1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (1.0, 0.0)]
+        assert json.loads(js.read_text())["inf"] == pytest.approx(
+            1.63843291582, rel=1e-10)
+
+    def test_non_finite_sample_exits_1(self, tmp_path, capsys):
+        # V overflows on the outer ring and the rim of the radius-2 disk
+        cfg = tmp_path / "disk.cfg"
+        cfg.write_text("domain = disk\nradius = 2\nV = quadratic 1 1e308\n")
+        out = tmp_path / "c.csv"
+        rc = cli.main(["concentration", "--config", str(cfg), "--p", "4",
+                       "--out", str(out)])
+        assert rc == 1
+        assert "error: V: value inf at x = (" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_field_sign_does_not_matter(self, tmp_path):
         # the models see |b|: B = -1 and B = 1 give the same rows, b + V
         # inside and the b = 1 half-plane constant on the Robin edges
@@ -332,6 +371,24 @@ class TestWaveguide:
         # matched lattices, so the ratio is 1 to rounding
         assert abs(float(row[2]) - 1.0) <= 1e-9
 
+    def test_unconverged_rung_is_counted(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(waveguide, "straight_reference", lambda p: 1.0)
+        real = waveguide.minimize_quotient
+
+        def unconverged(form, p, opts):
+            res = real(form, p, opts)
+            res.converged = False
+            return res
+
+        monkeypatch.setattr(waveguide, "minimize_quotient", unconverged)
+        out = tmp_path / "wg.csv"
+        rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
+                       "--h-list", "0.5", "--out", str(out)])
+        assert rc == 2      # the row is written, then non-convergence
+        assert capsys.readouterr().out.rstrip().endswith(", 1 unconverged")
+        (row,) = _read(out)[2]
+        assert row[-1] == "0"
+
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(waveguide, "minimize_quotient",
@@ -342,6 +399,60 @@ class TestWaveguide:
         assert rc == 2
         assert "straight reference unconverged" in capsys.readouterr().err
         assert not (tmp_path / "wg.csv").exists()
+
+
+class TestDirichletFaces:
+    """Dirichlet data is a face condition, however it is written:
+    `gamma = dirichlet` rewrites the Robin faces, and no Dirichlet face is
+    ever a boundary sample."""
+
+    GRID = ["points", "kind", "weight", "surface_weight", "edges",
+            "edge_axis", "edge_coeff", "shape", "spacing"]
+
+    def _concentration(self, text, p, tmp_path, name):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text + "V = 1.0\n")
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["concentration", "--config", str(cfg), "--p", p,
+                         "--out", str(out)]) == 0
+        return _read(out)[2]
+
+    @pytest.mark.parametrize("shape, faces, explicit", [
+        ("domain = rectangle\nbounds = -1 1 -1 1\n", "",
+         "bc = dirichlet dirichlet dirichlet dirichlet\n"),
+        ("domain = rectangle\nbounds = -1 1 -1 1\n",
+         "bc = robin truncation robin robin\n",
+         "bc = dirichlet truncation dirichlet dirichlet\n"),
+        ("domain = interval\nbounds = -1 1\n", "bc = robin robin\n",
+         "bc = dirichlet dirichlet\n"),
+    ], ids=["rectangle", "rectangle-mixed", "interval"])
+    def test_two_spellings_agree(self, shape, faces, explicit, tmp_path):
+        implicit = shape + faces + "gamma = dirichlet\n"
+        grids = [build_grid(parse_geometry(text)[0], 0.1)
+                 for text in (implicit, shape + explicit)]
+        for name in self.GRID:
+            assert np.array_equal(getattr(grids[0], name),
+                                  getattr(grids[1], name)), name
+        rows = [self._concentration(text, "4", tmp_path, name)
+                for name, text in (("implicit", implicit),
+                                   ("explicit", shape + explicit))]
+        assert rows[0] == rows[1]
+        assert {r[2] for r in rows[0]} == {"interior"}
+
+    def test_disk_rim(self, tmp_path):
+        # on a disk `gamma = dirichlet` is the only spelling: the center
+        # and five rings of 8 remain, and no rim point
+        rows = self._concentration("domain = disk\nradius = 1\n"
+                                   "gamma = dirichlet\n", "4", tmp_path, "disk")
+        assert len(rows) == 41
+        assert {r[2] for r in rows} == {"interior"}
+        assert max(math.hypot(float(r[0]), float(r[1])) for r in rows) < 0.9
+
+    def test_magnetic_box_at_p_2(self, tmp_path):
+        rows = self._concentration("domain = rectangle\nbounds = -1 1 -1 1\n"
+                                   "B = constant 1\ngamma = dirichlet\n",
+                                   "2", tmp_path, "box")
+        assert {(r[2], float(r[3])) for r in rows} == {("interior", 2.0)}
 
 
 class TestPartitionCheck:
@@ -402,6 +513,11 @@ class TestConfigValidation:
          "halfwidth: expected a number > 0"),
         ("domain = rectangle\nV = 1\nbounds = 1 -1 -1 1\n",
          "bounds: each pair needs lo < hi"),
+        # a field that is finite as written but not on every lattice node
+        ("domain = disk\nradius = 2\ngamma = quadratic 0 1e308\n",
+         "gamma: value inf at x = ("),
+        ("domain = disk\nradius = 2\nV = quadratic 1 1e308\n",
+         "V: value inf at x = ("),
     ])
     def test_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"

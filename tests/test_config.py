@@ -36,9 +36,11 @@ def _polar(r, th):
     (DISK + "gamma = angular-dip -0.1 0.8 0 0.5\n",
      lambda s, x: s.gamma_at(x), [_polar(1.0, 0.0), _polar(1.0, -0.5)],
      lambda x: np.array([-0.9, -0.1 - 0.8 / math.e])),
+    # Dirichlet data is the rim face (test_gamma_dirichlet_faces); no face
+    # reads gamma then, and it is 0
     (DISK + "gamma = dirichlet\n",
      lambda s, x: s.gamma_at(x), [[1.0, 0.0], [0.0, -1.0]],
-     lambda x: np.full(len(x), np.inf)),
+     lambda x: np.zeros(len(x))),
 ], ids=["V-quadratic", "V-x1-quadratic", "B-x1-quadratic",
         "B-x1-quadratic-curl", "gamma-angular-dip", "gamma-dirichlet"])
 def test_preset(text, at, pts, formula):
@@ -54,9 +56,9 @@ def test_preset(text, at, pts, formula):
      ((-3.0, 3.0), (0.0, 3.0)),
      (("truncation", "truncation"), ("robin", "truncation"))),
     ("domain = line\nhalfwidth = 3\n", "interval", ((-3.0, 3.0),),
-     ("truncation", "truncation")),
+     (("truncation", "truncation"),)),
     ("domain = half-line\nhalfwidth = 3\n", "interval", ((0.0, 3.0),),
-     ("robin", "truncation")),
+     (("robin", "truncation"),)),
     # the y-range of a strip is always (-1, 1)
     ("domain = strip\nbounds = -2 2 -5 5\n", "rectangle", ((-2.0, 2.0), (-1.0, 1.0)),
      (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"))),
@@ -66,3 +68,24 @@ def test_domain(text, kind, bounds, bc):
     dom = spec.domain
     assert (dom.kind, dom.bounds, dom.bc) == (kind, bounds, bc)
     assert spec.dim == len(bounds)
+
+
+@pytest.mark.parametrize("text, bc", [
+    ("domain = rectangle\nbounds = -1 1 -1 1\nbc = robin truncation robin dirichlet\n",
+     (("dirichlet", "truncation"), ("dirichlet", "dirichlet"))),
+    ("domain = interval\nbounds = -1 1\nbc = robin robin\n",
+     (("dirichlet", "dirichlet"),)),
+    ("domain = half-line\nhalfwidth = 3\n", (("dirichlet", "truncation"),)),
+    ("domain = half-plane\nhalfwidth = 3\n",
+     (("truncation", "truncation"), ("dirichlet", "truncation"))),
+    ("domain = strip\nbounds = -2 2 -1 1\n",
+     (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"))),
+    (DISK, (("dirichlet",),)),
+], ids=["rectangle", "interval", "half-line", "half-plane", "strip", "disk"])
+def test_gamma_dirichlet_faces(text, bc):
+    # `gamma = dirichlet` makes every Robin face a Dirichlet face and
+    # leaves the others; gamma itself is then 0
+    spec, resolved = parse_geometry(text + "gamma = dirichlet\n")
+    assert spec.domain.bc == bc
+    assert spec.gamma == 0.0
+    assert resolved["gamma"] == "dirichlet"

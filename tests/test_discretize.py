@@ -12,6 +12,7 @@ from scipy.integrate import dblquad
 from semisobolev import geometry as ge
 from semisobolev import discretize as dz
 from semisobolev import waveguide as wg
+from semisobolev.config import parse_geometry
 from semisobolev.errors import DomainTooSmall, ZeroFunction
 
 
@@ -60,8 +61,8 @@ class TestGrids:
             dz.build_grid(spec, 0.4)
 
     def test_dirichlet_gamma_pins_boundary(self):
-        spec = ge.GeometrySpec(domain=ge.rectangle(((0, 1), (0, 1))),
-                               gamma=ge.DIRICHLET)
+        spec, _ = parse_geometry("domain = rectangle\nbounds = 0 1 0 1\n"
+                                 "gamma = dirichlet\n")
         g = dz.build_grid(spec, 0.1)
         assert not np.any(g.kind == dz.ROBIN)
 

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 from scipy.linalg import eigh_tridiagonal
 
 from semisobolev import geometry as ge
-from semisobolev.errors import InvalidExponent
+from semisobolev.errors import ConfigError, InvalidExponent
 
 
 def _neumann_fiber(xi: float) -> float:
@@ -113,3 +113,17 @@ class TestGeometrySpec:
     def test_b_at_is_zero_without_field(self, spec):
         pts = np.zeros((3, spec.dim))
         assert_allclose(spec.b_at(pts), np.zeros(3))
+
+    @pytest.mark.parametrize("key, field", [
+        ("V", {"V": lambda pts: 1.0 / pts[:, 0]}),
+        ("gamma", {"gamma": math.inf}),
+        ("B", {"A": ge.landau_gauge(1.0), "B": lambda pts: np.log(pts[:, 0])}),
+    ])
+    def test_non_finite_values_name_the_key(self, key, field):
+        # Dirichlet data is a face, so no value may be infinite, gamma
+        # included; the message names the key and the first bad point
+        spec = ge.GeometrySpec(domain=ge.disk(1.0), **field)
+        at = {"V": spec.v_at, "gamma": spec.gamma_at, "B": spec.b_at}[key]
+        with pytest.raises(ConfigError, match=rf"^{key}: value -?inf at x = \(.*\) is not finite"):
+            with np.errstate(divide="ignore"):
+                at(np.array([[0.5, 0.0], [0.0, 0.5]]))

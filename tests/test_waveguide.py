@@ -18,8 +18,7 @@ def test_energy_is_the_weighted_edge_sum():
     form = wg.assemble_waveguide_form(prof, h, p, s_halfwidth=2.0)
     # the plain Dirichlet strip at the waveguide's resolution: s-spacing
     # h a_max / 14, 41 transverse nodes
-    spec = ge.GeometrySpec(domain=ge.strip(-2.0, 2.0), V=0.0,
-                           gamma=ge.DIRICHLET)
+    spec = ge.GeometrySpec(domain=ge.strip(-2.0, 2.0), V=0.0, gamma=0.0)
     plain = dz.build_grid(spec, (h * prof.a_max / 14.0, 2.0 / 40.0))
     assert (plain.n_nodes, plain.n_free) == (form.grid.n_nodes, form.n)
     a, b = plain.edges[:, 0], plain.edges[:, 1]
