@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     wg = sub.add_parser("waveguide", help="shrinking-waveguide sweep")
     wg.add_argument("--profile", required=True,
-                    help="constant:v | gaussian:A,s0,w | cosine | table:file.csv")
+                    help="constant:v | gaussian:A,s0,w (A >= 0, w > 0) | cosine "
+                         "| table:file.csv (rows s,a with s increasing)")
     wg.add_argument("--p", type=float, required=True)
     wg.add_argument("--h-list", required=True)
     wg.add_argument("--out", help="CSV path (stdout when omitted)")

@@ -13,13 +13,16 @@ differences of the phase function an exact symmetry of the discrete
 energy, and preserves the diamagnetic inequality edge by edge, since
 ||psi_b| - |psi_a|| <= |psi_b e^{-i theta} - psi_a|.
 
-Node kinds come from the domain's face table alone: Dirichlet data is a
-face condition, never a value of gamma.  Dirichlet and truncation nodes
-are eliminated; Robin nodes carry a surface trapezoid weight multiplying
-h^{3/2} gamma.  Disks are handled by masking a square lattice: volume
-weights are exact cell/disk intersection areas (so quadrature weights sum
-to the disk area to rounding) while edge coefficients near the curved rim
-are first-order only.
+A node is free or pinned, from the domain's face table alone: Dirichlet
+data is a face condition, never a value of gamma.  Nodes on a Dirichlet
+or truncation face are pinned to zero and eliminated.  A Robin face gives
+its free nodes a surface trapezoid weight multiplying h^{3/2} gamma, so
+the Robin nodes are the free nodes with positive surface weight.  Disks
+are handled by masking a square lattice: volume weights are exact
+cell/disk intersection areas, in closed form as four-corner differences
+of the area below and left of a point (`_lower_left_area`), so quadrature
+weights sum to the disk area to rounding; edge coefficients near the
+curved rim are first-order only.
 
 The descent's preconditioner K + tau M is solved in one of three ways
 (`AssembledForm.preconditioner`).  On a 2-D box the real forms split
@@ -43,12 +46,13 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
-from .errors import DomainTooSmall, ZeroFunction
+from .errors import DomainTooSmall, GridTooLarge, ZeroFunction
 from .geometry import Domain, GeometrySpec
 
-INTERIOR, ROBIN, DIRICHLET, TRUNCATION = 0, 1, 2, 3
+_MAX_NODES = 2 ** 22    # node budget of one lattice, over 50x any test or workload
 
 
 # ---------------------------------------------------------------------------
@@ -57,12 +61,15 @@ INTERIOR, ROBIN, DIRICHLET, TRUNCATION = 0, 1, 2, 3
 
 @dataclass
 class Grid:
-    """Uniform lattice with node classification and quadrature weights."""
+    """Uniform lattice with free/pinned nodes and quadrature weights.
+
+    A node is free (a degree of freedom) or pinned to zero.  The Robin
+    nodes are the free nodes whose surface weight is positive."""
 
     dim: int
     spacing: tuple
     points: np.ndarray          # (N, dim)
-    kind: np.ndarray            # (N,) uint8
+    free: np.ndarray            # (N,) bool, False on pinned nodes
     weight: np.ndarray          # (N,) volume quadrature weights
     surface_weight: np.ndarray  # (N,) Robin surface measure, 0 elsewhere
     edges: np.ndarray           # (E, 2) node indices
@@ -72,7 +79,6 @@ class Grid:
     shape: tuple | None = None  # per-axis node counts of box grids
 
     def __post_init__(self):
-        self.free = self.kind <= ROBIN
         self.free_index = -np.ones(len(self.points), dtype=np.int64)
         self.free_index[self.free] = np.arange(int(self.free.sum()))
 
@@ -85,8 +91,14 @@ class Grid:
         return int(self.free.sum())
 
 
-def _axis_nodes(lo: float, hi: float, spacing: float):
-    n = int(round((hi - lo) / spacing)) + 1
+def _check_size(n_nodes: float, spacing) -> None:
+    """GridTooLarge, before any per-node array exists, past _MAX_NODES."""
+    if not n_nodes <= _MAX_NODES:
+        raise GridTooLarge(f"spacing {spacing} gives a lattice of {n_nodes:.6g} "
+                           f"nodes, over the budget of {_MAX_NODES}")
+
+
+def _axis_nodes(lo: float, hi: float, n: int, spacing: float):
     if n < 8:
         raise DomainTooSmall(
             f"axis [{lo}, {hi}] at spacing {spacing} has {n} < 8 nodes")
@@ -107,23 +119,22 @@ def _outer(factors) -> np.ndarray:
 def _box_grid(dom: Domain, spacing) -> Grid:
     d = dom.dim
     spacing = (spacing,) * d if np.isscalar(spacing) else tuple(spacing)
-    axes = [_axis_nodes(lo, hi, s) for (lo, hi), s in zip(dom.bounds, spacing)]
+    counts = [float(np.rint((hi - lo) / s)) + 1.0
+              for (lo, hi), s in zip(dom.bounds, spacing)]
+    _check_size(math.prod(counts), spacing)
+    axes = [_axis_nodes(lo, hi, int(n), s)
+            for (lo, hi), n, s in zip(dom.bounds, counts, spacing)]
     ss = tuple(ax[1] - ax[0] for ax in axes)
     shape = tuple(len(ax) for ax in axes)
     pts = np.stack([x.ravel() for x in np.meshgrid(*axes, indexing="ij")],
                    axis=-1)
 
-    n_total = len(pts)
-    kind = np.zeros(n_total, dtype=np.uint8)
-    surface = np.zeros(n_total)
+    free = np.ones(shape, dtype=bool)
+    surface = np.zeros(shape)
     waxes = [_trapezoid_weights(len(ax), s) for ax, s in zip(axes, ss)]
     weight = _outer(waxes)
 
-    # precedence on shared corners: dirichlet > truncation > robin
-    rank = {"robin": 1, "truncation": 2, "dirichlet": 3}
-    code = {"robin": ROBIN, "truncation": TRUNCATION, "dirichlet": DIRICHLET}
-    idx = np.arange(n_total).reshape(shape)
-    face_rank = np.zeros(n_total, dtype=np.int8)
+    idx = np.arange(len(pts)).reshape(shape)
     edges, eaxis, ecoeff = [], [], []
     for axis in range(d):
         # trapezoid measure of the other axes: the surface weight of this
@@ -133,13 +144,11 @@ def _box_grid(dom: Domain, spacing) -> Grid:
         for side, bc in enumerate(dom.bc[axis]):
             sel = [slice(None)] * d
             sel[axis] = 0 if side == 0 else -1
-            face_nodes = idx[tuple(sel)].ravel()
-            r = rank[bc]
-            upgrade = face_rank[face_nodes] < r
-            kind[face_nodes[upgrade]] = code[bc]
-            face_rank[face_nodes[upgrade]] = r
+            face = tuple(sel)
             if bc == "robin":
-                surface[face_nodes] += trans[tuple(sel)].ravel()
+                surface[face] += trans[face]
+            else:
+                free[face] = False
         sl_a = [slice(None)] * d
         sl_b = [slice(None)] * d
         sl_a[axis] = slice(None, -1)
@@ -149,59 +158,46 @@ def _box_grid(dom: Domain, spacing) -> Grid:
         edges.append(np.stack([a, b], axis=-1))
         eaxis.append(np.full(a.size, axis, dtype=np.uint8))
         ecoeff.append(trans[tuple(sl_a)].ravel() / ss[axis])
-    # a node on any dirichlet/truncation face is pinned even if it also
-    # touches a robin face; clear its surface weight
-    surface[kind >= DIRICHLET] = 0.0
+    # a node on a pinned face is pinned even where it touches a Robin face
+    surface[~free] = 0.0
 
     return Grid(
-        dim=d, spacing=ss, points=pts, kind=kind, weight=weight,
-        surface_weight=surface,
+        dim=d, spacing=ss, points=pts, free=free.ravel(), weight=weight,
+        surface_weight=surface.ravel(),
         edges=np.concatenate(edges), edge_axis=np.concatenate(eaxis),
         edge_coeff=np.concatenate(ecoeff),
         domain=dom, shape=shape,
     )
 
 
-def _quarter_disk_area(x: float, y: float, R: float) -> float:
-    """Area of {u <= x, v <= y} inside the centered disk of radius R."""
+def _lower_left_area(x, y, R: float):
+    """Area of {u <= x, v <= y} inside the centred disk of radius R.
 
-    def ig(u):
-        u = min(max(u, -R), R)
-        return 0.5 * (u * math.sqrt(max(R * R - u * u, 0.0))
-                      + R * R * math.asin(u / R))
+    With F(u) = int_0^u sqrt(R^2 - t^2) dt and m = sqrt(max(R^2 - y^2, 0)),
+    the slice of the disk at abscissa u below height y has length
+    sqrt(R^2 - u^2) + y on |u| <= m, and, when y >= 0, the whole chord
+    2 sqrt(R^2 - u^2) on m <= |u| <= R.  Integrating up to x, with x
+    clipped to a = [-R, -m], b = [-m, m] and c = [m, R]:
 
-    xh = min(max(x, -R), R)
-    m = math.sqrt(max(R * R - y * y, 0.0))
-    if y >= 0.0:
-        # integrand: G + y on |u| <= m, else 2G
-        lo, hi = -min(m, R), min(m, xh)
-        area = 0.0
-        if xh > -R:
-            a0, b0 = -R, min(xh, -m)
-            if b0 > a0:
-                area += 2.0 * (ig(b0) - ig(a0))
-            if hi > lo:
-                area += (ig(hi) - ig(lo)) + y * (hi - lo)
-            a1, b1 = max(m, -R), xh
-            if b1 > a1:
-                area += 2.0 * (ig(b1) - ig(a1))
-        return area
-    # y < 0: integrand max(y + G, 0), supported on |u| <= m
-    lo, hi = -m, min(m, xh)
-    if hi <= lo:
-        return 0.0
-    return (ig(hi) - ig(lo)) + y * (hi - lo)
+        A = [y >= 0] 2 (F(a) - F(-R) + F(c) - F(m)) + F(b) - F(-m) + y (b + m).
+    """
 
+    def F(u):
+        return 0.5 * (u * np.sqrt(np.maximum(R * R - u * u, 0.0))
+                      + R * R * np.arcsin(u / R))
 
-def _cell_disk_area(ax, bx, ay, by, R) -> float:
-    return (_quarter_disk_area(bx, by, R) - _quarter_disk_area(ax, by, R)
-            - _quarter_disk_area(bx, ay, R) + _quarter_disk_area(ax, ay, R))
+    m = np.sqrt(np.maximum(R * R - y * y, 0.0))
+    a, b, c = np.clip(x, -R, -m), np.clip(x, -m, m), np.clip(x, m, R)
+    return (np.where(y >= 0.0, 2.0 * (F(a) - F(-R) + F(c) - F(m)), 0.0)
+            + F(b) - F(-m) + y * (b + m))
 
 
 def _disk_grid(dom: Domain, spacing) -> Grid:
     R = dom.radius
     cx, cy = dom.center
     s = float(spacing) if np.isscalar(spacing) else float(spacing[0])
+    side = 2.0 * float(np.ceil(R / s)) + 3.0
+    _check_size(side * side, s)
     n_half = int(math.ceil(R / s)) + 1
     if 2 * n_half + 1 < 8:
         raise DomainTooSmall(f"disk of radius {R} at spacing {s} is under-resolved")
@@ -213,41 +209,37 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
     r_all = np.hypot(pts_all[:, 0] - cx, pts_all[:, 1] - cy)
     inside = r_all <= R + 1e-12 * R
 
-    # exact cell areas for every cell that can overlap the rim
-    lat = np.arange(nx * nx).reshape(nx, nx)
-    area = np.zeros(nx * nx)
+    # exact cell areas: the four-corner difference of _lower_left_area on
+    # the cells that can meet the rim, s^2 on the cells inside it
+    corner = s * (np.arange(nx + 1) - n_half - 0.5)
+    A = _lower_left_area(corner[:, None], corner[None, :], R)
+    cut = (A[1:, 1:] - A[:-1, 1:] - A[1:, :-1] + A[:-1, :-1]).ravel()
     fully_in = r_all <= R - s * math.sqrt(2.0) / 2.0
-    area[fully_in] = s * s
-    maybe = (~fully_in) & (r_all <= R + s * math.sqrt(2.0) / 2.0)
-    for i in np.nonzero(maybe)[0]:
-        x0, y0 = pts_all[i] - (cx, cy)
-        area[i] = _cell_disk_area(x0 - s / 2, x0 + s / 2, y0 - s / 2, y0 + s / 2, R)
+    maybe = r_all <= R + s * math.sqrt(2.0) / 2.0
+    area = np.where(fully_in, s * s, np.where(maybe, cut, 0.0))
 
     # hand rim-cell area of excluded lattice nodes to their nearest included
-    # neighbour so the weights sum exactly to the disk area
+    # 3 x 3 neighbour (the first in row-major order on ties) so the weights
+    # sum exactly to the disk area
     grid_index = -np.ones(nx * nx, dtype=np.int64)
     grid_index[inside] = np.arange(int(inside.sum()))
-    ii, jj = np.divmod(np.arange(nx * nx), nx)
     weight = area[inside].copy()
     donors = np.nonzero((~inside) & (area > 0.0))[0]
-    for i in donors:
-        best, best_r = -1, np.inf
-        for di in (-1, 0, 1):
-            for dj in (-1, 0, 1):
-                ni, nj = ii[i] + di, jj[i] + dj
-                if 0 <= ni < nx and 0 <= nj < nx:
-                    k = ni * nx + nj
-                    if inside[k] and r_all[k] < best_r:
-                        best, best_r = k, r_all[k]
-        if best >= 0:
-            weight[grid_index[best]] += area[i]
+    near = np.pad(np.where(inside, r_all, np.inf).reshape(nx, nx), 1,
+                  constant_values=np.inf)
+    row, col = np.divmod(donors, nx)
+    hood = sliding_window_view(near, (3, 3))[row, col].reshape(-1, 9)
+    best = hood.argmin(axis=1)
+    has = np.isfinite(hood.min(axis=1))
+    receiver = (row + best // 3 - 1) * nx + col + best % 3 - 1
+    np.add.at(weight, grid_index[receiver[has]], area[donors[has]])
 
     pts = pts_all[inside]
     n = len(pts)
-    kind = np.full(n, INTERIOR, dtype=np.uint8)
 
     # edges between included 4-neighbours; boundary nodes are those with a
     # missing neighbour
+    lat = np.arange(nx * nx).reshape(nx, nx)
     edges, ecoeff = [], []
     has_all = np.ones(n, dtype=bool)
     for axis, (di, dj) in enumerate(((1, 0), (0, 1))):
@@ -260,13 +252,13 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
         for la, lb in ((a_lat, b_lat), (b_lat, a_lat)):
             miss = inside[la] & ~inside[lb]
             has_all[grid_index[la[miss]]] = False
-    (rim,), = dom.bc
-    kind[~has_all] = ROBIN if rim == "robin" else DIRICHLET
 
-    # arc-length surface weights by angular spacing of the rim nodes
+    # a Dirichlet rim is pinned; a Robin rim gets arc-length surface weights
+    # by the angular spacing of its nodes
+    (rim,), = dom.bc
     surface = np.zeros(n)
-    bidx = np.nonzero(kind == ROBIN)[0]
-    if bidx.size:
+    if rim == "robin":
+        bidx = np.nonzero(~has_all)[0]
         theta = np.arctan2(pts[bidx, 1] - cy, pts[bidx, 0] - cx)
         order = np.argsort(theta)
         th = theta[order]
@@ -278,7 +270,8 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
     eaxis = np.concatenate([np.full(len(x), k, dtype=np.uint8)
                             for k, x in enumerate(edges)])
     return Grid(
-        dim=2, spacing=(s, s), points=pts, kind=kind, weight=weight,
+        dim=2, spacing=(s, s), points=pts,
+        free=has_all | (rim == "robin"), weight=weight,
         surface_weight=surface, edges=e, edge_axis=eaxis,
         edge_coeff=np.concatenate(ecoeff),
         domain=dom, shape=None,
@@ -288,8 +281,11 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
 def build_grid(spec: GeometrySpec, spacing) -> Grid:
     """Build the lattice for a geometry (a masked square lattice for disks).
 
-    Node kinds come from the domain's face table alone; gamma plays no
-    part in the grid."""
+    Nodes are free or pinned, from the domain's face table alone (gamma
+    plays no part in the grid): a Robin face gives its free nodes surface
+    weight, any other face pins its nodes.  GridTooLarge (exit 1) when the
+    lattice would have more than _MAX_NODES nodes; it is raised before any
+    per-node array is allocated."""
     dom = spec.domain
     if dom.kind == "disk":
         return _disk_grid(dom, spacing)
@@ -733,7 +729,7 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
     fpts = g.points[g.free]
     w = g.weight[g.free]
     diag = h * spec.v_at(fpts) * w
-    robin_free = (g.kind == ROBIN)[g.free]
+    robin_free = g.surface_weight[g.free] > 0.0
     if np.any(robin_free):
         gam = spec.gamma_at(fpts[robin_free])
         sw = g.surface_weight[g.free][robin_free]

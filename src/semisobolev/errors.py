@@ -38,7 +38,8 @@ class NotPositive(SemisobolevError):
 
 
 class InvalidScales(SemisobolevError):
-    """Partition scales must satisfy alpha >= rho > 0 and h in (0, 1)."""
+    """Partition scales must satisfy alpha >= rho > 0 and h in (0, 1), with
+    h^alpha > 0 in floating point."""
 
 
 class NoneAccepted(SemisobolevError):
@@ -46,8 +47,13 @@ class NoneAccepted(SemisobolevError):
 
 
 class InvalidProfile(SemisobolevError):
-    """Waveguide width profile must be bounded below by a positive constant."""
+    """Waveguide width profile must be finite, bounded below by a positive
+    constant and have an attained maximum."""
 
 
 class ConfigError(SemisobolevError):
     """Malformed run configuration; message carries the offending key."""
+
+
+class GridTooLarge(SemisobolevError):
+    """A lattice would have more nodes than the grid builder's budget."""

@@ -84,6 +84,9 @@ class PartitionFamily:
         self.tau = np.asarray(self.tau, dtype=float).reshape(self.dim)
         self.plateau = self.h ** self.rho
         self.layer = self.h ** self.alpha
+        if not (self.plateau > 0.0 and self.layer > 0.0):
+            raise InvalidScales(f"need h^rho, h^alpha > 0 in floating point, "
+                                f"got {self.plateau}, {self.layer}")
         self.step = 2.0 * self.plateau + self.layer
 
     # -- 1D template ------------------------------------------------------

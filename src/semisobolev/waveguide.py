@@ -51,8 +51,14 @@ class WidthProfile:
     width: float = 1.0      # truncation length scale of the bump
 
     def __post_init__(self):
+        numbers = (self.a0, self.s_max, self.a_max, self.width)
+        if not all(map(math.isfinite, numbers)):
+            raise InvalidProfile(f"profile numbers must be finite, got a0, "
+                                 f"s_max, a_max, width = {numbers}")
         if self.a0 <= 0.0:
             raise InvalidProfile(f"profile must stay positive, a0 = {self.a0}")
+        if self.width <= 0.0:
+            raise InvalidProfile(f"profile width must be > 0, got {self.width}")
 
     def __call__(self, s):
         return np.asarray(self.func(np.asarray(s, dtype=float)), dtype=float)
@@ -65,6 +71,10 @@ def constant_profile(value: float = 1.0) -> WidthProfile:
 
 def gaussian_profile(amp: float = 0.5, center: float = 0.0,
                      width: float = 1.0) -> WidthProfile:
+    """1 + amp exp(-((s - center) / width)^2); amp >= 0, since a dip has
+    no attained maximum."""
+    if not amp >= 0.0:
+        raise InvalidProfile(f"gaussian amplitude must be >= 0, got {amp}")
     f = lambda s: 1.0 + amp * np.exp(-((s - center) / width) ** 2)
     return WidthProfile(func=f, a0=1.0, s_max=center, a_max=1.0 + amp,
                         width=width)
@@ -76,8 +86,15 @@ def cosine_profile() -> WidthProfile:
 
 
 def table_profile(s_vals, a_vals) -> WidthProfile:
+    """Piecewise-linear a(s) through at least 2 finite rows, s strictly
+    increasing (np.interp reads s in that order)."""
     s_vals = np.asarray(s_vals, dtype=float)
     a_vals = np.asarray(a_vals, dtype=float)
+    if not (len(s_vals) >= 2 and np.all(np.isfinite(s_vals))
+            and np.all(np.isfinite(a_vals)) and np.all(np.diff(s_vals) > 0.0)):
+        raise InvalidProfile("table needs at least 2 finite rows with s "
+                             f"strictly increasing, got s = {s_vals}, "
+                             f"a = {a_vals}")
     f = lambda s: np.interp(s, s_vals, a_vals)
     k = int(np.argmax(a_vals))
     return WidthProfile(func=f, a0=float(a_vals.min()),

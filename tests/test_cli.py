@@ -406,7 +406,7 @@ class TestDirichletFaces:
     `gamma = dirichlet` rewrites the Robin faces, and no Dirichlet face is
     ever a boundary sample."""
 
-    GRID = ["points", "kind", "weight", "surface_weight", "edges",
+    GRID = ["points", "free", "weight", "surface_weight", "edges",
             "edge_axis", "edge_coeff", "shape", "spacing"]
 
     def _concentration(self, text, p, tmp_path, name):
@@ -572,6 +572,29 @@ class TestBadInput:
         ["large-domain", "--config", "{cfg}", "--p", "4", "--R-list", ""],
         ["concentration", "--config", "{cfg}", "--p", "4", "--n-interior", "-3"],
         ["concentration", "--config", "{cfg}", "--p", "4", "--n-boundary", "0"],
+        ["partition-check", "--alpha", "0.5", "--rho", "0.4", "--h", "0.5",
+         "--spacing", "1e-4"],
+        ["waveguide", "--profile", "gaussian:-0.5,0,1", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "table:{tmp}/descending.csv", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "table:{tmp}/repeated.csv", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "table:{tmp}/nan.csv", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "table:{tmp}/one_row.csv", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "constant:nan", "--p", "4", "--h-list", "0.2"],
+        ["waveguide", "--profile", "gaussian:nan,0,1", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "gaussian:0.5,inf,1", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "gaussian:0.5,0,0", "--p", "4",
+         "--h-list", "0.2"],
+        ["waveguide", "--profile", "gaussian:0.5,0,-1", "--p", "4",
+         "--h-list", "0.2"],
+        ["partition-check", "--alpha", "inf", "--rho", "1", "--h", "0.5"],
+        ["partition-check", "--alpha", "1e308", "--rho", "1e308", "--h", "0.5"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -582,9 +605,19 @@ class TestBadInput:
             "solve-grad-tol-negative", "sweep-format", "waveguide-format",
             "sweep-h-empty", "large-domain-R-empty",
             "concentration-n-interior-negative",
-            "concentration-n-boundary-zero"])
+            "concentration-n-boundary-zero", "partition-lattice-too-large",
+            "gaussian-dip", "table-descending", "table-repeated-s",
+            "table-nan", "table-one-row", "constant-nan", "gaussian-amp-nan",
+            "gaussian-center-inf", "gaussian-width-zero",
+            "gaussian-width-negative", "partition-alpha-inf",
+            "partition-layer-underflow"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
+        for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),
+                           ("repeated", "-2,1.0\n0,1.5\n0,1.2\n2,1.0\n"),
+                           ("nan", "-2,1.0\n0,nan\n2,1.0\n"),
+                           ("one_row", "0,1.5\n")):
+            (tmp_path / f"{name}.csv").write_text(text)
         out = tmp_path / "out.csv"
         argv = [a.replace("{tmp}", str(tmp_path)).replace("{cfg}", str(interval_cfg))
                 for a in argv]

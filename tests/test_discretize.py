@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
-from scipy.integrate import dblquad
+from scipy.integrate import dblquad, quad
 
 from semisobolev import geometry as ge
 from semisobolev import discretize as dz
 from semisobolev import waveguide as wg
 from semisobolev.config import parse_geometry
-from semisobolev.errors import DomainTooSmall, ZeroFunction
+from semisobolev.errors import DomainTooSmall, GridTooLarge, ZeroFunction
 
 
 @pytest.fixture(scope="module")
@@ -25,20 +25,25 @@ def magnetic_form():
     return spec, grid, dz.assemble(spec, 0.5, grid)
 
 
+def _robin(g):
+    """The Robin nodes: free nodes with surface weight."""
+    return g.free & (g.surface_weight > 0.0)
+
+
 class TestGrids:
     def test_unit_square(self):
         spec = ge.GeometrySpec(domain=ge.rectangle(((0, 1), (0, 1))))
         g = dz.build_grid(spec, 0.1)
         assert g.n_nodes == 121
-        assert int((g.kind == dz.ROBIN).sum()) == 40
+        assert int(_robin(g).sum()) == 40
         assert abs(g.weight.sum() - 1.0) <= 1e-12
         assert abs(g.surface_weight.sum() - 4.0) <= 1e-12
 
     def test_half_space_one_robin_face(self):
         spec = ge.GeometrySpec(domain=ge.half_plane(2.0, 2.0))
         g = dz.build_grid(spec, 0.25)
-        assert np.any(g.kind == dz.ROBIN) and np.any(g.kind == dz.TRUNCATION)
-        robin_pts = g.points[g.kind == dz.ROBIN]
+        assert np.any(_robin(g)) and not np.all(g.free)
+        robin_pts = g.points[_robin(g)]
         assert np.all(robin_pts[:, 1] == 0.0)
         # truncation corners of the robin face are pinned, not robin
         assert not np.any(np.abs(robin_pts[:, 0]) == 2.0)
@@ -46,7 +51,7 @@ class TestGrids:
     def test_1d_half_line(self):
         spec = ge.GeometrySpec(domain=ge.half_line(5.0))
         g = dz.build_grid(spec, 0.05)
-        assert g.kind[0] == dz.ROBIN and g.kind[-1] == dz.TRUNCATION
+        assert _robin(g)[0] and not g.free[-1]
         assert abs(g.weight.sum() - 5.0) <= 1e-12
 
     def test_disk_area_and_perimeter(self):
@@ -54,6 +59,66 @@ class TestGrids:
         g = dz.build_grid(spec, 0.04)
         assert abs(g.weight.sum() - math.pi) <= 1e-10
         assert abs(g.surface_weight.sum() - 2 * math.pi) <= 1e-10
+
+    @pytest.mark.parametrize("R, center, s", [
+        (1.0, (0.3, -0.2), 0.13), (0.77, (-0.4, 0.25), 0.1),
+        (1.3, (0.05, 0.6), 0.17)])
+    def test_disk_weights_cell_by_cell(self, R, center, s):
+        # every lattice cell the rim cuts: the closed form against quad of
+        # the cell's clipped chord length; then the weights against the
+        # hand-off of each excluded cell's area to its nearest included
+        # 3 x 3 neighbour (the first in row-major order on ties), cell by
+        # cell
+        g = dz.build_grid(ge.GeometrySpec(domain=ge.disk(R, center)), s)
+        n = int(math.ceil(R / s)) + 1
+        X, Y = np.meshgrid(center[0] + s * np.arange(-n, n + 1) - center[0],
+                           center[1] + s * np.arange(-n, n + 1) - center[1],
+                           indexing="ij")
+        r = np.hypot(X, Y)
+        inside = r <= R + 1e-12 * R
+
+        def chord(u, v0, v1):
+            root = math.sqrt(max(R * R - u * u, 0.0))
+            return max(0.0, min(v1, root) - max(v0, -root))
+
+        def A(u, v):
+            return dz._lower_left_area(u, v, R)
+
+        area = np.zeros(r.shape)
+        signs = set()
+        for (i, j), x in np.ndenumerate(X):
+            y = Y[i, j]
+            x0, x1, y0, y1 = x - s / 2, x + s / 2, y - s / 2, y + s / 2
+            near = math.hypot(np.clip(0.0, x0, x1), np.clip(0.0, y0, y1))
+            far = max(math.hypot(u, v) for u in (x0, x1) for v in (y0, y1))
+            if far <= R:
+                area[i, j] = s * s
+            if not near < R < far:
+                continue
+            lo, hi = max(x0, -R), min(x1, R)
+            kinks = [k for v in (y0, y1) if abs(v) < R
+                     for k in (-math.sqrt(R * R - v * v),
+                               math.sqrt(R * R - v * v)) if lo < k < hi]
+            area[i, j] = quad(chord, lo, hi, args=(y0, y1), points=kinks or None,
+                              epsabs=1e-16, epsrel=1e-13, limit=200)[0]
+            closed = A(x1, y1) - A(x0, y1) - A(x1, y0) + A(x0, y0)
+            assert abs(closed - area[i, j]) <= 1e-12 * s * s, (x, y)
+            signs.add((np.sign(x), np.sign(y)))
+        # rim cells in all four quadrants and on both lines through the centre
+        assert signs >= {(1, 1), (-1, 1), (-1, -1), (1, -1),
+                         (0, 1), (0, -1), (1, 0), (-1, 0)}
+        weight = area.copy()
+        for i, j in zip(*np.nonzero(~inside & (area > 0.0))):
+            _, k, m = min((r[k, m], k, m) for k in (i - 1, i, i + 1)
+                          for m in (j - 1, j, j + 1) if inside[k, m])
+            weight[k, m] += area[i, j]
+        assert_allclose(g.weight, weight[inside], rtol=0.0, atol=1e-12 * s * s)
+
+    def test_lattice_budget(self):
+        # the node count is checked before any per-node array exists
+        for dom in (ge.plane(3.0), ge.disk(1.0)):
+            with pytest.raises(GridTooLarge, match="1e-05"):
+                dz.build_grid(ge.GeometrySpec(domain=dom), 1e-5)
 
     def test_too_small(self):
         spec = ge.GeometrySpec(domain=ge.rectangle(((0, 1), (0, 1))))
@@ -64,7 +129,7 @@ class TestGrids:
         spec, _ = parse_geometry("domain = rectangle\nbounds = 0 1 0 1\n"
                                  "gamma = dirichlet\n")
         g = dz.build_grid(spec, 0.1)
-        assert not np.any(g.kind == dz.ROBIN)
+        assert not np.any(_robin(g))
 
 
 class TestLinkPhase:

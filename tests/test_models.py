@@ -1,6 +1,7 @@
 """Homogeneous model constants and the concentration function."""
 
 import math
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from semisobolev import geometry as ge
 from semisobolev import model1d as m1
 from semisobolev import models
 from semisobolev.config import load_geometry
-from semisobolev.errors import AssumptionViolated, NotPositive
+from semisobolev.errors import AssumptionViolated, GridTooLarge, NotPositive
 from semisobolev.minimize import MinimizeOptions, minimize_quotient
 
 BOX_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -125,6 +126,18 @@ class TestBoundaryConstant:
             bd = models.boundary_constant(0.0, 1.0, c, 4.0, dim=1)
             it = models.interior_constant(0.0, 1.0, 4.0, dim=1)
             assert bd < it
+
+    def test_oversized_model_lattice_is_refused(self):
+        # gamma = 100 sizes the half-plane model at 81.6M nodes: the grid
+        # builder raises before it allocates any per-node array
+        tracemalloc.start()
+        try:
+            with pytest.raises(GridTooLarge, match="nodes"):
+                models.boundary_constant(0.0, 1.0, 100.0, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 class TestIntBord:

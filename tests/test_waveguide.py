@@ -66,3 +66,10 @@ def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
     (tight,) = wg.waveguide_sweep(prof, 4.0, [0.1])
     assert row.converged and tight.converged
     assert row.mass_outside == pytest.approx(tight.mass_outside, rel=1e-6)
+
+
+def test_flat_gaussian_is_the_straight_strip():
+    # amp = 0, the edge of the admitted amp >= 0, is the constant strip
+    (row,) = wg.waveguide_sweep(wg.gaussian_profile(0.0, 0.0, 1.0), 4.0, [0.2])
+    assert row.converged
+    assert row.ratio == pytest.approx(1.0, abs=1e-9)
