@@ -32,8 +32,6 @@ from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
 from .models import boundary_constant, concentration_map
 
-_EPS = 0.2      # dilation radius of the argmin set M_eps for the exterior mass
-
 
 def h_power(d: int, p: float) -> float:
     """Exponent of the semiclassical prefactor h^{1 + d/2 - d/p}."""
@@ -122,7 +120,7 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
         center = tuple(float(c) for c in grid.points[int(np.argmax(vals))])
-        outside = cmap.outside_m_eps(grid.points, _EPS)
+        outside = cmap.outside_m_eps(grid.points)
         mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
         rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
                              target=cmap.inf_value, gap=gap, center=center,

@@ -372,6 +372,7 @@ class AssembledForm:
     edge_phase: np.ndarray
     edge_kin: np.ndarray        # h^2 * coeff per edge
     is_complex: bool
+    pot_floor: float            # min of the V + Robin diagonal over weight
     _prec: object = field(default=None, repr=False)
 
     @property
@@ -405,13 +406,7 @@ class AssembledForm:
         pts = self.grid.points
         base = sum((math.pi * self.h / float(np.ptp(pts[:, ax]))) ** 2
                    for ax in range(self.grid.dim))
-        # diagonal of the non-kinetic part: V and Robin masses over weight
-        kin_diag = np.zeros(self.grid.n_nodes)
-        np.add.at(kin_diag, self.grid.edges[:, 0], self.edge_kin)
-        np.add.at(kin_diag, self.grid.edges[:, 1], self.edge_kin)
-        pot = self.K.diagonal().real - kin_diag[self.grid.free]
-        lb = float(np.min(pot / self.weight))
-        return base + 1.5 * max(0.0, -lb)
+        return base + 1.5 * max(0.0, -self.pot_floor)
 
     def preconditioner(self):
         """A solve with P = K + tau M, built lazily and reused.
@@ -740,7 +735,8 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
     K.sum_duplicates()
 
     return AssembledForm(grid=g, spec=spec, h=h, K=K.tocsr(), weight=w,
-                         edge_phase=theta, edge_kin=kin, is_complex=is_complex)
+                         edge_phase=theta, edge_kin=kin, is_complex=is_complex,
+                         pot_floor=float(np.min(diag / w)))
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ limit), `backtrack_floor` (no step lowers the quotient, so the iterate
 cannot move) or `outpaced` (by the forecast of its recent decreases it
 would still end above the best converged start at the cap; see
 `_descend`).
-Multiple restarts (random fields plus Gaussian bumps at candidate
-localization centers) guard against spurious local minima.
+Multiple starts (a Gaussian bump at each candidate localization center,
+then random fields) guard against spurious local minima.
 """
 
 from __future__ import annotations
@@ -71,7 +71,6 @@ class MinimizeOptions:
     seed: int = 0
     centers: tuple = ()         # Gaussian-bump initialization centers
     bump_width: float | None = None
-    inits: tuple = ()           # explicit initial fields (override randoms)
 
 
 @dataclass
@@ -108,6 +107,14 @@ def quotient_gradient(form: AssembledForm, psi: WaveFunction, p: float) -> WaveF
     return WaveFunction(form.grid, form.full_values(g))
 
 
+def _normal_field(rng, form):
+    """Gaussian field on the free nodes; complex on a complex form."""
+    x = rng.standard_normal(form.n)
+    if form.is_complex:
+        x = x + 1j * rng.standard_normal(form.n)
+    return x
+
+
 def _grad_unit(w, x, Kx, R, p):
     """Gradient at an L^p-normalized x, given K x and R = <x, K x>."""
     return 2.0 * (Kx / w - R * abs_pow(x, p - 2.0) * x)
@@ -142,10 +149,7 @@ def _lobpcg_eigen(form, opts):
     Its 2-norm residual is the M-norm one, so tol = grad_tol / 2 is the
     p > 2 gradient test wherever |lambda| <= 1, and stricter above.
     """
-    rng = np.random.default_rng(opts.seed)
-    x0 = rng.standard_normal(form.n)
-    if form.is_complex:
-        x0 = x0 + 1j * rng.standard_normal(form.n)
+    x0 = _normal_field(np.random.default_rng(opts.seed), form)
     s = np.sqrt(form.weight)[:, None]
     prec = form.preconditioner()
     steps = 0
@@ -285,8 +289,8 @@ def _forecast(trail, max_iters):
     return trail[k] - gain
 
 
-def _descend(form, x0, p, opts, history=None, incumbent=math.inf):
-    """Preconditioned nonlinear CG on the quotient; (R, x, iters, _Stop).
+def _descend(form, x0, p, opts, incumbent=math.inf):
+    """Preconditioned nonlinear CG on the quotient; (trail, x, iters, _Stop).
 
     The direction is d = z + beta d_prev with z = P^{-1} M g and the
     Polak-Ribiere+ beta = max(0, <g - g_prev, z>_M / <g_prev, z_prev>_M);
@@ -294,9 +298,10 @@ def _descend(form, x0, p, opts, history=None, incumbent=math.inf):
     line quotient is an exact rational function of the step, minimized
     in closed form (`_exact_step`) with no L^p norm; any other p
     backtracks from twice the last step with one L^p norm per trial.
-    Every accepted step lowers R.
-
-    `history`, when a list, receives R at the start and after each step.
+    Every accepted step lowers R.  The trail holds R at the start and
+    after each accepted step, so trail[-1] is the final R.  A start whose
+    L^p norm overflows (|x|^p at large p) is first divided by its largest
+    |x|, which leaves the 0-homogeneous quotient unchanged.
 
     `incumbent` is the best value a converged start has reached.  After
     k >= _STAG_WINDOW accepted steps the descent stops as `outpaced` when
@@ -319,13 +324,14 @@ def _descend(form, x0, p, opts, history=None, incumbent=math.inf):
         return float(np.real(np.vdot(a, w * b)))
 
     n0 = lp_norm(w, x0, p)
+    if n0 == math.inf:
+        x0 = x0 / np.max(np.abs(x0))
+        n0 = lp_norm(w, x0, p)
     if n0 < 1e-300:
         raise ZeroFunction("zero trial function")
     x = x0 / n0
     Kx = K @ x
     R = float(np.real(np.vdot(x, Kx)))
-    if history is not None:
-        history.append(R)
     g = _grad_unit(w, x, Kx, R, p)
     z = pdir(g)
     gz = wdot(g, z)
@@ -367,8 +373,6 @@ def _descend(form, x0, p, opts, history=None, incumbent=math.inf):
         beta = max(0.0, (gzt - wdot(g, zt)) / gz)
         d = zt + (beta * carry) * d
         x, Kx, g, z, gz, R = xt, Kxt, gt, zt, gzt, Rt
-        if history is not None:
-            history.append(R)
         trail.append(R)
         if (len(trail) > _STAG_WINDOW
                 and _forecast(trail, max_iters) > incumbent + _TIE):
@@ -381,7 +385,7 @@ def _descend(form, x0, p, opts, history=None, incumbent=math.inf):
             if since_best >= _STAG_WINDOW:
                 reason = "stagnation"
                 break
-    return R, x, it + 1, _Stop(reason, gnorm)
+    return trail, x, it + 1, _Stop(reason, gnorm)
 
 
 def minimize_quotient(form: AssembledForm, p: float,
@@ -389,14 +393,15 @@ def minimize_quotient(form: AssembledForm, p: float,
     """Minimize the discrete Sobolev quotient at exponent p >= 2.
 
     p = 2 uses the eigensolver path; p > 2 runs the CG descent from one
-    Gaussian bump per candidate center and then `restarts` random fields
-    (or from `inits`, in order), returning the best final value (ties
-    broken by iteration count).  Each start is given the lowest value of
-    the finished starts that met the gradient tolerance, and stops as
-    `outpaced` once the forecast of its recent decreases cannot bring it
-    below that value by the cap; such a start ends above it and is never
-    the one returned.  The result's `converged` flag is False when the
-    best restart misses the gradient tolerance.
+    Gaussian bump per candidate center (the middle of the domain when
+    `centers` is empty) and then `restarts` random fields, returning the
+    best final value (ties broken by iteration count).  Each start is
+    given the lowest value of the finished starts that met the gradient
+    tolerance, and stops as `outpaced` once the forecast of its recent
+    decreases cannot bring it below that value by the cap; such a start
+    ends above it and is never the one returned.  The result's
+    `converged` flag is False when the best restart misses the gradient
+    tolerance or its value is not finite.
     """
     opts = opts or MinimizeOptions()
     check_exponent(p)
@@ -405,41 +410,30 @@ def minimize_quotient(form: AssembledForm, p: float,
 
     rng = np.random.default_rng(opts.seed)
     grid = form.grid
-    inits: list[np.ndarray] = []
-    for x in opts.inits:
-        arr = x.values if isinstance(x, WaveFunction) else np.asarray(x)
-        arr = arr[grid.free] if arr.shape[0] == grid.n_nodes else arr
-        inits.append(arr.astype(complex if form.is_complex else arr.dtype))
-    if not opts.inits:
-        centers = opts.centers
-        if not len(centers):
-            if grid.domain.kind == "disk":
-                centers = (grid.domain.center,)
-            else:
-                centers = (tuple(0.5 * (lo + hi) for lo, hi in grid.domain.bounds),)
-        width = opts.bump_width or max(
-            4.0 * max(grid.spacing), 0.08 * float(np.ptp(grid.points[:, 0])))
-        for cpt in centers:
-            bump = gaussian_bump(grid, np.asarray(cpt, dtype=float)[: grid.dim], width)
-            inits.append(bump.values[grid.free].astype(
-                complex if form.is_complex else float))
-        for _ in range(max(0, opts.restarts)):
-            v = rng.standard_normal(form.n)
-            if form.is_complex:
-                v = v + 1j * rng.standard_normal(form.n)
-            inits.append(v)
+    centers = opts.centers
+    if not len(centers):
+        centers = ((grid.domain.center,) if grid.domain.kind == "disk" else
+                   (tuple(0.5 * (lo + hi) for lo, hi in grid.domain.bounds),))
+    width = opts.bump_width or max(
+        4.0 * max(grid.spacing), 0.08 * float(np.ptp(grid.points[:, 0])))
+    starts = [gaussian_bump(grid, np.asarray(c, dtype=float)[: grid.dim],
+                            width).values[grid.free].astype(form.K.dtype)
+              for c in centers]
+    starts += [_normal_field(rng, form) for _ in range(max(0, opts.restarts))]
 
     best = None
     incumbent = math.inf    # lowest value of a start that met grad_tol
     restart_values, restart_iterations, restart_exits = [], [], []
-    for x0 in inits:
+    for x0 in starts:
         if lp_norm(form.weight, x0, p) < 1e-300:
-            x0 = rng.standard_normal(form.n).astype(x0.dtype)
-        R, x, its, stop = _descend(form, x0, p, opts, incumbent=incumbent)
+            x0 = _normal_field(rng, form)
+        trail, x, its, stop = _descend(form, x0, p, opts, incumbent=incumbent)
+        R = trail[-1]
         restart_values.append(R)
         restart_iterations.append(its)
         restart_exits.append(stop.reason)
-        ok = stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R))
+        ok = (math.isfinite(R)
+              and stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R)))
         if ok:
             incumbent = min(incumbent, R)
         cand = (R, its, x, stop.grad_norm, ok)
@@ -456,5 +450,6 @@ def minimize_quotient(form: AssembledForm, p: float,
                            el_residual=el_residual(form, lam, psi, p),
                            restart_values=restart_values,
                            restart_iterations=restart_iterations,
-                           restart_exits=restart_exits, converged=ok,
+                           restart_exits=restart_exits,
+                           converged=ok and math.isfinite(lam),
                            grad_norm=gnorm)

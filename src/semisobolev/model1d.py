@@ -304,14 +304,3 @@ def soliton_line(p: float) -> float:
                 - math.lgamma(2.0 * b + 2.0))
     return math.exp(log_mass / (b + 1.0))
 
-
-def linear_eigenvalue(c: float) -> float:
-    """lambda((R_+, Id, 1, 0, c), 1, 2).
-
-    For every c < 0 the single bound state e^{c r} gives 1 - c^2, which is
-    not positive once c <= -1; for c >= 0 there is no spectrum below the
-    essential threshold 1.
-    """
-    if c < 0.0:
-        return 1.0 - c * c
-    return 1.0

@@ -41,6 +41,7 @@ from .minimize import MinimizeOptions, minimize_quotient
 _cache: dict = {}      # scaled model key -> converged grid value
 _unconverged = 0       # grid solves so far that missed the gradient tolerance
 _DELTA = 0.02          # relative tolerance of the argmin set M
+_EPS = 0.2             # dilation radius of M_eps for the exterior mass
 _BOUNDARY_TOL = 1e-8   # distance at which a sample counts as a boundary point
 
 
@@ -89,14 +90,7 @@ def _whole_space_value(p: float, b: float, v: float) -> float:
 
 
 def _half_space_value(p: float, b: float, v: float, g: float) -> float:
-    """Grid solve of the half-plane model at h = 1; closed form at p = 2
-    with no field, which also holds on the half-line."""
-    if p == 2.0 and b == 0.0:
-        # separable: tangential bottom 0 plus the 1D Robin fiber, whose
-        # bound state e^{g t} (g < 0) lowers the bottom v by g^2
-        if v > 0.0:
-            return v * model1d.linear_eigenvalue(g / math.sqrt(v))
-        return v - g * g if g < 0.0 else v
+    """Grid solve of the half-plane model at h = 1 (b is Tr+ B)."""
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
     depth = min(scale, 1.0 / (1.0 + abs(g)))
     height = max(5.0 * scale, 12.0 * depth)
@@ -138,7 +132,9 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
 
     The last coordinate is the inward normal; b = Tr+ B >= 0 as in
     interior_constant.  At p = 2 with no field the value is the closed form
-    V0 - gamma0^2 for gamma0 < 0 and V0 otherwise.  At p > 2 with no field
+    V0 - gamma0^2 for gamma0 < 0 and V0 otherwise, in d = 1 and 2 alike:
+    the tangential bottom is 0 and the Robin bound state e^{gamma0 t}
+    lowers the fiber bottom V0 by gamma0^2.  At p > 2 with no field
     and c = gamma0/sqrt(V0), c <= -1 or V0 <= 0 raise NotPositive: the
     p = 2 value is then not positive, and neither is the infimum.  In d = 1
     the value is V0^e lambda_c(c, p) for |c| < 1 and V0^e soliton_line(p)
@@ -151,20 +147,16 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     if b > 0.0:
         s = math.sqrt(b)
         return b ** e * _half_space_value(p, 1.0, V0 / b, gamma0 / s)
-    if p != 2.0:
-        c = gamma0 / math.sqrt(V0) if V0 > 0.0 else -math.inf
-        if c <= -1.0:
-            raise NotPositive(f"V = {V0}, gamma = {gamma0}: the half-space "
-                              "model is not bounded below by a positive "
-                              "constant")
-        if dim == 1:
-            lam = (model1d.soliton_line(p) if c >= 1.0
-                   else model1d.lambda_c(c, p))
-            return V0 ** e * lam
-    if V0 > 0.0:
-        s = math.sqrt(V0)
-        return V0 ** e * _half_space_value(p, 0.0, 1.0, gamma0 / s)
-    return _half_space_value(p, 0.0, V0, gamma0)
+    if p == 2.0:
+        return V0 - gamma0 * gamma0 if gamma0 < 0.0 else V0
+    c = gamma0 / math.sqrt(V0) if V0 > 0.0 else -math.inf
+    if c <= -1.0:
+        raise NotPositive(f"V = {V0}, gamma = {gamma0}: the half-space "
+                          "model is not bounded below by a positive constant")
+    if dim == 1:
+        lam = model1d.soliton_line(p) if c >= 1.0 else model1d.lambda_c(c, p)
+        return V0 ** e * lam
+    return V0 ** e * _half_space_value(p, 0.0, 1.0, c)
 
 
 @dataclass(frozen=True)
@@ -189,15 +181,16 @@ class ConcentrationMap:
     def argmin_points(self) -> np.ndarray:
         return np.array([s.x for s in self.argmin], dtype=float)
 
-    def outside_m_eps(self, points: np.ndarray, eps: float) -> np.ndarray:
-        """Mask of points at distance > eps from every argmin sample."""
+    def outside_m_eps(self, points: np.ndarray) -> np.ndarray:
+        """Mask of points outside M_eps: at distance > _EPS from every
+        argmin sample."""
         pts = np.atleast_2d(points)
         m = self.argmin_points
         d2min = np.full(len(pts), np.inf)
         for q in m:
             d2 = ((pts - q) ** 2).sum(axis=1)
             d2min = np.minimum(d2min, d2)
-        return d2min > eps * eps
+        return d2min > _EPS * _EPS
 
 
 def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
@@ -220,9 +213,9 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float) -> Concentrat
     The spectral assumption is checked at p = 2 on every sample first
     (AssumptionViolated otherwise).  M collects the samples within relative
     tolerance _DELTA of the infimum; `outside_m_eps` tests its dilation
-    M_eps.  A sample whose grid solve missed the gradient tolerance keeps
-    its value (the model constants never raise on it) and says so in
-    `converged`.
+    M_eps by _EPS.  A sample whose grid solve missed the gradient
+    tolerance keeps its value (the model constants never raise on it) and
+    says so in `converged`.
     """
     check_exponent(p)
     pts = np.atleast_2d(np.asarray(sample_points, dtype=float))

@@ -21,6 +21,14 @@ def _read(path):
 
 
 @pytest.fixture
+def disk_cfg(tmp_path):
+    """The unit Neumann disk with V = 1."""
+    cfg = tmp_path / "disk.cfg"
+    cfg.write_text("domain = disk\nradius = 1.0\nV = 1.0\ngamma = 0\n")
+    return cfg
+
+
+@pytest.fixture
 def interval_cfg(tmp_path):
     cfg = tmp_path / "interval.cfg"
     cfg.write_text("domain = interval\nbounds = -1 1\nbc = robin robin\n"
@@ -286,6 +294,22 @@ class TestConcentration:
         assert json.loads(js.read_text())["inf"] == pytest.approx(
             1.63843291582, rel=1e-10)
 
+    def test_large_p_is_finite(self, disk_cfg, tmp_path):
+        # at p = 1000 a random start's |x|^p overflows; the model solves
+        # still give finite, converged values, the half-plane below the
+        # plane
+        out, js = tmp_path / "c.csv", tmp_path / "c.json"
+        assert cli.main(["concentration", "--config", str(disk_cfg),
+                         "--p", "1e3", "--n-interior", "1", "--n-boundary",
+                         "1", "--out", str(out), "--json", str(js)]) == 0
+        _, _, rows = _read(out)
+        values = {r[2]: float(r[3]) for r in rows}
+        assert {r[4] for r in rows} == {"1"}
+        assert 0.0 < values["boundary"] < values["interior"] < math.inf
+        payload = json.loads(js.read_text())
+        assert payload["inf"] == pytest.approx(values["boundary"], rel=1e-11)
+        assert payload["argmin"] == [[1.0, 0.0]]
+
     def test_non_finite_sample_exits_1(self, tmp_path, capsys):
         # V overflows on the outer ring and the rim of the radius-2 disk
         cfg = tmp_path / "disk.cfg"
@@ -336,6 +360,19 @@ class TestSolve:
                                                   rel=1e-12)
 
 
+    def test_large_p_is_finite(self, disk_cfg, tmp_path):
+        # p = 1000: the random starts' L^p norms overflow and are rescaled,
+        # so no start collapses to the zero field and a 0/0 lambda
+        out = tmp_path / "s.json"
+        rc = cli.main(["solve", "--config", str(disk_cfg), "--h", "0.5",
+                       "--p", "1e3", "--out", str(out)])
+        payload = json.loads(out.read_text())
+        assert rc == 0 and payload["converged"] is True
+        assert all(math.isfinite(v) for v in payload["restart_values"])
+        assert payload["lambda"] == pytest.approx(
+            min(payload["restart_values"]), rel=1e-12)
+        assert math.isfinite(payload["el_residual"])
+
     def test_spacing_and_psi_csv(self, interval_cfg, tmp_path):
         out, psi = tmp_path / "s.json", tmp_path / "psi.csv"
         rc = cli.main(["solve", "--config", str(interval_cfg), "--h", "0.1",
@@ -370,6 +407,43 @@ class TestWaveguide:
         # constant height: the rescale onto the reference strip is exact on
         # matched lattices, so the ratio is 1 to rounding
         assert abs(float(row[2]) - 1.0) <= 1e-9
+
+    @staticmethod
+    def _target(h, a_max, p=4.0):
+        """h^{1-2/p} a_max^{-4/p} lambda^Dir(Sigma, p), the ratio's divisor."""
+        return h ** (1.0 - 2.0 / p) * a_max ** (-4.0 / p) * \
+            waveguide.straight_reference(p)
+
+    def test_cosine_profile(self, tmp_path):
+        # a(s) = 1 + cos(2 pi s / 8) / 4: a_max = 1.25 at s = 0
+        out = tmp_path / "wg.csv"
+        assert cli.main(["waveguide", "--profile", "cosine", "--p", "4",
+                         "--h-list", "0.5", "--out", str(out)]) == 0
+        config, header, rows = _read(out)
+        assert "# profile = cosine" in config
+        assert header == self.HEADER
+        (row,) = rows
+        assert row[-1] == "1"
+        lam, ratio = float(row[1]), float(row[2])
+        assert lam / ratio == pytest.approx(self._target(0.5, 1.25), rel=1e-10)
+        assert 1.0 < ratio < 1.0 + 0.5      # within the (.., 1 + C h) bracket
+
+    def test_table_profile(self, tmp_path):
+        # a tent through (-2, 1), (0, 1.5), (2, 1): a_max = 1.5 at s = 0;
+        # the ratio approaches 1 from above as h halves
+        table = tmp_path / "tent.csv"
+        table.write_text("-2,1\n0,1.5\n2,1\n")
+        out = tmp_path / "wg.csv"
+        assert cli.main(["waveguide", "--profile", f"table:{table}", "--p",
+                         "4", "--h-list", "0.5,0.25", "--out", str(out)]) == 0
+        _, _, rows = _read(out)
+        assert [r[-1] for r in rows] == ["1", "1"]
+        for r in rows:
+            h, lam, ratio = float(r[0]), float(r[1]), float(r[2])
+            assert lam / ratio == pytest.approx(self._target(h, 1.5),
+                                                rel=1e-10)
+        gaps = [float(r[2]) - 1.0 for r in rows]
+        assert 0.0 < gaps[1] < gaps[0] < 0.1
 
     def test_unconverged_rung_is_counted(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(waveguide, "straight_reference", lambda p: 1.0)

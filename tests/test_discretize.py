@@ -168,13 +168,13 @@ class TestAssembleEvaluate:
 
     def test_1d_robin_reproduces_linear_eigenvalue(self):
         from semisobolev.minimize import minimize_quotient
-        from semisobolev.model1d import linear_eigenvalue
+        from semisobolev.models import boundary_constant
         for c in (-0.5, -0.25):
             spec = ge.GeometrySpec(domain=ge.half_line(30.0), V=1.0, gamma=c)
             g = dz.build_grid(spec, 0.01)
             f = dz.assemble(spec, 1.0, g)
             lam = minimize_quotient(f, 2.0).lam
-            assert abs(lam - linear_eigenvalue(c)) <= 5e-5
+            assert abs(lam - boundary_constant(0.0, 1.0, c, 2.0, dim=1)) <= 5e-5
 
     def test_zero_function(self):
         spec = ge.GeometrySpec(domain=ge.rectangle(((0, 1), (0, 1))))

@@ -134,28 +134,26 @@ class TestMinimize2D:
     def test_p2_flow_cross_check(self, magnetic_2d, rng):
         _, g, f = magnetic_2d
         eig = minimize_quotient(f, 2.0, MinimizeOptions(seed=1))
-        from semisobolev.minimize import _descend
         x0 = (rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n))
-        R, _, _, _ = _descend(f, x0, 2.0, MinimizeOptions(grad_tol=1e-10,
-                                                          max_iters=4000))
+        trail, _, _, _ = mz._descend(f, x0, 2.0, MinimizeOptions(
+            grad_tol=1e-10, max_iters=4000))
+        R = trail[-1]
         assert abs(R - eig.lam) <= 1e-8 * max(1.0, abs(eig.lam))
 
     def test_phase_invariance_of_initialization(self, magnetic_2d):
         _, g, f = magnetic_2d
-        bump = dz.gaussian_bump(g, (0.0, 0.0), 0.8)
-        r1 = minimize_quotient(f, 4.0, MinimizeOptions(
-            grad_tol=1e-9, inits=(bump.values.astype(complex),)))
-        r2 = minimize_quotient(f, 4.0, MinimizeOptions(
-            grad_tol=1e-9, inits=(np.exp(1j * 0.77) * bump.values,)))
-        assert abs(r1.lam - r2.lam) <= 1e-10 * max(1.0, r1.lam)
+        bump = dz.gaussian_bump(g, (0.0, 0.0), 0.8).values[g.free]
+        opts = MinimizeOptions(grad_tol=1e-9)
+        r1 = mz._descend(f, bump.astype(complex), 4.0, opts)[0][-1]
+        r2 = mz._descend(f, np.exp(1j * 0.77) * bump, 4.0, opts)[0][-1]
+        assert abs(r1 - r2) <= 1e-10 * max(1.0, r1)
 
     def test_monotone_iterates(self, magnetic_2d):
         _, g, f = magnetic_2d
         x0 = dz.gaussian_bump(g, (0.0, 0.0), 0.8).values[g.free]
-        hist = []
-        mz._descend(f, x0.astype(complex), 4.0, MinimizeOptions(grad_tol=1e-8),
-                    history=hist)
-        hist = np.array(hist)
+        trail, _, _, _ = mz._descend(f, x0.astype(complex), 4.0,
+                                     MinimizeOptions(grad_tol=1e-8))
+        hist = np.array(trail)
         assert len(hist) > 3
         assert np.all(np.diff(hist) <= 1e-12 * np.maximum(1.0, np.abs(hist[:-1])))
 
@@ -279,14 +277,13 @@ class TestExitReasons:
         assert both.grad_norm == bump.grad_norm
 
     def test_first_start_is_never_cut(self, short_strip):
-        bump = dz.gaussian_bump(short_strip.grid, np.zeros(2), 1.0)
-        x0 = np.random.default_rng(3).standard_normal(short_strip.n)
-        # a cap below the random start's own grad_tol stop (295 iterations)
-        opts = dataclasses.replace(STRIP_OPTS, max_iters=150)
-        first = minimize_quotient(short_strip, 4.0,
-                                  dataclasses.replace(opts, inits=(x0, bump)))
-        second = minimize_quotient(short_strip, 4.0,
-                                   dataclasses.replace(opts, inits=(bump, x0)))
+        # a bump at s = 2 creeps toward the center; the cap is below its
+        # own stop (1,148 iterations), the centered bump converges in 15
+        opts = dataclasses.replace(STRIP_OPTS, max_iters=150, restarts=0)
+        first = minimize_quotient(short_strip, 4.0, dataclasses.replace(
+            opts, centers=((2.0, 0.0), (0.0, 0.0))))
+        second = minimize_quotient(short_strip, 4.0, dataclasses.replace(
+            opts, centers=((0.0, 0.0), (2.0, 0.0))))
         # no start has converged before the first one: nothing to outpace
         assert first.restart_exits == ["cap", "grad_tol"]
         assert second.restart_exits == ["grad_tol", "outpaced"]
@@ -306,6 +303,32 @@ class TestExitReasons:
         # start at s_halfwidth = 12 runs to its 3,000-iteration cap
         assert len(iterations) == 2
         assert sum(iterations) <= 400
+
+    @pytest.mark.parametrize("R", [0.0, math.nan])
+    def test_vanished_or_non_finite_start_is_unconverged(self, magnetic_2d,
+                                                         monkeypatch, R):
+        # a start normalized to the zero field (R = 0, then 0/0) or one
+        # ending at a non-finite R is never reported as converged
+        _, _, f = magnetic_2d
+
+        def vanished(form, x0, p, opts, incumbent):
+            return [R], np.zeros_like(x0), 1, mz._Stop("grad_tol", 0.0)
+
+        monkeypatch.setattr(mz, "_descend", vanished)
+        with np.errstate(invalid="ignore"):
+            res = minimize_quotient(f, 4.0, MinimizeOptions(restarts=0))
+        assert res.restart_exits == ["grad_tol"]
+        assert not res.converged
+
+    def test_overflowing_start_is_rescaled(self, magnetic_2d):
+        # |x|^6 overflows at |x| ~ 1e200; the 0-homogeneous quotient and
+        # the whole descent are those of the start divided by its max |x|
+        _, _, f = magnetic_2d
+        x0 = np.random.default_rng(1).standard_normal(f.n) + 0j
+        opts = MinimizeOptions(max_iters=5)
+        with np.errstate(over="ignore"):
+            big = mz._descend(f, 1e200 * x0, 6.0, opts)[0]
+        assert_allclose(big, mz._descend(f, x0, 6.0, opts)[0], rtol=1e-13)
 
     def test_neumann_disk_rung_converges(self):
         # R = 3 rung of the unit-disk Neumann ladder: every start converges,
@@ -387,6 +410,31 @@ class TestHotPath:
             for a in np.geomspace(1e-4, 1e4, 81):
                 assert line(a_star) <= line(a) + 1e-14 * abs(R)
 
+    def test_exact_step_takes_the_end_point(self):
+        # the line quotient rises to a maximum near a = 1, then falls
+        # toward its limit dKd / sqrt(n4) at a = inf and stays above it:
+        # the best step is that end point, the field -d
+        R, dKx, dKd = 1.0, -0.1909, 0.3970
+        n = (-1.6370, 0.3213, -0.8052, 2.0193)
+        assert mz._exact_step(R, dKx, dKd, n) == (math.inf, n[3] ** 0.25)
+        end = dKd / math.sqrt(n[3]) - R
+        for a in np.geomspace(1e-3, 1e6, 37):
+            delta = a * (n[0] + a * (n[1] + a * (n[2] + a * n[3])))
+            assert mz._decrease(R, dKx, dKd, a, delta, 4.0) > end
+
+    def test_end_point_step_moves_to_minus_d(self, magnetic_2d, monkeypatch):
+        # an end-point step a = inf replaces x by -d / |d|_4, whose
+        # quotient is <d, K d> / |d|_4^2
+        _, _, f = magnetic_2d
+        x0 = dz.gaussian_bump(f.grid, (0.0, 0.0), 0.8).values[f.grid.free]
+        x, R, d, dKx, dKd, n = self._line(f, x0.astype(complex))
+        monkeypatch.setattr(mz, "_exact_step", lambda R, dKx, dKd, n:
+                            (math.inf, n[3] ** 0.25))
+        trail, x1, _, _ = mz._descend(f, x, 4.0, MinimizeOptions(max_iters=1))
+        nd = dz.lp_norm(f.weight, d, 4.0)
+        assert trail[1] == pytest.approx(dKd / nd ** 2, rel=1e-12)
+        assert_allclose(x1, -d / nd, rtol=1e-12, atol=1e-15)
+
     def test_decrease_keeps_its_sign_at_grad_tol(self):
         # at a grad_tol-converged minimizer the best step lowers R by about
         # 1e-19, far below R's roundoff; the closed form keeps that decrease
@@ -467,12 +515,10 @@ class TestHotPath:
             K, lu = CountingMatrix(f.K), CountingLU(f.preconditioner())
             form = dataclasses.replace(f, K=K, _prec=lu)
             norms.clear()
-            hist = []
-            _, _, its, stop = mz._descend(form, x0, p,
-                                          MinimizeOptions(max_iters=40),
-                                          history=hist)
+            trail, _, its, stop = mz._descend(form, x0, p,
+                                              MinimizeOptions(max_iters=40))
             assert stop.reason == "cap"
-            steps = len(hist) - 1               # accepted steps
+            steps = len(trail) - 1              # accepted steps
             trials = len(norms) - 1             # line-search trials
             assert steps == its == 40
             if p == 4.0:

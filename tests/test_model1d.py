@@ -358,11 +358,3 @@ class TestSolitonLine:
         assert_allclose(m1.soliton_line(p),
                         2.0 ** (1.0 - 2.0 / p) * m1.lambda_c(0.0, p), rtol=1e-14)
 
-
-class TestLinearEigenvalue:
-    def test_values(self):
-        assert m1.linear_eigenvalue(-0.5) == pytest.approx(0.75)
-        assert m1.linear_eigenvalue(0.0) == 1.0
-        assert m1.linear_eigenvalue(0.7) == 1.0
-        assert m1.linear_eigenvalue(-1.0) == 0.0
-        assert m1.linear_eigenvalue(-2.0) == -3.0   # e^{-2r}: 1 - c^2

@@ -224,9 +224,10 @@ class TestConcentrationMap:
     def test_outside_mask(self):
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
         cmap = models.concentration_map(spec, [(0.0, 0.0)], 2.0)
-        pts = np.array([[0.1, 0.0], [0.5, 0.0]])
-        out = cmap.outside_m_eps(pts, 0.25)
-        assert list(out) == [False, True]
+        # M_eps is the disk of radius _EPS = 0.2 about the one sample
+        pts = np.array([[0.1, 0.0], [0.19, 0.0], [0.21, 0.0], [0.5, 0.0]])
+        out = cmap.outside_m_eps(pts)
+        assert list(out) == [False, False, True, True]
 
 
 class TestCache:
