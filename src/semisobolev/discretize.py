@@ -46,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
@@ -321,8 +322,15 @@ def abs_pow(x: np.ndarray, p: float) -> np.ndarray:
 
 
 def lp_norm(w: np.ndarray, x: np.ndarray, p: float) -> float:
-    """Weighted lattice L^p norm (sum_i w_i |x_i|^p)^(1/p)."""
-    return float((w @ abs_pow(x, p)) ** (1.0 / p))
+    """Weighted lattice L^p norm (sum_i w_i |x_i|^p)^(1/p); where the sum
+    overflows (|x|^p at large p) it is max|x| lp_norm(x / max|x|)."""
+    with np.errstate(over="ignore"):
+        s = w @ abs_pow(x, p)
+    if s == math.inf:
+        m = float(np.max(np.abs(x)))
+        if m < math.inf:
+            return m * lp_norm(w, x / m, p)
+    return float(s ** (1.0 / p))
 
 
 def gaussian_bump(grid: Grid, center, width: float) -> WaveFunction:
@@ -391,10 +399,6 @@ class AssembledForm:
         x = self.free_values(psi)
         return float(np.real(np.vdot(x, self.K @ x)))
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Operator L = M^{-1} K in the weighted pairing."""
-        return (self.K @ x) / self.weight
-
     def preconditioner_shift(self) -> float:
         """The shift tau of the preconditioner K + tau M.
 
@@ -438,7 +442,7 @@ class AssembledForm:
                 self._prec = (_FourierSolve.build(P, block) if self.is_complex
                               else _TensorSolve.build(P, self.weight, block))
             if self._prec is None:
-                self._prec = sp.linalg.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
+                self._prec = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._prec
 
 
@@ -662,10 +666,15 @@ class _FourierSolve(_PttrfFactor):
         return S[0], S[1] + 1j * S[2]
 
     def _modes(self, z: np.ndarray) -> np.ndarray:
-        """T_k^{-1} z[k] for every mode k (z has shape (m0, m1))."""
-        rhs = np.stack([z.real.ravel(), z.imag.ravel()], axis=1)
-        y, _ = lapack.dpttrs(self.d, self.e, rhs, overwrite_b=1)
-        return (y[:, 0] + 1j * y[:, 1]).reshape(self.shape)
+        """T_k^{-1} z[k] for every mode k (z has shape (m0, m1)).  Re z, Im z
+        fill a (2, m0, m1) buffer: the Fortran-ordered (m0 m1, 2) right-hand
+        side that dpttrs solves in place into a preallocated complex array."""
+        rhs = np.empty((2,) + self.shape)
+        rhs[0], rhs[1] = z.real, z.imag
+        y, _ = lapack.dpttrs(self.d, self.e, rhs.reshape(2, -1).T, overwrite_b=1)
+        out = np.empty(self.shape, dtype=complex)
+        out.real, out.imag = y.T.reshape(rhs.shape)
+        return out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         m0, m1 = self.shape

@@ -1,56 +1,53 @@
 """Minimization of the discrete Sobolev quotient R(psi) = Q(psi) / |psi|_p^2.
 
-For p = 2 the quotient is a generalized Rayleigh quotient and the minimum
-is the lowest eigenvalue of K x = lambda M x: real 1D problems are solved
-exactly (tridiagonal), the rest by one LOBPCG solve (Knyazev, SIAM J. Sci.
-Comput. 23, 2001) preconditioned by the P = K + tau M of the descent
-below.  Its residual eps = |M^{-1} K x - lambda x|_M is half the gradient
-norm and the Krylov-Bogoliubov radius: an eigenvalue lies within eps of
-lambda.  Near-degenerate Landau-type levels do not stall it.
-
-For p > 2 the quotient is 0-homogeneous and is minimized on the L^p unit
-sphere by Polak-Ribiere+ nonlinear conjugate gradients in the metric of
-the shifted operator P = K + tau M, which removes the mesh-scale
-stiffness of the raw gradient flow (as for Gross-Pitaevskii ground
-states: Antoine, Levitt and Tang, J. Comput. Phys. 343, 2017).  Real
-forms on 2-D boxes (the model half- and whole-planes, the waveguide
-strip) solve P exactly by a one-axis fast diagonalization, and magnetic
-ones in Landau gauge (the magnetic models, constant-field rectangles) by
-an FFT along x1 with a capacitance correction; disks, d = 1 and the other
-magnetic forms use an MMD-ordered SuperLU factorization
-(`AssembledForm.preconditioner`).  Along a direction d the energy is the
-quadratic
+The quotient is 0-homogeneous and is minimized on the L^p unit sphere by
+Polak-Ribiere+ nonlinear conjugate gradients in the metric of the shifted
+operator P = K + tau M, which removes the mesh-scale stiffness of the raw
+gradient flow (as for Gross-Pitaevskii ground states: Antoine, Levitt and
+Tang, J. Comput. Phys. 343, 2017).  Real forms on 2-D boxes (the model
+half- and whole-planes, the waveguide strip) solve P exactly by a one-axis
+fast diagonalization, and magnetic ones in Landau gauge (the magnetic
+models, constant-field rectangles) by an FFT along x1 with a capacitance
+correction; disks, d = 1 and the other magnetic forms use an MMD-ordered
+SuperLU factorization (`AssembledForm.preconditioner`).  Along a direction
+d the energy is the quadratic
 
     Q(x - a d) = Q(x) - 2a Re<d, K x> + a^2 <d, K d>,
 
-and at p = 4 the norm |x - a d|_4^4 is a quartic in a whose coefficients
-are five weighted moments of x and d, so the line quotient is an exact
-rational function of a and is minimized in closed form with no L^p norm.
-Other p backtrack with one axpy and one L^p norm per trial.  Decreases
-are formed without cancellation (`_decrease`), so they keep their sign
-at the gradient tolerance.  An accepted iterate is renormalized and K x
-is formed afresh (never updated by recurrence), and serves both the
-quotient and the gradient: one iteration costs one preconditioner solve
-and two sparse matvecs.  Each restart reports why it stopped: `grad_tol`,
-`stagnation` (no decrease over a window of iterations), `cap` (iteration
-limit), `backtrack_floor` (no step lowers the quotient, so the iterate
-cannot move) or `outpaced` (by the forecast of its recent decreases it
-would still end above the best converged start at the cap; see
-`_descend`).
+and at p = 2 and p = 4 the norm |x - a d|_p^p is a quadratic or a quartic
+in a whose coefficients are weighted moments of x and d, so the line
+quotient is an exact rational function of a and is minimized in closed
+form with no L^p norm.  Other p backtrack with one axpy and one L^p norm
+per trial.  Decreases are formed without cancellation (`_decrease`), so
+they keep their sign at the gradient tolerance.  An accepted iterate is
+renormalized and K x is formed afresh (never updated by recurrence), and
+serves both the quotient and the gradient: one iteration costs one
+preconditioner solve and two sparse matvecs.  Each restart reports why it
+stopped: `grad_tol`, `stagnation` (no decrease over a window of
+iterations), `cap` (iteration limit), `backtrack_floor` (no step lowers
+the quotient, so the iterate cannot move) or `outpaced` (by the forecast
+of its recent decreases it would still end above the best converged start
+at the cap; see `_descend`).
 Multiple starts (a Gaussian bump at each candidate localization center,
 then random fields) guard against spurious local minima.
+
+At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
+its minimum the lowest eigenvalue.  Real 1D forms are solved exactly
+(tridiagonal); the rest run the descent once, from a random field, whose
+exact line step is a Rayleigh-Ritz step on the line (LOBPCG, Knyazev, SIAM
+J. Sci. Comput. 23, 2001, takes it on three vectors).  The residual eps =
+|M^{-1} K x - lambda x|_M is half the gradient norm and the
+Krylov-Bogoliubov radius: an eigenvalue lies within eps of lambda.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.sparse.linalg import lobpcg
 
 from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
                          gaussian_bump, lp_norm)
@@ -63,7 +60,9 @@ _TIE = 1e-10            # restart values this close count as equal
 
 @dataclass
 class MinimizeOptions:
-    """Iteration controls for the p > 2 descent and the p = 2 LOBPCG."""
+    """Iteration controls of the one descent that serves every p.  The
+    starts (`restarts`, `centers`, `bump_width`) act at p > 2 only: at p = 2
+    every local minimum is a ground state, so one random start suffices."""
 
     max_iters: int = 3000
     grad_tol: float = 1e-8      # on |grad|_M relative to max(1, |R|)
@@ -117,76 +116,20 @@ def _normal_field(rng, form):
 
 def _grad_unit(w, x, Kx, R, p):
     """Gradient at an L^p-normalized x, given K x and R = <x, K x>."""
+    if p == 2.0:
+        return 2.0 * (Kx / w - R * x)
     return 2.0 * (Kx / w - R * abs_pow(x, p - 2.0) * x)
 
 
 def el_residual(form: AssembledForm, lam: float, psi: WaveFunction, p: float) -> float:
-    """Discrete L^2 norm of L psi - lam |psi|^{p-2} psi for L^p-normalized psi."""
+    """Weighted L^2 norm of M^{-1} K psi - lam |psi|^{p-2} psi at L^p-normalized psi."""
     x = form.free_values(psi)
-    r = form.apply(x) - lam * abs_pow(x, p - 2.0) * x
-    return float(np.sqrt(np.real(np.vdot(r, form.weight * r))))
+    r = _grad_unit(form.weight, x, form.K @ x, lam, p)     # twice the residual
+    return 0.5 * float(np.sqrt(np.real(np.vdot(r, form.weight * r))))
 
 
 # ---------------------------------------------------------------------------
-# p = 2: eigenvalue paths
-# ---------------------------------------------------------------------------
-
-def _tridiagonal_eigen(form):
-    K = form.K.tocsr()
-    d = K.diagonal().real
-    off = K.diagonal(1)
-    dinv = 1.0 / np.sqrt(form.weight)
-    main = d * dinv * dinv
-    sub = np.real(off) * dinv[:-1] * dinv[1:]
-    vals, vecs = eigh_tridiagonal(main, sub, select="i", select_range=(0, 0))
-    x = vecs[:, 0] * dinv
-    return float(vals[0]), x
-
-
-def _lobpcg_eigen(form, opts):
-    """LOBPCG on W^{-1/2} K W^{-1/2} in y = W^{1/2} x: (lambda, x, steps).
-
-    Its 2-norm residual is the M-norm one, so tol = grad_tol / 2 is the
-    p > 2 gradient test wherever |lambda| <= 1, and stricter above.
-    """
-    x0 = _normal_field(np.random.default_rng(opts.seed), form)
-    s = np.sqrt(form.weight)[:, None]
-    prec = form.preconditioner()
-    steps = 0
-
-    def precondition(R):
-        nonlocal steps
-        steps += 1
-        return s * prec.solve(s[:, 0] * R[:, 0])[:, None]
-
-    with warnings.catch_warnings():
-        # a missed tolerance is reported by the caller's residual test
-        warnings.filterwarnings("ignore", "(?s).*not reaching the requested")
-        # scipy's loop takes maxiter + 1 preconditioned steps
-        lam, y = lobpcg(lambda Y: form.K @ (Y / s) / s, s * x0[:, None],
-                        M=precondition, tol=0.5 * opts.grad_tol,
-                        maxiter=opts.max_iters - 1, largest=False)
-    return float(lam[0]), y[:, 0] / s[:, 0], steps
-
-
-def _eigen_path(form, opts):
-    exact = form.grid.dim == 1 and not form.is_complex
-    lam, x, its = ((*_tridiagonal_eigen(form), 1) if exact
-                   else _lobpcg_eigen(form, opts))
-    psi = WaveFunction(form.grid, form.full_values(x))
-    psi = WaveFunction(form.grid, psi.values / psi.norm_lp(2.0))
-    res = el_residual(form, lam, psi, 2.0)
-    gnorm = 2.0 * res           # |grad|_M at an L^2-normalized field
-    scale = opts.grad_tol * max(1.0, abs(lam))
-    exit_reason = "eigen" if exact else "grad_tol" if gnorm <= scale else "cap"
-    return MinimizerResult(lam=lam, psi=psi, iterations=its, el_residual=res,
-                           restart_values=[lam], restart_iterations=[its],
-                           restart_exits=[exit_reason],
-                           converged=gnorm <= 10.0 * scale, grad_norm=gnorm)
-
-
-# ---------------------------------------------------------------------------
-# p > 2: preconditioned nonlinear CG with L^p renormalization
+# Preconditioned nonlinear CG with L^p renormalization
 # ---------------------------------------------------------------------------
 
 def _quartic_moments(w, x, d):
@@ -223,32 +166,38 @@ def _decrease(R, dKx, dKd, a, delta, p):
 
 
 def _exact_step(R, dKx, dKd, n):
-    """Best step of the p = 4 line quotient, as (a, |x - a d|_4) or None.
+    """Best step of the p = 2 or p = 4 line quotient, as (a, |x - a d|_p) or None.
 
-    With Q(a) = R - 2a dKx + a^2 dKd and N(a) = 1 + delta(a) (coefficients
-    n from `_quartic_moments`), q = Q / sqrt(N) is stationary where
-    Q' N - Q N' / 2 = 0.  Its a^5 terms cancel, leaving a quartic; every
-    positive real part of its roots is a candidate, and the one with the
-    most negative `_decrease` is taken.  When q falls all along the line
-    its infimum is the end point a = inf, the field -d, taken when it
-    lies below R.
+    n holds the a .. a^p coefficients of delta(a) = |x - a d|_p^p - 1, so
+    p = len(n): (-2 Re<x, d>_M, <d, d>_M) at p = 2, `_quartic_moments` at
+    p = 4.  With Q(a) = R - 2a dKx + a^2 dKd and N(a) = 1 + delta(a),
+    q = Q / N^{2/p} is stationary where Q' N - (2/p) Q N' = 0.  Its a^{p+1}
+    terms cancel, leaving a quadratic or a quartic; every positive real
+    part of its roots is a candidate, and the one with the most negative
+    `_decrease` is taken.  When q falls all along the line its infimum is
+    the end point a = inf, the field -d, taken when it lies below R.
     """
     q0, q1, q2 = R, -2.0 * dKx, dKd
-    n1, n2, n3, n4 = n
-    quartic = (0.5 * q2 * n3 - q1 * n4,
-               q2 * n2 - 0.5 * q1 * n3 - 2.0 * q0 * n4,
-               1.5 * (q2 * n1 - q0 * n3),
-               0.5 * q1 * n1 + 2.0 * q2 - q0 * n2,
-               q1 - 0.5 * q0 * n1)
-    best = (dKd / math.sqrt(n4) - R, math.inf, n4 ** 0.25)
-    for a in np.roots(quartic).real:
+    if len(n) == 2:
+        n1, n2 = n
+        poly = (q2 * n1 - q1 * n2, 2.0 * (q2 - q0 * n2), q1 - q0 * n1)
+        best = (dKd / n2 - R, math.inf, math.sqrt(n2))
+    else:
+        n1, n2, n3, n4 = n
+        poly = (0.5 * q2 * n3 - q1 * n4,
+                q2 * n2 - 0.5 * q1 * n3 - 2.0 * q0 * n4,
+                1.5 * (q2 * n1 - q0 * n3),
+                0.5 * q1 * n1 + 2.0 * q2 - q0 * n2,
+                q1 - 0.5 * q0 * n1)
+        best = (dKd / math.sqrt(n4) - R, math.inf, n4 ** 0.25)
+    for a in map(float, np.roots(poly).real):
         if a <= 0.0:
             continue
-        a = float(a)
-        delta = a * (n1 + a * (n2 + a * (n3 + a * n4)))
-        dec = _decrease(R, dKx, dKd, a, delta, 4.0)
+        delta = (a * (n1 + a * n2) if len(n) == 2 else
+                 a * (n1 + a * (n2 + a * (n3 + a * n4))))
+        dec = _decrease(R, dKx, dKd, a, delta, float(len(n)))
         if dec < best[0]:
-            best = (dec, a, (1.0 + delta) ** 0.25)
+            best = (dec, a, (1.0 + delta) ** (1.0 / len(n)))
     return best[1:] if best[0] < 0.0 else None
 
 
@@ -256,7 +205,11 @@ def _armijo_step(w, x, d, p, R, dKx, dKd, slope, a):
     """Backtracking from a, one L^p norm per trial: (a, |x - a d|_p) or None."""
     while a >= 1e-18:
         nt = lp_norm(w, x - a * d, p)
-        dec = _decrease(R, dKx, dKd, a, nt ** p - 1.0, p)
+        try:
+            delta = nt ** p - 1.0
+        except OverflowError:       # a trial far out along d at large p
+            delta = math.inf
+        dec = _decrease(R, dKx, dKd, a, delta, p)
         if dec <= -1e-4 * a * slope:
             return a, nt
         # minimizer of the quadratic through q(0), q'(0) = -slope, q(a)
@@ -294,14 +247,12 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
 
     The direction is d = z + beta d_prev with z = P^{-1} M g and the
     Polak-Ribiere+ beta = max(0, <g - g_prev, z>_M / <g_prev, z_prev>_M);
-    it falls back to z when it is not a descent direction.  At p = 4 the
-    line quotient is an exact rational function of the step, minimized
-    in closed form (`_exact_step`) with no L^p norm; any other p
+    it falls back to z when it is not a descent direction.  At p = 2 and
+    p = 4 the line quotient is an exact rational function of the step,
+    minimized in closed form (`_exact_step`) with no L^p norm; any other p
     backtracks from twice the last step with one L^p norm per trial.
     Every accepted step lowers R.  The trail holds R at the start and
-    after each accepted step, so trail[-1] is the final R.  A start whose
-    L^p norm overflows (|x|^p at large p) is first divided by its largest
-    |x|, which leaves the 0-homogeneous quotient unchanged.
+    after each accepted step, so trail[-1] is the final R.
 
     `incumbent` is the best value a converged start has reached.  After
     k >= _STAG_WINDOW accepted steps the descent stops as `outpaced` when
@@ -317,43 +268,45 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     max_iters, grad_tol = opts.max_iters, opts.grad_tol
     prec = form.preconditioner()
 
-    def pdir(g):
-        return prec.solve((w * g).astype(K.dtype))
+    def pdir(wg):
+        return prec.solve(wg.astype(K.dtype, copy=False))
 
-    def wdot(a, b):
-        return float(np.real(np.vdot(a, w * b)))
+    def rdot(a, b):
+        return float(np.real(np.vdot(a, b)))
 
     n0 = lp_norm(w, x0, p)
-    if n0 == math.inf:
-        x0 = x0 / np.max(np.abs(x0))
-        n0 = lp_norm(w, x0, p)
     if n0 < 1e-300:
         raise ZeroFunction("zero trial function")
     x = x0 / n0
     Kx = K @ x
-    R = float(np.real(np.vdot(x, Kx)))
+    R = rdot(x, Kx)
     g = _grad_unit(w, x, Kx, R, p)
-    z = pdir(g)
-    gz = wdot(g, z)
+    wg = w * g              # each M-weighted vector is formed once
+    z = pdir(wg)
+    wz = w * z
+    gz = rdot(g, wz)
     d = z
-    a = 0.5                 # the first trial of a backtracking (p != 4) is 2a
-    gnorm = math.sqrt(wdot(g, g))
+    a = 0.5                 # the first trial of a backtracking (p != 2, 4) is 2a
+    gnorm = math.sqrt(rdot(g, wg))
     best_R, since_best = R, 0
     trail = [R]             # R after each accepted step, for the forecast
     reason = "cap"
     it = 0
     for it in range(max_iters):
-        gnorm = math.sqrt(wdot(g, g))
+        gnorm = math.sqrt(rdot(g, wg))
         if gnorm <= grad_tol * max(1.0, abs(R)):
             reason = "grad_tol"
             break
-        slope = wdot(g, d)
+        wd = w * d
+        slope = rdot(g, wd)
         if slope <= 0.0:
-            d, slope = z, gz
+            d, wd, slope = z, wz, gz
         Kd = K @ d
-        dKx = float(np.real(np.vdot(d, Kx)))
-        dKd = float(np.real(np.vdot(d, Kd)))
-        if p == 4.0:
+        dKx = rdot(d, Kx)
+        dKd = rdot(d, Kd)
+        if p == 2.0:
+            step = _exact_step(R, dKx, dKd, (-2.0 * rdot(x, wd), rdot(d, wd)))
+        elif p == 4.0:
             step = _exact_step(R, dKx, dKd, _quartic_moments(w, x, d))
         else:
             step = _armijo_step(w, x, d, p, R, dKx, dKd, slope, 2.0 * a)
@@ -366,13 +319,15 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
         else:
             xt, carry = (x - a * d) / nt, 1.0 / nt
         Kxt = K @ xt
-        Rt = float(np.real(np.vdot(xt, Kxt)))
+        Rt = rdot(xt, Kxt)
         gt = _grad_unit(w, xt, Kxt, Rt, p)
-        zt = pdir(gt)
-        gzt = wdot(gt, zt)
-        beta = max(0.0, (gzt - wdot(g, zt)) / gz)
+        wgt = w * gt
+        zt = pdir(wgt)
+        wzt = w * zt
+        gzt = rdot(gt, wzt)
+        beta = max(0.0, (gzt - rdot(g, wzt)) / gz)
         d = zt + (beta * carry) * d
-        x, Kx, g, z, gz, R = xt, Kxt, gt, zt, gzt, Rt
+        x, Kx, g, wg, z, wz, gz, R = xt, Kxt, gt, wgt, zt, wzt, gzt, Rt
         trail.append(R)
         if (len(trail) > _STAG_WINDOW
                 and _forecast(trail, max_iters) > incumbent + _TIE):
@@ -388,18 +343,54 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     return trail, x, it + 1, _Stop(reason, gnorm)
 
 
+def _tridiagonal_eigen(form):
+    K = form.K.tocsr()
+    dinv = 1.0 / np.sqrt(form.weight)
+    main = K.diagonal().real * dinv * dinv
+    sub = np.real(K.diagonal(1)) * dinv[:-1] * dinv[1:]
+    vals, vecs = eigh_tridiagonal(main, sub, select="i", select_range=(0, 0))
+    return float(vals[0]), vecs[:, 0] * dinv
+
+
+def _eigen_path(form, opts):
+    """p = 2: an exact tridiagonal solve on real 1D forms, else one descent
+    from a random field; lambda and the residual are those of its result."""
+    exact = form.grid.dim == 1 and not form.is_complex
+    if exact:
+        lam, x = _tridiagonal_eigen(form)
+        its, reason = 1, "eigen"
+    else:
+        x0 = _normal_field(np.random.default_rng(opts.seed), form)
+        _, x, its, stop = _descend(form, x0, 2.0, opts)
+        reason = stop.reason
+    psi = WaveFunction(form.grid, form.full_values(x))
+    psi = WaveFunction(form.grid, psi.values / psi.norm_lp(2.0))
+    if not exact:
+        lam = evaluate(form, psi, 2.0).quotient
+    res = el_residual(form, lam, psi, 2.0)
+    gnorm = 2.0 * res           # |grad|_M at an L^2-normalized field
+    scale = opts.grad_tol * max(1.0, abs(lam))
+    return MinimizerResult(lam=lam, psi=psi, iterations=its, el_residual=res,
+                           restart_values=[lam], restart_iterations=[its],
+                           restart_exits=[reason],
+                           converged=gnorm <= 10.0 * scale, grad_norm=gnorm)
+
+
 def minimize_quotient(form: AssembledForm, p: float,
                       opts: MinimizeOptions | None = None) -> MinimizerResult:
     """Minimize the discrete Sobolev quotient at exponent p >= 2.
 
-    p = 2 uses the eigensolver path; p > 2 runs the CG descent from one
-    Gaussian bump per candidate center (the middle of the domain when
-    `centers` is empty) and then `restarts` random fields, returning the
-    best final value (ties broken by iteration count).  Each start is
-    given the lowest value of the finished starts that met the gradient
-    tolerance, and stops as `outpaced` once the forecast of its recent
-    decreases cannot bring it below that value by the cap; such a start
-    ends above it and is never the one returned.  The result's
+    One CG descent serves every p.  At p = 2 it runs once, from the random
+    field of `seed` (real 1D forms are solved exactly): the Rayleigh
+    quotient has no local minima besides the ground states, and a real
+    symmetric bump could be orthogonal to them and stop at a saddle.  At
+    p > 2 it runs from one Gaussian bump per candidate center (the middle
+    of the domain when `centers` is empty), then `restarts` random fields,
+    and returns the best final value (ties broken by iteration count).
+    Each start is given the lowest value of the finished starts that met
+    the gradient tolerance, and stops as `outpaced` once the forecast of
+    its recent decreases cannot bring it below that value by the cap; such
+    a start ends above it and is never the one returned.  The result's
     `converged` flag is False when the best restart misses the gradient
     tolerance or its value is not finite.
     """

@@ -294,10 +294,11 @@ class TestConcentration:
         assert json.loads(js.read_text())["inf"] == pytest.approx(
             1.63843291582, rel=1e-10)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_p_is_finite(self, disk_cfg, tmp_path):
         # at p = 1000 a random start's |x|^p overflows; the model solves
         # still give finite, converged values, the half-plane below the
-        # plane
+        # plane, with no overflow warning on the way
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
         assert cli.main(["concentration", "--config", str(disk_cfg),
                          "--p", "1e3", "--n-interior", "1", "--n-boundary",
@@ -360,9 +361,11 @@ class TestSolve:
                                                   rel=1e-12)
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_p_is_finite(self, disk_cfg, tmp_path):
-        # p = 1000: the random starts' L^p norms overflow and are rescaled,
-        # so no start collapses to the zero field and a 0/0 lambda
+        # p = 1000: the random starts' L^p sums overflow and are rescaled,
+        # warning-free, so no start collapses to the zero field and a 0/0
+        # lambda
         out = tmp_path / "s.json"
         rc = cli.main(["solve", "--config", str(disk_cfg), "--h", "0.5",
                        "--p", "1e3", "--out", str(out)])

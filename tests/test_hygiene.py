@@ -8,11 +8,11 @@ that nothing in the package names either only feeds a test of itself or
 is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
 that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
 lists the planned exceptions).  Every CLI subcommand is run by some test.
-The checks read the source with `ast`, except two: importing the CLI
+The checks read the source with `ast`, except three: importing the CLI
 loads no scipy module that only the half-line model and the de Gennes
-constant use, nor scipy.fft, and a `model1d` run loads neither the ODE
-integrator nor the optimizer, which only its oracle and the de Gennes
-constant use.
+constant use, nor scipy.fft; it does load scipy.sparse.linalg, which
+SuperLU needs; and a `model1d` run loads neither the ODE integrator nor
+the optimizer, which only its oracle and the de Gennes constant use.
 """
 
 import argparse
@@ -280,6 +280,13 @@ def test_cli_import_loads_no_ode_or_optimizer():
     assert _loaded_after("import sys, semisobolev.cli",
                          ("scipy.optimize", "scipy.integrate",
                           "scipy.special", "scipy.fft")) == []
+
+
+def test_cli_import_loads_sparse_linalg():
+    # SuperLU's subpackage is imported with the package, so its import
+    # time is set-up and not part of the first factorization
+    assert _loaded_after("import sys, semisobolev.cli",
+                         ("scipy.sparse.linalg",)) == ["scipy.sparse.linalg"]
 
 
 def test_model1d_run_loads_no_ode_or_optimizer(tmp_path):

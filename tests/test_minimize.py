@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import SuperLU, eigsh
 
 from semisobolev import asymptotics
 from semisobolev import geometry as ge
@@ -179,21 +179,37 @@ class TestMinimize2D:
 
 BOX_CFG = ("domain = rectangle\nbounds = -1 1 -1 1\nV = 1.0\n"
            "B = constant 1.0\ngamma = 0\n")
+ROBIN_RECTANGLE_CFG = ("domain = rectangle\nbounds = -1 1 -1 1\nV = 1.0\n"
+                       "gamma = -0.5\n")
+ROBIN_DISK_CFG = "domain = disk\nradius = 1.0\nV = 1.0\ngamma = -0.5\n"
+
+
+def _load(directory, text):
+    path = directory / "geometry.cfg"
+    path.write_text(text)
+    return load_geometry(str(path))[0]
 
 
 @pytest.fixture(scope="module")
 def magnetic_box(tmp_path_factory):
     """The magnetic Neumann box: B = 1 on [-1, 1]^2, V = 1."""
-    path = tmp_path_factory.mktemp("box") / "box.cfg"
-    path.write_text(BOX_CFG)
-    return load_geometry(str(path))[0]
+    return _load(tmp_path_factory.mktemp("box"), BOX_CFG)
 
 
 class TestEigenOracle:
-    @pytest.mark.parametrize("h", [0.2, 0.05])
-    def test_matches_shift_invert(self, magnetic_box, h):
-        g = dz.build_grid(magnetic_box, asymptotics.default_mesh_rule(h))
-        f = dz.assemble(magnetic_box, h, g)
+    # one case per preconditioner: Fourier-capacitance (the magnetic box),
+    # tensor (a field-free Robin rectangle) and SuperLU (a Robin disk)
+    @pytest.mark.parametrize("cfg, h, solver", [
+        pytest.param(BOX_CFG, 0.2, dz._FourierSolve, id="0.2"),
+        pytest.param(BOX_CFG, 0.05, dz._FourierSolve, id="0.05"),
+        pytest.param(ROBIN_RECTANGLE_CFG, 0.2, dz._TensorSolve,
+                     id="robin-rectangle"),
+        pytest.param(ROBIN_DISK_CFG, 0.2, SuperLU, id="robin-disk")])
+    def test_matches_shift_invert(self, tmp_path, cfg, h, solver):
+        spec = _load(tmp_path, cfg)
+        g = dz.build_grid(spec, asymptotics.default_mesh_rule(h))
+        f = dz.assemble(spec, h, g)
+        assert isinstance(f.preconditioner(), solver)
         res = minimize_quotient(f, 2.0)
         M = sp.diags(f.weight.astype(f.K.dtype)).tocsc()
         lam = eigsh(f.K.tocsc(), k=1, M=M, sigma=0.0, which="LM")[0][0]
@@ -370,22 +386,28 @@ class TestForecast:
 
 class TestHotPath:
     @staticmethod
-    def _line(f, x):
-        """x / |x|_4, its R, the preconditioned gradient d, Re<d, K x>,
-        <d, K d> and the p = 4 quartic moments along d."""
-        x = x / dz.lp_norm(f.weight, x, 4.0)
+    def _line(f, x, p=4.0):
+        """x / |x|_p, its R, the preconditioned gradient d, Re<d, K x>,
+        <d, K d> and the a .. a^p coefficients of |x - a d|_p^p - 1
+        (p = 2: -2 Re<x, d>_M and <d, d>_M; p = 4: the quartic moments)."""
+        x = x / dz.lp_norm(f.weight, x, p)
         Kx = f.K @ x
         R = float(np.real(np.vdot(x, Kx)))
-        g = mz._grad_unit(f.weight, x, Kx, R, 4.0)
+        g = mz._grad_unit(f.weight, x, Kx, R, p)
         d = f.preconditioner().solve(f.weight * g)
         dKx = float(np.real(np.vdot(d, Kx)))
         dKd = float(np.real(np.vdot(d, f.K @ d)))
-        return x, R, d, dKx, dKd, mz._quartic_moments(f.weight, x, d)
+        if p == 2.0:
+            n = (-2.0 * float(np.real(np.vdot(x, f.weight * d))),
+                 float(np.real(np.vdot(d, f.weight * d))))
+        else:
+            n = mz._quartic_moments(f.weight, x, d)
+        return x, R, d, dKx, dKd, n
 
-    def test_line_energy(self, magnetic_2d):
-        # the p = 4 line quotient in closed form against `evaluate`, and
-        # the exact step along the preconditioned gradient below it
-        # everywhere on the line; a real Robin and a magnetic half plane
+    def _check_line(self, magnetic_2d, p):
+        """The line quotient in closed form against `evaluate`, and the
+        exact step along the preconditioned gradient below it everywhere
+        on the line; a real Robin and a magnetic half plane."""
         spec = ge.GeometrySpec(domain=ge.half_plane(5.0, 5.0), V=1.0,
                                gamma=-0.5)
         robin = dz.assemble(spec, 1.0, dz.build_grid(spec, 0.2))
@@ -394,21 +416,28 @@ class TestHotPath:
             x = np.exp(-((pts - 0.3) ** 2).sum(axis=1) / 4.5)
             if f.is_complex:
                 x = x * np.exp(0.5j * pts[:, 0])
-            x, R, d, dKx, dKd, n = self._line(f, x)
+            x, R, d, dKx, dKd, n = self._line(f, x, p)
 
             def line(a):
-                delta = a * (n[0] + a * (n[1] + a * (n[2] + a * n[3])))
-                return R + mz._decrease(R, dKx, dKd, a, delta, 4.0)
+                delta = a * sum(c * a ** k for k, c in enumerate(n))
+                return R + mz._decrease(R, dKx, dKd, a, delta, p)
 
             for a in (1e-6, 0.3, 5.0, -0.7):
                 psi = dz.WaveFunction(f.grid, f.full_values(x - a * d))
-                direct = dz.evaluate(f, psi, 4.0).quotient
+                direct = dz.evaluate(f, psi, p).quotient
                 assert abs(line(a) - direct) <= 1e-13 * abs(direct)
             a_star, nt = mz._exact_step(R, dKx, dKd, n)
             psi = dz.WaveFunction(f.grid, f.full_values(x - a_star * d))
-            assert nt == pytest.approx(psi.norm_lp(4.0), rel=1e-13)
+            assert nt == pytest.approx(psi.norm_lp(p), rel=1e-13)
             for a in np.geomspace(1e-4, 1e4, 81):
                 assert line(a_star) <= line(a) + 1e-14 * abs(R)
+
+    def test_line_energy(self, magnetic_2d):
+        self._check_line(magnetic_2d, 4.0)
+
+    def test_p2_line_energy(self, magnetic_2d):
+        # the Rayleigh quotient along the line: a quadratic over a quadratic
+        self._check_line(magnetic_2d, 2.0)
 
     def test_exact_step_takes_the_end_point(self):
         # the line quotient rises to a maximum near a = 1, then falls
@@ -421,6 +450,19 @@ class TestHotPath:
         for a in np.geomspace(1e-3, 1e6, 37):
             delta = a * (n[0] + a * (n[1] + a * (n[2] + a * n[3])))
             assert mz._decrease(R, dKx, dKd, a, delta, 4.0) > end
+
+    def test_p2_exact_step_takes_the_end_point(self):
+        # K = diag(0, 1), M = I, x = (0.6, 0.8), d = -(0.62, 0.78): x - a d
+        # turns toward the ground state e1 for every a > 0 but reaches only
+        # the direction of -d, so the Rayleigh quotient falls all along the
+        # line to dKd / <d, d> at a = inf: the best step is the field -d
+        R, dKx, dKd = 0.64, -0.624, 0.6084
+        n = (1.992, 0.9928)         # -2 <x, d>, <d, d>
+        assert mz._exact_step(R, dKx, dKd, n) == (math.inf, math.sqrt(n[1]))
+        end = dKd / n[1] - R
+        for a in np.geomspace(1e-3, 1e6, 37):
+            delta = a * (n[0] + a * n[1])
+            assert end < mz._decrease(R, dKx, dKd, a, delta, 2.0) < 0.0
 
     def test_end_point_step_moves_to_minus_d(self, magnetic_2d, monkeypatch):
         # an end-point step a = inf replaces x by -d / |d|_4, whose
