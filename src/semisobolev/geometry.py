@@ -211,7 +211,9 @@ def _finite_at(key: str, value, pts: np.ndarray) -> np.ndarray:
     naming the key at the first point where it is not finite."""
     pts = np.atleast_2d(pts)
     if callable(value):
-        values = np.asarray(value(pts), dtype=float).reshape(len(pts))
+        # an overflow to inf is reported below, as a ConfigError
+        with np.errstate(over="ignore"):
+            values = np.asarray(value(pts), dtype=float).reshape(len(pts))
     else:
         values = np.full(len(pts), float(value))
     bad = np.flatnonzero(~np.isfinite(values))

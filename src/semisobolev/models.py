@@ -8,9 +8,15 @@ the semiclassical problem localize near its argmin set M.  The field
 enters the models only through b = |b(x)|, which is Tr+ B in the plane.
 
 In d = 1 every constant is a `model1d` closed form: the whole-line soliton
-inside, the shifted soliton lambda_c on the half-line.  In d = 2 they are
-grid solves at h = 1 on truncated lattices, the field in the Landau gauge
-A = (-b x2, 0).  That gauge is parallel to the half-plane boundary and
+inside, the shifted soliton lambda_c on the half-line.  In d = 2 with no
+field the whole-plane minimizer may be taken radial: Schwarz
+symmetrization keeps the L^p and L^2 norms and does not raise the
+Dirichlet energy.  So that constant is one solve of the radial form on a
+half-line lattice (`_grid_value`), and the Neumann half plane is exactly
+2^{2/p - 1} times it, since even reflection doubles the energy and the
+p-th power of the L^p norm alike.  The other d = 2 constants are grid
+solves at h = 1 on truncated planar lattices, the field in the Landau
+gauge A = (-b x2, 0).  That gauge is parallel to the half-plane boundary and
 leaves the lattice invariant along x1, so the descent's preconditioner is
 the exact Fourier solve of `discretize`; any other gauge is a lattice
 gauge transform of it and gives the same constants.  Exact zoom scalings
@@ -28,7 +34,7 @@ gamma < 0 and V otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +49,7 @@ _unconverged = 0       # grid solves so far that missed the gradient tolerance
 _DELTA = 0.02          # relative tolerance of the argmin set M
 _EPS = 0.2             # dilation radius of M_eps for the exterior mass
 _BOUNDARY_TOL = 1e-8   # distance at which a sample counts as a boundary point
+_RADIAL_STEPS = 100    # radial lattice cells per model length scale
 
 
 def _check_field(b: float, dim: int) -> None:
@@ -59,6 +66,14 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
                 centers: tuple = ()) -> float:
     """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
 
+    Kind "rad" is a field-free whole plane solved as a radial form on the
+    half-line lattice of `spec`, nodes r_j = j dr.  Each node weighs the
+    area of its annulus, 2 pi r_j dr, and the centre node the disk
+    pi dr^2 / 4; each edge carries the flux coefficient
+    2 pi r_{j+1/2} / dr.  The centre has no surface weight, so it is a
+    natural zero-flux end, and the node at r = L stays pinned.  This is a
+    d = 1 form, solved on the SuperLU path.
+
     Only converged values are stored, so an unconverged one is re-solved
     on the next call; each such solve adds one to `_unconverged`, which
     is how callers flag the result it was made for.  One random restart
@@ -68,9 +83,16 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     """
     if key in _cache:
         return _cache[key]
+    grid = build_grid(spec, spacing)
+    if key[0] == "rad":
+        r, dr = grid.points[:, 0], grid.spacing[0]
+        weight = 2.0 * math.pi * dr * r
+        weight[0] = math.pi * dr * dr / 4.0
+        mid = 0.5 * (r[grid.edges[:, 0]] + r[grid.edges[:, 1]])
+        grid = replace(grid, weight=weight, surface_weight=np.zeros_like(r),
+                       edge_coeff=2.0 * math.pi * mid / dr)
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, centers=centers)
-    res = minimize_quotient(assemble(spec, 1.0, build_grid(spec, spacing)),
-                            key[1], opts)
+    res = minimize_quotient(assemble(spec, 1.0, grid), key[1], opts)
     if res.converged:
         _cache[key] = res.lam
     else:
@@ -79,14 +101,21 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     return res.lam
 
 
-def _whole_space_value(p: float, b: float, v: float) -> float:
-    """Grid solve of the whole-plane model at h = 1 (b is Tr+ B)."""
-    scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
-    A = None if b == 0.0 else geometry.landau_gauge(b)
-    spec = GeometrySpec(domain=geometry.plane(10.0 * scale), V=v, A=A,
+def _radial_value(p: float, v: float) -> float:
+    """Radial solve of the field-free whole-plane model at h = 1."""
+    scale = 1.0 / math.sqrt(max(v, 0.25))
+    spec = GeometrySpec(domain=geometry.half_line(20.0 * scale), V=v,
                         gamma=0.0)
-    return _grid_value(("int", p, round(b, 12), round(v, 12)), spec,
-                       scale / 12.0)
+    return _grid_value(("rad", p, round(v, 12)), spec,
+                       scale / _RADIAL_STEPS, ((0.0,),))
+
+
+def _whole_space_value(p: float, v: float) -> float:
+    """Grid solve of the whole-plane model at h = 1 with unit field."""
+    scale = 1.0 / math.sqrt(1.0 + max(v, 0.0))
+    spec = GeometrySpec(domain=geometry.plane(10.0 * scale), V=v,
+                        A=geometry.landau_gauge(1.0), gamma=0.0)
+    return _grid_value(("int", p, round(v, 12)), spec, scale / 12.0)
 
 
 def _half_space_value(p: float, b: float, v: float, g: float) -> float:
@@ -107,9 +136,11 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
 
     b = Tr+ B >= 0 is the scalar the field enters by; it must be 0 when
     dim = 1 (ValueError).  p = 2 is the exact Landau value b + V0; p > 2
-    is V0^e soliton_line(p) in d = 1 and a grid solve at h = 1, reduced
-    by the zoom scaling to a normalized cached instance, in d = 2.
-    Raises NotPositive when the p = 2 value is not positive.
+    is V0^e soliton_line(p) in d = 1.  In d = 2 it is a grid solve at
+    h = 1, reduced by the zoom scaling to a normalized cached instance:
+    with no field, V0^e times the radial solve at V = 1 (Schwarz
+    symmetrization leaves a radial minimizer), else a planar lattice at
+    unit field.  Raises NotPositive when the p = 2 value is not positive.
     """
     _check_field(b, dim)
     check_exponent(p)
@@ -122,8 +153,8 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
     if dim == 1:
         return V0 ** e * model1d.soliton_line(p)
     if b == 0.0:
-        return V0 ** e * _whole_space_value(p, 0.0, 1.0)
-    return b ** e * _whole_space_value(p, 1.0, V0 / b)
+        return V0 ** e * _radial_value(p, 1.0)
+    return b ** e * _whole_space_value(p, V0 / b)
 
 
 def boundary_constant(b: float, V0: float, gamma0: float, p: float,
@@ -139,7 +170,18 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     p = 2 value is then not positive, and neither is the infimum.  In d = 1
     the value is V0^e lambda_c(c, p) for |c| < 1 and V0^e soliton_line(p)
     for c >= 1, where the minimizing sequence escapes to infinity.  In
-    d = 2 it is scaled and cached like interior_constant.
+    d = 2 it is scaled and cached like interior_constant, and with no
+    field no half-plane lattice is solved at c = 0: the value is exactly
+    2^{2/p - 1} interior_constant(0, V0, p).  Even reflection doubles
+    the energy and the p-th power of the L^p norm of a Neumann
+    half-plane function, so it multiplies the quotient by 2^{1 - 2/p};
+    and the radial whole-plane minimizer, even in the normal, restricts
+    to a half-plane function at exactly that ratio.  With no field and
+    c != 0 the value is the smaller of the half-plane lattice value and
+    interior_constant(0, V0, p).  The true constant obeys that bound: a
+    whole-plane test function shifted away from the boundary stops
+    feeling gamma0.  The truncated half-plane lattice breaks it once its
+    minimizer leaves the Robin face, for c past about 1.
     """
     _check_field(b, dim)
     check_exponent(p)
@@ -156,7 +198,10 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     if dim == 1:
         lam = model1d.soliton_line(p) if c >= 1.0 else model1d.lambda_c(c, p)
         return V0 ** e * lam
-    return V0 ** e * _half_space_value(p, 0.0, 1.0, c)
+    whole = _radial_value(p, 1.0)
+    if c == 0.0:
+        return 2.0 ** (2.0 / p - 1.0) * V0 ** e * whole
+    return V0 ** e * min(_half_space_value(p, 0.0, 1.0, c), whole)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,9 @@ class TestLargeDomain:
         assert header == self.HEADER
         (row,) = rows
         assert row[-1] == "0"
-        assert float(row[4]) == pytest.approx(float(row[3]) / 3.0, rel=1e-11)
+        # the reference is the reflected radial value 2^{-1/2} x 3
+        assert float(row[4]) == pytest.approx(
+            float(row[3]) / (3.0 * 2.0 ** -0.5), rel=1e-11)
 
     @pytest.mark.parametrize("data", [
         "domain = interval\nbounds = -1 1\nbc = robin robin\nV = 1.0\n"
@@ -311,6 +313,7 @@ class TestConcentration:
         assert payload["inf"] == pytest.approx(values["boundary"], rel=1e-11)
         assert payload["argmin"] == [[1.0, 0.0]]
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_sample_exits_1(self, tmp_path, capsys):
         # V overflows on the outer ring and the rim of the radius-2 disk
         cfg = tmp_path / "disk.cfg"
@@ -596,6 +599,7 @@ class TestConfigValidation:
         ("domain = disk\nradius = 2\nV = quadratic 1 1e308\n",
          "V: value inf at x = ("),
     ])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected(self, text, message, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(text)

@@ -20,6 +20,9 @@ from semisobolev.minimize import MinimizeOptions, minimize_quotient
 
 BOX_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
               / "box.cfg")
+# Townes mass N_c = ||Q||_2^2 of the 2D ground state -Delta Q + Q = Q^3
+# (Weinstein, CMP 87, 1983): the p = 4 whole-plane constant is (2 N_c)^{1/2}
+TOWNES_MASS = 11.700896524559647
 
 
 class TestInteriorConstant:
@@ -49,12 +52,25 @@ class TestInteriorConstant:
         assert v == pytest.approx(m1.soliton_line(4.0), rel=1e-12)
 
     def test_scaling_consistency_direct_solve(self):
-        # the V-scaling shortcut agrees with a direct grid solve: at V = 2
+        # the V-scaling shortcut agrees with a direct radial solve: at V = 2
         # the lattice is the V = 1 lattice zoomed by 1/sqrt(2), so the
         # scaling holds to rounding
         fast = models.interior_constant(0.0, 2.0, 4.0, dim=2)
-        direct = models._whole_space_value(4.0, 0.0, 2.0)
+        direct = models._radial_value(4.0, 2.0)
         assert fast == pytest.approx(direct, rel=1e-12)
+
+    def test_radial_value_is_second_order_to_townes(self, monkeypatch):
+        # the radial lattice at dr = 1/50 and 1/100 of the model scale:
+        # the error falls fourfold, and Richardson meets Townes to 1e-7
+        exact = math.sqrt(2.0 * TOWNES_MASS)
+        lams = []
+        for steps in (50, 100):
+            monkeypatch.setattr(models, "_cache", {})
+            monkeypatch.setattr(models, "_RADIAL_STEPS", steps)
+            lams.append(models._radial_value(4.0, 1.0))
+        coarse, fine = lams
+        assert math.log2((coarse - exact) / (fine - exact)) >= 1.9
+        assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-7
 
 
 class TestBoundaryConstant:
@@ -127,6 +143,22 @@ class TestBoundaryConstant:
             it = models.interior_constant(0.0, 1.0, 4.0, dim=1)
             assert bd < it
 
+    def test_d2_field_free_below_interior(self):
+        # past c = 1 the truncated half plane squeezes its minimizer
+        # against the truncation (4.86571 at c = 1.5); the constant is
+        # capped by the interior one, so it does not fall as c grows
+        interior = models.interior_constant(0.0, 1.0, 4.0)
+        at_1 = models.boundary_constant(0.0, 1.0, 1.0, 4.0)
+        at_15 = models.boundary_constant(0.0, 1.0, 1.5, 4.0)
+        assert at_15 <= interior
+        assert at_1 <= at_15
+
+    def test_neumann_half_plane_lattice_agrees(self):
+        # the reflected radial value against the 2-D half-plane lattice
+        lattice = models._half_space_value(4.0, 0.0, 1.0, 0.0)
+        radial = models.boundary_constant(0.0, 1.0, 0.0, 4.0)
+        assert lattice == pytest.approx(radial, rel=1e-3)
+
     def test_oversized_model_lattice_is_refused(self):
         # gamma = 100 sizes the half-plane model at 81.6M nodes: the grid
         # builder raises before it allocates any per-node array
@@ -150,10 +182,13 @@ class TestIntBord:
         assert_allclose(boundary / interior, 2.0 ** (-0.5), rtol=1e-12)
 
     def test_symmetrization_bound(self):
-        # boundary <= 2^{2/p-1} interior at gamma = 0 (equality for B = 0)
-        boundary = models.boundary_constant(0.0, 1.0, 0.0, 4.0, dim=2)
-        interior = models.interior_constant(0.0, 1.0, 4.0, dim=2)
-        assert boundary <= 2.0 ** (2.0 / 4.0 - 1.0) * interior * 1.01
+        # boundary = 2^{2/p-1} interior at gamma = 0 with B = 0: the
+        # radial minimizer reflects evenly across the boundary
+        for p in (3.0, 4.0, 6.0):
+            boundary = models.boundary_constant(0.0, 1.0, 0.0, p, dim=2)
+            interior = models.interior_constant(0.0, 1.0, p, dim=2)
+            assert boundary == pytest.approx(
+                2.0 ** (2.0 / p - 1.0) * interior, rel=1e-12)
 
     def test_escape_for_large_gamma(self):
         # for gamma >= 1 the half-line minimizing sequence escapes to
@@ -242,7 +277,7 @@ class TestCache:
         monkeypatch.setattr(models, "_cache", {})
         monkeypatch.setattr(models, "minimize_quotient", fake_minimize)
         for _ in range(2):
-            assert models._whole_space_value(4.0, 0.0, 1.0) == 1.25
+            assert models._radial_value(4.0, 1.0) == 1.25
             assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
         assert len(models._cache) == (2 if converged else 0)
         assert len(calls) == (2 if converged else 4)
