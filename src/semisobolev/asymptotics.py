@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .discretize import assemble, build_grid, lp_norm
+from .discretize import assemble, build_grid, coarse_form, lp_norm
 from .errors import ConfigError
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
@@ -80,12 +80,18 @@ def _rung(spec: GeometrySpec, h: float, p: float, centers: tuple,
     """One rung of an h-ladder: (grid, minimizer result) at this h.
 
     The grid follows default_mesh_rule(h); the minimizer starts from a
-    bump of width sqrt(h) at each center and from one random field.
+    bump of width sqrt(h) at each center and from one random field.  Every
+    start descends first on the same rung at twice the spacing, and only
+    its distinct minima are polished on the rung's grid (`coarse` of
+    `minimize_quotient`).
     """
-    grid = build_grid(spec, default_mesh_rule(h))
+    spacing = default_mesh_rule(h)
+    grid = build_grid(spec, spacing)
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=seed,
                            bump_width=math.sqrt(h), centers=centers)
-    return grid, minimize_quotient(assemble(spec, h, grid), p, opts)
+    return grid, minimize_quotient(
+        assemble(spec, h, grid), p, opts, coarse=coarse_form(
+            lambda s: assemble(spec, h, build_grid(spec, s)), spacing))
 
 
 @dataclass

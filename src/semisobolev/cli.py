@@ -21,7 +21,8 @@ import numpy as np
 from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
-from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
+from .discretize import (assemble, build_grid, coarse_form, gaussian_bump,
+                         wavefunction_rows)
 from .errors import NoConvergence, SemisobolevError
 from .minimize import MinimizeOptions, minimize_quotient
 
@@ -151,9 +152,11 @@ def _cmd_solve(args) -> int:
         _positive("--spacing", args.spacing)
     spacing = args.spacing or asymptotics.default_mesh_rule(args.h)
     grid = build_grid(spec, spacing)
-    form = assemble(spec, args.h, grid)
     opts = MinimizeOptions(seed=args.seed, grad_tol=args.grad_tol)
-    res = minimize_quotient(form, args.p, opts)
+    # every start descends first on the lattice at twice the spacing
+    res = minimize_quotient(
+        assemble(spec, args.h, grid), args.p, opts, coarse=coarse_form(
+            lambda s: assemble(spec, args.h, build_grid(spec, s)), spacing))
     config = {"config_file": args.config, "h": args.h, "p": args.p,
               "seed": args.seed, "spacing": spacing,
               "grad_tol": args.grad_tol, **{f"geometry.{k}": v
@@ -167,6 +170,9 @@ def _cmd_solve(args) -> int:
         "restart_values": res.restart_values,
         "restart_exits": res.restart_exits,
         "restart_iterations": res.restart_iterations,
+        "coarse_values": res.coarse_values,
+        "coarse_exits": res.coarse_exits,
+        "coarse_iterations": res.coarse_iterations,
         "nodes": grid.n_nodes,
         "free_nodes": grid.n_free,
     }

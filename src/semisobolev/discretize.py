@@ -22,7 +22,8 @@ are handled by masking a square lattice: volume weights are exact
 cell/disk intersection areas, in closed form as four-corner differences
 of the area below and left of a point (`_lower_left_area`), so quadrature
 weights sum to the disk area to rounding; edge coefficients near the
-curved rim are first-order only.
+curved rim are first-order only.  A field moves from a lattice to a finer
+one of the same domain by multilinear interpolation (`prolong`).
 
 The descent's preconditioner K + tau M is solved in one of three ways
 (`AssembledForm.preconditioner`).  On a 2-D box the real forms split
@@ -40,6 +41,7 @@ disks and d = 1 forms use an MMD-ordered SuperLU factorization.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -291,6 +293,48 @@ def build_grid(spec: GeometrySpec, spacing) -> Grid:
     if dom.kind == "disk":
         return _disk_grid(dom, spacing)
     return _box_grid(dom, spacing)
+
+
+def coarse_form(build: Callable, spacing):
+    """build(2 spacing): a lattice problem at twice its spacing, the
+    `coarse` form of `minimize.minimize_quotient`; None when that lattice
+    is too small (DomainTooSmall), so the solve runs on one lattice."""
+    doubled = (2.0 * spacing if np.isscalar(spacing)
+               else tuple(2.0 * s for s in spacing))
+    try:
+        return build(doubled)
+    except DomainTooSmall:
+        return None
+
+
+def prolong(coarse: Grid, x: np.ndarray, fine: Grid) -> np.ndarray:
+    """Multilinear interpolation of a field from one lattice of a domain to
+    another; x holds its values on the free nodes of `coarse`, and the
+    values on the free nodes of `fine` are returned.
+
+    Box grids and the masked disk both sit on a uniform tensor lattice,
+    node i at lo + k_i s along each axis.  The coarse values are laid out
+    on that lattice, padded with one layer of zeros on every side; pinned
+    and masked-out nodes are zero too.  Each fine node takes the
+    multilinear interpolant of the 2^d lattice nodes of its cell, so a
+    field affine on those nodes is reproduced exactly: everywhere on a
+    box, and on a masked disk wherever the cell lies in the disk.
+    """
+    s = np.asarray(coarse.spacing, dtype=float)
+    lo = coarse.points.min(axis=0) - s
+    k = np.rint((coarse.points - lo) / s).astype(np.int64)
+    shape = k.max(axis=0) + 2
+    lattice = np.zeros(tuple(shape), dtype=x.dtype)
+    lattice[tuple(k[coarse.free].T)] = x
+    t = (fine.points[fine.free] - lo) / s
+    i = np.clip(np.floor(t), 0, shape - 2).astype(np.int64)
+    f = np.clip(t - i, 0.0, 1.0)
+    out = np.zeros(len(t), dtype=x.dtype)
+    for corner in itertools.product((0, 1), repeat=coarse.dim):
+        c = np.array(corner)
+        out += (np.prod(np.where(c, f, 1.0 - f), axis=1)
+                * lattice[tuple((i + c).T)])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -22,20 +22,32 @@ per trial.  Decreases are formed without cancellation (`_decrease`), so
 they keep their sign at the gradient tolerance.  An accepted iterate is
 renormalized and K x is formed afresh (never updated by recurrence), and
 serves both the quotient and the gradient: one iteration costs one
-preconditioner solve and two sparse matvecs.  Each restart reports why it
-stopped: `grad_tol`, `stagnation` (no decrease over a window of
-iterations), `cap` (iteration limit), `backtrack_floor` (no step lowers
-the quotient, so the iterate cannot move) or `outpaced` (by the forecast
-of its recent decreases it would still end above the best converged start
-at the cap; see `_descend`).
+preconditioner solve and two sparse matvecs on its lattice, so an
+iteration on the lattice at twice the spacing costs about 2^-d of a fine
+one.  Each restart reports why it stopped: `grad_tol`, `stagnation` (no
+decrease over a window of iterations), `cap` (iteration limit),
+`backtrack_floor` (no step lowers the quotient, so the iterate cannot
+move) or `outpaced` (by the forecast of its recent decreases it would
+still end above the best converged start at the cap; see `_descend`).
+
 Multiple starts (a Gaussian bump at each candidate localization center,
-then random fields) guard against spurious local minima.
+then random fields) guard against spurious local minima.  The minimizers
+localize exponentially, so the basin a start falls into is already
+decided on the lattice at twice the spacing; only the last digits of
+lambda need the fine one.  Given that coarse form, every start descends
+on it first, and the fine lattice polishes each distinct coarse minimum,
+prolonged by multilinear interpolation (`discretize.prolong`), in
+ascending order of its coarse value.  A start cut as `outpaced`, or one
+ending within _TIE of a value already polished (`merged`), is not
+polished.  This is the nested iteration of full multigrid (Brandt, Math.
+Comp. 31, 1977), applied to the starts instead of to a linear solve.
 
 At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
 its minimum the lowest eigenvalue.  Real 1D forms are solved exactly
-(tridiagonal); the rest run the descent once, from a random field, whose
-exact line step is a Rayleigh-Ritz step on the line (LOBPCG, Knyazev, SIAM
-J. Sci. Comput. 23, 2001, takes it on three vectors).  The residual eps =
+(tridiagonal); the rest run the descent once, from a random field (one
+start, nested like the others), whose exact line step is a Rayleigh-Ritz
+step on the line (LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001, takes
+it on three vectors).  The residual eps =
 |M^{-1} K x - lambda x|_M is half the gradient norm and the
 Krylov-Bogoliubov radius: an eigenvalue lies within eps of lambda.
 """
@@ -50,7 +62,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
-                         gaussian_bump, lp_norm)
+                         gaussian_bump, lp_norm, prolong)
 from .errors import ZeroFunction
 from .geometry import check_exponent
 
@@ -82,6 +94,11 @@ class MinimizerResult:
     restart_iterations: list = field(default_factory=list)
     # per start: a _Stop.reason (grad_tol ... outpaced), or "eigen" (1D, p = 2)
     restart_exits: list = field(default_factory=list)
+    # per start, the coarse stage of a nested solve (empty without one);
+    # a coarse exit is a _Stop.reason, or "merged" for an unpolished duplicate
+    coarse_values: list = field(default_factory=list)
+    coarse_iterations: list = field(default_factory=list)
+    coarse_exits: list = field(default_factory=list)
     converged: bool = True
     grad_norm: float = 0.0
 
@@ -352,95 +369,142 @@ def _tridiagonal_eigen(form):
     return float(vals[0]), vecs[:, 0] * dinv
 
 
-def _eigen_path(form, opts):
-    """p = 2: an exact tridiagonal solve on real 1D forms, else one descent
-    from a random field; lambda and the residual are those of its result."""
-    exact = form.grid.dim == 1 and not form.is_complex
-    if exact:
-        lam, x = _tridiagonal_eigen(form)
-        its, reason = 1, "eigen"
-    else:
-        x0 = _normal_field(np.random.default_rng(opts.seed), form)
-        _, x, its, stop = _descend(form, x0, 2.0, opts)
-        reason = stop.reason
-    psi = WaveFunction(form.grid, form.full_values(x))
-    psi = WaveFunction(form.grid, psi.values / psi.norm_lp(2.0))
-    if not exact:
-        lam = evaluate(form, psi, 2.0).quotient
-    res = el_residual(form, lam, psi, 2.0)
-    gnorm = 2.0 * res           # |grad|_M at an L^2-normalized field
-    scale = opts.grad_tol * max(1.0, abs(lam))
-    return MinimizerResult(lam=lam, psi=psi, iterations=its, el_residual=res,
-                           restart_values=[lam], restart_iterations=[its],
-                           restart_exits=[reason],
-                           converged=gnorm <= 10.0 * scale, grad_norm=gnorm)
-
-
-def minimize_quotient(form: AssembledForm, p: float,
-                      opts: MinimizeOptions | None = None) -> MinimizerResult:
-    """Minimize the discrete Sobolev quotient at exponent p >= 2.
-
-    One CG descent serves every p.  At p = 2 it runs once, from the random
-    field of `seed` (real 1D forms are solved exactly): the Rayleigh
-    quotient has no local minima besides the ground states, and a real
-    symmetric bump could be orthogonal to them and stop at a saddle.  At
-    p > 2 it runs from one Gaussian bump per candidate center (the middle
-    of the domain when `centers` is empty), then `restarts` random fields,
-    and returns the best final value (ties broken by iteration count).
-    Each start is given the lowest value of the finished starts that met
-    the gradient tolerance, and stops as `outpaced` once the forecast of
-    its recent decreases cannot bring it below that value by the cap; such
-    a start ends above it and is never the one returned.  The result's
-    `converged` flag is False when the best restart misses the gradient
-    tolerance or its value is not finite.
-    """
-    opts = opts or MinimizeOptions()
-    check_exponent(p)
-    if p == 2.0:
-        return _eigen_path(form, opts)
-
+def _starts(form, fine, p, opts):
+    """The start fields on `form`'s free nodes: at p = 2 the random field of
+    `seed`; at p > 2 one Gaussian bump per center (the middle of the domain
+    when `centers` is empty), then `restarts` random fields, and a random
+    field in place of a bump that vanishes on the free nodes.  The default
+    bump width is that of the `fine` lattice, so a coarse lattice starts
+    from the same functions."""
     rng = np.random.default_rng(opts.seed)
+    if p == 2.0:
+        return [_normal_field(rng, form)]
     grid = form.grid
     centers = opts.centers
     if not len(centers):
         centers = ((grid.domain.center,) if grid.domain.kind == "disk" else
                    (tuple(0.5 * (lo + hi) for lo, hi in grid.domain.bounds),))
     width = opts.bump_width or max(
-        4.0 * max(grid.spacing), 0.08 * float(np.ptp(grid.points[:, 0])))
+        4.0 * max(fine.spacing), 0.08 * float(np.ptp(fine.points[:, 0])))
     starts = [gaussian_bump(grid, np.asarray(c, dtype=float)[: grid.dim],
                             width).values[grid.free].astype(form.K.dtype)
               for c in centers]
     starts += [_normal_field(rng, form) for _ in range(max(0, opts.restarts))]
+    return [x0 if lp_norm(form.weight, x0, p) >= 1e-300 else
+            _normal_field(rng, form) for x0 in starts]
 
-    best = None
-    incumbent = math.inf    # lowest value of a start that met grad_tol
-    restart_values, restart_iterations, restart_exits = [], [], []
+
+class _Run(NamedTuple):
+    """One descent: its final R, iterations, field, stop and acceptance."""
+
+    R: float
+    its: int
+    x: np.ndarray
+    stop: _Stop
+    ok: bool        # finite R and a gradient norm within 10 grad_tol
+
+
+def _descents(form, starts, p, opts):
+    """Descend each start in turn, each against the lowest value of the
+    finished starts that met the gradient tolerance (`_descend`'s
+    `incumbent`); yields one _Run per start."""
+    incumbent = math.inf
     for x0 in starts:
-        if lp_norm(form.weight, x0, p) < 1e-300:
-            x0 = _normal_field(rng, form)
         trail, x, its, stop = _descend(form, x0, p, opts, incumbent=incumbent)
         R = trail[-1]
-        restart_values.append(R)
-        restart_iterations.append(its)
-        restart_exits.append(stop.reason)
         ok = (math.isfinite(R)
               and stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R)))
         if ok:
             incumbent = min(incumbent, R)
-        cand = (R, its, x, stop.grad_norm, ok)
-        if best is None or (R < best[0] - _TIE) or (
-                abs(R - best[0]) <= _TIE and its < best[1]):
-            best = cand
+        yield _Run(R, its, x, stop, ok)
 
-    R, its, x, gnorm, ok = best
-    psi = WaveFunction(grid, form.full_values(x))
-    nrm = psi.norm_lp(p)
-    psi = WaveFunction(grid, psi.values / nrm)
-    lam = evaluate(form, psi, p).quotient
-    return MinimizerResult(lam=lam, psi=psi, iterations=sum(restart_iterations),
-                           el_residual=el_residual(form, lam, psi, p),
-                           restart_values=restart_values,
-                           restart_iterations=restart_iterations,
-                           restart_exits=restart_exits,
-                           converged=ok and math.isfinite(lam),
-                           grad_norm=gnorm)
+
+def _distinct(runs):
+    """(indices to polish, coarse exits) of the coarse runs.
+
+    A run is polished unless it stopped as `outpaced` or ended within _TIE
+    of a value already polished; that duplicate's exit becomes `merged`.
+    The order is ascending in value, so the nearest polished value is the
+    last one."""
+    exits = [r.stop.reason for r in runs]
+    keep = []
+    for i in sorted(range(len(runs)), key=lambda i: runs[i].R):
+        if exits[i] == "outpaced":
+            continue
+        if keep and abs(runs[i].R - runs[keep[-1]].R) <= _TIE:
+            exits[i] = "merged"
+        else:
+            keep.append(i)
+    return keep, exits
+
+
+def minimize_quotient(form: AssembledForm, p: float,
+                      opts: MinimizeOptions | None = None,
+                      coarse: AssembledForm | None = None) -> MinimizerResult:
+    """Minimize the discrete Sobolev quotient at exponent p >= 2.
+
+    One CG descent serves every p.  At p = 2 it runs once, from the random
+    field of `seed`; real 1D forms are solved exactly instead (`eigen`),
+    and their lambda and residual are those of the tridiagonal
+    eigenvector.  The Rayleigh quotient has no local minima besides the
+    ground states, and a real symmetric bump could be orthogonal to them
+    and stop at a saddle.  At p > 2 it runs from one Gaussian bump per
+    candidate center (the middle of the domain when `centers` is empty),
+    then `restarts` random fields, and returns the best final value (ties
+    broken by iteration count).  Each start is given the lowest value of
+    the finished starts that met the gradient tolerance, and stops as
+    `outpaced` once the forecast of its recent decreases cannot bring it
+    below that value by the cap; such a start ends above it and is never
+    the one returned.  The result's `converged` flag is False when the
+    best restart misses the gradient tolerance or its value is not finite.
+
+    `coarse` is the same problem assembled at twice the spacing.  Given
+    it, every start descends on that lattice first; the coarse form is
+    then dropped, and only the distinct coarse minima (`_distinct`) are
+    prolonged and polished on `form`, in ascending order of their coarse
+    value.  The `restart_*` lists describe the fine descents alone, the
+    `coarse_*` lists the coarse stage, one entry per start.
+    """
+    opts = opts or MinimizeOptions()
+    check_exponent(p)
+    stage = [], [], []      # coarse values, iterations and exits
+    if p == 2.0 and form.grid.dim == 1 and not form.is_complex:
+        lam, x = _tridiagonal_eigen(form)
+        runs = [_Run(lam, 1, x, _Stop("eigen", 0.0), True)]
+    else:
+        if coarse is None:
+            starts = _starts(form, form.grid, p, opts)
+        else:
+            cgrid = coarse.grid
+            cruns = list(_descents(coarse, _starts(coarse, form.grid, p, opts),
+                                   p, opts))
+            del coarse      # the fine stage needs only the coarse lattice
+            keep, exits = _distinct(cruns)
+            stage = [r.R for r in cruns], [r.its for r in cruns], exits
+            starts = (prolong(cgrid, cruns[i].x, form.grid) for i in keep)
+        runs = list(_descents(form, starts, p, opts))
+    best = None
+    for run in runs:
+        if best is None or (run.R < best.R - _TIE) or (
+                abs(run.R - best.R) <= _TIE and run.its < best.its):
+            best = run
+    psi = WaveFunction(form.grid, form.full_values(best.x))
+    psi = WaveFunction(form.grid, psi.values / psi.norm_lp(p))
+    if p == 2.0:
+        if best.stop.reason != "eigen":
+            lam = evaluate(form, psi, 2.0).quotient
+            runs = [best._replace(R=lam)]
+        res = el_residual(form, lam, psi, 2.0)
+        gnorm = 2.0 * res       # |grad|_M at an L^2-normalized field
+        ok = gnorm <= 10.0 * opts.grad_tol * max(1.0, abs(lam))
+    else:
+        lam = evaluate(form, psi, p).quotient
+        res = el_residual(form, lam, psi, p)
+        gnorm, ok = best.stop.grad_norm, best.ok and math.isfinite(lam)
+    return MinimizerResult(
+        lam=lam, psi=psi, iterations=sum(r.its for r in runs),
+        el_residual=res, restart_values=[r.R for r in runs],
+        restart_iterations=[r.its for r in runs],
+        restart_exits=[r.stop.reason for r in runs],
+        coarse_values=stage[0], coarse_iterations=stage[1],
+        coarse_exits=stage[2], converged=ok, grad_norm=gnorm)

@@ -39,7 +39,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry, model1d
-from .discretize import build_grid, assemble
+from .discretize import assemble, build_grid, coarse_form
 from .errors import AssumptionViolated, NotPositive
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, minimize_quotient
@@ -62,7 +62,7 @@ def _scaling_exponent(d: int, p: float) -> float:
     return 1.0 - d / 2.0 + d / p
 
 
-def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
+def _grid_value(key: tuple, spec: GeometrySpec, spacing,
                 centers: tuple = ()) -> float:
     """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
 
@@ -79,20 +79,28 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing: float,
     is how callers flag the result it was made for.  One random restart
     runs after the bump init; a random start that wanders into the
     interior-soliton valley stops as `outpaced` once it cannot come down
-    to the bump's converged value.
+    to the bump's converged value.  Every start descends first on the
+    same model at twice the spacing, radial weights included, and only
+    the distinct coarse minima are polished on this lattice (`coarse` of
+    `minimize_quotient`).
     """
     if key in _cache:
         return _cache[key]
-    grid = build_grid(spec, spacing)
-    if key[0] == "rad":
-        r, dr = grid.points[:, 0], grid.spacing[0]
-        weight = 2.0 * math.pi * dr * r
-        weight[0] = math.pi * dr * dr / 4.0
-        mid = 0.5 * (r[grid.edges[:, 0]] + r[grid.edges[:, 1]])
-        grid = replace(grid, weight=weight, surface_weight=np.zeros_like(r),
-                       edge_coeff=2.0 * math.pi * mid / dr)
+
+    def form(s):
+        grid = build_grid(spec, s)
+        if key[0] == "rad":
+            r, dr = grid.points[:, 0], grid.spacing[0]
+            weight = 2.0 * math.pi * dr * r
+            weight[0] = math.pi * dr * dr / 4.0
+            mid = 0.5 * (r[grid.edges[:, 0]] + r[grid.edges[:, 1]])
+            grid = replace(grid, weight=weight, surface_weight=np.zeros_like(r),
+                           edge_coeff=2.0 * math.pi * mid / dr)
+        return assemble(spec, 1.0, grid)
+
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, centers=centers)
-    res = minimize_quotient(assemble(spec, 1.0, grid), key[1], opts)
+    res = minimize_quotient(form(spacing), key[1], opts,
+                            coarse=coarse_form(form, spacing))
     if res.converged:
         _cache[key] = res.lam
     else:
@@ -119,7 +127,12 @@ def _whole_space_value(p: float, v: float) -> float:
 
 
 def _half_space_value(p: float, b: float, v: float, g: float) -> float:
-    """Grid solve of the half-plane model at h = 1 (b is Tr+ B)."""
+    """Grid solve of the half-plane model at h = 1 (b is Tr+ B).
+
+    The boundary axis is spaced at scale / 12 and the normal axis at
+    min(depth / 10, scale / 12), so only the normal axis resolves the
+    Robin layer of depth 1 / (1 + |g|) and the node count grows like |g|,
+    not g^2."""
     scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
     depth = min(scale, 1.0 / (1.0 + abs(g)))
     height = max(5.0 * scale, 12.0 * depth)
@@ -127,8 +140,8 @@ def _half_space_value(p: float, b: float, v: float, g: float) -> float:
     spec = GeometrySpec(domain=geometry.half_plane(8.0 * scale, height),
                         V=v, A=A, gamma=g)
     key = ("bd", p, round(b, 12), round(v, 12), round(g, 12))
-    return _grid_value(key, spec, min(depth / 10.0, scale / 12.0),
-                       ((0.0, 0.0),))
+    spacing = (scale / 12.0, min(depth / 10.0, scale / 12.0))
+    return _grid_value(key, spec, spacing, ((0.0, 0.0),))
 
 
 def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:

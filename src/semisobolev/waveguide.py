@@ -29,7 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
-from .discretize import AssembledForm, assemble, build_grid, lp_norm
+from .discretize import (AssembledForm, assemble, build_grid, coarse_form,
+                         lp_norm)
 from .errors import InvalidProfile, NoConvergence
 from .geometry import GeometrySpec
 from .minimize import MinimizeOptions, minimize_quotient
@@ -103,21 +104,22 @@ def table_profile(s_vals, a_vals) -> WidthProfile:
 
 
 def assemble_waveguide_form(profile: WidthProfile, h: float, p: float,
-                            s_halfwidth: float | None = None) -> AssembledForm:
+                            s_halfwidth: float | None = None,
+                            spacing: tuple | None = None) -> AssembledForm:
     """Weighted strip form with coefficients frozen at edge midpoints.
 
     The s-spacing resolves the h a_max localization scale (_DSIGMA per
-    unit of the rescaled variable); truncation sits s_halfwidth (default
-    8 bump widths) beyond the argmax, with Dirichlet caps.  The weights
+    unit of the rescaled variable) and _NT nodes span t in [-1, 1], unless
+    `spacing` gives (ds, dt); truncation sits s_halfwidth (default 8 bump
+    widths) beyond the argmax, with Dirichlet caps.  The weights
     h^2 a^{1-2/p} (s-edges) and a^{-1-2/p} (t-edges) multiply the plain
     strip's edge coefficients, and the form is assembled at h = 1.
     """
     s_halfwidth = 8.0 * profile.width if s_halfwidth is None else s_halfwidth
-    ds = h * profile.a_max * _DSIGMA
-    dt = 2.0 / (_NT - 1)
+    spacing = spacing or _spacing(profile, h)
     dom = geometry.strip(profile.s_max - s_halfwidth, profile.s_max + s_halfwidth)
     spec = GeometrySpec(domain=dom, V=0.0, A=None, gamma=0.0)
-    grid = build_grid(spec, (ds, dt))
+    grid = build_grid(spec, spacing)
     mids = 0.5 * (grid.points[grid.edges[:, 0], 0]
                   + grid.points[grid.edges[:, 1], 0])
     a_mid = profile(mids)
@@ -127,6 +129,23 @@ def assemble_waveguide_form(profile: WidthProfile, h: float, p: float,
     return assemble(spec, 1.0, replace(grid, edge_coeff=grid.edge_coeff * mult))
 
 
+def _spacing(profile: WidthProfile, h: float) -> tuple:
+    """(ds, dt) of the strip lattice at h."""
+    return h * profile.a_max * _DSIGMA, 2.0 / (_NT - 1)
+
+
+def _solve(profile: WidthProfile, h: float, p: float, opts: MinimizeOptions,
+           s_halfwidth: float | None = None):
+    """The minimizer of the strip form at h; every start descends first on
+    the strip at twice both spacings (`coarse` of `minimize_quotient`)."""
+    def form(spacing):
+        return assemble_waveguide_form(profile, h, p, s_halfwidth, spacing)
+
+    spacing = _spacing(profile, h)
+    return minimize_quotient(form(spacing), p, opts,
+                             coarse=coarse_form(form, spacing))
+
+
 @functools.cache
 def straight_reference(p: float) -> float:
     """lambda^Dir(Sigma, p) on the unit strip, truncation grown to stability.
@@ -134,9 +153,11 @@ def straight_reference(p: float) -> float:
     At p = 2 this approaches the transverse Dirichlet threshold pi^2/4
     from above (essential spectrum bottom, not attained on the infinite
     strip); for p > 2 the minimizer is exponentially localized and the
-    value stabilizes quickly under doubling of the truncation.  An
-    unconverged solve raises NoConvergence, so only converged values are
-    cached.
+    value stabilizes quickly under doubling of the truncation.  Each
+    truncation is one nested solve: its bump and random starts descend on
+    the strip at twice both spacings first, and only their distinct
+    minima are polished.  An unconverged solve raises NoConvergence, so
+    only converged values are cached.
     """
     prof = constant_profile(1.0)
     opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
@@ -144,8 +165,7 @@ def straight_reference(p: float) -> float:
     prev = None
     s_half = 12.0
     for _ in range(_REF_DOUBLINGS + 1):
-        form = assemble_waveguide_form(prof, 1.0, p, s_halfwidth=s_half)
-        res = minimize_quotient(form, p, opts)
+        res = _solve(prof, 1.0, p, opts, s_half)
         if not res.converged:
             raise NoConvergence(f"straight reference unconverged at "
                                 f"s_halfwidth = {s_half} (grad norm "
@@ -178,13 +198,12 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRo
     ref = straight_reference(p)
     rows = []
     for h in h_list:
-        form = assemble_waveguide_form(profile, h, p)
-        opts = MinimizeOptions(grad_tol=1e-8, restarts=1, seed=5,
+        opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=5,
                                centers=((profile.s_max, 0.0),),
                                bump_width=max(h * profile.a_max, 2e-2))
-        res = minimize_quotient(form, p, opts)
+        res = _solve(profile, h, p, opts)
         target = h ** (1.0 - 2.0 / p) * profile.a_max ** (-4.0 / p) * ref
-        grid = form.grid
+        grid = res.psi.grid
         s = grid.points[:, 0]
         outside = np.abs(s - profile.s_max) > profile.width
         mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)

@@ -111,8 +111,8 @@ class TestLargeDomain:
                                          monkeypatch):
         real = asymptotics.minimize_quotient
 
-        def unconverged(form, p, opts):
-            res = real(form, p, opts)
+        def unconverged(form, p, opts, coarse=None):
+            res = real(form, p, opts, coarse)
             res.converged = False
             return res
 
@@ -129,7 +129,8 @@ class TestLargeDomain:
         # the d = 2 reference is a grid solve; when it misses its tolerance
         # every ratio rests on it, so every row says so
         monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
+        monkeypatch.setattr(models, "minimize_quotient",
+                            lambda form, p, opts, coarse=None:
                             SimpleNamespace(lam=3.0, converged=False))
         cfg = tmp_path / "disk.cfg"
         cfg.write_text("domain = disk\nradius = 0.3\nV = 1.0\ngamma = 0\n")
@@ -198,7 +199,8 @@ class TestSweep:
         # one is only an upper bound, so the infimum behind every row's
         # target is unsure and each row says so
         monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
+        monkeypatch.setattr(models, "minimize_quotient",
+                            lambda form, p, opts, coarse=None:
                             SimpleNamespace(lam=3.0, converged=False))
         cfg = tmp_path / "box.cfg"
         cfg.write_text("domain = rectangle\nbounds = -0.2 0.2 -0.2 0.2\n"
@@ -261,7 +263,8 @@ class TestConcentration:
             cfg.write_text("domain = rectangle\nbounds = -1 1 -1 1\n"
                            "V = 1.0\nB = constant 1.0\ngamma = 0\n")
         monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient", lambda form, p, opts:
+        monkeypatch.setattr(models, "minimize_quotient",
+                            lambda form, p, opts, coarse=None:
                             SimpleNamespace(lam=1.25, converged=False))
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
         # a few samples suffice: the fake solve caches nothing, so each
@@ -351,10 +354,12 @@ class TestSolve:
                        "--p", "4", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
-        assert set(payload) == {"config", "converged", "el_residual",
-                                "free_nodes", "iterations", "lambda", "nodes",
-                                "normalized_ratio", "restart_exits",
-                                "restart_iterations", "restart_values"}
+        assert set(payload) == {"coarse_exits", "coarse_iterations",
+                                "coarse_values", "config", "converged",
+                                "el_residual", "free_nodes", "iterations",
+                                "lambda", "nodes", "normalized_ratio",
+                                "restart_exits", "restart_iterations",
+                                "restart_values"}
         cfg = payload["config"]
         assert (cfg["h"], cfg["p"], cfg["seed"]) == (0.1, 4.0, 0)
         assert cfg["geometry.domain"] == "interval"
@@ -362,6 +367,16 @@ class TestSolve:
         assert payload["free_nodes"] == payload["nodes"] == 101
         assert payload["lambda"] == pytest.approx(min(payload["restart_values"]),
                                                   rel=1e-12)
+        # the bump and the five random starts each descend on the 51-node
+        # lattice first; four random ones end on a value already polished,
+        # and the fine lists count the polished starts only
+        assert len(payload["coarse_values"]) == 6
+        assert len(payload["coarse_iterations"]) == 6
+        assert payload["coarse_exits"].count("merged") == 4
+        polished = [e for e in payload["coarse_exits"]
+                    if e not in ("merged", "outpaced")]
+        assert len(payload["restart_values"]) == len(polished) >= 1
+        assert payload["iterations"] == sum(payload["restart_iterations"])
 
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -455,8 +470,8 @@ class TestWaveguide:
         monkeypatch.setattr(waveguide, "straight_reference", lambda p: 1.0)
         real = waveguide.minimize_quotient
 
-        def unconverged(form, p, opts):
-            res = real(form, p, opts)
+        def unconverged(form, p, opts, coarse=None):
+            res = real(form, p, opts, coarse)
             res.converged = False
             return res
 
@@ -472,7 +487,7 @@ class TestWaveguide:
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(waveguide, "minimize_quotient",
-                            lambda form, p, opts: SimpleNamespace(
+                            lambda form, p, opts, coarse=None: SimpleNamespace(
                                 lam=1.0, converged=False, grad_norm=1.0))
         rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
                        "--h-list", "0.5", "--out", str(tmp_path / "wg.csv")])

@@ -478,3 +478,69 @@ class TestExports:
         rows = list(dz.wavefunction_rows(psi))
         assert len(rows) == g.n_nodes
         assert len(rows[0]) == 4  # x, re, im, abs
+
+
+class TestProlong:
+    """Multilinear prolongation from the lattice at twice the spacing."""
+
+    @staticmethod
+    def affine(grid, dtype):
+        slope = np.array([0.7, -1.3])[: grid.dim]
+        x = grid.points[grid.free]
+        if dtype is complex:
+            return (1.5 + 1.0j) + (x @ slope) * (2.0 - 0.5j)
+        return 1.5 + x @ slope
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("domain, spacing", [
+        (ge.interval(-1.0, 2.0, ("robin", "robin")), 0.013),
+        (ge.rectangle(((-1.0, 1.3), (0.0, 2.0))), 0.05),
+        (ge.rectangle(((0.0, 4.0), (-1.0, 1.0))), (0.03, 0.05))])
+    def test_affine_fields_on_boxes(self, domain, spacing, dtype):
+        # every node of a Robin box is free; the two lattices need not nest
+        spec = ge.GeometrySpec(domain=domain, V=1.0)
+        fine = dz.build_grid(spec, spacing)
+        coarse = dz.build_grid(spec, np.multiply(2.0, spacing))
+        out = dz.prolong(coarse, self.affine(coarse, dtype), fine)
+        assert out.dtype == np.dtype(dtype)
+        assert_allclose(out, self.affine(fine, dtype), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("R, s", [(1.0, 0.05), (2.3, 0.07)])
+    def test_affine_fields_inside_a_masked_disk(self, R, s, dtype):
+        center = np.array([0.3, -0.2])
+        spec = ge.GeometrySpec(domain=ge.disk(R, tuple(center)), V=1.0)
+        fine, coarse = dz.build_grid(spec, s), dz.build_grid(spec, 2.0 * s)
+        # the coarse nodes are fine nodes, and keep their values
+        index = {tuple(k) for k in np.rint((fine.points - center) / s).astype(int)}
+        assert all(tuple(k) in index for k in
+                   np.rint((coarse.points - center) / s).astype(int))
+        out = dz.prolong(coarse, self.affine(coarse, dtype), fine)
+        # exact where the coarse cell lies in the disk; zero outside it
+        # pulls the rim nodes down
+        r = np.hypot(*(fine.points[fine.free] - center).T)
+        inner = r <= R - 2.0 * s * math.sqrt(2.0)
+        assert inner.sum() > 0.7 * len(r)
+        assert_allclose(out[inner], self.affine(fine, dtype)[inner],
+                        rtol=1e-13, atol=1e-13)
+
+    def test_pinned_nodes_count_as_zero(self):
+        # a Dirichlet strip: the interpolant vanishes on the walls and
+        # keeps the coarse values on the nodes the lattices share
+        spec = ge.GeometrySpec(domain=ge.strip(-1.0, 1.0), V=0.0)
+        fine, coarse = dz.build_grid(spec, 0.05), dz.build_grid(spec, 0.1)
+        field = lambda g: np.cos(0.5 * np.pi * g.points[g.free, 1]) + 0.0
+        out = dz.prolong(coarse, field(coarse), fine)
+        shared = np.all(np.abs(np.rint(fine.points[fine.free] / 0.1) * 0.1
+                               - fine.points[fine.free]) < 1e-12, axis=1)
+        assert_allclose(out[shared], field(fine)[shared], atol=1e-14)
+        next_to_wall = np.abs(np.abs(fine.points[fine.free, 0]) - 0.95) < 1e-12
+        assert next_to_wall.any()
+        assert np.all(np.abs(out[next_to_wall]) < np.abs(field(fine)[next_to_wall]))
+
+    def test_too_small_halved_lattice_is_no_coarse_form(self):
+        # 9 nodes per axis at s = 0.25 on [0, 2]; the halved lattice has 5
+        spec = ge.GeometrySpec(domain=ge.rectangle(((0.0, 2.0), (0.0, 2.0))))
+        build = lambda s: dz.assemble(spec, 1.0, dz.build_grid(spec, s))
+        assert dz.coarse_form(build, 0.25) is None
+        assert dz.coarse_form(build, 0.1).grid.shape == (11, 11)

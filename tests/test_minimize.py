@@ -308,8 +308,8 @@ class TestExitReasons:
     def test_straight_reference_work(self, monkeypatch):
         iterations = []
 
-        def counting(form, p, opts):
-            res = minimize_quotient(form, p, opts)
+        def counting(form, p, opts, coarse=None):
+            res = minimize_quotient(form, p, opts, coarse)
             iterations.append(res.iterations)
             return res
 
@@ -569,3 +569,78 @@ class TestHotPath:
                 assert trials > steps           # the run did backtrack
             assert lu.solves == steps + 1       # one per iterate, none per trial
             assert K.matvecs <= 2 * its + 1
+
+
+class TestNested:
+    """Every start descends on the lattice at twice the spacing first; the
+    distinct coarse minima are polished on the fine one."""
+
+    def test_waveguide_rung_agrees_with_the_direct_solve(self):
+        prof = wg.gaussian_profile(0.5, 0.0, 1.0)
+        opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=5,
+                               centers=((0.0, 0.0),), bump_width=0.3)
+
+        def form(spacing):
+            return wg.assemble_waveguide_form(prof, 0.2, 4.0, 3.0, spacing)
+
+        spacing = wg._spacing(prof, 0.2)
+        direct = minimize_quotient(form(spacing), 4.0, opts)
+        nested = minimize_quotient(form(spacing), 4.0, opts,
+                                   coarse=dz.coarse_form(form, spacing))
+        assert direct.converged and nested.converged
+        assert nested.lam == pytest.approx(direct.lam, rel=1e-9)
+        assert len(nested.coarse_values) == len(nested.coarse_exits) == 2
+        assert nested.iterations == sum(nested.restart_iterations)
+        assert nested.iterations < direct.iterations
+
+    def test_magnetic_half_plane_p2_agrees_with_the_direct_solve(self):
+        # the Fourier-preconditioned p = 2 model of the magnetic box's edges
+        spec = ge.GeometrySpec(domain=ge.half_plane(4.0, 5.0), V=1.0,
+                               A=ge.landau_gauge(1.0), gamma=0.0)
+
+        def form(s):
+            return dz.assemble(spec, 1.0, dz.build_grid(spec, s))
+
+        opts = MinimizeOptions(grad_tol=1e-7)
+        direct = minimize_quotient(form(0.1), 2.0, opts)
+        nested = minimize_quotient(form(0.1), 2.0, opts,
+                                   coarse=dz.coarse_form(form, 0.1))
+        assert direct.converged and nested.converged
+        assert nested.lam == pytest.approx(direct.lam, rel=1e-9)
+        assert nested.restart_values == [nested.lam]
+        assert nested.coarse_exits == ["grad_tol"]
+        assert nested.coarse_values[0] != nested.lam
+
+    def test_neumann_rungs_keep_the_lower_basin(self):
+        # R = 3 (h = 1/9): the bump at (1, 0) has the lowest coarse value but
+        # polishes to the higher of two rim basins; the random start, next
+        # in coarse order, polishes to the lower one.  Polishing only the
+        # best coarse start would return 0.1140514599
+        spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
+        centers = asymptotics.boundary_centers(spec)
+        _, res = asymptotics._rung(spec, 1.0 / 9.0, 4.0, centers, seed=11)
+        assert res.converged
+        assert res.lam == pytest.approx(0.114044842772, rel=1e-9)
+        assert res.restart_values[0] == pytest.approx(0.1140514599, rel=1e-9)
+        assert res.coarse_exits == ["grad_tol"] * 3
+        order = sorted(range(3), key=res.coarse_values.__getitem__)
+        assert order == [0, 2, 1]
+        # R = 2 (h = 1/4): the random start ends on the bump's coarse value
+        # and is not polished again
+        _, res = asymptotics._rung(spec, 0.25, 4.0, centers, seed=11)
+        assert res.coarse_exits == ["grad_tol", "grad_tol", "merged"]
+        assert abs(res.coarse_values[2] - res.coarse_values[0]) <= mz._TIE
+        assert len(res.restart_values) == 2
+        assert res.lam == pytest.approx(0.358998662418, rel=1e-9)
+
+    def test_outpaced_coarse_start_is_not_polished(self, short_strip):
+        # the random start on the short strip creeps toward the center; on
+        # the coarse strip it is cut, so one fine descent runs
+        coarse = wg.assemble_waveguide_form(
+            wg.constant_profile(1.0), 1.0, 4.0, s_halfwidth=4.0,
+            spacing=tuple(2.0 * s for s in short_strip.grid.spacing))
+        res = minimize_quotient(short_strip, 4.0, STRIP_OPTS, coarse=coarse)
+        assert res.coarse_exits == ["grad_tol", "outpaced"]
+        assert res.restart_exits == ["grad_tol"]
+        direct = minimize_quotient(short_strip, 4.0, STRIP_OPTS)
+        assert res.lam == pytest.approx(direct.lam, rel=1e-9)

@@ -145,7 +145,7 @@ class TestBoundaryConstant:
 
     def test_d2_field_free_below_interior(self):
         # past c = 1 the truncated half plane squeezes its minimizer
-        # against the truncation (4.86571 at c = 1.5); the constant is
+        # against the truncation (4.86443 at c = 1.5); the constant is
         # capped by the interior one, so it does not fall as c grows
         interior = models.interior_constant(0.0, 1.0, 4.0)
         at_1 = models.boundary_constant(0.0, 1.0, 1.0, 4.0)
@@ -159,13 +159,32 @@ class TestBoundaryConstant:
         radial = models.boundary_constant(0.0, 1.0, 0.0, 4.0)
         assert lattice == pytest.approx(radial, rel=1e-3)
 
+    def test_robin_layer_spaces_the_normal_axis_only(self, monkeypatch):
+        # gamma = 100: the Robin layer of depth 1/101 sets the normal
+        # spacing 1/1010, the boundary axis keeps scale/12; 193 x 5,051
+        # nodes, where one spacing for both axes gave 81.6M
+        lattices = []
+
+        def stub(key, spec, spacing, centers=()):
+            lattices.append((spec.domain, spacing))
+            return 1.0
+
+        monkeypatch.setattr(models, "_grid_value", stub)
+        models.boundary_constant(0.0, 1.0, 100.0, 4.0)
+        (dom, spacing), = [(d, s) for d, s in lattices if d.dim == 2]
+        assert spacing == pytest.approx((1.0 / 12.0, 1.0 / 1010.0), rel=1e-12)
+        counts = [round((hi - lo) / s) + 1
+                  for (lo, hi), s in zip(dom.bounds, spacing)]
+        assert counts == [193, 5051]
+        assert math.prod(counts) <= dz._MAX_NODES
+
     def test_oversized_model_lattice_is_refused(self):
-        # gamma = 100 sizes the half-plane model at 81.6M nodes: the grid
+        # gamma = 1e4 sizes the half-plane model at 96.5M nodes: the grid
         # builder raises before it allocates any per-node array
         tracemalloc.start()
         try:
             with pytest.raises(GridTooLarge, match="nodes"):
-                models.boundary_constant(0.0, 1.0, 100.0, 4.0)
+                models.boundary_constant(0.0, 1.0, 1e4, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -270,7 +289,7 @@ class TestCache:
     def test_only_converged_values_are_cached(self, converged, monkeypatch):
         calls = []
 
-        def fake_minimize(form, p, opts):
+        def fake_minimize(form, p, opts, coarse=None):
             calls.append(p)
             return types.SimpleNamespace(lam=1.25, converged=converged)
 
@@ -290,9 +309,9 @@ class TestCache:
         calls = []
         real = models.minimize_quotient
 
-        def counting(form, p, opts=None):
+        def counting(form, p, opts=None, coarse=None):
             calls.append(form.n)
-            return real(form, p, opts)
+            return real(form, p, opts, coarse)
 
         monkeypatch.setattr(models, "minimize_quotient", counting)
         spec, _ = load_geometry(BOX_CFG)
@@ -311,7 +330,8 @@ class TestFourierPath:
         forms = []
 
         def coarse(key, spec, spacing, centers=()):
-            forms.append(dz.assemble(spec, 1.0, dz.build_grid(spec, 4 * spacing)))
+            grid = dz.build_grid(spec, np.multiply(4, spacing))
+            forms.append(dz.assemble(spec, 1.0, grid))
             return 1.0
 
         monkeypatch.setattr(models, "_grid_value", coarse)

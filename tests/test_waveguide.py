@@ -36,7 +36,7 @@ def test_energy_is_the_weighted_edge_sum():
 class TestStraightReference:
     @staticmethod
     def solver(converged, calls):
-        def fake(form, p, opts):
+        def fake(form, p, opts, coarse=None):
             calls.append(form.n)
             return SimpleNamespace(lam=5.0, converged=converged, grad_norm=1.0)
         return fake
@@ -55,14 +55,16 @@ class TestStraightReference:
 
 
 def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
-    # the h = 0.1 rung at the sweep's grad_tol 1e-8 against a re-solve at
+    # the h = 0.1 rung at the sweep's grad_tol 1e-9 against a re-solve at
     # 1e-11: the printed mass outside the bump is a converged figure
     monkeypatch.setattr(wg, "straight_reference", lambda p: 1.0)
     prof = wg.gaussian_profile(0.5, 0.0, 1.0)
     (row,) = wg.waveguide_sweep(prof, 4.0, [0.1])
     real = wg.minimize_quotient
-    monkeypatch.setattr(wg, "minimize_quotient", lambda form, p, opts: real(
-        form, p, dataclasses.replace(opts, grad_tol=1e-11)))
+    monkeypatch.setattr(wg, "minimize_quotient",
+                        lambda form, p, opts, coarse=None: real(
+                            form, p, dataclasses.replace(opts, grad_tol=1e-11),
+                            coarse))
     (tight,) = wg.waveguide_sweep(prof, 4.0, [0.1])
     assert row.converged and tight.converged
     assert row.mass_outside == pytest.approx(tight.mass_outside, rel=1e-6)
