@@ -29,7 +29,7 @@ from . import models
 from .discretize import assemble, build_grid, coarse_form, lp_norm
 from .errors import ConfigError
 from .geometry import GeometrySpec, check_exponent
-from .minimize import MinimizeOptions, minimize_quotient
+from .minimize import MinimizeOptions, MinimizerResult, minimize_quotient
 from .models import boundary_constant, concentration_map
 
 
@@ -76,8 +76,8 @@ def default_sample_points(spec: GeometrySpec, n_interior: int = 25,
 
 
 def _rung(spec: GeometrySpec, h: float, p: float, centers: tuple,
-          seed: int) -> tuple:
-    """One rung of an h-ladder: (grid, minimizer result) at this h.
+          seed: int) -> MinimizerResult:
+    """One rung of an h-ladder: the minimizer result at this h.
 
     The grid follows default_mesh_rule(h); the minimizer starts from a
     bump of width sqrt(h) at each center and from one random field.  Every
@@ -85,13 +85,14 @@ def _rung(spec: GeometrySpec, h: float, p: float, centers: tuple,
     its distinct minima are polished on the rung's grid (`coarse` of
     `minimize_quotient`).
     """
+    def form(s):
+        return assemble(spec, h, build_grid(spec, s))
+
     spacing = default_mesh_rule(h)
-    grid = build_grid(spec, spacing)
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=seed,
                            bump_width=math.sqrt(h), centers=centers)
-    return grid, minimize_quotient(
-        assemble(spec, h, grid), p, opts, coarse=coarse_form(
-            lambda s: assemble(spec, h, build_grid(spec, s)), spacing))
+    return minimize_quotient(form(spacing), p, opts,
+                             coarse=coarse_form(form, spacing))
 
 
 @dataclass
@@ -121,7 +122,8 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     centers = tuple(tuple(x) for x in cmap.argmin_points)
     rows = []
     for h in h_list:
-        grid, res = _rung(spec, h, p, centers, seed=7)
+        res = _rung(spec, h, p, centers, seed=7)
+        grid = res.psi.grid
         ratio = res.lam / h ** h_power(spec.dim, p)
         gap = ratio / cmap.inf_value - 1.0
         vals = np.abs(res.psi.values)
@@ -186,7 +188,7 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
     rows = []
     for R in R_list:
         h = R ** (-2.0)
-        _, res = _rung(spec, h, p, boundary_centers(spec), seed=11)
+        res = _rung(spec, h, p, boundary_centers(spec), seed=11)
         lam_neu = R ** (d + 2.0 - 2.0 * d / p) * res.lam
         rows.append(LargeDomainRow(R=R, h=h, lam_semiclassical=res.lam,
                                    lam_neumann=lam_neu,

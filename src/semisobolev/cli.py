@@ -77,14 +77,23 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
-def _parse_h_list(flag: str, s: str) -> list:
+def _semiclassical(flag: str, h: float) -> float:
+    """h > 0 whose square, the scale of the kinetic coefficients, is a
+    finite nonzero float; past that the form's set-up overflows."""
+    if not (h > 0.0 and 0.0 < h * h < math.inf):
+        raise ConfigError(f"{flag}: h = {h} is out of range: expected h > 0 "
+                          f"with 0 < h^2 < inf in floating point")
+    return h
+
+
+def _parse_h_list(flag: str, s: str, check=_positive) -> list:
     try:
         values = [float(x) for x in s.replace(",", " ").split()]
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from exc
     if not values:
         raise ConfigError(f"{flag}: expected at least one value")
-    return [_positive(flag, x) for x in values]
+    return [check(flag, x) for x in values]
 
 
 def _parse_profile(s: str) -> waveguide.WidthProfile:
@@ -146,7 +155,7 @@ def _cmd_solve(args) -> int:
     lambda +- el_residual.
     """
     spec, resolved = load_geometry(args.config)
-    _positive("--h", args.h)
+    _semiclassical("--h", args.h)
     _positive("--grad-tol", args.grad_tol)
     if args.spacing is not None:
         _positive("--spacing", args.spacing)
@@ -219,7 +228,7 @@ def _cmd_sweep(args) -> int:
     """Exits 2 when a rung or the target is unconverged, after writing
     every row."""
     spec, resolved = load_geometry(args.config)
-    h_list = _parse_h_list("--h-list", args.h_list)
+    h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
     rows = asymptotics.sweep(spec, args.p, h_list)
     config = {"config_file": args.config, "p": args.p, "h_list": args.h_list,
               "seed": args.seed,
@@ -241,6 +250,8 @@ def _cmd_large_domain(args) -> int:
     every row."""
     spec, resolved = load_geometry(args.config)
     R_list = _parse_h_list("--R-list", args.R_list)
+    for R in R_list:
+        _semiclassical("--R-list", 1.0 / R / R)     # h = R^-2
     rows = asymptotics.large_domain(spec, args.p, R_list)
     config = {"config_file": args.config, "p": args.p, "R_list": args.R_list,
               "seed": args.seed,
@@ -257,7 +268,7 @@ def _cmd_large_domain(args) -> int:
 
 
 def _cmd_partition_check(args) -> int:
-    _positive("--h", args.h)
+    _semiclassical("--h", args.h)
     _positive("--spacing", args.spacing)
     if args.samples < 1:
         raise ConfigError(f"--samples: expected at least 1, got {args.samples}")
@@ -301,7 +312,7 @@ def _cmd_partition_check(args) -> int:
 
 def _cmd_waveguide(args) -> int:
     prof = _parse_profile(args.profile)
-    h_list = _parse_h_list("--h-list", args.h_list)
+    h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
     rows = waveguide.waveguide_sweep(prof, args.p, h_list)
     config = {"profile": args.profile, "p": args.p, "h_list": args.h_list,
               "seed": args.seed}

@@ -25,7 +25,7 @@ serves both the quotient and the gradient: one iteration costs one
 preconditioner solve and two sparse matvecs on its lattice, so an
 iteration on the lattice at twice the spacing costs about 2^-d of a fine
 one.  Each restart reports why it stopped: `grad_tol`, `stagnation` (no
-decrease over a window of iterations), `cap` (iteration limit),
+decrease over a window of iterations), `cap` (_MAX_ITERS iterations),
 `backtrack_floor` (no step lowers the quotient, so the iterate cannot
 move) or `outpaced` (by the forecast of its recent decreases it would
 still end above the best converged start at the cap; see `_descend`).
@@ -43,11 +43,10 @@ polished.  This is the nested iteration of full multigrid (Brandt, Math.
 Comp. 31, 1977), applied to the starts instead of to a linear solve.
 
 At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
-its minimum the lowest eigenvalue.  Real 1D forms are solved exactly
-(tridiagonal); the rest run the descent once, from a random field (one
-start, nested like the others), whose exact line step is a Rayleigh-Ritz
-step on the line (LOBPCG, Knyazev, SIAM J. Sci. Comput. 23, 2001, takes
-it on three vectors).  The residual eps =
+its minimum the lowest eigenvalue.  The descent runs once, from a random
+field (one start, nested like the others), whose exact line step is a
+Rayleigh-Ritz step on the line (LOBPCG, Knyazev, SIAM J. Sci. Comput.
+23, 2001, takes it on three vectors).  The residual eps =
 |M^{-1} K x - lambda x|_M is half the gradient norm and the
 Krylov-Bogoliubov radius: an eigenvalue lies within eps of lambda.
 """
@@ -59,24 +58,24 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
                          gaussian_bump, lp_norm, prolong)
 from .errors import ZeroFunction
 from .geometry import check_exponent
 
+_MAX_ITERS = 3000       # iteration cap of one descent
 _STAG_WINDOW = 60
 _TIE = 1e-10            # restart values this close count as equal
 
 
 @dataclass
 class MinimizeOptions:
-    """Iteration controls of the one descent that serves every p.  The
-    starts (`restarts`, `centers`, `bump_width`) act at p > 2 only: at p = 2
-    every local minimum is a ground state, so one random start suffices."""
+    """Controls of the one descent that serves every p; its cap is
+    _MAX_ITERS.  The starts (`restarts`, `centers`, `bump_width`) act at
+    p > 2 only: at p = 2 every local minimum is a ground state, so one
+    random start suffices."""
 
-    max_iters: int = 3000
     grad_tol: float = 1e-8      # on |grad|_M relative to max(1, |R|)
     restarts: int = 5
     seed: int = 0
@@ -92,7 +91,7 @@ class MinimizerResult:
     el_residual: float
     restart_values: list = field(default_factory=list)
     restart_iterations: list = field(default_factory=list)
-    # per start: a _Stop.reason (grad_tol ... outpaced), or "eigen" (1D, p = 2)
+    # per start: a _Stop.reason (grad_tol ... outpaced)
     restart_exits: list = field(default_factory=list)
     # per start, the coarse stage of a nested solve (empty without one);
     # a coarse exit is a _Stop.reason, or "merged" for an unpolished duplicate
@@ -100,7 +99,6 @@ class MinimizerResult:
     coarse_iterations: list = field(default_factory=list)
     coarse_exits: list = field(default_factory=list)
     converged: bool = True
-    grad_norm: float = 0.0
 
 
 class _Stop(NamedTuple):
@@ -143,6 +141,11 @@ def el_residual(form: AssembledForm, lam: float, psi: WaveFunction, p: float) ->
     x = form.free_values(psi)
     r = _grad_unit(form.weight, x, form.K @ x, lam, p)     # twice the residual
     return 0.5 * float(np.sqrt(np.real(np.vdot(r, form.weight * r))))
+
+
+def _accepted(R: float, grad_norm: float, grad_tol: float) -> bool:
+    """The convergence test: R finite, |grad|_M <= 10 grad_tol max(1, |R|)."""
+    return math.isfinite(R) and grad_norm <= 10.0 * grad_tol * max(1.0, abs(R))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +257,9 @@ def _forecast(trail, max_iters):
         d1 = trail[k - 2 * W] - trail[k - W]
         if 0.0 < d2 < d1:
             shrink = (d1 - d2) / d1     # 1 - rho, free of cancellation
-            tail = -math.expm1(m * math.log1p(-shrink)) / shrink
+            # rho^m is 0 where rho is below the rounding of 1 - rho
+            tail = (-math.expm1(m * math.log1p(-shrink)) / shrink
+                    if shrink < 1.0 else 1.0)
             gain = d2 * (1.0 - shrink) * tail
     return trail[k] - gain
 
@@ -282,7 +287,7 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     """
     w = form.weight
     K = form.K
-    max_iters, grad_tol = opts.max_iters, opts.grad_tol
+    grad_tol = opts.grad_tol
     prec = form.preconditioner()
 
     def pdir(wg):
@@ -309,7 +314,7 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     trail = [R]             # R after each accepted step, for the forecast
     reason = "cap"
     it = 0
-    for it in range(max_iters):
+    for it in range(_MAX_ITERS):
         gnorm = math.sqrt(rdot(g, wg))
         if gnorm <= grad_tol * max(1.0, abs(R)):
             reason = "grad_tol"
@@ -347,7 +352,7 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
         x, Kx, g, wg, z, wz, gz, R = xt, Kxt, gt, wgt, zt, wzt, gzt, Rt
         trail.append(R)
         if (len(trail) > _STAG_WINDOW
-                and _forecast(trail, max_iters) > incumbent + _TIE):
+                and _forecast(trail, _MAX_ITERS) > incumbent + _TIE):
             reason = "outpaced"
             break
         if R < best_R - 1e-15 * max(1.0, abs(best_R)):
@@ -358,15 +363,6 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
                 reason = "stagnation"
                 break
     return trail, x, it + 1, _Stop(reason, gnorm)
-
-
-def _tridiagonal_eigen(form):
-    K = form.K.tocsr()
-    dinv = 1.0 / np.sqrt(form.weight)
-    main = K.diagonal().real * dinv * dinv
-    sub = np.real(K.diagonal(1)) * dinv[:-1] * dinv[1:]
-    vals, vecs = eigh_tridiagonal(main, sub, select="i", select_range=(0, 0))
-    return float(vals[0]), vecs[:, 0] * dinv
 
 
 def _starts(form, fine, p, opts):
@@ -395,28 +391,25 @@ def _starts(form, fine, p, opts):
 
 
 class _Run(NamedTuple):
-    """One descent: its final R, iterations, field, stop and acceptance."""
+    """One descent: its final R, iterations, field and stop."""
 
     R: float
     its: int
     x: np.ndarray
     stop: _Stop
-    ok: bool        # finite R and a gradient norm within 10 grad_tol
 
 
 def _descents(form, starts, p, opts):
     """Descend each start in turn, each against the lowest value of the
-    finished starts that met the gradient tolerance (`_descend`'s
-    `incumbent`); yields one _Run per start."""
+    finished starts that passed `_accepted` (`_descend`'s `incumbent`);
+    yields one _Run per start."""
     incumbent = math.inf
     for x0 in starts:
         trail, x, its, stop = _descend(form, x0, p, opts, incumbent=incumbent)
         R = trail[-1]
-        ok = (math.isfinite(R)
-              and stop.grad_norm <= 10.0 * opts.grad_tol * max(1.0, abs(R)))
-        if ok:
+        if _accepted(R, stop.grad_norm, opts.grad_tol):
             incumbent = min(incumbent, R)
-        yield _Run(R, its, x, stop, ok)
+        yield _Run(R, its, x, stop)
 
 
 def _distinct(runs):
@@ -443,20 +436,22 @@ def minimize_quotient(form: AssembledForm, p: float,
                       coarse: AssembledForm | None = None) -> MinimizerResult:
     """Minimize the discrete Sobolev quotient at exponent p >= 2.
 
-    One CG descent serves every p.  At p = 2 it runs once, from the random
-    field of `seed`; real 1D forms are solved exactly instead (`eigen`),
-    and their lambda and residual are those of the tridiagonal
-    eigenvector.  The Rayleigh quotient has no local minima besides the
-    ground states, and a real symmetric bump could be orthogonal to them
-    and stop at a saddle.  At p > 2 it runs from one Gaussian bump per
-    candidate center (the middle of the domain when `centers` is empty),
-    then `restarts` random fields, and returns the best final value (ties
-    broken by iteration count).  Each start is given the lowest value of
-    the finished starts that met the gradient tolerance, and stops as
-    `outpaced` once the forecast of its recent decreases cannot bring it
-    below that value by the cap; such a start ends above it and is never
-    the one returned.  The result's `converged` flag is False when the
-    best restart misses the gradient tolerance or its value is not finite.
+    One CG descent serves every p and every dimension.  At p = 2 it runs
+    once, from the random field of `seed`: the Rayleigh quotient has no
+    local minima besides the ground states, and a real symmetric bump
+    could be orthogonal to them and stop at a saddle.  At p > 2 it runs
+    from one Gaussian bump per candidate center (the middle of the domain
+    when `centers` is empty), then `restarts` random fields, and returns
+    the best final value (ties broken by iteration count).  Each start is
+    given the lowest value of the finished starts that passed the
+    convergence test, and stops as `outpaced` once the forecast of its
+    recent decreases cannot bring it below that value by the cap; such a
+    start ends above it and is never the one returned.
+
+    lambda is the quotient of the returned L^p-normalized field, and the
+    selected restart reports it.  `converged` is the one test `_accepted`
+    at that field: lambda finite and its gradient norm, 2 el_residual,
+    within 10 grad_tol relative to max(1, |lambda|).
 
     `coarse` is the same problem assembled at twice the spacing.  Given
     it, every start descends on that lattice first; the coarse form is
@@ -468,43 +463,32 @@ def minimize_quotient(form: AssembledForm, p: float,
     opts = opts or MinimizeOptions()
     check_exponent(p)
     stage = [], [], []      # coarse values, iterations and exits
-    if p == 2.0 and form.grid.dim == 1 and not form.is_complex:
-        lam, x = _tridiagonal_eigen(form)
-        runs = [_Run(lam, 1, x, _Stop("eigen", 0.0), True)]
+    if coarse is None:
+        starts = _starts(form, form.grid, p, opts)
     else:
-        if coarse is None:
-            starts = _starts(form, form.grid, p, opts)
-        else:
-            cgrid = coarse.grid
-            cruns = list(_descents(coarse, _starts(coarse, form.grid, p, opts),
-                                   p, opts))
-            del coarse      # the fine stage needs only the coarse lattice
-            keep, exits = _distinct(cruns)
-            stage = [r.R for r in cruns], [r.its for r in cruns], exits
-            starts = (prolong(cgrid, cruns[i].x, form.grid) for i in keep)
-        runs = list(_descents(form, starts, p, opts))
-    best = None
-    for run in runs:
-        if best is None or (run.R < best.R - _TIE) or (
-                abs(run.R - best.R) <= _TIE and run.its < best.its):
-            best = run
-    psi = WaveFunction(form.grid, form.full_values(best.x))
+        cgrid = coarse.grid
+        cruns = list(_descents(coarse, _starts(coarse, form.grid, p, opts),
+                               p, opts))
+        del coarse          # the fine stage needs only the coarse lattice
+        keep, exits = _distinct(cruns)
+        stage = [r.R for r in cruns], [r.its for r in cruns], exits
+        starts = (prolong(cgrid, cruns[i].x, form.grid) for i in keep)
+    runs = list(_descents(form, starts, p, opts))
+    b = 0
+    for i, run in enumerate(runs):
+        if (run.R < runs[b].R - _TIE) or (
+                abs(run.R - runs[b].R) <= _TIE and run.its < runs[b].its):
+            b = i
+    psi = WaveFunction(form.grid, form.full_values(runs[b].x))
     psi = WaveFunction(form.grid, psi.values / psi.norm_lp(p))
-    if p == 2.0:
-        if best.stop.reason != "eigen":
-            lam = evaluate(form, psi, 2.0).quotient
-            runs = [best._replace(R=lam)]
-        res = el_residual(form, lam, psi, 2.0)
-        gnorm = 2.0 * res       # |grad|_M at an L^2-normalized field
-        ok = gnorm <= 10.0 * opts.grad_tol * max(1.0, abs(lam))
-    else:
-        lam = evaluate(form, psi, p).quotient
-        res = el_residual(form, lam, psi, p)
-        gnorm, ok = best.stop.grad_norm, best.ok and math.isfinite(lam)
+    lam = evaluate(form, psi, p).quotient
+    runs[b] = runs[b]._replace(R=lam)
+    res = el_residual(form, lam, psi, p)
     return MinimizerResult(
         lam=lam, psi=psi, iterations=sum(r.its for r in runs),
         el_residual=res, restart_values=[r.R for r in runs],
         restart_iterations=[r.its for r in runs],
         restart_exits=[r.stop.reason for r in runs],
         coarse_values=stage[0], coarse_iterations=stage[1],
-        coarse_exits=stage[2], converged=ok, grad_norm=gnorm)
+        coarse_exits=stage[2],
+        converged=_accepted(lam, 2.0 * res, opts.grad_tol))

@@ -168,8 +168,8 @@ def straight_reference(p: float) -> float:
         res = _solve(prof, 1.0, p, opts, s_half)
         if not res.converged:
             raise NoConvergence(f"straight reference unconverged at "
-                                f"s_halfwidth = {s_half} (grad norm "
-                                f"{res.grad_norm:.2e})")
+                                f"s_halfwidth = {s_half} (residual "
+                                f"{res.el_residual:.2e})")
         if prev is not None and abs(res.lam - prev) <= _REF_TOL * abs(prev):
             return res.lam
         prev = res.lam

@@ -488,7 +488,7 @@ class TestWaveguide:
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(waveguide, "minimize_quotient",
                             lambda form, p, opts, coarse=None: SimpleNamespace(
-                                lam=1.0, converged=False, grad_norm=1.0))
+                                lam=1.0, converged=False, el_residual=1.0))
         rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
                        "--h-list", "0.5", "--out", str(tmp_path / "wg.csv")])
         assert rc == 2
@@ -691,6 +691,9 @@ class TestBadInput:
          "--h-list", "0.2"],
         ["partition-check", "--alpha", "inf", "--rho", "1", "--h", "0.5"],
         ["partition-check", "--alpha", "1e308", "--rho", "1e308", "--h", "0.5"],
+        ["solve", "--config", "{cfg}", "--h", "1e300", "--p", "4"],
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "1e200"],
+        ["large-domain", "--config", "{cfg}", "--p", "4", "--R-list", "1e300"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -706,7 +709,8 @@ class TestBadInput:
             "table-nan", "table-one-row", "constant-nan", "gaussian-amp-nan",
             "gaussian-center-inf", "gaussian-width-zero",
             "gaussian-width-negative", "partition-alpha-inf",
-            "partition-layer-underflow"])
+            "partition-layer-underflow", "solve-h-overflow",
+            "sweep-h-overflow", "large-domain-h-underflow"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),

@@ -7,7 +7,9 @@ over from code that was removed.  A public function, class or method
 that nothing in the package names either only feeds a test of itself or
 is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
 that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
-lists the planned exceptions).  Every CLI subcommand is run by some test.
+lists the planned exceptions).  Every `MinimizeOptions` field is set by
+some call in the package, so no option exists for the tests alone.  Every
+CLI subcommand is run by some test.
 The checks read the source with `ast`, except four: importing the CLI
 loads no scipy module that only the half-line model and the de Gennes
 constant use, nor scipy.fft, nor scipy.interpolate, since the nested
@@ -18,6 +20,7 @@ the optimizer, which only its oracle and the de Gennes constant use.
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -27,6 +30,7 @@ import sys
 import pytest
 
 from semisobolev import cli
+from semisobolev.minimize import MinimizeOptions
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "semisobolev"
@@ -260,6 +264,15 @@ def test_dataclass_fields_are_read():
     readers = [p.read_text() for p in SOURCES + TESTS + PERFBENCH]
     unread = unread_fields([p.read_text() for p in SOURCES], readers)
     assert sorted(unread) == sorted(UNREAD_FIELDS)
+
+
+def test_every_minimize_option_is_set_in_the_package():
+    calls = [node for p in SOURCES for node in ast.walk(ast.parse(p.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "MinimizeOptions"]
+    passed = {kw.arg for call in calls for kw in call.keywords}
+    assert [f.name for f in dataclasses.fields(MinimizeOptions)
+            if f.name not in passed] == []
 
 
 def _loaded_after(code: str, modules) -> list:

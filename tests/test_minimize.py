@@ -1,4 +1,4 @@
-"""Quotient minimization: gradients, eigen paths, flow behavior."""
+"""Quotient minimization: gradients, eigen oracles, flow behavior."""
 
 import dataclasses
 import math
@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from numpy.testing import assert_allclose
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import SuperLU, eigsh
 
 from semisobolev import asymptotics
@@ -131,12 +132,13 @@ class TestMinimize2D:
         assert abs(lam - 1.0) <= 2.0 * offset
         assert lam > 1.0
 
-    def test_p2_flow_cross_check(self, magnetic_2d, rng):
+    def test_p2_flow_cross_check(self, magnetic_2d, rng, monkeypatch):
         _, g, f = magnetic_2d
         eig = minimize_quotient(f, 2.0, MinimizeOptions(seed=1))
         x0 = (rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n))
+        monkeypatch.setattr(mz, "_MAX_ITERS", 4000)
         trail, _, _, _ = mz._descend(f, x0, 2.0, MinimizeOptions(
-            grad_tol=1e-10, max_iters=4000))
+            grad_tol=1e-10))
         R = trail[-1]
         assert abs(R - eig.lam) <= 1e-8 * max(1.0, abs(eig.lam))
 
@@ -165,14 +167,15 @@ class TestMinimize2D:
             trial = dz.random_field(g, rng)
             assert res.lam <= dz.evaluate(f, trial, 4.0).quotient + 1e-8
 
-    def test_restart_stability_translation_invariant(self):
+    def test_restart_stability_translation_invariant(self, monkeypatch):
         # whole-line soliton valley is flat: every restart reaches the
         # same value
         spec = ge.GeometrySpec(domain=ge.line(10.0), V=1.0)
         g = dz.build_grid(spec, 0.02)
         f = dz.assemble(spec, 1.0, g)
+        monkeypatch.setattr(mz, "_MAX_ITERS", 6000)
         res = minimize_quotient(f, 4.0, MinimizeOptions(
-            grad_tol=1e-9, restarts=3, seed=4, max_iters=6000))
+            grad_tol=1e-9, restarts=3, seed=4))
         vals = np.array(res.restart_values)
         assert (vals.max() - vals.min()) / vals.min() <= 1e-4
 
@@ -217,15 +220,40 @@ class TestEigenOracle:
         # Krylov-Bogoliubov: an eigenvalue lies within el_residual of lam
         assert abs(res.lam - lam) <= res.el_residual
         assert abs(res.lam - lam) <= 1e-9 * lam
-        assert res.grad_norm == 2.0 * res.el_residual
 
-    def test_capped_solve_is_unconverged(self, magnetic_box, recwarn):
+    def test_1d_p2_matches_the_tridiagonal(self, robin_1d):
+        # the real 1-D p = 2 solve is the descent of every other form; its
+        # oracle is the lowest eigenvalue of M^{-1/2} K M^{-1/2}, which is
+        # tridiagonal on the half line
+        _, _, f = robin_1d
+        res = minimize_quotient(f, 2.0)
+        assert res.converged and res.restart_exits == ["grad_tol"]
+        assert res.restart_iterations == [res.iterations]
+        dinv = 1.0 / np.sqrt(f.weight)
+        lam = eigh_tridiagonal(f.K.diagonal() * dinv * dinv,
+                               f.K.diagonal(1) * dinv[:-1] * dinv[1:],
+                               eigvals_only=True, select="i",
+                               select_range=(0, 0))[0]
+        assert abs(res.lam - lam) <= res.el_residual
+        assert abs(res.lam - lam) <= 1e-9 * abs(lam)
+
+    @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+    def test_capped_solve_is_unconverged(self, magnetic_box, monkeypatch,
+                                         recwarn, p):
         g = dz.build_grid(magnetic_box, asymptotics.default_mesh_rule(0.2))
         f = dz.assemble(magnetic_box, 0.2, g)
-        res = minimize_quotient(f, 2.0, MinimizeOptions(max_iters=3))
+        monkeypatch.setattr(mz, "_MAX_ITERS", 3)
+        opts = MinimizeOptions()
+        res = minimize_quotient(f, p, opts)
         assert not res.converged
-        assert res.restart_exits == ["cap"]
-        assert res.restart_iterations == [3]
+        assert set(res.restart_exits) == {"cap"}
+        assert res.restart_iterations == [3] * len(res.restart_exits)
+        # one rule at the returned field, whose value the selected restart
+        # reports
+        gnorm = 2.0 * el_residual(f, res.lam, res.psi, p)
+        assert res.converged == (
+            gnorm <= 10.0 * opts.grad_tol * max(1.0, abs(res.lam)))
+        assert res.lam in res.restart_values
         # the flag, not a warning from the eigensolver, reports the miss
         assert not [w for w in recwarn if "tolerance" in str(w.message)]
 
@@ -258,10 +286,11 @@ class TestResidual:
 
 
 class TestExitReasons:
-    def test_iteration_cap(self, magnetic_2d, rng):
+    def test_iteration_cap(self, magnetic_2d, monkeypatch):
         _, _, f = magnetic_2d
+        monkeypatch.setattr(mz, "_MAX_ITERS", 3)
         res = minimize_quotient(f, 4.0, MinimizeOptions(
-            max_iters=3, restarts=1, centers=((0.0, 0.0),)))
+            restarts=1, centers=((0.0, 0.0),)))
         assert res.restart_exits == ["cap", "cap"]
         assert res.restart_iterations == [3, 3]
         assert res.iterations == 6
@@ -274,28 +303,23 @@ class TestExitReasons:
         assert res.restart_exits[0] in ("grad_tol", "stagnation")
         assert res.restart_iterations == [res.iterations]
 
-    def test_eigen_path_reports(self, robin_1d):
-        _, _, f = robin_1d
-        res = minimize_quotient(f, 2.0)
-        assert res.restart_exits == ["eigen"]
-        assert res.restart_iterations == [res.iterations]
-
     def test_outpaced_start_leaves_the_answer(self, short_strip):
         both = minimize_quotient(short_strip, 4.0, STRIP_OPTS)
         bump = minimize_quotient(short_strip, 4.0,
                                  dataclasses.replace(STRIP_OPTS, restarts=0))
         assert both.restart_exits == ["grad_tol", "outpaced"]
-        assert both.restart_iterations[1] < STRIP_OPTS.max_iters
+        assert both.restart_iterations[1] < mz._MAX_ITERS
         assert both.restart_values[1] > both.restart_values[0] + mz._TIE
         assert both.lam == bump.lam
         assert np.array_equal(both.psi.values, bump.psi.values)
         assert both.converged and bump.converged
-        assert both.grad_norm == bump.grad_norm
+        assert both.el_residual == bump.el_residual
 
-    def test_first_start_is_never_cut(self, short_strip):
+    def test_first_start_is_never_cut(self, short_strip, monkeypatch):
         # a bump at s = 2 creeps toward the center; the cap is below its
         # own stop (1,148 iterations), the centered bump converges in 15
-        opts = dataclasses.replace(STRIP_OPTS, max_iters=150, restarts=0)
+        monkeypatch.setattr(mz, "_MAX_ITERS", 150)
+        opts = dataclasses.replace(STRIP_OPTS, restarts=0)
         first = minimize_quotient(short_strip, 4.0, dataclasses.replace(
             opts, centers=((2.0, 0.0), (0.0, 0.0))))
         second = minimize_quotient(short_strip, 4.0, dataclasses.replace(
@@ -336,12 +360,13 @@ class TestExitReasons:
         assert res.restart_exits == ["grad_tol"]
         assert not res.converged
 
-    def test_overflowing_start_is_rescaled(self, magnetic_2d):
+    def test_overflowing_start_is_rescaled(self, magnetic_2d, monkeypatch):
         # |x|^6 overflows at |x| ~ 1e200; the 0-homogeneous quotient and
         # the whole descent are those of the start divided by its max |x|
         _, _, f = magnetic_2d
         x0 = np.random.default_rng(1).standard_normal(f.n) + 0j
-        opts = MinimizeOptions(max_iters=5)
+        monkeypatch.setattr(mz, "_MAX_ITERS", 5)
+        opts = MinimizeOptions()
         with np.errstate(over="ignore"):
             big = mz._descend(f, 1e200 * x0, 6.0, opts)[0]
         assert_allclose(big, mz._descend(f, x0, 6.0, opts)[0], rtol=1e-13)
@@ -365,6 +390,14 @@ class TestForecast:
         trail = [L + C * r ** j for j in range(k + 1)]
         assert mz._forecast(trail, cap) == pytest.approx(L + C * r ** cap,
                                                          rel=1e-14)
+
+    def test_collapsed_decreases_forecast_the_last_value(self):
+        # D2 below the rounding of D1 (1 - rho rounds to 1): rho^m is 0 and
+        # the forecast is the trail's last value, not a math domain error
+        W = self.W
+        trail = [100.0 - 90.0 * j / W for j in range(W + 1)]
+        trail += [10.0] * (W - 1) + [math.nextafter(10.0, 0.0)]
+        assert mz._forecast(trail, 3000) == trail[-1]
 
     def test_linear_pace_when_decreases_do_not_shrink(self):
         # a steady slide and an accelerating one keep the linear forecast;
@@ -472,7 +505,8 @@ class TestHotPath:
         x, R, d, dKx, dKd, n = self._line(f, x0.astype(complex))
         monkeypatch.setattr(mz, "_exact_step", lambda R, dKx, dKd, n:
                             (math.inf, n[3] ** 0.25))
-        trail, x1, _, _ = mz._descend(f, x, 4.0, MinimizeOptions(max_iters=1))
+        monkeypatch.setattr(mz, "_MAX_ITERS", 1)
+        trail, x1, _, _ = mz._descend(f, x, 4.0, MinimizeOptions())
         nd = dz.lp_norm(f.weight, d, 4.0)
         assert trail[1] == pytest.approx(dKd / nd ** 2, rel=1e-12)
         assert_allclose(x1, -d / nd, rtol=1e-12, atol=1e-15)
@@ -552,13 +586,13 @@ class TestHotPath:
             return dz.lp_norm(w, x, p)
 
         monkeypatch.setattr(mz, "lp_norm", counting_lp_norm)
+        monkeypatch.setattr(mz, "_MAX_ITERS", 40)
         x0 = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
         for p in (4.0, 3.0):
             K, lu = CountingMatrix(f.K), CountingLU(f.preconditioner())
             form = dataclasses.replace(f, K=K, _prec=lu)
             norms.clear()
-            trail, _, its, stop = mz._descend(form, x0, p,
-                                              MinimizeOptions(max_iters=40))
+            trail, _, its, stop = mz._descend(form, x0, p, MinimizeOptions())
             assert stop.reason == "cap"
             steps = len(trail) - 1              # accepted steps
             trials = len(norms) - 1             # line-search trials
@@ -618,7 +652,7 @@ class TestNested:
         # best coarse start would return 0.1140514599
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
         centers = asymptotics.boundary_centers(spec)
-        _, res = asymptotics._rung(spec, 1.0 / 9.0, 4.0, centers, seed=11)
+        res = asymptotics._rung(spec, 1.0 / 9.0, 4.0, centers, seed=11)
         assert res.converged
         assert res.lam == pytest.approx(0.114044842772, rel=1e-9)
         assert res.restart_values[0] == pytest.approx(0.1140514599, rel=1e-9)
@@ -627,7 +661,7 @@ class TestNested:
         assert order == [0, 2, 1]
         # R = 2 (h = 1/4): the random start ends on the bump's coarse value
         # and is not polished again
-        _, res = asymptotics._rung(spec, 0.25, 4.0, centers, seed=11)
+        res = asymptotics._rung(spec, 0.25, 4.0, centers, seed=11)
         assert res.coarse_exits == ["grad_tol", "grad_tol", "merged"]
         assert abs(res.coarse_values[2] - res.coarse_values[0]) <= mz._TIE
         assert len(res.restart_values) == 2

@@ -38,7 +38,7 @@ class TestStraightReference:
     def solver(converged, calls):
         def fake(form, p, opts, coarse=None):
             calls.append(form.n)
-            return SimpleNamespace(lam=5.0, converged=converged, grad_norm=1.0)
+            return SimpleNamespace(lam=5.0, converged=converged, el_residual=1.0)
         return fake
 
     def test_unconverged_solve_raises_and_is_not_cached(self, monkeypatch):
