@@ -254,7 +254,7 @@ class TestEigenOracle:
         assert res.converged == (
             gnorm <= 10.0 * opts.grad_tol * max(1.0, abs(res.lam)))
         assert res.lam in res.restart_values
-        # the flag, not a warning from the eigensolver, reports the miss
+        # the flag, not a warning, reports the miss
         assert not [w for w in recwarn if "tolerance" in str(w.message)]
 
 
