@@ -23,7 +23,7 @@ from ._util import atomic_write
 from .config import ConfigError, load_geometry
 from .discretize import (assemble, build_grid, coarse_form, gaussian_bump,
                          wavefunction_rows)
-from .errors import NoConvergence, SemisobolevError
+from .errors import NoConvergence, ScaleOutOfRange, SemisobolevError
 from .minimize import MinimizeOptions, minimize_quotient
 
 
@@ -161,11 +161,14 @@ def _cmd_solve(args) -> int:
         _positive("--spacing", args.spacing)
     spacing = args.spacing or asymptotics.default_mesh_rule(args.h)
     grid = build_grid(spec, spacing)
+    try:
+        form = assemble(spec, args.h, grid)
+    except ScaleOutOfRange as exc:
+        raise ConfigError(f"--h: {exc}") from exc
     opts = MinimizeOptions(seed=args.seed, grad_tol=args.grad_tol)
     # every start descends first on the lattice at twice the spacing
-    res = minimize_quotient(
-        assemble(spec, args.h, grid), args.p, opts, coarse=coarse_form(
-            lambda s: assemble(spec, args.h, build_grid(spec, s)), spacing))
+    res = minimize_quotient(form, args.p, opts, coarse=coarse_form(
+        lambda s: assemble(spec, args.h, build_grid(spec, s)), spacing))
     config = {"config_file": args.config, "h": args.h, "p": args.p,
               "seed": args.seed, "spacing": spacing,
               "grad_tol": args.grad_tol, **{f"geometry.{k}": v

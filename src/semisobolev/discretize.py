@@ -22,8 +22,8 @@ are handled by masking a square lattice: volume weights are exact
 cell/disk intersection areas, in closed form as four-corner differences
 of the area below and left of a point (`_lower_left_area`), so quadrature
 weights sum to the disk area to rounding; edge coefficients near the
-curved rim are first-order only.  A field moves from a lattice to a finer
-one of the same domain by multilinear interpolation (`prolong`).
+curved rim are first-order only.  K is built in one COO -> CSR pass, and a
+field moves to a finer lattice by flat multilinear gathers (`prolong`).
 
 The descent's preconditioner K + tau M is solved in one of three ways
 (`AssembledForm.preconditioner`).  On a 2-D box the real forms split
@@ -34,8 +34,8 @@ waveguide strip too, because that strip's coefficients vary along s only.
 Magnetic forms on a 2-D box whose interior x1 columns are equal (a
 constant field in Landau gauge with constant V and gamma) are solved
 exactly by an FFT along x1, one real tridiagonal per mode, and a
-capacitance correction on the two end columns.  Other magnetic forms,
-disks and d = 1 forms use an MMD-ordered SuperLU factorization.
+capacitance correction on the two end columns; both fit P's five stencil
+diagonals.  Other magnetic forms, disks and d = 1 forms use SuperLU.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
-from .errors import DomainTooSmall, GridTooLarge, ZeroFunction
+from .errors import DomainTooSmall, GridTooLarge, ScaleOutOfRange, ZeroFunction
 from .geometry import Domain, GeometrySpec
 
 _MAX_NODES = 2 ** 22    # node budget of one lattice, over 50x any test or workload
@@ -318,22 +318,24 @@ def prolong(coarse: Grid, x: np.ndarray, fine: Grid) -> np.ndarray:
     and masked-out nodes are zero too.  Each fine node takes the
     multilinear interpolant of the 2^d lattice nodes of its cell, so a
     field affine on those nodes is reproduced exactly: everywhere on a
-    box, and on a masked disk wherever the cell lies in the disk.
+    box, and on a masked disk wherever the cell lies in the disk.  Each
+    corner is one 1-D gather at a fixed offset from a fine node's flat index.
     """
     s = np.asarray(coarse.spacing, dtype=float)
     lo = coarse.points.min(axis=0) - s
     k = np.rint((coarse.points - lo) / s).astype(np.int64)
     shape = k.max(axis=0) + 2
-    lattice = np.zeros(tuple(shape), dtype=x.dtype)
-    lattice[tuple(k[coarse.free].T)] = x
+    lattice = np.zeros(math.prod(shape), dtype=x.dtype)
+    lattice[np.ravel_multi_index(tuple(k[coarse.free].T), shape)] = x
     t = (fine.points[fine.free] - lo) / s
     i = np.clip(np.floor(t), 0, shape - 2).astype(np.int64)
-    f = np.clip(t - i, 0.0, 1.0)
+    f = np.clip(t - i, 0.0, 1.0).T
+    base = np.ravel_multi_index(tuple(i.T), shape)
     out = np.zeros(len(t), dtype=x.dtype)
     for corner in itertools.product((0, 1), repeat=coarse.dim):
-        c = np.array(corner)
-        out += (np.prod(np.where(c, f, 1.0 - f), axis=1)
-                * lattice[tuple((i + c).T)])
+        weight = functools.reduce(np.multiply, [fa if c else 1.0 - fa
+                                                for c, fa in zip(corner, f)])
+        out += weight * lattice[base + np.ravel_multi_index(corner, shape)]
     return out
 
 
@@ -461,31 +463,33 @@ class AssembledForm:
 
         On a 2-D box grid whose free nodes fill a sub-block, a real form
         gets the exact tensor solve `_TensorSolve` and a complex one the
-        exact Fourier-capacitance solve `_FourierSolve`, each when P passes
-        its structure check.  The tensor solve covers field-free boxes, the
-        half- and whole-plane models with constant V and gamma, and the
-        waveguide strip, whose coefficients vary along s only.  The Fourier
-        solve covers a constant field in Landau gauge on such boxes: the
-        magnetic half- and whole-plane models and constant-field
+        exact Fourier-capacitance solve `_FourierSolve` when K stores
+        nothing off the diagonals 0, +-1, +-m1 and P's diagonals (K's plus
+        tau w) match the fitted factors.  The tensor solve covers field-free
+        boxes, the half- and whole-plane models with constant V and gamma,
+        and the waveguide strip, whose coefficients vary along s only.  The
+        Fourier solve covers a constant field in Landau gauge on such boxes:
+        the magnetic half- and whole-plane models and constant-field
         rectangles with constant V and gamma.
 
-        Everything else gets SuperLU: disks, magnetic forms in other gauges
-        or with varying data, and the structure the checks reject.  d = 1
-        forms stay on SuperLU by choice: their solve (27 us on 1,000 nodes
-        against 8 us for a tridiagonal one) is too small to carry a branch.
+        Everything else gets SuperLU of P, the one path that forms P: disks,
+        magnetic forms in other gauges or with varying data, and the
+        structure the checks reject.  d = 1 forms stay on SuperLU by choice:
+        their solve (27 us on 1,000 nodes against 8 us for a tridiagonal
+        one) is too small to carry a branch.
         SuperLU orders the columns by minimum degree on the pattern of
         A^T + A, which is the pattern of K itself (K is Hermitian); on
         these lattice graphs that cuts the L + U fill of the default COLAMD
         ordering by a third to a half, and the cost of every solve with it.
         """
         if self._prec is None:
-            Md = sp.diags(self.weight.astype(self.K.dtype))
-            P = (self.K + self.preconditioner_shift() * Md).tocsr()
+            K, shift = self.K, self.preconditioner_shift() * self.weight
             block = _free_block(self.grid)
             if block is not None:
-                self._prec = (_FourierSolve.build(P, block) if self.is_complex
-                              else _TensorSolve.build(P, self.weight, block))
+                self._prec = (_FourierSolve.build(K, shift, block) if self.is_complex
+                              else _TensorSolve.build(K, shift, self.weight, block))
             if self._prec is None:
+                P = K + sp.diags(shift.astype(K.dtype))
                 self._prec = spla.splu(P.tocsc(), permc_spec="MMD_AT_PLUS_A")
         return self._prec
 
@@ -499,6 +503,21 @@ def _free_block(grid: Grid):
     if not np.array_equal(free, np.outer(rows, cols)):
         return None
     return int(rows.sum()), int(cols.sum())
+
+
+def _stencil_diagonals(K: sp.csr_matrix, shift: np.ndarray, m1: int):
+    """Diagonals 0, 1, -1, m1, -m1 of P = K + diag(shift); None if K has others."""
+    rows = np.repeat(np.arange(K.shape[0], dtype=K.indices.dtype), np.diff(K.indptr))
+    off = np.abs(K.indices - rows)
+    if np.any((off > 1) & (off != m1)):
+        return None
+    return [K.diagonal() + shift] + [K.diagonal(k) for k in (1, -1, m1, -m1)]
+
+
+def _equal_to_rounding(diagonals, rebuilt) -> bool:
+    """Each diagonal equals its rebuilt one to 1e-14 of P's largest entry."""
+    dev = max(float(np.abs(d - r).max()) for d, r in zip(diagonals, rebuilt))
+    return dev <= 1e-14 * max(float(np.abs(d).max()) for d in diagonals)
 
 
 class _PttrfFactor:
@@ -550,8 +569,8 @@ class _TensorSolve(_PttrfFactor):
     its t-edges carry a(s)^{-1-2/p} g(t) and its s-edges
     h^2 a(s_{i+1/2})^{1-2/p} dt, which vary along s only, so splitting
     along t alone is exact where a two-axis diagonalization is not.
-    `build` fits the factors by projection and accepts them only if the
-    rebuilt Kronecker sum equals P to 1e-14 relative.
+    `build` fits the factors from P's five stencil diagonals and accepts
+    them if P stores nothing else and each diagonal matches to 1e-14.
     """
 
     def __init__(self, shape, V, d, e):
@@ -560,24 +579,27 @@ class _TensorSolve(_PttrfFactor):
         self.d, self.e = d, e
 
     @classmethod
-    def build(cls, P: sp.csr_matrix, weight: np.ndarray, shape):
-        """The solve for P on the free block `shape`, or None if P has no
-        exact split."""
+    def build(cls, K: sp.csr_matrix, shift, weight, shape):
+        """The solve for P = K + diag(shift) on the free block `shape`, or
+        None if P has no exact split."""
         m0, m1 = shape
+        dg = _stencil_diagonals(K, shift, m1)
+        if dg is None:
+            return None
         W = weight.reshape(shape).sum(axis=0)
         W = W / W.max()
-        diag = P.diagonal().reshape(shape)
-        c1 = np.append(P.diagonal(1), 0.0).reshape(shape)[:, :-1]
-        c0 = P.diagonal(m1).reshape(m0 - 1, m1)
+        diag = dg[0].reshape(shape)
+        c1 = np.append(dg[1], 0.0).reshape(shape)[:, :-1]
+        c0 = dg[3].reshape(m0 - 1, m1)
         s_off = c0 @ W / (W @ W)
         s_diag = diag @ W / (W @ W)
         f = -c1.sum(axis=1)
         t_off = f @ c1 / (f @ f)
         t_diag = f @ (diag - np.outer(s_diag, W)) / (f @ f)
-        S = sp.diags([s_off, s_diag, s_off], [-1, 0, 1])
-        T = sp.diags([t_off, t_diag, t_off], [-1, 0, 1])
-        rebuilt = sp.kron(S, sp.diags(W)) + sp.kron(sp.diags(f), T)
-        if not abs(P - rebuilt).max() <= 1e-14 * abs(P).max():
+        s1 = np.hstack([np.outer(f, t_off), np.zeros((m0, 1))]).ravel()[:-1]
+        sm = np.outer(s_off, W).ravel()
+        fit = (np.outer(s_diag, W) + np.outer(f, t_diag)).ravel()
+        if not _equal_to_rounding(dg, [fit, s1, s1, sm, sm]):
             return None
         # T V = W V Lambda through the symmetric W^{-1/2} T W^{-1/2}
         r = 1.0 / np.sqrt(W)
@@ -622,8 +644,9 @@ class _FourierSolve(_PttrfFactor):
     tridiagonal inverse is semiseparable, (T^{-1})_{jl} = g_l prod_{m=j}^{l-1}
     r_m for j <= l, with g the diagonal of T^{-1} from the forward and
     backward pivots and r_m = -t_m / delta_m from the forward ones, so the
-    sum over k is one GEMM.  `build` rebuilds P from A, A_0, A_last and C and
-    accepts it only if the rebuild equals P to 1e-14 relative.
+    sum over k is one GEMM.  `build` reads A, A_0, A_last and C off P's five
+    stencil diagonals and accepts them if P stores nothing else and each
+    diagonal matches its rebuild to 1e-14.
     """
 
     _RANGE = 600.0     # largest exponent of e taken in one Green's-block GEMM
@@ -634,24 +657,24 @@ class _FourierSolve(_PttrfFactor):
         self.lu, self.E, self.omega = lu, E, omega
 
     @classmethod
-    def build(cls, P: sp.csr_matrix, shape):
-        """The solve for P on the free block `shape`, or None if P is not
-        of that form."""
+    def build(cls, K: sp.csr_matrix, shift, shape):
+        """The solve for P = K + diag(shift) on the free block `shape`, or
+        None if P is not of that form."""
         m0, m1 = shape
         if m0 < 3:
             return None
-        diag = P.diagonal().reshape(shape)
-        off = np.append(P.diagonal(1), 0.0).reshape(shape)[:, :-1]
-        c = P.diagonal(m1).reshape(m0 - 1, m1)
-        a_diag, a_off, C = diag[1].real, off[1].real, c[0]
+        dg = _stencil_diagonals(K, shift, m1)
+        if dg is None:
+            return None
+        diag = dg[0].reshape(shape)
+        off = np.append(dg[1], 0.0).reshape(shape)[:, :-1]
+        a_diag, a_off, C = diag[1].real, off[1].real, dg[3][:m1]
         rd, ro = diag.copy(), off.copy()
         rd[1:-1], ro[1:-1] = a_diag, a_off
         ro = np.hstack([ro, np.zeros((m0, 1))]).ravel()[:-1]
         cc = np.tile(C, m0 - 1)
-        rebuilt = sp.diags([np.conj(cc), np.conj(ro), rd.ravel(), ro, cc],
-                           [-m1, -1, 0, 1, m1])
-        if not (abs(P - rebuilt).max() <= 1e-14 * abs(P).max()
-                and np.all(a_off < 0.0)):
+        rebuilt = [rd.ravel(), ro, np.conj(ro), cc, np.conj(cc)]
+        if not (_equal_to_rounding(dg, rebuilt) and np.all(a_off < 0.0)):
             return None
         omega = np.exp(2j * np.pi * np.arange(m0) / m0)
         T = a_diag + 2.0 * (np.outer(omega.real, C.real)
@@ -737,59 +760,54 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
     `gauge_phi` adds exact node differences (phi(b) - phi(a))/h to the link
     phases, i.e. assembles the gauge-shifted geometry with A + grad(phi) in
     a way that makes the discrete gauge identity exact.
+
+    K is one COO -> CSR conversion: two hops per free-free edge and, per free
+    node, its link coefficients (np.bincount) plus potential and Robin terms.
+    ScaleOutOfRange when an entry overflows, or when a nonzero V (gamma) term
+    would round away at V = 1 (gamma = 1) on every (Robin) node.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     g = grid
-    a_pts = g.points[g.edges[:, 0]]
-    b_pts = g.points[g.edges[:, 1]]
-    theta = link_phase(spec.A, a_pts, b_pts, h)
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    theta = (np.zeros(len(a)) if spec.A is None
+             else link_phase(spec.A, g.points[a], g.points[b], h))
     if gauge_phi is not None:
         phi = np.asarray(gauge_phi(g.points), dtype=float).reshape(g.n_nodes)
-        theta = theta + (phi[g.edges[:, 1]] - phi[g.edges[:, 0]]) / h
+        theta = theta + (phi[b] - phi[a]) / h
     is_complex = bool(np.any(theta != 0.0))
-    dtype = np.complex128 if is_complex else np.float64
 
     kin = (h * h) * g.edge_coeff
-    fa = g.free_index[g.edges[:, 0]]
-    fb = g.free_index[g.edges[:, 1]]
-
-    rows, cols, vals = [], [], []
+    fa, fb = g.free_index[a], g.free_index[b]
     both = (fa >= 0) & (fb >= 0)
-    if is_complex:
-        hop = -kin[both] * np.exp(-1j * theta[both])
-    else:
-        hop = -kin[both].astype(dtype)
-    rows += [fa[both], fb[both]]
-    cols += [fb[both], fa[both]]
-    vals += [hop, np.conj(hop)]
-    for f in (fa, fb):
-        m = f >= 0
-        rows.append(f[m])
-        cols.append(f[m])
-        vals.append(kin[m].astype(dtype))
+    ia, ib = fa[both], fb[both]
+    hop = -kin[both] * np.exp(-1j * theta[both]) if is_complex else -kin[both]
+    nf, ends = g.n_free, np.concatenate([fa, fb])
+    on = ends >= 0
+    kin_diag = np.bincount(ends[on], np.concatenate([kin, kin])[on], nf)
 
-    nf = g.n_free
-    K = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nf, nf), dtype=dtype)
+    fpts, w, sw = g.points[g.free], g.weight[g.free], g.surface_weight[g.free]
+    pot = h * spec.v_at(fpts) * w
+    lost = np.any(pot) and np.array_equal(kin_diag + h * w, kin_diag)
+    rob = sw > 0.0
+    if np.any(rob):
+        robin = h ** 1.5 * spec.gamma_at(fpts[rob]) * sw[rob]
+        lost |= np.any(robin) and np.array_equal(kin_diag + h ** 1.5 * sw, kin_diag)
+        pot[rob] += robin
+    diag = kin_diag + pot
+    vals = np.concatenate([hop, np.conj(hop), diag])
+    finite = np.all(np.isfinite(vals))
+    if not finite or lost:
+        raise ScaleOutOfRange(f"h = {h:.6g} at spacing {min(g.spacing):.6g}: " + (
+            "V and gamma round away" if finite else "the form overflows"))
+    ii = np.arange(nf)      # int32 indices, as scipy keeps them: no copies
+    K = sp.csr_matrix((vals, (np.concatenate([ia, ib, ii], dtype=np.int32),
+                              np.concatenate([ib, ia, ii], dtype=np.int32))),
+                      shape=(nf, nf))
 
-    fpts = g.points[g.free]
-    w = g.weight[g.free]
-    diag = h * spec.v_at(fpts) * w
-    robin_free = g.surface_weight[g.free] > 0.0
-    if np.any(robin_free):
-        gam = spec.gamma_at(fpts[robin_free])
-        sw = g.surface_weight[g.free][robin_free]
-        d2 = np.zeros(nf)
-        d2[robin_free] = h ** 1.5 * gam * sw
-        diag = diag + d2
-    K = K + sp.diags(diag.astype(dtype))
-    K.sum_duplicates()
-
-    return AssembledForm(grid=g, spec=spec, h=h, K=K.tocsr(), weight=w,
+    return AssembledForm(grid=g, spec=spec, h=h, K=K, weight=w,
                          edge_phase=theta, edge_kin=kin, is_complex=is_complex,
-                         pot_floor=float(np.min(diag / w)))
+                         pot_floor=float(np.min(pot / w)))
 
 
 @dataclass(frozen=True)

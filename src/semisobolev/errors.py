@@ -57,3 +57,7 @@ class ConfigError(SemisobolevError):
 
 class GridTooLarge(SemisobolevError):
     """A lattice would have more nodes than the grid builder's budget."""
+
+
+class ScaleOutOfRange(SemisobolevError):
+    """A lattice form's terms do not fit in floating point at this h."""

@@ -379,6 +379,18 @@ class TestSolve:
         assert payload["iterations"] == sum(payload["restart_iterations"])
 
 
+    def test_large_h_keeps_the_potential(self, interval_cfg, tmp_path, capsys):
+        # Neumann interval, V = 1, p = 4: the constant field gives sqrt(2) h;
+        # at h = 1e30 the potential rounds away against h^2 / spacing and
+        # the solve is refused where it read lambda = 0
+        out = tmp_path / "s.json"
+        argv = ["solve", "--config", str(interval_cfg), "--p", "4",
+                "--out", str(out)]
+        assert cli.main(argv + ["--h", "10"]) == 0
+        assert "lambda=14.142136 " in capsys.readouterr().out
+        assert cli.main(argv + ["--h", "1e30"]) == 1
+        assert "error: --h: h = 1e+30" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_p_is_finite(self, disk_cfg, tmp_path):
         # p = 1000: the random starts' L^p sums overflow and are rescaled,
@@ -694,6 +706,8 @@ class TestBadInput:
         ["solve", "--config", "{cfg}", "--h", "1e300", "--p", "4"],
         ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "1e200"],
         ["large-domain", "--config", "{cfg}", "--p", "4", "--R-list", "1e300"],
+        ["solve", "--config", "{cfg}", "--h", "1e30", "--p", "4"],
+        ["solve", "--config", "{cfg}", "--h", "1e150", "--p", "4"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -710,7 +724,8 @@ class TestBadInput:
             "gaussian-center-inf", "gaussian-width-zero",
             "gaussian-width-negative", "partition-alpha-inf",
             "partition-layer-underflow", "solve-h-overflow",
-            "sweep-h-overflow", "large-domain-h-underflow"])
+            "sweep-h-overflow", "large-domain-h-underflow",
+            "solve-h-potential-lost", "solve-h-potential-lost-1e150"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),

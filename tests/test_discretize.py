@@ -13,7 +13,8 @@ from semisobolev import geometry as ge
 from semisobolev import discretize as dz
 from semisobolev import waveguide as wg
 from semisobolev.config import parse_geometry
-from semisobolev.errors import DomainTooSmall, GridTooLarge, ZeroFunction
+from semisobolev.errors import (DomainTooSmall, GridTooLarge, ScaleOutOfRange,
+                                ZeroFunction)
 
 
 @pytest.fixture(scope="module")
@@ -222,6 +223,77 @@ class TestAssembleEvaluate:
         assert math.log2(e1 / e2) >= 1.8
 
 
+    @pytest.mark.parametrize("case", ["robin_disk", "landau_rectangle_gauged",
+                                      "half_line", "waveguide_strip"])
+    def test_energy_is_links_plus_potential_plus_robin(self, case, rng):
+        # x^H K x against the edge sum of kinetic_energy and the node sums
+        # h V w |x|^2 and h^{3/2} gamma surface_weight |x|^2
+        phi = None
+        if case == "robin_disk":
+            spec = ge.GeometrySpec(domain=ge.disk(1.0, (0.2, -0.1)),
+                                   V=lambda x: 1.0 + x[:, 0] * x[:, 1],
+                                   gamma=lambda x: -0.5 + 0.2 * x[:, 0])
+            h, s = 0.05, 0.04
+        elif case == "landau_rectangle_gauged":
+            spec = ge.GeometrySpec(domain=ge.rectangle(((-1, 1), (-1, 1.5))),
+                                   V=1.0, A=ge.landau_gauge(1.0, 0.3),
+                                   gamma=0.4)
+            h, s = 0.1, 0.05
+            phi = lambda x: np.sin(x[:, 0]) * x[:, 1]
+        elif case == "half_line":
+            spec = ge.GeometrySpec(domain=ge.half_line(4.0),
+                                   V=lambda x: 1.0 + x[:, 0] ** 2, gamma=-0.7)
+            h, s = 0.2, 0.01
+        if case == "waveguide_strip":
+            form = wg.assemble_waveguide_form(wg.gaussian_profile(0.5, 0.0, 1.0),
+                                              0.2, 4.0)
+        else:
+            form = dz.assemble(spec, h, dz.build_grid(spec, s), gauge_phi=phi)
+        g = form.grid
+        psi = dz.random_field(g, rng)
+        x = form.free_values(psi)
+        pts, sq = g.points[g.free], np.abs(x) ** 2
+        robin = g.surface_weight[g.free] > 0.0
+        assert robin.any() == (case != "waveguide_strip")
+        expected = (dz.kinetic_energy(form, psi)
+                    + np.sum(form.h * form.spec.v_at(pts) * g.weight[g.free] * sq)
+                    + np.sum(form.h ** 1.5 * form.spec.gamma_at(pts[robin])
+                             * g.surface_weight[g.free][robin] * sq[robin]))
+        energy = np.vdot(x, form.K @ x)
+        assert abs(energy.imag) <= 1e-12 * abs(energy.real)
+        assert energy.real == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("h", [1e14, 1e30, 1e150])
+    def test_potential_lost_to_rounding_is_refused(self, h):
+        # a Neumann interval with V = 1: at h / s^2 past 1/eps the potential
+        # h V w rounds away against h^2 / s, and the form would read 0; at
+        # h = 1e14 the Robin term of gamma = 1 would still register at the
+        # ends, but gamma = 0 there
+        spec = ge.GeometrySpec(domain=ge.interval(-1.0, 1.0, ("robin", "robin")),
+                               V=1.0)
+        grid = dz.build_grid(spec, 0.02)
+        with pytest.raises(ScaleOutOfRange, match="round away"):
+            dz.assemble(spec, h, grid)
+        # a V below rounding is no error, nor is a form without V and gamma
+        tiny = dataclasses.replace(spec, V=1e-300)
+        assert dz.assemble(tiny, 1.0, grid).pot_floor > 0.0
+        assert dz.assemble(dataclasses.replace(spec, V=0.0), h, grid).n == 101
+
+    def test_robin_term_lost_to_rounding_is_refused(self):
+        # V = 0, gamma = 1: h^{3/2} against h^2 / s at the two ends
+        spec = ge.GeometrySpec(domain=ge.interval(-1.0, 1.0, ("robin", "robin")),
+                               V=0.0, gamma=1.0)
+        grid = dz.build_grid(spec, 0.02)
+        assert dz.assemble(spec, 1e14, grid).n == 101
+        with pytest.raises(ScaleOutOfRange, match="round away"):
+            dz.assemble(spec, 1e40, grid)
+
+    def test_overflowing_form_is_refused(self):
+        spec = ge.GeometrySpec(domain=ge.interval(-1.0, 1.0, ("robin", "robin")),
+                               V=1.0)
+        with pytest.raises(ScaleOutOfRange, match="overflows"):
+            dz.assemble(spec, 1e155, dz.build_grid(spec, 0.02))
+
 def _preconditioner_form(case):
     """(form, expected path) for TestPreconditioner."""
     if case == "waveguide_strip":
@@ -276,8 +348,13 @@ SUPERLU = ("disk", "magnetic_box", "box_v_xy", "half_plane_gamma_x",
 COMPLEX = FOURIER + ("magnetic_box", "landau_box_v_xy")
 
 
+def _shift(f):
+    """tau w: P = K + diag(tau w), the preconditioned operator."""
+    return f.preconditioner_shift() * f.weight
+
+
 def _shifted(f):
-    return f.K + f.preconditioner_shift() * sp.diags(f.weight)
+    return f.K + sp.diags(_shift(f))
 
 
 class TestPreconditioner:
@@ -314,7 +391,7 @@ class TestPreconditioner:
         f = _preconditioner_form(case)
         block = dz._free_block(f.grid)
         assert block is not None
-        assert dz._TensorSolve.build(_shifted(f), f.weight, block) is None
+        assert dz._TensorSolve.build(f.K, _shift(f), f.weight, block) is None
 
     def test_perturbed_entry_is_rejected(self, splu_calls):
         f = _preconditioner_form("half_plane")
@@ -322,10 +399,31 @@ class TestPreconditioner:
         k = f.n // 2
         K[k, k] *= 1.0 + 1e-8
         g = dataclasses.replace(f, K=K.tocsr(), _prec=None)
-        assert dz._TensorSolve.build(_shifted(g), g.weight,
+        assert dz._TensorSolve.build(g.K, _shift(g), g.weight,
                                      dz._free_block(g.grid)) is None
         g.preconditioner()
         assert splu_calls == [1]
+
+    @pytest.mark.parametrize("case, cls", [("half_plane", dz._TensorSolve),
+                                           ("landau_half_plane", dz._FourierSolve)])
+    def test_off_stencil_entry_is_rejected(self, case, cls, rng, splu_calls):
+        # a Hermitian pair at offset 2, off the stencil 0, +-1, +-m1 whose
+        # diagonals the split is fitted to and checked on
+        f = _preconditioner_form(case)
+        assert isinstance(f.preconditioner(), cls)
+        K = f.K.tolil()
+        k = f.n // 2
+        K[k, k + 2] = 0.01 * f.K[k, k] * (1.0 + 0.5j if f.is_complex else 1.0)
+        K[k + 2, k] = np.conj(K[k, k + 2])
+        g = dataclasses.replace(f, K=K.tocsr(), _prec=None)
+        P = _shifted(g)
+        args = (g.K, _shift(g)) + (() if g.is_complex else (g.weight,))
+        assert cls.build(*args, dz._free_block(g.grid)) is None
+        b = rng.standard_normal(g.n) + 1j * rng.standard_normal(g.n)
+        b = b if g.is_complex else b.real
+        x = g.preconditioner().solve(b)
+        assert splu_calls == [1]
+        assert np.linalg.norm(P @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_factor_is_exposed(self):
         # the bidiagonal Cholesky factor of the j-major tridiagonal
@@ -343,7 +441,7 @@ class TestPreconditioner:
         f = _preconditioner_form(case)
         block = dz._free_block(f.grid)
         assert block is not None
-        assert dz._FourierSolve.build(_shifted(f), block) is None
+        assert dz._FourierSolve.build(f.K, _shift(f), block) is None
 
     def test_perturbed_interior_entry_is_rejected_fourier(self, splu_calls):
         f = _preconditioner_form("landau_half_plane")
@@ -352,7 +450,7 @@ class TestPreconditioner:
         k = f.n // 2   # a node of an interior column
         K[k, k] *= 1.0 + 1e-8
         g = dataclasses.replace(f, K=K.tocsr(), _prec=None)
-        assert dz._FourierSolve.build(_shifted(g), dz._free_block(g.grid)) is None
+        assert dz._FourierSolve.build(g.K, _shift(g), dz._free_block(g.grid)) is None
         g.preconditioner()
         assert splu_calls == [1]
 
@@ -537,6 +635,45 @@ class TestProlong:
         next_to_wall = np.abs(np.abs(fine.points[fine.free, 0]) - 0.95) < 1e-12
         assert next_to_wall.any()
         assert np.all(np.abs(out[next_to_wall]) < np.abs(field(fine)[next_to_wall]))
+
+    @staticmethod
+    def reference(coarse, x, fine):
+        """Node by node: the cell of each fine node on the coarse lattice,
+        its 2^d corner values (zero where pinned or masked out) and the
+        multilinear weights."""
+        # cells are counted from one spacing below the lowest coarse node,
+        # where prolong's zero padding starts, so both round f alike
+        s = np.asarray(coarse.spacing)
+        origin = coarse.points.min(axis=0) - s
+        key = lambda p: tuple(int(k) for k in np.rint((p - origin) / s))
+        value = {key(p): v for p, v in zip(coarse.points[coarse.free], x)}
+        out = []
+        for p in fine.points[fine.free]:
+            u = (p - origin) / s
+            cell = np.floor(u)
+            f = u - cell
+            total = 0.0
+            for corner in np.ndindex(*(2,) * coarse.dim):
+                w = np.prod([fj if c else 1.0 - fj for c, fj in zip(corner, f)])
+                total += w * value.get(tuple(int(k) for k in cell + corner), 0.0)
+            out.append(total)
+        return np.array(out)
+
+    @pytest.mark.parametrize("domain, spacing", [
+        (ge.strip(-1.0, 1.0), 0.05),
+        (ge.rectangle(((0.0, 4.0), (-1.0, 1.0)),
+                      (("dirichlet", "robin"), ("robin", "dirichlet"))),
+         (0.03, 0.05)),
+        (ge.disk(1.3, (0.3, -0.2)), 0.07)],
+        ids=["dirichlet-strip", "anisotropic-rectangle", "masked-disk"])
+    def test_random_fields_match_the_node_by_node_interpolant(
+            self, domain, spacing, rng):
+        spec = ge.GeometrySpec(domain=domain, V=1.0)
+        fine = dz.build_grid(spec, spacing)
+        coarse = dz.build_grid(spec, np.multiply(2.0, spacing))
+        x = rng.standard_normal(coarse.n_free) + 1j * rng.standard_normal(coarse.n_free)
+        assert_allclose(dz.prolong(coarse, x, fine),
+                        self.reference(coarse, x, fine), rtol=0, atol=1e-14)
 
     def test_too_small_halved_lattice_is_no_coarse_form(self):
         # 9 nodes per axis at s = 0.25 on [0, 2]; the halved lattice has 5

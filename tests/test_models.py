@@ -360,7 +360,7 @@ class TestFourierPath:
 
         fourier, prec = solve()
         assert isinstance(prec, dz._FourierSolve)
-        monkeypatch.setattr(dz._FourierSolve, "build", lambda P, shape: None)
+        monkeypatch.setattr(dz._FourierSolve, "build", lambda *args: None)
         superlu, prec = solve()
         assert not isinstance(prec, dz._FourierSolve)
         assert fourier.converged and superlu.converged

@@ -1,6 +1,7 @@
 """Waveguide reduction: the strip form's edge weights and the reference cache."""
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,3 +76,20 @@ def test_flat_gaussian_is_the_straight_strip():
     (row,) = wg.waveguide_sweep(wg.gaussian_profile(0.0, 0.0, 1.0), 4.0, [0.2])
     assert row.converged
     assert row.ratio == pytest.approx(1.0, abs=1e-9)
+
+
+def test_strip_set_up_peak_memory():
+    # the h = 0.1 strip rung (58,188 free nodes): its form and tensor
+    # preconditioner peak at 30.9 MB of traced allocation; the bound fails
+    # a K assembled from duplicate COO entries with a split checked by a
+    # sparse Kronecker rebuild (49.6 MB)
+    prof = wg.gaussian_profile(0.5, 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        form = wg.assemble_waveguide_form(prof, 0.1, 4.0)
+        prec = form.preconditioner()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert form.n == 58188 and isinstance(prec, dz._TensorSolve)
+    assert peak <= 38e6
