@@ -41,6 +41,9 @@ ascending order of its coarse value.  A start cut as `outpaced`, or one
 ending within _TIE of a value already polished (`merged`), is not
 polished.  This is the nested iteration of full multigrid (Brandt, Math.
 Comp. 31, 1977), applied to the starts instead of to a linear solve.
+A caller that already holds a field in the minimizer's basin (the
+minimizer on a shorter truncation of the same strip) passes it as the
+one `start` in place of the bumps and random fields.
 
 At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
 its minimum the lowest eigenvalue.  The descent runs once, from a random
@@ -365,13 +368,17 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     return trail, x, it + 1, _Stop(reason, gnorm)
 
 
-def _starts(form, fine, p, opts):
+def _starts(form, fine, p, opts, start=None):
     """The start fields on `form`'s free nodes: at p = 2 the random field of
     `seed`; at p > 2 one Gaussian bump per center (the middle of the domain
     when `centers` is empty), then `restarts` random fields, and a random
     field in place of a bump that vanishes on the free nodes.  The default
     bump width is that of the `fine` lattice, so a coarse lattice starts
-    from the same functions."""
+    from the same functions.  A given `start` field is instead the one
+    start, prolonged onto `form`'s lattice."""
+    if start is not None:
+        return [prolong(start.grid, start.values[start.grid.free],
+                        form.grid).astype(form.K.dtype, copy=False)]
     rng = np.random.default_rng(opts.seed)
     if p == 2.0:
         return [_normal_field(rng, form)]
@@ -433,7 +440,8 @@ def _distinct(runs):
 
 def minimize_quotient(form: AssembledForm, p: float,
                       opts: MinimizeOptions | None = None,
-                      coarse: AssembledForm | None = None) -> MinimizerResult:
+                      coarse: AssembledForm | None = None,
+                      start: WaveFunction | None = None) -> MinimizerResult:
     """Minimize the discrete Sobolev quotient at exponent p >= 2.
 
     One CG descent serves every p and every dimension.  At p = 2 it runs
@@ -459,16 +467,20 @@ def minimize_quotient(form: AssembledForm, p: float,
     prolonged and polished on `form`, in ascending order of their coarse
     value.  The `restart_*` lists describe the fine descents alone, the
     `coarse_*` lists the coarse stage, one entry per start.
+
+    `start`, a field on any lattice of the same domain (a minimizer on a
+    shorter truncation, say), replaces those starts at every p: it is the
+    one start, moved by `discretize.prolong` onto the first lattice that
+    descends (`coarse` when given, else `form`).
     """
     opts = opts or MinimizeOptions()
     check_exponent(p)
+    starts = _starts(form if coarse is None else coarse, form.grid, p, opts,
+                     start)
     stage = [], [], []      # coarse values, iterations and exits
-    if coarse is None:
-        starts = _starts(form, form.grid, p, opts)
-    else:
+    if coarse is not None:
         cgrid = coarse.grid
-        cruns = list(_descents(coarse, _starts(coarse, form.grid, p, opts),
-                               p, opts))
+        cruns = list(_descents(coarse, starts, p, opts))
         del coarse          # the fine stage needs only the coarse lattice
         keep, exits = _distinct(cruns)
         stage = [r.R for r in cruns], [r.its for r in cruns], exits

@@ -29,8 +29,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry
-from .discretize import (AssembledForm, assemble, build_grid, coarse_form,
-                         lp_norm)
+from .discretize import (AssembledForm, WaveFunction, assemble, build_grid,
+                         coarse_form, lp_norm)
 from .errors import InvalidProfile, NoConvergence
 from .geometry import GeometrySpec
 from .minimize import MinimizeOptions, minimize_quotient
@@ -120,12 +120,16 @@ def assemble_waveguide_form(profile: WidthProfile, h: float, p: float,
     dom = geometry.strip(profile.s_max - s_halfwidth, profile.s_max + s_halfwidth)
     spec = GeometrySpec(domain=dom, V=0.0, A=None, gamma=0.0)
     grid = build_grid(spec, spacing)
-    mids = 0.5 * (grid.points[grid.edges[:, 0], 0]
-                  + grid.points[grid.edges[:, 1], 0])
-    a_mid = profile(mids)
-    mult = np.where(grid.edge_axis == 0,
-                    h * h * a_mid ** (1.0 - 2.0 / p),
-                    a_mid ** (-1.0 - 2.0 / p))
+    # a varies along s only: weigh each s-column once, at the midpoints
+    # between columns (s-edges) and at its nodes (t-edges).  The box grid
+    # lists the n_t s-edges leaving each column, column by column, then
+    # the n_t - 1 t-edges within each column.
+    n_t = grid.shape[1]
+    s = grid.points[::n_t, 0]
+    mult = np.concatenate((
+        np.repeat(h * h * profile(0.5 * (s[:-1] + s[1:])) ** (1.0 - 2.0 / p),
+                  n_t),
+        np.repeat(profile(s) ** (-1.0 - 2.0 / p), n_t - 1)))
     return assemble(spec, 1.0, replace(grid, edge_coeff=grid.edge_coeff * mult))
 
 
@@ -135,15 +139,29 @@ def _spacing(profile: WidthProfile, h: float) -> tuple:
 
 
 def _solve(profile: WidthProfile, h: float, p: float, opts: MinimizeOptions,
-           s_halfwidth: float | None = None):
+           s_halfwidth: float | None = None,
+           start: WaveFunction | None = None):
     """The minimizer of the strip form at h; every start descends first on
-    the strip at twice both spacings (`coarse` of `minimize_quotient`)."""
+    the strip at twice both spacings (`coarse` of `minimize_quotient`).
+
+    `start`, the minimizer on a shorter truncation, is instead the one
+    start, padded with zeros.  For p > 2 the minimizer is exponentially
+    localized, so that start already lies in the new minimizer's basin
+    and the fine strip alone polishes it.  At p = 2 the infimum is not
+    attained: the ground state spreads with the truncation, so the start
+    is still far from the new ground state and descends on the coarse
+    strip first.
+    """
     def form(spacing):
         return assemble_waveguide_form(profile, h, p, s_halfwidth, spacing)
 
     spacing = _spacing(profile, h)
-    return minimize_quotient(form(spacing), p, opts,
-                             coarse=coarse_form(form, spacing))
+    if start is None:
+        return minimize_quotient(form(spacing), p, opts,
+                                 coarse=coarse_form(form, spacing))
+    return minimize_quotient(
+        form(spacing), p, opts, start=start,
+        coarse=coarse_form(form, spacing) if p == 2.0 else None)
 
 
 @functools.cache
@@ -153,19 +171,23 @@ def straight_reference(p: float) -> float:
     At p = 2 this approaches the transverse Dirichlet threshold pi^2/4
     from above (essential spectrum bottom, not attained on the infinite
     strip); for p > 2 the minimizer is exponentially localized and the
-    value stabilizes quickly under doubling of the truncation.  Each
-    truncation is one nested solve: its bump and random starts descend on
-    the strip at twice both spacings first, and only their distinct
-    minima are polished.  An unconverged solve raises NoConvergence, so
-    only converged values are cached.
+    value stabilizes quickly under doubling of the truncation.  The first
+    truncation (s_halfwidth = 12) is one nested solve: its bump and random
+    starts descend on the strip at twice both spacings first, and only
+    their distinct minima are polished.  Each doubling continues from the
+    previous truncation's minimizer, padded with zeros, as its one start
+    (`_solve`): on the fine strip alone for p > 2, and through the coarse
+    strip at p = 2.  An unconverged solve raises NoConvergence, so only
+    converged values are cached.
     """
     prof = constant_profile(1.0)
     opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
                            centers=((0.0, 0.0),), bump_width=1.0)
-    prev = None
+    prev = res = None
     s_half = 12.0
     for _ in range(_REF_DOUBLINGS + 1):
-        res = _solve(prof, 1.0, p, opts, s_half)
+        res = _solve(prof, 1.0, p, opts, s_half,
+                     start=None if res is None else res.psi)
         if not res.converged:
             raise NoConvergence(f"straight reference unconverged at "
                                 f"s_halfwidth = {s_half} (residual "

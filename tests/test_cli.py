@@ -499,8 +499,9 @@ class TestWaveguide:
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(waveguide, "minimize_quotient",
-                            lambda form, p, opts, coarse=None: SimpleNamespace(
-                                lam=1.0, converged=False, el_residual=1.0))
+                            lambda form, p, opts, coarse=None, start=None:
+                            SimpleNamespace(lam=1.0, converged=False,
+                                            el_residual=1.0))
         rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
                        "--h-list", "0.5", "--out", str(tmp_path / "wg.csv")])
         assert rc == 2

@@ -332,17 +332,21 @@ class TestExitReasons:
     def test_straight_reference_work(self, monkeypatch):
         iterations = []
 
-        def counting(form, p, opts, coarse=None):
-            res = minimize_quotient(form, p, opts, coarse)
-            iterations.append(res.iterations)
+        def counting(form, p, opts, coarse=None, start=None):
+            res = minimize_quotient(form, p, opts, coarse, start)
+            iterations.append(res.iterations + sum(res.coarse_iterations))
             return res
 
         monkeypatch.setattr(wg, "minimize_quotient", counting)
-        wg.straight_reference(4.0)
-        # two truncations; unless it is outpaced, the off-center random
-        # start at s_halfwidth = 12 runs to its 3,000-iteration cap
-        assert len(iterations) == 2
-        assert sum(iterations) <= 400
+        # coarse and fine iterations of every truncation: 53 at p = 4 and
+        # 365 at p = 2 (three truncations), where cold doublings took 197
+        # and about 640; unless it is outpaced, the off-center random start at
+        # s_halfwidth = 12 runs to its 3,000-iteration cap
+        for p, truncations, bound in ((4.0, 2, 80), (2.0, 3, 450)):
+            iterations.clear()
+            wg.straight_reference(p)
+            assert len(iterations) == truncations
+            assert sum(iterations) <= bound
 
     @pytest.mark.parametrize("R", [0.0, math.nan])
     def test_vanished_or_non_finite_start_is_unconverged(self, magnetic_2d,

@@ -1,6 +1,7 @@
 """Waveguide reduction: the strip form's edge weights and the reference cache."""
 
 import dataclasses
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -11,6 +12,21 @@ from semisobolev import discretize as dz
 from semisobolev import geometry as ge
 from semisobolev import waveguide as wg
 from semisobolev.errors import NoConvergence
+from semisobolev.minimize import MinimizeOptions, minimize_quotient
+
+
+def _edge_weights(prof, h, p, grid):
+    """h^2 a^{1-2/p} on s-edges and a^{-1-2/p} on t-edges, with a
+    evaluated at every edge's own midpoint."""
+    a, b = grid.edges[:, 0], grid.edges[:, 1]
+    a_mid = prof(0.5 * (grid.points[a, 0] + grid.points[b, 0]))
+    return np.where(grid.edge_axis == 0, h * h * a_mid ** (1.0 - 2.0 / p),
+                    a_mid ** (-1.0 - 2.0 / p))
+
+
+def _plain_strip(s_half, spacing):
+    spec = ge.GeometrySpec(domain=ge.strip(-s_half, s_half), V=0.0, gamma=0.0)
+    return spec, dz.build_grid(spec, spacing)
 
 
 def test_energy_is_the_weighted_edge_sum():
@@ -19,13 +35,10 @@ def test_energy_is_the_weighted_edge_sum():
     form = wg.assemble_waveguide_form(prof, h, p, s_halfwidth=2.0)
     # the plain Dirichlet strip at the waveguide's resolution: s-spacing
     # h a_max / 14, 41 transverse nodes
-    spec = ge.GeometrySpec(domain=ge.strip(-2.0, 2.0), V=0.0, gamma=0.0)
-    plain = dz.build_grid(spec, (h * prof.a_max / 14.0, 2.0 / 40.0))
+    _, plain = _plain_strip(2.0, (h * prof.a_max / 14.0, 2.0 / 40.0))
     assert (plain.n_nodes, plain.n_free) == (form.grid.n_nodes, form.n)
     a, b = plain.edges[:, 0], plain.edges[:, 1]
-    a_mid = prof(0.5 * (plain.points[a, 0] + plain.points[b, 0]))
-    mult = np.where(plain.edge_axis == 0, h * h * a_mid ** (1.0 - 2.0 / p),
-                    a_mid ** (-1.0 - 2.0 / p))
+    mult = _edge_weights(prof, h, p, plain)
     rng = np.random.default_rng(4)
     psi = dz.WaveFunction(plain, rng.standard_normal(plain.n_nodes))
     v = psi.values
@@ -33,13 +46,49 @@ def test_energy_is_the_weighted_edge_sum():
     assert form.energy(psi) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("prof, h, s_half", [
+    (wg.gaussian_profile(0.5, 0.0, 1.0), 0.2, None),   # the ladder's rungs
+    (wg.gaussian_profile(0.5, 0.0, 1.0), 0.1, None),
+    (wg.constant_profile(1.0), 1.0, 12.0),             # the two references
+    (wg.constant_profile(1.0), 1.0, 24.0),
+], ids=["h0.2", "h0.1", "reference12", "reference24"])
+def test_column_weights_are_the_per_edge_weights(prof, h, s_half):
+    # the profile is weighed once per s-column and repeated per edge; K is
+    # bitwise that of the profile evaluated at every edge's midpoint
+    p = 4.0
+    spacing = wg._spacing(prof, h)
+    form = wg.assemble_waveguide_form(prof, h, p, s_half, spacing)
+    spec, plain = _plain_strip(s_half or 8.0 * prof.width, spacing)
+    expected = dz.assemble(spec, 1.0, dataclasses.replace(
+        plain, edge_coeff=plain.edge_coeff * _edge_weights(prof, h, p, plain)))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(form.K, attr), getattr(expected.K, attr))
+
+
+def test_start_at_a_minimizer_stays_there():
+    # a converged minimizer, given back as the one start on its own form,
+    # is accepted at once with the same lambda
+    opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
+                           centers=((0.0, 0.0),), bump_width=1.0)
+    for p in (4.0, 2.0):
+        form = wg.assemble_waveguide_form(wg.constant_profile(1.0), 1.0, p,
+                                          s_halfwidth=4.0)
+        cold = minimize_quotient(form, p, opts)
+        warm = minimize_quotient(form, p, opts, start=cold.psi)
+        assert cold.converged and warm.converged
+        assert warm.lam == pytest.approx(cold.lam, rel=1e-12, abs=0.0)
+        assert warm.iterations <= 2
+        assert warm.restart_exits == ["grad_tol"]
+
+
 @pytest.mark.usefixtures("fresh_reference")
 class TestStraightReference:
     @staticmethod
     def solver(converged, calls):
-        def fake(form, p, opts, coarse=None):
-            calls.append(form.n)
-            return SimpleNamespace(lam=5.0, converged=converged, el_residual=1.0)
+        def fake(form, p, opts, coarse=None, start=None):
+            calls.append((form.n, start))
+            return SimpleNamespace(lam=5.0, converged=converged, el_residual=1.0,
+                                   psi=f"minimizer {len(calls)}")
         return fake
 
     def test_unconverged_solve_raises_and_is_not_cached(self, monkeypatch):
@@ -51,8 +100,44 @@ class TestStraightReference:
         monkeypatch.setattr(wg, "minimize_quotient", self.solver(True, calls))
         assert wg.straight_reference(4.0) == 5.0     # a miss: solved again
         assert len(calls) == 3                       # truncation 12, then 24
+        # the doubling starts from the minimizer at truncation 12
+        assert [start for _, start in calls] == [None, None, "minimizer 2"]
         assert wg.straight_reference(4.0) == 5.0     # now a hit
         assert len(calls) == 3
+
+    def test_doubling_continues_from_the_last_minimizer(self, monkeypatch):
+        solves = []
+        real = wg.minimize_quotient
+
+        def recording(form, p, opts, coarse=None, start=None):
+            res = real(form, p, opts, coarse, start)
+            solves.append((opts, res))
+            return res
+
+        monkeypatch.setattr(wg, "minimize_quotient", recording)
+        ref = wg.straight_reference(4.0)
+        assert ref == pytest.approx(5.120754663328114, rel=1e-12, abs=0.0)
+        (_, first), (opts, doubling) = solves
+        assert len(first.coarse_iterations) == 2      # bump and random start
+        # p = 4: one start, polished on the fine strip alone
+        assert doubling.coarse_iterations == []
+        assert doubling.restart_exits == ["grad_tol"]
+        cold = wg._solve(wg.constant_profile(1.0), 1.0, 4.0, opts, 24.0)
+        assert cold.converged
+        assert doubling.lam == ref
+        assert ref == pytest.approx(cold.lam, rel=1e-12, abs=0.0)
+
+    def test_p2_reference(self):
+        # the lattice counterpart of pi^2/4 = 2.4674011; its doublings keep
+        # the coarse stage, since the p = 2 ground state spreads with them
+        assert wg.straight_reference(2.0) == pytest.approx(
+            2.467203933626499, rel=1e-12, abs=0.0)
+
+    @pytest.mark.xfail(strict=True, raises=NoConvergence, reason=(
+        "the first truncation stops as backtrack_floor at el_residual "
+        "about 3.5e-7, above the 5e-8 acceptance (ROADMAP item 14, case 4)"))
+    def test_p6_reference_converges(self):
+        assert math.isfinite(wg.straight_reference(6.0))
 
 
 def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
