@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .discretize import assemble, build_grid, coarse_form, lp_norm
+from .discretize import assemble, build_grid, lp_norm
 from .errors import ConfigError
 from .geometry import GeometrySpec, check_exponent
-from .minimize import MinimizeOptions, MinimizerResult, minimize_quotient
+from .minimize import MinimizeOptions, MinimizerResult, solve_lattice
 from .models import boundary_constant, concentration_map
 
 
@@ -82,17 +82,13 @@ def _rung(spec: GeometrySpec, h: float, p: float, centers: tuple,
     The grid follows default_mesh_rule(h); the minimizer starts from a
     bump of width sqrt(h) at each center and from one random field.  Every
     start descends first on the same rung at twice the spacing, and only
-    its distinct minima are polished on the rung's grid (`coarse` of
-    `minimize_quotient`).
+    its distinct minima are polished on the rung's grid; `solve_lattice`
+    decides that coarse lattice.
     """
-    def form(s):
-        return assemble(spec, h, build_grid(spec, s))
-
-    spacing = default_mesh_rule(h)
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=seed,
                            bump_width=math.sqrt(h), centers=centers)
-    return minimize_quotient(form(spacing), p, opts,
-                             coarse=coarse_form(form, spacing))
+    return solve_lattice(lambda s: assemble(spec, h, build_grid(spec, s)),
+                         default_mesh_rule(h), p, opts)
 
 
 @dataclass

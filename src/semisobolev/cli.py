@@ -21,10 +21,9 @@ import numpy as np
 from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
-from .discretize import (assemble, build_grid, coarse_form, gaussian_bump,
-                         wavefunction_rows)
+from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
 from .errors import NoConvergence, ScaleOutOfRange, SemisobolevError
-from .minimize import MinimizeOptions, minimize_quotient
+from .minimize import MinimizeOptions, solve_lattice
 
 
 # no option name here starts with a digit, so such a token is a value
@@ -160,15 +159,12 @@ def _cmd_solve(args) -> int:
     if args.spacing is not None:
         _positive("--spacing", args.spacing)
     spacing = args.spacing or asymptotics.default_mesh_rule(args.h)
-    grid = build_grid(spec, spacing)
+    opts = MinimizeOptions(seed=args.seed, grad_tol=args.grad_tol)
     try:
-        form = assemble(spec, args.h, grid)
+        res = solve_lattice(lambda s: assemble(spec, args.h, build_grid(spec, s)),
+                            spacing, args.p, opts)
     except ScaleOutOfRange as exc:
         raise ConfigError(f"--h: {exc}") from exc
-    opts = MinimizeOptions(seed=args.seed, grad_tol=args.grad_tol)
-    # every start descends first on the lattice at twice the spacing
-    res = minimize_quotient(form, args.p, opts, coarse=coarse_form(
-        lambda s: assemble(spec, args.h, build_grid(spec, s)), spacing))
     config = {"config_file": args.config, "h": args.h, "p": args.p,
               "seed": args.seed, "spacing": spacing,
               "grad_tol": args.grad_tol, **{f"geometry.{k}": v
@@ -185,8 +181,8 @@ def _cmd_solve(args) -> int:
         "coarse_values": res.coarse_values,
         "coarse_exits": res.coarse_exits,
         "coarse_iterations": res.coarse_iterations,
-        "nodes": grid.n_nodes,
-        "free_nodes": grid.n_free,
+        "nodes": res.psi.grid.n_nodes,
+        "free_nodes": res.psi.grid.n_free,
     }
     atomic_write(args.out, _json_text(config, payload))
     if args.psi_csv:

@@ -295,18 +295,6 @@ def build_grid(spec: GeometrySpec, spacing) -> Grid:
     return _box_grid(dom, spacing)
 
 
-def coarse_form(build: Callable, spacing):
-    """build(2 spacing): a lattice problem at twice its spacing, the
-    `coarse` form of `minimize.minimize_quotient`; None when that lattice
-    is too small (DomainTooSmall), so the solve runs on one lattice."""
-    doubled = (2.0 * spacing if np.isscalar(spacing)
-               else tuple(2.0 * s for s in spacing))
-    try:
-        return build(doubled)
-    except DomainTooSmall:
-        return None
-
-
 def prolong(coarse: Grid, x: np.ndarray, fine: Grid) -> np.ndarray:
     """Multilinear interpolation of a field from one lattice of a domain to
     another; x holds its values on the free nodes of `coarse`, and the

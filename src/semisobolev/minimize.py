@@ -43,7 +43,9 @@ polished.  This is the nested iteration of full multigrid (Brandt, Math.
 Comp. 31, 1977), applied to the starts instead of to a linear solve.
 A caller that already holds a field in the minimizer's basin (the
 minimizer on a shorter truncation of the same strip) passes it as the
-one `start` in place of the bumps and random fields.
+one `start` in place of the bumps and random fields.  Every lattice
+solve of the package enters through `solve_lattice`, which builds both
+lattices and decides whether a coarse stage runs, with or without a start.
 
 At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
 its minimum the lowest eigenvalue.  The descent runs once, from a random
@@ -64,7 +66,7 @@ import numpy as np
 
 from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
                          gaussian_bump, lp_norm, prolong)
-from .errors import ZeroFunction
+from .errors import DomainTooSmall, ZeroFunction
 from .geometry import check_exponent
 
 _MAX_ITERS = 3000       # iteration cap of one descent
@@ -471,7 +473,8 @@ def minimize_quotient(form: AssembledForm, p: float,
     `start`, a field on any lattice of the same domain (a minimizer on a
     shorter truncation, say), replaces those starts at every p: it is the
     one start, moved by `discretize.prolong` onto the first lattice that
-    descends (`coarse` when given, else `form`).
+    descends (`coarse` when given, else `form`).  Whether that lattice is
+    the coarse one is decided by `solve_lattice`.
     """
     opts = opts or MinimizeOptions()
     check_exponent(p)
@@ -504,3 +507,31 @@ def minimize_quotient(form: AssembledForm, p: float,
         coarse_values=stage[0], coarse_iterations=stage[1],
         coarse_exits=stage[2],
         converged=_accepted(lam, 2.0 * res, opts.grad_tol))
+
+
+def _doubled(build, spacing):
+    """build(2 spacing), or None when that lattice is too small."""
+    try:
+        return build(2.0 * spacing if np.isscalar(spacing)
+                     else tuple(2.0 * s for s in spacing))
+    except DomainTooSmall:
+        return None
+
+
+def solve_lattice(build, spacing, p: float,
+                  opts: MinimizeOptions | None = None,
+                  start: WaveFunction | None = None) -> MinimizerResult:
+    """`minimize_quotient` of build(spacing), nested in build(2 spacing).
+
+    `build` assembles the caller's problem at a spacing (a float, or one
+    per axis).  There is no coarse form when that lattice is too small
+    (DomainTooSmall), or when a `start` is given at p > 2: the minimizer
+    is exponentially localized, so such a start already lies in its basin
+    and the fine lattice polishes it.  At p = 2 the ground state can
+    spread far from a start (on a longer strip, say), so it descends on
+    the coarse lattice first.  The forms are built in the call, not held
+    here, so the coarse one is freed before the fine stage.
+    """
+    return minimize_quotient(
+        build(spacing), p, opts, start=start,
+        coarse=None if start is not None and p > 2.0 else _doubled(build, spacing))

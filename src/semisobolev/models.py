@@ -39,10 +39,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import geometry, model1d
-from .discretize import assemble, build_grid, coarse_form
+from .discretize import assemble, build_grid
 from .errors import AssumptionViolated, NotPositive
 from .geometry import GeometrySpec, check_exponent
-from .minimize import MinimizeOptions, minimize_quotient
+from .minimize import MinimizeOptions, solve_lattice
 
 _cache: dict = {}      # scaled model key -> converged grid value
 _unconverged = 0       # grid solves so far that missed the gradient tolerance
@@ -81,8 +81,8 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
     interior-soliton valley stops as `outpaced` once it cannot come down
     to the bump's converged value.  Every start descends first on the
     same model at twice the spacing, radial weights included, and only
-    the distinct coarse minima are polished on this lattice (`coarse` of
-    `minimize_quotient`).
+    the distinct coarse minima are polished on this lattice;
+    `solve_lattice` decides that coarse lattice.
     """
     if key in _cache:
         return _cache[key]
@@ -99,8 +99,7 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
         return assemble(spec, 1.0, grid)
 
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, centers=centers)
-    res = minimize_quotient(form(spacing), key[1], opts,
-                            coarse=coarse_form(form, spacing))
+    res = solve_lattice(form, spacing, key[1], opts)
     if res.converged:
         _cache[key] = res.lam
     else:

@@ -30,10 +30,10 @@ import numpy as np
 
 from . import geometry
 from .discretize import (AssembledForm, WaveFunction, assemble, build_grid,
-                         coarse_form, lp_norm)
+                         lp_norm)
 from .errors import InvalidProfile, NoConvergence
 from .geometry import GeometrySpec
-from .minimize import MinimizeOptions, minimize_quotient
+from .minimize import MinimizeOptions, solve_lattice
 
 _DSIGMA = 1.0 / 14.0    # s-spacing per unit of the rescaled variable sigma
 _NT = 41                # transverse nodes across t in [-1, 1]
@@ -141,27 +141,12 @@ def _spacing(profile: WidthProfile, h: float) -> tuple:
 def _solve(profile: WidthProfile, h: float, p: float, opts: MinimizeOptions,
            s_halfwidth: float | None = None,
            start: WaveFunction | None = None):
-    """The minimizer of the strip form at h; every start descends first on
-    the strip at twice both spacings (`coarse` of `minimize_quotient`).
-
-    `start`, the minimizer on a shorter truncation, is instead the one
-    start, padded with zeros.  For p > 2 the minimizer is exponentially
-    localized, so that start already lies in the new minimizer's basin
-    and the fine strip alone polishes it.  At p = 2 the infimum is not
-    attained: the ground state spreads with the truncation, so the start
-    is still far from the new ground state and descends on the coarse
-    strip first.
-    """
-    def form(spacing):
-        return assemble_waveguide_form(profile, h, p, s_halfwidth, spacing)
-
-    spacing = _spacing(profile, h)
-    if start is None:
-        return minimize_quotient(form(spacing), p, opts,
-                                 coarse=coarse_form(form, spacing))
-    return minimize_quotient(
-        form(spacing), p, opts, start=start,
-        coarse=coarse_form(form, spacing) if p == 2.0 else None)
+    """The minimizer of the strip form at h, nested in the strip at twice
+    both spacings; `solve_lattice` decides where a `start` (the minimizer
+    on a shorter truncation, padded with zeros) descends."""
+    return solve_lattice(
+        lambda s: assemble_waveguide_form(profile, h, p, s_halfwidth, s),
+        _spacing(profile, h), p, opts, start)
 
 
 @functools.cache
@@ -175,10 +160,10 @@ def straight_reference(p: float) -> float:
     truncation (s_halfwidth = 12) is one nested solve: its bump and random
     starts descend on the strip at twice both spacings first, and only
     their distinct minima are polished.  Each doubling continues from the
-    previous truncation's minimizer, padded with zeros, as its one start
-    (`_solve`): on the fine strip alone for p > 2, and through the coarse
-    strip at p = 2.  An unconverged solve raises NoConvergence, so only
-    converged values are cached.
+    previous truncation's minimizer, padded with zeros, as its one start,
+    which `solve_lattice` polishes on the fine strip alone for p > 2 and
+    takes through the coarse strip at p = 2.  An unconverged solve raises
+    NoConvergence, so only converged values are cached.
     """
     prof = constant_profile(1.0)
     opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,

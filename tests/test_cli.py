@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from semisobolev import asymptotics, cli, models, waveguide
+from semisobolev import cli, minimize, models, waveguide
 from semisobolev._util import atomic_write
 from semisobolev.config import parse_geometry
 from semisobolev.discretize import build_grid
@@ -18,6 +18,20 @@ def _read(path):
     config = [ln for ln in lines if ln.startswith("# ")]
     table = [ln.split(",") for ln in lines if not ln.startswith("#")]
     return config, table[0], table[1:]
+
+
+def _unconverged_models(monkeypatch, lam):
+    """Every model-lattice solve (each model domain has a truncation face)
+    returns an unconverged `lam`; the solves of the configured domain run."""
+    real = minimize.minimize_quotient
+
+    def solve(form, p, opts, coarse=None, start=None):
+        if any("truncation" in faces for faces in form.grid.domain.bc):
+            return SimpleNamespace(lam=lam, converged=False)
+        return real(form, p, opts, coarse, start)
+
+    monkeypatch.setattr(models, "_cache", {})
+    monkeypatch.setattr(minimize, "minimize_quotient", solve)
 
 
 @pytest.fixture
@@ -109,14 +123,14 @@ class TestLargeDomain:
 
     def test_unconverged_rung_is_flagged(self, interval_cfg, tmp_path,
                                          monkeypatch):
-        real = asymptotics.minimize_quotient
+        real = minimize.minimize_quotient
 
-        def unconverged(form, p, opts, coarse=None):
-            res = real(form, p, opts, coarse)
+        def unconverged(form, p, opts, coarse=None, start=None):
+            res = real(form, p, opts, coarse, start)
             res.converged = False
             return res
 
-        monkeypatch.setattr(asymptotics, "minimize_quotient", unconverged)
+        monkeypatch.setattr(minimize, "minimize_quotient", unconverged)
         out = tmp_path / "ld.csv"
         rc = cli.main(["large-domain", "--config", str(interval_cfg),
                        "--p", "4", "--R-list", "2", "--out", str(out)])
@@ -128,10 +142,7 @@ class TestLargeDomain:
     def test_unconverged_reference_is_flagged(self, tmp_path, monkeypatch):
         # the d = 2 reference is a grid solve; when it misses its tolerance
         # every ratio rests on it, so every row says so
-        monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient",
-                            lambda form, p, opts, coarse=None:
-                            SimpleNamespace(lam=3.0, converged=False))
+        _unconverged_models(monkeypatch, 3.0)
         cfg = tmp_path / "disk.cfg"
         cfg.write_text("domain = disk\nradius = 0.3\nV = 1.0\ngamma = 0\n")
         out = tmp_path / "ld.csv"
@@ -198,10 +209,7 @@ class TestSweep:
         # the edge samples of a magnetic box are grid solves; an unconverged
         # one is only an upper bound, so the infimum behind every row's
         # target is unsure and each row says so
-        monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient",
-                            lambda form, p, opts, coarse=None:
-                            SimpleNamespace(lam=3.0, converged=False))
+        _unconverged_models(monkeypatch, 3.0)
         cfg = tmp_path / "box.cfg"
         cfg.write_text("domain = rectangle\nbounds = -0.2 0.2 -0.2 0.2\n"
                        "V = 1.0\nB = constant 1.0\ngamma = 0\n")
@@ -262,10 +270,7 @@ class TestConcentration:
             cfg = tmp_path / "box.cfg"
             cfg.write_text("domain = rectangle\nbounds = -1 1 -1 1\n"
                            "V = 1.0\nB = constant 1.0\ngamma = 0\n")
-        monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient",
-                            lambda form, p, opts, coarse=None:
-                            SimpleNamespace(lam=1.25, converged=False))
+        _unconverged_models(monkeypatch, 1.25)
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
         # a few samples suffice: the fake solve caches nothing, so each
         # sample builds its model lattice afresh
@@ -480,14 +485,14 @@ class TestWaveguide:
 
     def test_unconverged_rung_is_counted(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(waveguide, "straight_reference", lambda p: 1.0)
-        real = waveguide.minimize_quotient
+        real = minimize.minimize_quotient
 
-        def unconverged(form, p, opts, coarse=None):
-            res = real(form, p, opts, coarse)
+        def unconverged(form, p, opts, coarse=None, start=None):
+            res = real(form, p, opts, coarse, start)
             res.converged = False
             return res
 
-        monkeypatch.setattr(waveguide, "minimize_quotient", unconverged)
+        monkeypatch.setattr(minimize, "minimize_quotient", unconverged)
         out = tmp_path / "wg.csv"
         rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
                        "--h-list", "0.5", "--out", str(out)])
@@ -498,7 +503,7 @@ class TestWaveguide:
 
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(waveguide, "minimize_quotient",
+        monkeypatch.setattr(minimize, "minimize_quotient",
                             lambda form, p, opts, coarse=None, start=None:
                             SimpleNamespace(lam=1.0, converged=False,
                                             el_residual=1.0))

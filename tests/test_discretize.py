@@ -674,10 +674,3 @@ class TestProlong:
         x = rng.standard_normal(coarse.n_free) + 1j * rng.standard_normal(coarse.n_free)
         assert_allclose(dz.prolong(coarse, x, fine),
                         self.reference(coarse, x, fine), rtol=0, atol=1e-14)
-
-    def test_too_small_halved_lattice_is_no_coarse_form(self):
-        # 9 nodes per axis at s = 0.25 on [0, 2]; the halved lattice has 5
-        spec = ge.GeometrySpec(domain=ge.rectangle(((0.0, 2.0), (0.0, 2.0))))
-        build = lambda s: dz.assemble(spec, 1.0, dz.build_grid(spec, s))
-        assert dz.coarse_form(build, 0.25) is None
-        assert dz.coarse_form(build, 0.1).grid.shape == (11, 11)

@@ -9,13 +9,16 @@ is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
 that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
 lists the planned exceptions).  Every `MinimizeOptions` field is set by
 some call in the package, so no option exists for the tests alone.  Every
-CLI subcommand is run by some test.
-The checks read the source with `ast`, except four: importing the CLI
+CLI subcommand is run by some test.  Only `minimize.py` names
+`minimize_quotient`: every other module solves through `solve_lattice`.
+The checks read the source with `ast`, except five: importing the CLI
 loads no scipy module that only the half-line model and the de Gennes
 constant use, nor scipy.fft, nor scipy.interpolate, since the nested
 solves prolong with numpy; it does load scipy.sparse.linalg, which
-SuperLU needs; and a `model1d` run loads neither the ODE integrator nor
-the optimizer, which only its oracle and the de Gennes constant use.
+SuperLU needs; a `model1d` run loads neither the ODE integrator nor
+the optimizer, which only its oracle and the de Gennes constant use;
+and the benchmark's probe, which rebinds module globals, sees every
+solve of a straight-strip reference.
 """
 
 import argparse
@@ -222,6 +225,33 @@ def test_every_subcommand_has_a_cli_test():
     assert untested_subcommands(cli.build_parser(), source) == []
 
 
+def lines_naming(source: str, name: str) -> list:
+    """Lines where `name` is a Name, an attribute or an imported name."""
+    return sorted({node.lineno for node in ast.walk(ast.parse(source))
+                   if isinstance(node, ast.Name) and node.id == name
+                   or isinstance(node, ast.Attribute) and node.attr == name
+                   or isinstance(node, ast.ImportFrom)
+                   and any(a.name == name for a in node.names)})
+
+
+def test_the_naming_check_finds_each_kind():
+    source = ("from .minimize import minimize_quotient as mq\n"
+              "from . import minimize\n"
+              "res = minimize.minimize_quotient(form, 4.0)\n"
+              "res = mq(form, 4.0)\n"
+              "solve = minimize_quotient\n"
+              "text = 'minimize_quotient'\n")
+    assert lines_naming(source, "minimize_quotient") == [1, 3, 5]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES
+                                  if p.name != "minimize.py"],
+                         ids=lambda p: p.name)
+def test_only_minimize_names_minimize_quotient(path):
+    # the coarse lattice and the warm-start rule live in one place
+    assert lines_naming(path.read_text(), "minimize_quotient") == []
+
+
 def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(d, ast.Name) and d.id == "dataclass"
                or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
@@ -275,14 +305,20 @@ def test_every_minimize_option_is_set_in_the_package():
             if f.name not in passed] == []
 
 
-def _loaded_after(code: str, modules) -> list:
-    """Which of `modules` a fresh interpreter has loaded after `code`."""
+def _run(code: str):
+    """The literal a fresh interpreter prints last after `import sys; code`."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    code += f"\nprint(sorted(m for m in {tuple(modules)!r} if m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
     return ast.literal_eval(out.strip().splitlines()[-1])
+
+
+def _loaded_after(code: str, modules) -> list:
+    """Which of `modules` a fresh interpreter has loaded after `code`."""
+    return _run(code + f"\nprint(sorted(m for m in {tuple(modules)!r} "
+                "if m in sys.modules))")
 
 
 def test_cli_import_loads_no_ode_or_optimizer():
@@ -317,3 +353,25 @@ def test_model1d_run_loads_no_ode_or_optimizer(tmp_path):
             f"'--out', {str(tmp_path / 'm.csv')!r}]) == 0")
     assert _loaded_after(code, ("scipy.optimize", "scipy.integrate",
                                 "scipy.special")) == ["scipy.special"]
+
+
+def test_the_benchmark_probe_sees_every_solve():
+    # perfbench/probe.py wraps functions by rebinding module globals; a
+    # solve that bypassed the global `minimize.minimize_quotient` would
+    # leave the workload checks no solve to check.  At p = 4 the reference
+    # takes two truncations, the first with a coarse strip
+    code = (f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "import time\nimport semisobolev.cli\n"
+            "from semisobolev import waveguide\n"
+            "from probe import Tracer, install\n"
+            "tracer = Tracer(time.perf_counter())\n"
+            "install(tracer, trace=True)\n"
+            "waveguide.straight_reference(4.0)\n"
+            "spans = tracer.spans\n"
+            "print([(s[1], None if s[4] is None else spans[s[4]][1])"
+            " for s in spans])")
+    spans = _run(code)
+    solves = [parent for name, parent in spans
+              if name == "minimize.minimize_quotient"]
+    assert solves == ["waveguide.straight_reference"] * 2
+    assert [name for name, _ in spans].count("waveguide.assemble") == 3

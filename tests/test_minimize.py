@@ -337,7 +337,7 @@ class TestExitReasons:
             iterations.append(res.iterations + sum(res.coarse_iterations))
             return res
 
-        monkeypatch.setattr(wg, "minimize_quotient", counting)
+        monkeypatch.setattr(mz, "minimize_quotient", counting)
         # coarse and fine iterations of every truncation: 53 at p = 4 and
         # 365 at p = 2 (three truncations), where cold doublings took 197
         # and about 640; unless it is outpaced, the off-center random start at
@@ -623,8 +623,7 @@ class TestNested:
 
         spacing = wg._spacing(prof, 0.2)
         direct = minimize_quotient(form(spacing), 4.0, opts)
-        nested = minimize_quotient(form(spacing), 4.0, opts,
-                                   coarse=dz.coarse_form(form, spacing))
+        nested = mz.solve_lattice(form, spacing, 4.0, opts)
         assert direct.converged and nested.converged
         assert nested.lam == pytest.approx(direct.lam, rel=1e-9)
         assert len(nested.coarse_values) == len(nested.coarse_exits) == 2
@@ -641,13 +640,39 @@ class TestNested:
 
         opts = MinimizeOptions(grad_tol=1e-7)
         direct = minimize_quotient(form(0.1), 2.0, opts)
-        nested = minimize_quotient(form(0.1), 2.0, opts,
-                                   coarse=dz.coarse_form(form, 0.1))
+        nested = mz.solve_lattice(form, 0.1, 2.0, opts)
         assert direct.converged and nested.converged
         assert nested.lam == pytest.approx(direct.lam, rel=1e-9)
         assert nested.restart_values == [nested.lam]
         assert nested.coarse_exits == ["grad_tol"]
         assert nested.coarse_values[0] != nested.lam
+
+    def test_too_small_halved_lattice_runs_no_coarse_stage(self):
+        # 9 nodes per axis at s = 0.25 on [0, 2]; the halved lattice has 5
+        spec = ge.GeometrySpec(domain=ge.rectangle(((0.0, 2.0), (0.0, 2.0))))
+        build = lambda s: dz.assemble(spec, 1.0, dz.build_grid(spec, s))
+        res = mz.solve_lattice(build, 0.25, 2.0)
+        assert res.coarse_values == res.coarse_iterations == res.coarse_exits == []
+        res = mz.solve_lattice(build, 0.1, 2.0)
+        assert len(res.coarse_values) == len(res.coarse_iterations) == 1
+
+    @pytest.mark.parametrize("p, coarse_starts", [(4.0, 0), (2.0, 1)])
+    def test_a_start_skips_the_coarse_strip_at_p_above_2(self, p,
+                                                         coarse_starts):
+        # the exponentially localized p > 2 minimizer is polished on the
+        # fine strip alone; at p = 2 the start descends on the coarse one
+        prof = wg.constant_profile(1.0)
+        spacing = wg._spacing(prof, 1.0)
+
+        def form(s):
+            return wg.assemble_waveguide_form(prof, 1.0, p, 4.0, s)
+
+        cold = mz.solve_lattice(form, spacing, p, STRIP_OPTS)
+        warm = mz.solve_lattice(form, spacing, p, STRIP_OPTS, start=cold.psi)
+        assert len(cold.coarse_iterations) == (2 if p > 2.0 else 1)
+        assert len(warm.coarse_iterations) == coarse_starts
+        assert warm.converged
+        assert warm.lam == pytest.approx(cold.lam, rel=1e-9)
 
     def test_neumann_rungs_keep_the_lower_basin(self):
         # R = 3 (h = 1/9): the bump at (1, 0) has the lowest coarse value but

@@ -12,6 +12,7 @@ from numpy.testing import assert_allclose
 from semisobolev import asymptotics
 from semisobolev import discretize as dz
 from semisobolev import geometry as ge
+from semisobolev import minimize as mz
 from semisobolev import model1d as m1
 from semisobolev import models
 from semisobolev.config import load_geometry
@@ -289,12 +290,12 @@ class TestCache:
     def test_only_converged_values_are_cached(self, converged, monkeypatch):
         calls = []
 
-        def fake_minimize(form, p, opts, coarse=None):
+        def fake_minimize(form, p, opts, coarse=None, start=None):
             calls.append(p)
             return types.SimpleNamespace(lam=1.25, converged=converged)
 
         monkeypatch.setattr(models, "_cache", {})
-        monkeypatch.setattr(models, "minimize_quotient", fake_minimize)
+        monkeypatch.setattr(mz, "minimize_quotient", fake_minimize)
         for _ in range(2):
             assert models._radial_value(4.0, 1.0) == 1.25
             assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
@@ -307,13 +308,13 @@ class TestCache:
         # interior samples take the Landau value
         monkeypatch.setattr(models, "_cache", {})
         calls = []
-        real = models.minimize_quotient
+        real = mz.minimize_quotient
 
-        def counting(form, p, opts=None, coarse=None):
+        def counting(form, p, opts=None, coarse=None, start=None):
             calls.append(form.n)
-            return real(form, p, opts, coarse)
+            return real(form, p, opts, coarse, start)
 
-        monkeypatch.setattr(models, "minimize_quotient", counting)
+        monkeypatch.setattr(mz, "minimize_quotient", counting)
         spec, _ = load_geometry(BOX_CFG)
         cmap = models.concentration_map(
             spec, asymptotics.default_sample_points(spec), 2.0)

@@ -10,6 +10,7 @@ import pytest
 
 from semisobolev import discretize as dz
 from semisobolev import geometry as ge
+from semisobolev import minimize as mz
 from semisobolev import waveguide as wg
 from semisobolev.errors import NoConvergence
 from semisobolev.minimize import MinimizeOptions, minimize_quotient
@@ -93,11 +94,11 @@ class TestStraightReference:
 
     def test_unconverged_solve_raises_and_is_not_cached(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(wg, "minimize_quotient", self.solver(False, calls))
+        monkeypatch.setattr(mz, "minimize_quotient", self.solver(False, calls))
         with pytest.raises(NoConvergence):
             wg.straight_reference(4.0)
         assert len(calls) == 1
-        monkeypatch.setattr(wg, "minimize_quotient", self.solver(True, calls))
+        monkeypatch.setattr(mz, "minimize_quotient", self.solver(True, calls))
         assert wg.straight_reference(4.0) == 5.0     # a miss: solved again
         assert len(calls) == 3                       # truncation 12, then 24
         # the doubling starts from the minimizer at truncation 12
@@ -107,14 +108,14 @@ class TestStraightReference:
 
     def test_doubling_continues_from_the_last_minimizer(self, monkeypatch):
         solves = []
-        real = wg.minimize_quotient
+        real = mz.minimize_quotient
 
         def recording(form, p, opts, coarse=None, start=None):
             res = real(form, p, opts, coarse, start)
             solves.append((opts, res))
             return res
 
-        monkeypatch.setattr(wg, "minimize_quotient", recording)
+        monkeypatch.setattr(mz, "minimize_quotient", recording)
         ref = wg.straight_reference(4.0)
         assert ref == pytest.approx(5.120754663328114, rel=1e-12, abs=0.0)
         (_, first), (opts, doubling) = solves
@@ -146,11 +147,11 @@ def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
     monkeypatch.setattr(wg, "straight_reference", lambda p: 1.0)
     prof = wg.gaussian_profile(0.5, 0.0, 1.0)
     (row,) = wg.waveguide_sweep(prof, 4.0, [0.1])
-    real = wg.minimize_quotient
-    monkeypatch.setattr(wg, "minimize_quotient",
-                        lambda form, p, opts, coarse=None: real(
+    real = mz.minimize_quotient
+    monkeypatch.setattr(mz, "minimize_quotient",
+                        lambda form, p, opts, coarse=None, start=None: real(
                             form, p, dataclasses.replace(opts, grad_tol=1e-11),
-                            coarse))
+                            coarse, start))
     (tight,) = wg.waveguide_sweep(prof, 4.0, [0.1])
     assert row.converged and tight.converged
     assert row.mass_outside == pytest.approx(tight.mass_outside, rel=1e-6)
