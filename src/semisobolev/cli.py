@@ -22,7 +22,7 @@ from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
 from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
-from .errors import NoConvergence, ScaleOutOfRange, SemisobolevError
+from .errors import ScaleOutOfRange, SemisobolevError
 from .minimize import MinimizeOptions, solve_lattice
 
 
@@ -55,15 +55,10 @@ def _csv_text(config: dict, header: list, rows: list) -> str:
     for k in sorted(config):
         buf.write(f"# {k} = {config[k]}\n")
     buf.write(",".join(header) + "\n")
-    for row in rows:
-        buf.write(",".join(_fmt(x) for x in row) + "\n")
+    for row in rows:    # floats to 12 significant digits
+        buf.write(",".join(f"{x:.12g}" if isinstance(x, float) else str(x)
+                           for x in row) + "\n")
     return buf.getvalue()
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _json_text(config: dict, payload: dict) -> str:
@@ -271,10 +266,8 @@ def _cmd_partition_check(args) -> int:
     _positive("--spacing", args.spacing)
     if args.samples < 1:
         raise ConfigError(f"--samples: expected at least 1, got {args.samples}")
-    spec, _ = (None, None) if not args.config else load_geometry(args.config)
-    if spec is None:
-        dom = geometry.plane(3.0)
-        spec = geometry.GeometrySpec(domain=dom, V=1.0, gamma=0.0)
+    spec = (load_geometry(args.config)[0] if args.config else
+            geometry.GeometrySpec(domain=geometry.plane(3.0), V=1.0, gamma=0.0))
     grid = build_grid(spec, args.spacing)
     form = assemble(spec, args.h, grid)
     rng = np.random.default_rng(args.seed)
@@ -310,6 +303,8 @@ def _cmd_partition_check(args) -> int:
 
 
 def _cmd_waveguide(args) -> int:
+    """Exits 2 when a rung or the reference is unconverged, after writing
+    every row."""
     prof = _parse_profile(args.profile)
     h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
     rows = waveguide.waveguide_sweep(prof, args.p, h_list)
@@ -419,9 +414,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except NoConvergence as exc:
-        print(f"solver did not converge: {exc}", file=sys.stderr)
-        return 2
     except SemisobolevError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

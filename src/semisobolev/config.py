@@ -14,8 +14,9 @@ Schema (one `key = value` per line, `#` comments):
     B        = 0 | constant b | x1-quadratic a b        (2D only)
     gamma    = -0.3 | dirichlet | angular-dip base amp theta0 width
 
-Keys are case-insensitive; any other key is a ConfigError, and so is a
-shape key that the chosen domain does not use (`radius` on a rectangle).
+Keys are case-insensitive and each is set once (`Gamma` after `gamma` is
+a repeat); an unknown key, a repeat, and a shape key that the chosen
+domain does not use (`radius` on a rectangle) are ConfigErrors.
 Every number must be finite, `radius` and `halfwidth` positive, each
 `bounds` pair increasing and `center` two numbers; a bare number is a
 constant.  Dirichlet data is a face condition: `bc` names it face by face
@@ -40,7 +41,7 @@ from .geometry import GeometrySpec
 
 
 def _parse_kv(text: str) -> dict:
-    out = {}
+    out = {}            # key -> (line number, value)
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -48,8 +49,11 @@ def _parse_kv(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, val = line.split("=", 1)
-        out[key.strip().lower()] = val.strip()
-    return out
+        key = key.strip().lower()
+        if key in out:
+            raise ConfigError(f"{key}: set on lines {out[key][0]} and {ln}")
+        out[key] = ln, val.strip()
+    return {key: val for key, (_, val) in out.items()}
 
 
 def _floats(key: str, val: str, n: int | None = None) -> list[float]:

@@ -25,10 +25,6 @@ class InvalidExponent(SemisobolevError):
     """Exponent p outside [2, inf); every such p is subcritical in d = 1, 2."""
 
 
-class NoConvergence(SemisobolevError):
-    """An iterative minimizer exhausted its iteration budget."""
-
-
 class AssumptionViolated(SemisobolevError):
     """The spectral positivity assumption fails on the sampled geometry."""
 

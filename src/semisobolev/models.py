@@ -44,8 +44,8 @@ from .errors import AssumptionViolated, NotPositive
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, solve_lattice
 
-_cache: dict = {}      # scaled model key -> converged grid value
-_unconverged = 0       # grid solves so far that missed the gradient tolerance
+_cache: dict = {}      # scaled model or strip key -> converged value
+_unconverged = 0       # memo misses so far: solves not stored
 _DELTA = 0.02          # relative tolerance of the argmin set M
 _EPS = 0.2             # dilation radius of M_eps for the exterior mass
 _BOUNDARY_TOL = 1e-8   # distance at which a sample counts as a boundary point
@@ -62,6 +62,20 @@ def _scaling_exponent(d: int, p: float) -> float:
     return 1.0 - d / 2.0 + d / p
 
 
+def memo(key: tuple, solve) -> float:
+    """The value stored under `key`, else solve().lam, stored if converged;
+    a miss adds one to `_unconverged`, and the next call solves again."""
+    if key in _cache:
+        return _cache[key]
+    res = solve()
+    if res.converged:
+        _cache[key] = res.lam
+    else:
+        global _unconverged
+        _unconverged += 1
+    return res.lam
+
+
 def _grid_value(key: tuple, spec: GeometrySpec, spacing,
                 centers: tuple = ()) -> float:
     """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
@@ -74,9 +88,9 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
     natural zero-flux end, and the node at r = L stays pinned.  This is a
     d = 1 form, solved on the SuperLU path.
 
-    Only converged values are stored, so an unconverged one is re-solved
-    on the next call; each such solve adds one to `_unconverged`, which
-    is how callers flag the result it was made for.  One random restart
+    The value goes through `memo`, the memo that the straight-strip
+    reference of `waveguide` shares: an unconverged solve is a miss,
+    counted and not stored.  One random restart
     runs after the bump init; a random start that wanders into the
     interior-soliton valley stops as `outpaced` once it cannot come down
     to the bump's converged value.  Every start descends first on the
@@ -84,9 +98,6 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
     the distinct coarse minima are polished on this lattice;
     `solve_lattice` decides that coarse lattice.
     """
-    if key in _cache:
-        return _cache[key]
-
     def form(s):
         grid = build_grid(spec, s)
         if key[0] == "rad":
@@ -99,13 +110,7 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
         return assemble(spec, 1.0, grid)
 
     opts = MinimizeOptions(grad_tol=1e-7, restarts=1, centers=centers)
-    res = solve_lattice(form, spacing, key[1], opts)
-    if res.converged:
-        _cache[key] = res.lam
-    else:
-        global _unconverged
-        _unconverged += 1
-    return res.lam
+    return memo(key, lambda: solve_lattice(form, spacing, key[1], opts))
 
 
 def _radial_value(p: float, v: float) -> float:

@@ -22,16 +22,15 @@ the reported ratios.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geometry
+from . import geometry, models
 from .discretize import (AssembledForm, WaveFunction, assemble, build_grid,
                          lp_norm)
-from .errors import InvalidProfile, NoConvergence
+from .errors import InvalidProfile
 from .geometry import GeometrySpec
 from .minimize import MinimizeOptions, solve_lattice
 
@@ -149,7 +148,6 @@ def _solve(profile: WidthProfile, h: float, p: float, opts: MinimizeOptions,
         _spacing(profile, h), p, opts, start)
 
 
-@functools.cache
 def straight_reference(p: float) -> float:
     """lambda^Dir(Sigma, p) on the unit strip, truncation grown to stability.
 
@@ -162,26 +160,27 @@ def straight_reference(p: float) -> float:
     their distinct minima are polished.  Each doubling continues from the
     previous truncation's minimizer, padded with zeros, as its one start,
     which `solve_lattice` polishes on the fine strip alone for p > 2 and
-    takes through the coarse strip at p = 2.  An unconverged solve raises
-    NoConvergence, so only converged values are cached.
+    takes through the coarse strip at p = 2.  The value is kept under
+    ("strip", p) in `models.memo`, shared with the model constants: an
+    unconverged truncation, or a value still moving after _REF_DOUBLINGS
+    doublings, is a miss, counted and not stored, and the last
+    truncation's value is returned.
     """
-    prof = constant_profile(1.0)
-    opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
-                           centers=((0.0, 0.0),), bump_width=1.0)
-    prev = res = None
-    s_half = 12.0
-    for _ in range(_REF_DOUBLINGS + 1):
-        res = _solve(prof, 1.0, p, opts, s_half,
-                     start=None if res is None else res.psi)
-        if not res.converged:
-            raise NoConvergence(f"straight reference unconverged at "
-                                f"s_halfwidth = {s_half} (residual "
-                                f"{res.el_residual:.2e})")
-        if prev is not None and abs(res.lam - prev) <= _REF_TOL * abs(prev):
-            return res.lam
-        prev = res.lam
-        s_half *= 2.0
-    raise NoConvergence("straight reference did not stabilize under doubling")
+    def solve():
+        opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
+                               centers=((0.0, 0.0),), bump_width=1.0)
+        prev = res = None
+        for k in range(_REF_DOUBLINGS + 1):
+            res = _solve(constant_profile(1.0), 1.0, p, opts, 12.0 * 2 ** k,
+                         start=None if res is None else res.psi)
+            if not res.converged or prev is not None and (
+                    abs(res.lam - prev) <= _REF_TOL * abs(prev)):
+                return res
+            prev = res.lam
+        res.converged = False       # still moving after the last doubling
+        return res
+
+    return models.memo(("strip", p), solve)
 
 
 @dataclass
@@ -200,9 +199,13 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRo
     ratio_h = lambda_reduced(h) / (h^{1-2/p} a_max^{-4/p} lambda^Dir(Sigma, p))
     tends to 1 from within the (1 - C sqrt(h), 1 + C h) bracket; the mass
     at distance > profile.width from the argmax of a decays
-    stretched-exponentially.
+    stretched-exponentially.  A row is converged only if its rung and the
+    reference are; a miss of the reference is counted, not stored, in the
+    memo it shares with the model constants, and every row is still made.
     """
+    misses = models._unconverged
     ref = straight_reference(p)
+    reference_ok = models._unconverged == misses
     rows = []
     for h in h_list:
         opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=5,
@@ -217,6 +220,6 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRo
         rows.append(WaveguideRow(h=h, lam_reduced=res.lam,
                                  ratio=res.lam / target, mass_outside=mass,
                                  spacing_s=grid.spacing[0],
-                                 converged=res.converged))
+                                 converged=res.converged and reference_ok))
     return rows
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from semisobolev import waveguide
+from semisobolev import models
 
 
 @pytest.fixture(scope="session")
@@ -10,11 +10,11 @@ def rng():
 
 
 @pytest.fixture
-def fresh_reference():
-    """An empty straight-reference cache before and after the test."""
-    waveguide.straight_reference.cache_clear()
-    yield
-    waveguide.straight_reference.cache_clear()
+def fresh_reference(monkeypatch):
+    """An empty memo of model constants and straight references, and a
+    zero miss count, for the test; the session's memo is back after it."""
+    monkeypatch.setattr(models, "_cache", {})
+    monkeypatch.setattr(models, "_unconverged", 0)
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

@@ -503,15 +503,24 @@ class TestWaveguide:
 
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(minimize, "minimize_quotient",
-                            lambda form, p, opts, coarse=None, start=None:
-                            SimpleNamespace(lam=1.0, converged=False,
-                                            el_residual=1.0))
+        # the reference misses at its first truncation; the rungs converge
+        real = minimize.minimize_quotient
+
+        def solve(form, p, opts, coarse=None, start=None):
+            res = real(form, p, opts, coarse, start)
+            res.converged = opts.seed != 3      # the reference's seed
+            return res
+
+        monkeypatch.setattr(minimize, "minimize_quotient", solve)
+        out = tmp_path / "wg.csv"
         rc = cli.main(["waveguide", "--profile", "constant:1", "--p", "4",
-                       "--h-list", "0.5", "--out", str(tmp_path / "wg.csv")])
-        assert rc == 2
-        assert "straight reference unconverged" in capsys.readouterr().err
-        assert not (tmp_path / "wg.csv").exists()
+                       "--h-list", "0.5,0.25", "--out", str(out)])
+        assert rc == 2      # every row is written, then non-convergence
+        std = capsys.readouterr()
+        assert std.out.rstrip().endswith(", 2 unconverged")
+        assert std.err == ""
+        assert [row[-1] for row in _read(out)[2]] == ["0", "0"]
+        assert models._unconverged == 1
 
 
 class TestDirichletFaces:
@@ -626,6 +635,9 @@ class TestConfigValidation:
          "halfwidth: expected a number > 0"),
         ("domain = rectangle\nV = 1\nbounds = 1 -1 -1 1\n",
          "bounds: each pair needs lo < hi"),
+        # a key is set once, whatever its case
+        ("domain = disk\nGamma = 0\nV = 1\ngamma = -1\n",
+         "gamma: set on lines 2 and 4"),
         # a field that is finite as written but not on every lattice node
         ("domain = disk\nradius = 2\ngamma = quadratic 0 1e308\n",
          "gamma: value inf at x = ("),

@@ -1,4 +1,4 @@
-"""Geometry config files: field presets and domain kinds."""
+"""Geometry config files: field presets, domain kinds and repeated keys."""
 
 import math
 from dataclasses import replace
@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from semisobolev.config import parse_geometry
+from semisobolev.errors import ConfigError
 
 DISK = "domain = disk\nradius = 1.0\n"
 
@@ -89,3 +90,17 @@ def test_gamma_dirichlet_faces(text, bc):
     assert spec.domain.bc == bc
     assert spec.gamma == 0.0
     assert resolved["gamma"] == "dirichlet"
+
+
+@pytest.mark.parametrize("text, message", [
+    (DISK + "V = 1\nV = 5\n", "v: set on lines 3 and 4"),
+    # keys are case-insensitive, so a change of case is the same key
+    (DISK + "Gamma = -0.3\n# a comment line still counts\ngamma = 0\n",
+     "gamma: set on lines 3 and 5"),
+    ("domain = disk\nDOMAIN = rectangle\n", "domain: set on lines 1 and 2"),
+], ids=["V", "gamma-case", "domain"])
+def test_repeated_key(text, message):
+    # a repeat is an error naming the key and both lines, never a silent
+    # override by the last line
+    with pytest.raises(ConfigError, match=f"^{message}$"):
+        parse_geometry(text)

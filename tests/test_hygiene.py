@@ -11,6 +11,9 @@ lists the planned exceptions).  Every `MinimizeOptions` field is set by
 some call in the package, so no option exists for the tests alone.  Every
 CLI subcommand is run by some test.  Only `minimize.py` names
 `minimize_quotient`: every other module solves through `solve_lattice`.
+Only `models.py` names `_cache`, the one memo of values that rest on
+lattice solves, and no function but the closed-form oracle
+`de_gennes_constant` carries a functools memo.
 The checks read the source with `ast`, except five: importing the CLI
 loads no scipy module that only the half-line model and the de Gennes
 constant use, nor scipy.fft, nor scipy.interpolate, since the nested
@@ -250,6 +253,40 @@ def test_the_naming_check_finds_each_kind():
 def test_only_minimize_names_minimize_quotient(path):
     # the coarse lattice and the warm-start rule live in one place
     assert lines_naming(path.read_text(), "minimize_quotient") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "models.py"],
+                         ids=lambda p: p.name)
+def test_only_models_names_the_memo(path):
+    # model constants and straight references share one memo and one
+    # miss count; a second store would bypass both
+    assert lines_naming(path.read_text(), "_cache") == []
+
+
+def functools_memos(source: str) -> list:
+    """(line, decorated function or None) for each line that names
+    `cache` or `lru_cache`."""
+    tree = ast.parse(source)
+    decorated = {d.lineno: node.name for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 for d in node.decorator_list}
+    return [(ln, decorated.get(ln)) for name in ("cache", "lru_cache")
+            for ln in lines_naming(source, name)]
+
+
+def test_the_memo_check_finds_each_kind():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "@functools.cache\ndef a():\n    pass\n"
+              "@lru_cache(maxsize=4)\ndef b():\n    pass\n"
+              "c = functools.cache(len)\n_cache = {}\n")
+    assert sorted(functools_memos(source)) == [
+        (2, None), (3, "a"), (6, "b"), (9, None)]
+
+
+def test_only_the_de_gennes_oracle_carries_a_functools_memo():
+    found = [(path.name, func) for path in MODULES
+             for _, func in functools_memos(path.read_text())]
+    assert found == [("geometry.py", "de_gennes_constant")]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

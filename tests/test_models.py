@@ -15,6 +15,7 @@ from semisobolev import geometry as ge
 from semisobolev import minimize as mz
 from semisobolev import model1d as m1
 from semisobolev import models
+from semisobolev import waveguide as wg
 from semisobolev.config import load_geometry
 from semisobolev.errors import AssumptionViolated, GridTooLarge, NotPositive
 from semisobolev.minimize import MinimizeOptions, minimize_quotient
@@ -292,15 +293,21 @@ class TestCache:
 
         def fake_minimize(form, p, opts, coarse=None, start=None):
             calls.append(p)
-            return types.SimpleNamespace(lam=1.25, converged=converged)
+            return types.SimpleNamespace(lam=1.25, converged=converged,
+                                         psi=None)
 
         monkeypatch.setattr(models, "_cache", {})
+        monkeypatch.setattr(models, "_unconverged", 0)
         monkeypatch.setattr(mz, "minimize_quotient", fake_minimize)
+        # the straight-strip reference shares the memo: two truncations
+        # settle it, and a miss stops at the first
         for _ in range(2):
             assert models._radial_value(4.0, 1.0) == 1.25
             assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
-        assert len(models._cache) == (2 if converged else 0)
-        assert len(calls) == (2 if converged else 4)
+            assert wg.straight_reference(4.0) == 1.25
+        assert len(models._cache) == (3 if converged else 0)
+        assert len(calls) == (4 if converged else 6)
+        assert models._unconverged == (0 if converged else 6)
 
     def test_one_solve_per_key_whatever_the_environment(self, monkeypatch):
         # the magnetic box has one boundary key at p = 2, the constant
