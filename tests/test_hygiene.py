@@ -14,14 +14,15 @@ CLI subcommand is run by some test.  Only `minimize.py` names
 Only `models.py` names `_cache`, the one memo of values that rest on
 lattice solves, and no function but the closed-form oracle
 `de_gennes_constant` carries a functools memo.
-The checks read the source with `ast`, except five: importing the CLI
-loads no scipy module that only the half-line model and the de Gennes
-constant use, nor scipy.fft, nor scipy.interpolate, since the nested
-solves prolong with numpy; it does load scipy.sparse.linalg, which
-SuperLU needs; a `model1d` run loads neither the ODE integrator nor
-the optimizer, which only its oracle and the de Gennes constant use;
-and the benchmark's probe, which rebinds module globals, sees every
-solve of a straight-strip reference.
+The checks read the source with `ast`, except six: importing the CLI
+loads no scipy module that only the oracles use, nor scipy.fft, nor
+scipy.interpolate, since the nested solves prolong with numpy; it does
+load scipy.sparse.linalg, which SuperLU needs; a `model1d` run, and a
+`concentration` run on an interval at p = 4, whose boundary constants
+are half-line closed forms, load none of the oracles' scipy modules
+(these five read one interpreter's module table); and the benchmark's
+probe, which rebinds module globals, sees every solve of a
+straight-strip reference.
 """
 
 import argparse
@@ -352,44 +353,69 @@ def _run(code: str):
     return ast.literal_eval(out.strip().splitlines()[-1])
 
 
-def _loaded_after(code: str, modules) -> list:
-    """Which of `modules` a fresh interpreter has loaded after `code`."""
-    return _run(code + f"\nprint(sorted(m for m in {tuple(modules)!r} "
-                "if m in sys.modules))")
+# scipy.optimize and scipy.integrate add about half to the import time;
+# model1d.integrate_trajectory, the ODE oracle, loads scipy.integrate, and
+# geometry.de_gennes_constant loads scipy.special and scipy.optimize, both
+# at their call sites
+ORACLE_MODULES = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
 
-def test_cli_import_loads_no_ode_or_optimizer():
-    # scipy.optimize and scipy.integrate add about half to the import time;
-    # model1d.integrate_trajectory loads scipy.integrate, the model1d
-    # closed forms load scipy.special, and geometry.de_gennes_constant
-    # loads scipy.special and scipy.optimize, all at their call sites; the
-    # Fourier preconditioner uses numpy.fft, since scipy.fft adds about 0.1 s
-    assert _loaded_after("import sys, semisobolev.cli",
-                         ("scipy.optimize", "scipy.integrate",
-                          "scipy.special", "scipy.fft")) == []
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    """The scipy modules one fresh interpreter has loaded after importing
+    the CLI (`import`), then after a `model1d` run, then after an interval
+    `concentration` run at p = 4.  A snapshot includes the steps before
+    it, so a module that one step loads shows in every later one."""
+    work = tmp_path_factory.mktemp("loaded")
+    cfg = work / "interval.cfg"
+    cfg.write_text("domain = interval\nbounds = -1 1\nbc = robin robin\n"
+                   "V = 1.0\ngamma = -0.3\n")
+    runs = {"model1d": ["model1d", "--p", "4", "--sweep=-0.9:0.9:81",
+                        "--out", str(work / "m.csv")],
+            "concentration": ["concentration", "--config", str(cfg),
+                              "--p", "4", "--out", str(work / "c.csv")]}
+    return _run(
+        "from semisobolev import cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "loaded = {'import': scipy_modules()}\n"
+        f"for name, argv in {runs!r}.items():\n"
+        "    assert cli.main(argv) == 0, name\n"
+        "    loaded[name] = scipy_modules()\n"
+        "print(loaded)")
 
 
-def test_cli_import_loads_no_interpolate():
+def _among(modules, names) -> list:
+    return [m for m in names if m in modules]
+
+
+def test_cli_import_loads_no_ode_or_optimizer(loaded):
+    # the Fourier preconditioner uses numpy.fft, since scipy.fft adds
+    # about 0.1 s
+    assert _among(loaded["import"], ORACLE_MODULES + ("scipy.fft",)) == []
+
+
+def test_cli_import_loads_no_interpolate(loaded):
     # the nested solves prolong with numpy alone; scipy.interpolate would
     # add to every subcommand's set-up time
-    assert _loaded_after("import sys, semisobolev.cli",
-                         ("scipy.interpolate",)) == []
+    assert _among(loaded["import"], ("scipy.interpolate",)) == []
 
 
-def test_cli_import_loads_sparse_linalg():
+def test_cli_import_loads_sparse_linalg(loaded):
     # SuperLU's subpackage is imported with the package, so its import
     # time is set-up and not part of the first factorization
-    assert _loaded_after("import sys, semisobolev.cli",
-                         ("scipy.sparse.linalg",)) == ["scipy.sparse.linalg"]
+    assert _among(loaded["import"], ("scipy.sparse.linalg",)) == [
+        "scipy.sparse.linalg"]
 
 
-def test_model1d_run_loads_no_ode_or_optimizer(tmp_path):
-    # the closed forms need scipy.special only
-    code = ("import sys\nfrom semisobolev import cli\n"
-            f"assert cli.main(['model1d', '--p', '4', '--sweep=-0.9:0.9:81', "
-            f"'--out', {str(tmp_path / 'm.csv')!r}]) == 0")
-    assert _loaded_after(code, ("scipy.optimize", "scipy.integrate",
-                                "scipy.special")) == ["scipy.special"]
+def test_model1d_run_loads_no_ode_or_optimizer(loaded):
+    # the closed forms take their incomplete beta function from model1d
+    assert _among(loaded["model1d"], ORACLE_MODULES) == []
+
+
+def test_interval_concentration_loads_no_special_functions(loaded):
+    # every d = 1 boundary constant is a model1d closed form
+    assert _among(loaded["concentration"], ORACLE_MODULES) == []
 
 
 def test_the_benchmark_probe_sees_every_solve():

@@ -1,12 +1,14 @@
 """Half-line Robin model: closed forms against the DOP853 orbit and quadrature."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import betainc
 from scipy.special import gamma as gamma_fn
 
 from semisobolev import model1d as m1
@@ -180,6 +182,66 @@ class TestClosedForms:
             m1.lambda_c_points([0.1], p)
         with pytest.raises(InvalidExponent):
             m1.soliton_line(p)
+
+
+class TestSymmetricBeta:
+    """The in-package I_x(a, a), x = (1 + c)/2, against SciPy's betainc and
+    exact identities."""
+
+    CS = ([float(c) for c in np.linspace(-0.999, 0.999, 401)]
+          + [s * c for c in (0.9999999, 1e-6, 0.01) for s in (1.0, -1.0)])
+
+    @pytest.mark.parametrize("p,rtol", [
+        (2.000001, 1e-11), (2.0001, 1e-11), (2.01, 1e-13), (2.05, 1e-13),
+        (2.2, 1e-13), (2.5, 1e-13), (3.0, 1e-13), (4.0, 1e-13), (6.0, 1e-13),
+        (10.0, 1e-13), (100.0, 1e-13), (1e3, 1e-13), (1e6, 1e-13)])
+    def test_against_scipy(self, p, rtol):
+        a = 2.0 / (p - 2.0) + 1.0
+        tiny = np.finfo(float).tiny
+        for c in self.CS:
+            value = m1._symmetric_betainc(a, c)
+            ref = float(betainc(a, a, (1.0 + c) / 2.0))
+            # the underflow refusal of lambda_c_points agrees with SciPy's
+            assert (value < tiny) == (ref < tiny), c
+            if ref >= tiny:
+                assert value == pytest.approx(ref, rel=rtol), c
+
+    def test_closed_forms_at_a_one_and_two(self):
+        for c in self.CS:
+            x = (1.0 + c) / 2.0
+            assert m1._symmetric_betainc(1.0, c) == pytest.approx(x, rel=1e-15)
+            assert m1._symmetric_betainc(2.0, c) == pytest.approx(
+                x * x * (3.0 - 2.0 * x), rel=2e-15)
+
+    @pytest.mark.parametrize("a", [1.0, 1.5, 2.0, 201.0, 2e6])
+    def test_symmetry(self, a):
+        assert m1._symmetric_betainc(a, 0.0) == 0.5
+        assert m1._symmetric_betainc(a, -0.0) == 0.5
+        for c in self.CS:
+            total = m1._symmetric_betainc(a, c) + m1._symmetric_betainc(a, -c)
+            assert abs(total - 1.0) <= 2.0 * math.ulp(1.0), c
+
+    def test_unsettled_fraction_is_refused(self, monkeypatch):
+        # p = 2.01, c = 0.01 settles in 31 pairs of steps, not in 5
+        assert m1.lambda_c_points([0.01], 2.01)[0].lam > 0.0
+        monkeypatch.setattr(m1, "_CF_PAIRS", 5)
+        with pytest.raises(ToleranceNotMet, match="not settled"):
+            m1.lambda_c_points([0.01], 2.01)
+
+    def test_next_to_two(self):
+        # a = 2e12: the row is refused or right, and is cheap either way
+        p, c = 2.0 + 1e-12, 1e-7
+        a = 2.0 / (p - 2.0) + 1.0
+        start = time.perf_counter()
+        try:
+            (row,) = m1.lambda_c_points([c], p)
+        except ToleranceNotMet:
+            row = None
+        assert time.perf_counter() - start < 0.05
+        if row is not None:
+            ref = m1.soliton_line(p) * float(
+                betainc(a, a, (1.0 + c) / 2.0)) ** (1.0 / a)
+            assert row.lam == pytest.approx(ref, rel=1e-10)
 
 
 class TestNoEventFallback:
