@@ -454,11 +454,11 @@ class AssembledForm:
         exact Fourier-capacitance solve `_FourierSolve` when K stores
         nothing off the diagonals 0, +-1, +-m1 and P's diagonals (K's plus
         tau w) match the fitted factors.  The tensor solve covers field-free
-        boxes, the half- and whole-plane models with constant V and gamma,
-        and the waveguide strip, whose coefficients vary along s only.  The
-        Fourier solve covers a constant field in Landau gauge on such boxes:
-        the magnetic half- and whole-plane models and constant-field
-        rectangles with constant V and gamma.
+        boxes, the half-plane model with constant V and gamma, and the
+        waveguide strip, whose coefficients vary along s only.  The Fourier
+        solve covers a constant field in Landau gauge on such boxes: the
+        magnetic half-plane model and constant-field rectangles with
+        constant V and gamma.
 
         Everything else gets SuperLU of P, the one path that forms P: disks,
         magnetic forms in other gauges or with varying data, and the

@@ -5,7 +5,7 @@ Polak-Ribiere+ nonlinear conjugate gradients in the metric of the shifted
 operator P = K + tau M, which removes the mesh-scale stiffness of the raw
 gradient flow (as for Gross-Pitaevskii ground states: Antoine, Levitt and
 Tang, J. Comput. Phys. 343, 2017).  Real forms on 2-D boxes (the model
-half- and whole-planes, the waveguide strip) solve P exactly by a one-axis
+half-planes, the waveguide strip) solve P exactly by a one-axis
 fast diagonalization, and magnetic ones in Landau gauge (the magnetic
 models, constant-field rectangles) by an FFT along x1 with a capacitance
 correction; disks, d = 1 and the other magnetic forms use an MMD-ordered

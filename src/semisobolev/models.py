@@ -8,17 +8,20 @@ the semiclassical problem localize near its argmin set M.  The field
 enters the models only through b = |b(x)|, which is Tr+ B in the plane.
 
 In d = 1 every constant is a `model1d` closed form: the whole-line soliton
-inside, the shifted soliton lambda_c on the half-line.  In d = 2 with no
-field the whole-plane minimizer may be taken radial: Schwarz
-symmetrization keeps the L^p and L^2 norms and does not raise the
-Dirichlet energy.  So that constant is one solve of the radial form on a
-half-line lattice (`_grid_value`), and the Neumann half plane is exactly
-2^{2/p - 1} times it, since even reflection doubles the energy and the
-p-th power of the L^p norm alike.  The other d = 2 constants are grid
-solves at h = 1 on truncated planar lattices, the field in the Landau
-gauge A = (-b x2, 0).  That gauge is parallel to the half-plane boundary and
-leaves the lattice invariant along x1, so the descent's preconditioner is
-the exact Fourier solve of `discretize`; any other gauge is a lattice
+inside, the shifted soliton lambda_c on the half-line.  In d = 2 every
+whole-plane constant is one radial solve (`_grid_value`): in symmetric
+gauge a real radial u has |(-i grad - A) u|^2 = u'^2 + (b r / 2)^2 u^2.
+With no field that is exact, since Schwarz symmetrization keeps the L^p and
+L^2 norms and does not raise the Dirichlet energy, and the Neumann half
+plane is exactly 2^{2/p - 1} times it (even reflection doubles the energy
+and the p-th power of the L^p norm alike).  With a field it is an upper
+bound: a radial minimizer at p > 2 is not a theorem (Esteban and Lions,
+1989, prove existence only), but it meets the 2-D lattice in every case
+measured.  The half-plane constants are grid solves at h = 1 on truncated
+planar lattices, capped at p > 2 by the interior constant, the field in
+the Landau gauge A = (-b x2, 0).  That gauge is parallel to the boundary
+and leaves the lattice invariant along x1, so the descent's preconditioner
+is the exact Fourier solve of `discretize`; any other gauge is a lattice
 gauge transform of it and gives the same constants.  Exact zoom scalings
 collapse the parameter space before any grid work:
 
@@ -80,7 +83,9 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
                 centers: tuple = ()) -> float:
     """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
 
-    Kind "rad" is a field-free whole plane solved as a radial form on the
+    Kind "rad" is a whole plane solved as a radial form, a field b as the
+    potential (b r / 2)^2 of the symmetric gauge (an upper bound that
+    matches the 2-D lattice where measured, not a theorem), on the
     half-line lattice of `spec`, nodes r_j = j dr.  Each node weighs the
     area of its annulus, 2 pi r_j dr, and the centre node the disk
     pi dr^2 / 4; each edge carries the flux coefficient
@@ -113,21 +118,13 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
     return memo(key, lambda: solve_lattice(form, spacing, key[1], opts))
 
 
-def _radial_value(p: float, v: float) -> float:
-    """Radial solve of the field-free whole-plane model at h = 1."""
-    scale = 1.0 / math.sqrt(max(v, 0.25))
-    spec = GeometrySpec(domain=geometry.half_line(20.0 * scale), V=v,
-                        gamma=0.0)
-    return _grid_value(("rad", p, round(v, 12)), spec,
+def _radial_value(p: float, b: float, v: float) -> float:
+    """Radial solve of the whole plane at h = 1, field b in {0, 1}."""
+    scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
+    spec = GeometrySpec(domain=geometry.half_line(20.0 * scale),
+                        V=lambda pts: v + (0.5 * b * pts[:, 0]) ** 2)
+    return _grid_value(("rad", p, b, round(v, 12)), spec,
                        scale / _RADIAL_STEPS, ((0.0,),))
-
-
-def _whole_space_value(p: float, v: float) -> float:
-    """Grid solve of the whole-plane model at h = 1 with unit field."""
-    scale = 1.0 / math.sqrt(1.0 + max(v, 0.0))
-    spec = GeometrySpec(domain=geometry.plane(10.0 * scale), V=v,
-                        A=geometry.landau_gauge(1.0), gamma=0.0)
-    return _grid_value(("int", p, round(v, 12)), spec, scale / 12.0)
 
 
 def _half_space_value(p: float, b: float, v: float, g: float) -> float:
@@ -153,11 +150,11 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
 
     b = Tr+ B >= 0 is the scalar the field enters by; it must be 0 when
     dim = 1 (ValueError).  p = 2 is the exact Landau value b + V0; p > 2
-    is V0^e soliton_line(p) in d = 1.  In d = 2 it is a grid solve at
-    h = 1, reduced by the zoom scaling to a normalized cached instance:
-    with no field, V0^e times the radial solve at V = 1 (Schwarz
-    symmetrization leaves a radial minimizer), else a planar lattice at
-    unit field.  Raises NotPositive when the p = 2 value is not positive.
+    is V0^e soliton_line(p) in d = 1.  In d = 2 it is n^e times the
+    radial solve at V0/n, n = b at unit field or n = V0 with none: exact
+    with no field, and with a field an upper bound that matches the 2-D
+    Landau lattice where measured, not a theorem.  Raises NotPositive when
+    the p = 2 value is not positive.
     """
     _check_field(b, dim)
     check_exponent(p)
@@ -169,9 +166,8 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
     e = _scaling_exponent(dim, p)
     if dim == 1:
         return V0 ** e * model1d.soliton_line(p)
-    if b == 0.0:
-        return V0 ** e * _radial_value(p, 1.0)
-    return b ** e * _whole_space_value(p, V0 / b)
+    n = b if b > 0.0 else V0
+    return n ** e * _radial_value(p, float(b > 0.0), V0 / n)
 
 
 def boundary_constant(b: float, V0: float, gamma0: float, p: float,
@@ -193,19 +189,22 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     the energy and the p-th power of the L^p norm of a Neumann
     half-plane function, so it multiplies the quotient by 2^{1 - 2/p};
     and the radial whole-plane minimizer, even in the normal, restricts
-    to a half-plane function at exactly that ratio.  With no field and
-    c != 0 the value is the smaller of the half-plane lattice value and
-    interior_constant(0, V0, p).  The true constant obeys that bound: a
-    whole-plane test function shifted away from the boundary stops
+    to a half-plane function at exactly that ratio.  Otherwise the value is
+    the smaller of the half-plane lattice value (at unit field, V0/b and
+    gamma0/sqrt(b) when b > 0) and interior_constant(b, V0, p); a field's
+    p = 2 value is the lattice alone.  The true constant obeys that bound:
+    a whole-plane test function shifted away from the boundary stops
     feeling gamma0.  The truncated half-plane lattice breaks it once its
-    minimizer leaves the Robin face, for c past about 1.
+    minimizer leaves the Robin face (c past about 1; gamma0 = 3 at b = 1).
     """
     _check_field(b, dim)
     check_exponent(p)
     e = _scaling_exponent(dim, p)
     if b > 0.0:
-        s = math.sqrt(b)
-        return b ** e * _half_space_value(p, 1.0, V0 / b, gamma0 / s)
+        lam = _half_space_value(p, 1.0, V0 / b, gamma0 / math.sqrt(b))
+        if p > 2.0:
+            lam = min(lam, _radial_value(p, 1.0, V0 / b))
+        return b ** e * lam
     if p == 2.0:
         return V0 - gamma0 * gamma0 if gamma0 < 0.0 else V0
     c = gamma0 / math.sqrt(V0) if V0 > 0.0 else -math.inf
@@ -215,7 +214,7 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     if dim == 1:
         lam = model1d.soliton_line(p) if c >= 1.0 else model1d.lambda_c(c, p)
         return V0 ** e * lam
-    whole = _radial_value(p, 1.0)
+    whole = _radial_value(p, 0.0, 1.0)
     if c == 0.0:
         return 2.0 ** (2.0 / p - 1.0) * V0 ** e * whole
     return V0 ** e * min(_half_space_value(p, 0.0, 1.0, c), whole)

@@ -58,7 +58,7 @@ class TestInteriorConstant:
         # the lattice is the V = 1 lattice zoomed by 1/sqrt(2), so the
         # scaling holds to rounding
         fast = models.interior_constant(0.0, 2.0, 4.0, dim=2)
-        direct = models._radial_value(4.0, 2.0)
+        direct = models._radial_value(4.0, 0.0, 2.0)
         assert fast == pytest.approx(direct, rel=1e-12)
 
     def test_radial_value_is_second_order_to_townes(self, monkeypatch):
@@ -69,10 +69,44 @@ class TestInteriorConstant:
         for steps in (50, 100):
             monkeypatch.setattr(models, "_cache", {})
             monkeypatch.setattr(models, "_RADIAL_STEPS", steps)
-            lams.append(models._radial_value(4.0, 1.0))
+            lams.append(models._radial_value(4.0, 0.0, 1.0))
         coarse, fine = lams
         assert math.log2((coarse - exact) / (fine - exact)) >= 1.9
         assert abs((4.0 * fine - coarse) / 3.0 - exact) <= 1e-7
+
+    @pytest.mark.parametrize("v", [-0.9, 0.0, 1.0, 5.0])
+    def test_radial_field_term_gives_landau(self, v):
+        # at p = 2 the radial form with potential v + r^2/4 has the Landau
+        # ground state e^{-r^2/4} at energy 1 + v
+        lam = models._radial_value(2.0, 1.0, v)
+        assert lam == pytest.approx(1.0 + v, abs=1e-5)
+
+    @pytest.mark.parametrize("p, v", [(2.5, 0.0), (4.0, -0.9), (4.0, 1.0)])
+    def test_radial_value_meets_the_landau_lattice(self, p, v, monkeypatch):
+        # the magnetic radial value at dr and dr/2 against the 2-D Landau
+        # lattice at scale/8 and scale/16 on plane(5 scale): the Richardson
+        # values agree to 5e-4, and the lattice, low by its mesh error, is
+        # not above the radial upper bound
+        scale = 1.0 / math.sqrt(1.0 + max(v, 0.0))
+        radial = []
+        for steps in (100, 200):
+            monkeypatch.setattr(models, "_cache", {})
+            monkeypatch.setattr(models, "_RADIAL_STEPS", steps)
+            radial.append(models._radial_value(p, 1.0, v))
+        spec = ge.GeometrySpec(domain=ge.plane(5.0 * scale), V=v,
+                               A=ge.landau_gauge(1.0), gamma=0.0)
+        opts = MinimizeOptions(grad_tol=1e-7, restarts=0,
+                               centers=((0.0, 0.0),))
+        lattice = []
+        for n in (8, 16):
+            form = dz.assemble(spec, 1.0, dz.build_grid(spec, scale / n))
+            res = minimize_quotient(form, p, opts)
+            assert res.converged
+            lattice.append(res.lam)
+        richardson = [(4.0 * fine - coarse) / 3.0
+                      for coarse, fine in (radial, lattice)]
+        assert richardson[0] == pytest.approx(richardson[1], rel=5e-4)
+        assert lattice[1] <= radial[0]
 
 
 class TestBoundaryConstant:
@@ -146,14 +180,16 @@ class TestBoundaryConstant:
             assert bd < it
 
     def test_d2_field_free_below_interior(self):
-        # past c = 1 the truncated half plane squeezes its minimizer
-        # against the truncation (4.86443 at c = 1.5); the constant is
-        # capped by the interior one, so it does not fall as c grows
-        interior = models.interior_constant(0.0, 1.0, 4.0)
-        at_1 = models.boundary_constant(0.0, 1.0, 1.0, 4.0)
-        at_15 = models.boundary_constant(0.0, 1.0, 1.5, 4.0)
-        assert at_15 <= interior
-        assert at_1 <= at_15
+        # at large gamma the truncated half plane squeezes its minimizer
+        # against the truncation (4.86443 at b = 0, gamma = 1.5; 5.39207
+        # at b = 1, gamma = 3); the constant is capped by the interior one
+        # at the same b and V, so it does not fall as gamma grows
+        for b, gammas in ((0.0, (1.0, 1.5)), (1.0, (1.0, 3.0))):
+            interior = models.interior_constant(b, 1.0, 4.0)
+            low, high = (models.boundary_constant(b, 1.0, g, 4.0)
+                         for g in gammas)
+            assert high <= interior
+            assert low <= high
 
     def test_neumann_half_plane_lattice_agrees(self):
         # the reflected radial value against the 2-D half-plane lattice
@@ -302,7 +338,7 @@ class TestCache:
         # the straight-strip reference shares the memo: two truncations
         # settle it, and a miss stops at the first
         for _ in range(2):
-            assert models._radial_value(4.0, 1.0) == 1.25
+            assert models._radial_value(4.0, 0.0, 1.0) == 1.25
             assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
             assert wg.straight_reference(4.0) == 1.25
         assert len(models._cache) == (3 if converged else 0)
@@ -312,41 +348,45 @@ class TestCache:
     def test_one_solve_per_key_whatever_the_environment(self, monkeypatch):
         # the magnetic box has one boundary key at p = 2, the constant
         # field at gamma = 0; its 16 edge samples solve it once and the
-        # interior samples take the Landau value
-        monkeypatch.setattr(models, "_cache", {})
+        # interior samples take the Landau value.  At p = 4 the p = 2 and
+        # p = 4 boundary keys are the two 2-D lattices, and every interior
+        # sample and the boundary cap share one radial form
         calls = []
         real = mz.minimize_quotient
 
         def counting(form, p, opts=None, coarse=None, start=None):
-            calls.append(form.n)
+            calls.append(form.grid.dim)
             return real(form, p, opts, coarse, start)
 
         monkeypatch.setattr(mz, "minimize_quotient", counting)
         spec, _ = load_geometry(BOX_CFG)
-        cmap = models.concentration_map(
-            spec, asymptotics.default_sample_points(spec), 2.0)
-        assert sum(s.kind == "boundary" for s in cmap.samples) == 16
-        assert len(calls) == 1
+        for p, dims in ((2.0, [2]), (4.0, [1, 2, 2])):
+            monkeypatch.setattr(models, "_cache", {})
+            calls.clear()
+            cmap = models.concentration_map(
+                spec, asymptotics.default_sample_points(spec), p)
+            assert sum(s.kind == "boundary" for s in cmap.samples) == 16
+            assert sorted(calls) == dims
 
 
 class TestFourierPath:
-    """The magnetic models are built in Landau gauge, so their lattices take
-    the exact Fourier-capacitance preconditioner, and its constants equal
-    the SuperLU ones within the solve tolerance."""
+    """The magnetic half-plane models are built in Landau gauge, so their
+    lattices take the exact Fourier-capacitance preconditioner, and its
+    constants equal the SuperLU ones within the solve tolerance."""
 
     def test_model_lattices_take_the_fourier_path(self, monkeypatch):
         forms = []
 
         def coarse(key, spec, spacing, centers=()):
-            grid = dz.build_grid(spec, np.multiply(4, spacing))
-            forms.append(dz.assemble(spec, 1.0, grid))
+            if key[0] != "rad":     # the p > 2 interior cap is a 1-D form
+                grid = dz.build_grid(spec, np.multiply(4, spacing))
+                forms.append(dz.assemble(spec, 1.0, grid))
             return 1.0
 
         monkeypatch.setattr(models, "_grid_value", coarse)
-        models.interior_constant(1.0, 1.0, 4.0)
         models.boundary_constant(1.0, 1.0, -0.3, 4.0)
         models.boundary_constant(1.0, 1.0, 0.0, 2.0)
-        assert len(forms) == 3
+        assert len(forms) == 2
         for form in forms:
             assert form.is_complex
             assert isinstance(form.preconditioner(), dz._FourierSolve)
