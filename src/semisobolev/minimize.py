@@ -42,10 +42,11 @@ ending within _TIE of a value already polished (`merged`), is not
 polished.  This is the nested iteration of full multigrid (Brandt, Math.
 Comp. 31, 1977), applied to the starts instead of to a linear solve.
 A caller that already holds a field in the minimizer's basin (the
-minimizer on a shorter truncation of the same strip) passes it as the
-one `start` in place of the bumps and random fields.  Every lattice
-solve of the package enters through `solve_lattice`, which builds both
-lattices and decides whether a coarse stage runs, with or without a start.
+minimizer on a shorter truncation of the same strip, or the straight-strip
+minimizer zoomed onto a waveguide rung) passes it as the one `start` in
+place of the bumps and random fields.  Every lattice solve of the package
+enters through `solve_lattice`, which builds both lattices and decides
+whether a coarse stage runs, with or without a start.
 
 At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
 its minimum the lowest eigenvalue.  The descent runs once, from a random
@@ -470,11 +471,12 @@ def minimize_quotient(form: AssembledForm, p: float,
     value.  The `restart_*` lists describe the fine descents alone, the
     `coarse_*` lists the coarse stage, one entry per start.
 
-    `start`, a field on any lattice of the same domain (a minimizer on a
-    shorter truncation, say), replaces those starts at every p: it is the
-    one start, moved by `discretize.prolong` onto the first lattice that
-    descends (`coarse` when given, else `form`).  Whether that lattice is
-    the coarse one is decided by `solve_lattice`.
+    `start`, a field on any lattice in the coordinates of `form` (a
+    minimizer on a shorter truncation, or one zoomed from a model strip),
+    replaces those starts at every p: it is the one start, moved by
+    `discretize.prolong` onto the first lattice that descends (`coarse`
+    when given, else `form`).  Whether that lattice is the coarse one is
+    decided by `solve_lattice`.
     """
     opts = opts or MinimizeOptions()
     check_exponent(p)

@@ -47,7 +47,7 @@ from .errors import AssumptionViolated, NotPositive
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, solve_lattice
 
-_cache: dict = {}      # scaled model or strip key -> converged value
+_cache: dict = {}      # scaled model or strip key -> converged result
 _unconverged = 0       # memo misses so far: solves not stored
 _DELTA = 0.02          # relative tolerance of the argmin set M
 _EPS = 0.2             # dilation radius of M_eps for the exterior mass
@@ -66,17 +66,23 @@ def _scaling_exponent(d: int, p: float) -> float:
 
 
 def memo(key: tuple, solve) -> float:
-    """The value stored under `key`, else solve().lam, stored if converged;
-    a miss adds one to `_unconverged`, and the next call solves again."""
+    """The lambda stored under `key`, else that of solve(); a converged
+    result is stored as solve() returned it (`stored` reads it back), and
+    a miss adds one to `_unconverged`, so the next call solves again."""
     if key in _cache:
-        return _cache[key]
+        return _cache[key].lam
     res = solve()
     if res.converged:
-        _cache[key] = res.lam
+        _cache[key] = res
     else:
         global _unconverged
         _unconverged += 1
     return res.lam
+
+
+def stored(key: tuple):
+    """The converged result `memo` holds under `key`, or None."""
+    return _cache.get(key)
 
 
 def _grid_value(key: tuple, spec: GeometrySpec, spacing,
@@ -95,7 +101,9 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
 
     The value goes through `memo`, the memo that the straight-strip
     reference of `waveguide` shares: an unconverged solve is a miss,
-    counted and not stored.  One random restart
+    counted and not stored, and a stored result drops its field, which
+    nothing reads (a half-plane field with its grid is about 3 MB, and a
+    map stores a key per distinct frozen (V, b, gamma)).  One random restart
     runs after the bump init; a random start that wanders into the
     interior-soliton valley stops as `outpaced` once it cannot come down
     to the bump's converged value.  Every start descends first on the
@@ -114,8 +122,13 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
                            edge_coeff=2.0 * math.pi * mid / dr)
         return assemble(spec, 1.0, grid)
 
-    opts = MinimizeOptions(grad_tol=1e-7, restarts=1, centers=centers)
-    return memo(key, lambda: solve_lattice(form, spacing, key[1], opts))
+    def solve():
+        res = solve_lattice(form, spacing, key[1], MinimizeOptions(
+            grad_tol=1e-7, restarts=1, centers=centers))
+        res.psi = None
+        return res
+
+    return memo(key, solve)
 
 
 def _radial_value(p: float, b: float, v: float) -> float:
@@ -192,7 +205,9 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     to a half-plane function at exactly that ratio.  Otherwise the value is
     the smaller of the half-plane lattice value (at unit field, V0/b and
     gamma0/sqrt(b) when b > 0) and interior_constant(b, V0, p); a field's
-    p = 2 value is the lattice alone.  The true constant obeys that bound:
+    p = 2 value is the lattice alone, and at p > 2 NotPositive is raised
+    when that memoized p = 2 value is not positive (it is -0.086 at b = 1,
+    V0 = -0.7, although b + V0 > 0).  The true constant obeys that bound:
     a whole-plane test function shifted away from the boundary stops
     feeling gamma0.  The truncated half-plane lattice breaks it once its
     minimizer leaves the Robin face (c past about 1; gamma0 = 3 at b = 1).
@@ -201,9 +216,13 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     check_exponent(p)
     e = _scaling_exponent(dim, p)
     if b > 0.0:
-        lam = _half_space_value(p, 1.0, V0 / b, gamma0 / math.sqrt(b))
+        v, g = V0 / b, gamma0 / math.sqrt(b)
+        if p > 2.0 and _half_space_value(2.0, 1.0, v, g) <= 0.0:
+            raise NotPositive(f"b = {b}, V = {V0}, gamma = {gamma0}: the "
+                              "p = 2 half-space value is not positive")
+        lam = _half_space_value(p, 1.0, v, g)
         if p > 2.0:
-            lam = min(lam, _radial_value(p, 1.0, V0 / b))
+            lam = min(lam, _radial_value(p, 1.0, v))
         return b ** e * lam
     if p == 2.0:
         return V0 - gamma0 * gamma0 if gamma0 < 0.0 else V0

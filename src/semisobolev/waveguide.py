@@ -17,7 +17,9 @@ which is also exact on matched lattices; variable profiles approach this
 value as h -> 0 while the minimizer concentrates near the maxima of a.
 The straight-strip constant lambda^Dir(Sigma, p) is computed once on a
 sigma-grid with the same resolution so that leading mesh errors cancel in
-the reported ratios.
+the reported ratios.  Its minimizer, zoomed by the same rescale onto the
+s-lattice of a rung, is the model minimizer the semiclassical picture
+puts at the widest point, and it is each rung's one start.
 """
 
 from __future__ import annotations
@@ -141,8 +143,9 @@ def _solve(profile: WidthProfile, h: float, p: float, opts: MinimizeOptions,
            s_halfwidth: float | None = None,
            start: WaveFunction | None = None):
     """The minimizer of the strip form at h, nested in the strip at twice
-    both spacings; `solve_lattice` decides where a `start` (the minimizer
-    on a shorter truncation, padded with zeros) descends."""
+    both spacings; `solve_lattice` decides where a `start` descends (the
+    minimizer on a shorter truncation, padded with zeros, or the zoomed
+    straight-strip minimizer, `_zoomed`)."""
     return solve_lattice(
         lambda s: assemble_waveguide_form(profile, h, p, s_halfwidth, s),
         _spacing(profile, h), p, opts, start)
@@ -160,7 +163,8 @@ def straight_reference(p: float) -> float:
     their distinct minima are polished.  Each doubling continues from the
     previous truncation's minimizer, padded with zeros, as its one start,
     which `solve_lattice` polishes on the fine strip alone for p > 2 and
-    takes through the coarse strip at p = 2.  The value is kept under
+    takes through the coarse strip at p = 2.  The converged result, its
+    minimizer with it (the start of every rung), is kept under
     ("strip", p) in `models.memo`, shared with the model constants: an
     unconverged truncation, or a value still moving after _REF_DOUBLINGS
     doublings, is a miss, counted and not stored, and the last
@@ -183,6 +187,21 @@ def straight_reference(p: float) -> float:
     return models.memo(("strip", p), solve)
 
 
+def _zoomed(psi: WaveFunction, profile: WidthProfile, h: float) -> WaveFunction:
+    """The straight-strip field psi(sigma, t) at s = s_max + h a_max sigma:
+    the same values on a copy of its grid with s zoomed, whose s-spacing
+    is then that of the strip lattice at h (`_spacing`)."""
+    grid = psi.grid
+    zoom = h * profile.a_max
+    points = grid.points.copy()
+    points[:, 0] = profile.s_max + zoom * points[:, 0]
+    (lo, hi), _ = grid.domain.bounds
+    return WaveFunction(replace(
+        grid, points=points, spacing=(zoom * grid.spacing[0], grid.spacing[1]),
+        domain=geometry.strip(profile.s_max + zoom * lo,
+                              profile.s_max + zoom * hi)), psi.values)
+
+
 @dataclass
 class WaveguideRow:
     h: float
@@ -202,16 +221,24 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRo
     stretched-exponentially.  A row is converged only if its rung and the
     reference are; a miss of the reference is counted, not stored, in the
     memo it shares with the model constants, and every row is still made.
+
+    Every rung starts from the stored reference minimizer, zoomed onto its
+    lattice (`_zoomed`): at p > 2 the fine strip polishes it alone, and at
+    p = 2 it descends on the coarse strip first (`solve_lattice`).  Only
+    when the reference missed, so nothing is stored, does a rung start
+    from a bump at the argmax and a random field, each on the coarse strip.
     """
     misses = models._unconverged
     ref = straight_reference(p)
     reference_ok = models._unconverged == misses
+    model = models.stored(("strip", p))
     rows = []
     for h in h_list:
         opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=5,
                                centers=((profile.s_max, 0.0),),
                                bump_width=max(h * profile.a_max, 2e-2))
-        res = _solve(profile, h, p, opts)
+        res = _solve(profile, h, p, opts, start=None if model is None
+                     else _zoomed(model.psi, profile, h))
         target = h ** (1.0 - 2.0 / p) * profile.a_max ** (-4.0 / p) * ref
         grid = res.psi.grid
         s = grid.points[:, 0]

@@ -11,7 +11,7 @@ lists the planned exceptions).  Every `MinimizeOptions` field is set by
 some call in the package, so no option exists for the tests alone.  Every
 CLI subcommand is run by some test.  Only `minimize.py` names
 `minimize_quotient`: every other module solves through `solve_lattice`.
-Only `models.py` names `_cache`, the one memo of values that rest on
+Only `models.py` names `_cache`, the one memo of the results of
 lattice solves, and no function but the closed-form oracle
 `de_gennes_constant` carries a functools memo.
 The checks read the source with `ast`, except six: importing the CLI
@@ -22,7 +22,8 @@ load scipy.sparse.linalg, which SuperLU needs; a `model1d` run, and a
 are half-line closed forms, load none of the oracles' scipy modules
 (these five read one interpreter's module table); and the benchmark's
 probe, which rebinds module globals, sees every solve of a
-straight-strip reference.
+straight-strip reference, and one reference span in a waveguide sweep,
+its rungs outside it.
 """
 
 import argparse
@@ -438,3 +439,35 @@ def test_the_benchmark_probe_sees_every_solve():
               if name == "minimize.minimize_quotient"]
     assert solves == ["waveguide.straight_reference"] * 2
     assert [name for name, _ in spans].count("waveguide.assemble") == 3
+
+
+def test_the_benchmark_probe_sees_one_reference_per_sweep():
+    # a sweep calls `straight_reference` through its module global, so the
+    # probe records its value; the rungs then read the stored minimizer
+    # from the memo, and their solves sit under the sweep, not the reference
+    code = (f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+            "import time\nimport semisobolev.cli\n"
+            "from semisobolev import models, waveguide\n"
+            "from probe import Tracer, install\n"
+            "tracer = Tracer(time.perf_counter())\n"
+            "install(tracer, trace=True)\n"
+            "waveguide.waveguide_sweep(waveguide.constant_profile(1.0), 4.0,"
+            " [0.5, 0.25])\n"
+            "spans = tracer.spans\n"
+            "def names(s):\n"
+            "    out = []\n"
+            "    while s[4] is not None:\n"
+            "        s = spans[s[4]]\n"
+            "        out.append(s[1])\n"
+            "    return out\n"
+            "print((models.stored(('strip', 4.0)).lam,"
+            " [(s[1], names(s), s[5]) for s in spans if s[1] in"
+            " ('waveguide.straight_reference', 'minimize.minimize_quotient')]))")
+    lam, spans = _run(code)
+    refs = [info for name, _, info in spans
+            if name == "waveguide.straight_reference"]
+    assert refs == [{"value": lam}]
+    rungs = [anc for name, anc, _ in spans
+             if name == "minimize.minimize_quotient"
+             and "waveguide.straight_reference" not in anc]
+    assert rungs == [["waveguide.waveguide_sweep"]] * 2

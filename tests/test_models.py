@@ -141,6 +141,17 @@ class TestBoundaryConstant:
         with pytest.raises(NotPositive):
             models.boundary_constant(0.0, V, gamma, 4.0, dim=2)
 
+    @pytest.mark.usefixtures("fresh_reference")
+    @pytest.mark.parametrize("V", [-1.0, -0.7])
+    def test_d2_magnetic_not_positive(self, V):
+        # at b = 1 the p = 2 half-plane lattice value is not positive, also
+        # where b + V is (-0.0859 at V = -0.7): p = 4 raises, solving no
+        # p = 4 lattice, where it returned -1.87215 and -0.38336
+        assert models.boundary_constant(1.0, V, 0.0, 2.0) <= 0.0
+        with pytest.raises(NotPositive):
+            models.boundary_constant(1.0, V, 0.0, 4.0)
+        assert [key[1] for key in models._cache] == [2.0]
+
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("V, gamma, value", [
         (-0.5, 0.3, -0.5), (-0.5, -0.3, -0.59), (1.0, -1.5, -1.25),
@@ -330,7 +341,7 @@ class TestCache:
         def fake_minimize(form, p, opts, coarse=None, start=None):
             calls.append(p)
             return types.SimpleNamespace(lam=1.25, converged=converged,
-                                         psi=None)
+                                         psi="field")
 
         monkeypatch.setattr(models, "_cache", {})
         monkeypatch.setattr(models, "_unconverged", 0)
@@ -342,6 +353,9 @@ class TestCache:
             assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
             assert wg.straight_reference(4.0) == 1.25
         assert len(models._cache) == (3 if converged else 0)
+        # only the reference keeps its field, the start of the rungs
+        assert [r.psi for r in models._cache.values()] == (
+            [None, None, "field"] if converged else [])
         assert len(calls) == (4 if converged else 6)
         assert models._unconverged == (0 if converged else 6)
 
@@ -384,9 +398,10 @@ class TestFourierPath:
             return 1.0
 
         monkeypatch.setattr(models, "_grid_value", coarse)
+        # the p = 4 call builds its p = 2 key too, whose sign it checks
         models.boundary_constant(1.0, 1.0, -0.3, 4.0)
         models.boundary_constant(1.0, 1.0, 0.0, 2.0)
-        assert len(forms) == 2
+        assert len(forms) == 3
         for form in forms:
             assert form.is_complex
             assert isinstance(form.preconditioner(), dz._FourierSolve)

@@ -104,7 +104,8 @@ class TestStraightReference:
         assert len(calls) == 3                       # truncation 12, then 24
         # the doubling starts from the minimizer at truncation 12
         assert [start for _, start in calls] == [None, None, "minimizer 2"]
-        assert models._cache == {("strip", 4.0): 5.0}
+        assert {k: r.lam for k, r in models._cache.items()} == {
+            ("strip", 4.0): 5.0}
         assert wg.straight_reference(4.0) == 5.0     # now a hit
         assert (len(calls), models._unconverged) == (3, 1)
 
@@ -171,8 +172,9 @@ class TestStraightReference:
 
 def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
     # the h = 0.1 rung at the sweep's grad_tol 1e-9 against a re-solve at
-    # 1e-11: the printed mass outside the bump is a converged figure
-    monkeypatch.setattr(wg, "straight_reference", lambda p: 1.0)
+    # 1e-11, both from the zoomed reference minimizer (stored at 1e-9 by
+    # the first sweep): the printed mass outside the bump is a converged
+    # figure
     prof = wg.gaussian_profile(0.5, 0.0, 1.0)
     (row,) = wg.waveguide_sweep(prof, 4.0, [0.1])
     real = mz.minimize_quotient
@@ -183,6 +185,58 @@ def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
     (tight,) = wg.waveguide_sweep(prof, 4.0, [0.1])
     assert row.converged and tight.converged
     assert row.mass_outside == pytest.approx(tight.mass_outside, rel=1e-6)
+
+
+@pytest.fixture
+def rung_solves(monkeypatch):
+    """The minimizer results of the rungs of the test's sweeps at p = 4,
+    the reference stored before the recording starts."""
+    wg.straight_reference(4.0)
+    assert models.stored(("strip", 4.0)) is not None
+    solves = []
+    real = mz.minimize_quotient
+
+    def recording(form, p, opts, coarse=None, start=None):
+        solves.append(real(form, p, opts, coarse, start))
+        return solves[-1]
+
+    monkeypatch.setattr(mz, "minimize_quotient", recording)
+    return solves
+
+
+def test_constant_rungs_are_the_zoomed_reference(rung_solves):
+    # the constant strip at h is the reference strip zoomed by h: each rung
+    # starts at its minimizer and takes 2 fine iterations, with no coarse
+    # stage (a bump and a random field took 12 fine and 135 coarse ones)
+    rows = wg.waveguide_sweep(wg.constant_profile(1.0), 4.0, [0.5, 0.25])
+    assert len(rung_solves) == 2
+    for row, res in zip(rows, rung_solves):
+        assert row.converged
+        assert row.ratio == pytest.approx(1.0, abs=1e-9)
+        assert res.coarse_iterations == []
+        assert res.iterations <= 3
+
+
+@pytest.mark.parametrize("prof, h_list, lams, ratios", [
+    # the ladder of the benchmark
+    (wg.gaussian_profile(0.5, 0.0, 1.0), [0.2, 0.1],
+     [1.53823455346, 1.08168376276], [1.00754593405, 1.00197664892]),
+    # maxima 1.5 at s = -2 and 1.49 at s = 2: the zoomed reference sits on
+    # the higher one and the rungs keep the values of a bump and a random
+    # start on the coarse strip
+    (wg.table_profile([-6.0, -2.0, 0.0, 2.0, 6.0], [1.0, 1.5, 1.2, 1.49, 1.0]),
+     [1.0, 0.5, 0.25], [3.59323653267, 2.47794852135, 1.72954947244],
+     [1.0525508745, 1.02651326889, 1.01325854458]),
+], ids=["gaussian", "two-maxima"])
+def test_rungs_from_the_reference_keep_their_values(rung_solves, prof, h_list,
+                                                    lams, ratios):
+    rows = wg.waveguide_sweep(prof, 4.0, h_list)
+    assert [r.lam_reduced for r in rows] == pytest.approx(lams, abs=1e-10)
+    assert [r.ratio for r in rows] == pytest.approx(ratios, abs=1e-10)
+    assert all(r.converged for r in rows)
+    for res in rung_solves:
+        assert res.coarse_iterations == []
+        assert len(res.restart_exits) == 1
 
 
 def test_flat_gaussian_is_the_straight_strip():
