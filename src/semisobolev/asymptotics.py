@@ -178,9 +178,8 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
                           "data V = 1, B = 0, gamma = 0 on Robin faces only")
     d = spec.dim
     check_exponent(p)
-    misses = models._unconverged
-    reference = boundary_constant(0.0, 1.0, 0.0, p, dim=d)
-    reference_ok = models._unconverged == misses
+    reference, reference_ok = models.solved(boundary_constant, 0.0, 1.0, 0.0,
+                                            p, dim=d)
     rows = []
     for R in R_list:
         h = R ** (-2.0)

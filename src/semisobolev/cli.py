@@ -65,6 +65,27 @@ def _json_text(config: dict, payload: dict) -> str:
     return json.dumps({"config": config, **payload}, indent=2, sort_keys=True)
 
 
+def _geometry_config(args, resolved: dict, **settings) -> dict:
+    """The config block of a run on a geometry file: the file, p, the
+    seed, the subcommand's `settings` and every resolved geometry key."""
+    return {"config_file": args.config, "p": args.p, "seed": args.seed,
+            **settings, **{f"geometry.{k}": v for k, v in resolved.items()}}
+
+
+def _write_rows(args, config: dict, header: list, rows: list, summary: str,
+                payload: dict | None = None) -> int:
+    """Write the rows, whose last column is `converged`, as CSV (and
+    `payload` with their "unconverged" count as JSON when --json is
+    given), print `summary` with that count; exit 2 when it is not 0."""
+    _emit(args.out, _csv_text(config, header, rows))
+    bad = sum(1 for row in rows if not row[-1])
+    if payload is not None and args.json:
+        atomic_write(args.json, _json_text(config,
+                                           {**payload, "unconverged": bad}))
+    print(summary + (f", {bad} unconverged" if bad else ""))
+    return 2 if bad else 0
+
+
 def _positive(flag: str, value: float) -> float:
     if not 0.0 < value < math.inf:
         raise ConfigError(f"{flag}: expected a finite number > 0, got {value}")
@@ -160,10 +181,8 @@ def _cmd_solve(args) -> int:
                             spacing, args.p, opts)
     except ScaleOutOfRange as exc:
         raise ConfigError(f"--h: {exc}") from exc
-    config = {"config_file": args.config, "h": args.h, "p": args.p,
-              "seed": args.seed, "spacing": spacing,
-              "grad_tol": args.grad_tol, **{f"geometry.{k}": v
-                                            for k, v in resolved.items()}}
+    config = _geometry_config(args, resolved, h=args.h, spacing=spacing,
+                              grad_tol=args.grad_tol)
     payload = {
         "lambda": res.lam,
         "normalized_ratio": res.lam / args.h ** asymptotics.h_power(spec.dim, args.p),
@@ -198,24 +217,15 @@ def _cmd_concentration(args) -> int:
     spec, resolved = load_geometry(args.config)
     pts = asymptotics.default_sample_points(spec, args.n_interior, args.n_boundary)
     cmap = models.concentration_map(spec, pts, args.p)
-    config = {"config_file": args.config, "p": args.p, "seed": args.seed,
-              **{f"geometry.{k}": v for k, v in resolved.items()}}
     rows = [(s.x[0], (s.x[1] if len(s.x) > 1 else 0.0), s.kind, s.value,
              int(s.converged)) for s in cmap.samples]
-    _emit(args.out, _csv_text(config, ["x", "y", "kind", "lambda", "converged"],
-                              rows))
-    bad = sum(1 for s in cmap.samples if not s.converged)
-    if args.json:
-        payload = {
-            "inf": cmap.inf_value,
-            "argmin": [list(s.x) for s in cmap.argmin],
-            "delta": cmap.delta,
-            "unconverged": bad,
-        }
-        atomic_write(args.json, _json_text(config, payload))
-    print(f"concentration: {len(rows)} samples, inf={cmap.inf_value:.8g}, "
-          f"|M|={len(cmap.argmin)}" + (f", {bad} unconverged" if bad else ""))
-    return 2 if bad else 0
+    payload = {"inf": cmap.inf_value, "argmin": [list(s.x) for s in cmap.argmin],
+               "delta": cmap.delta}
+    return _write_rows(
+        args, _geometry_config(args, resolved),
+        ["x", "y", "kind", "lambda", "converged"], rows,
+        f"concentration: {len(rows)} samples, inf={cmap.inf_value:.8g}, "
+        f"|M|={len(cmap.argmin)}", payload)
 
 
 def _cmd_sweep(args) -> int:
@@ -224,19 +234,14 @@ def _cmd_sweep(args) -> int:
     spec, resolved = load_geometry(args.config)
     h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
     rows = asymptotics.sweep(spec, args.p, h_list)
-    config = {"config_file": args.config, "p": args.p, "h_list": args.h_list,
-              "seed": args.seed,
-              **{f"geometry.{k}": v for k, v in resolved.items()}}
     table = [(r.h, r.lam, r.ratio, r.target, r.gap, r.center[0],
               (r.center[1] if len(r.center) > 1 else 0.0), r.mass_outside,
               r.spacing, int(r.converged)) for r in rows]
     hdr = ["h", "lambda", "ratio", "target", "gap", "center_x", "center_y",
            "mass_outside", "spacing", "converged"]
-    _emit(args.out, _csv_text(config, hdr, table))
-    bad = [r for r in rows if not r.converged]
-    print(f"sweep: {len(rows)} rows, final gap={rows[-1].gap:+.4%}"
-          + (f", {len(bad)} unconverged" if bad else ""))
-    return 2 if bad else 0
+    return _write_rows(args, _geometry_config(args, resolved,
+                                              h_list=args.h_list), hdr, table,
+                       f"sweep: {len(rows)} rows, final gap={rows[-1].gap:+.4%}")
 
 
 def _cmd_large_domain(args) -> int:
@@ -247,18 +252,13 @@ def _cmd_large_domain(args) -> int:
     for R in R_list:
         _semiclassical("--R-list", 1.0 / R / R)     # h = R^-2
     rows = asymptotics.large_domain(spec, args.p, R_list)
-    config = {"config_file": args.config, "p": args.p, "R_list": args.R_list,
-              "seed": args.seed,
-              **{f"geometry.{k}": v for k, v in resolved.items()}}
     hdr = ["R", "h", "lambda_semiclassical", "lambda_neumann", "ratio",
            "converged"]
     table = [(r.R, r.h, r.lam_semiclassical, r.lam_neumann, r.ratio,
               int(r.converged)) for r in rows]
-    _emit(args.out, _csv_text(config, hdr, table))
-    bad = [r for r in rows if not r.converged]
-    print(f"large-domain: {len(rows)} rows, last ratio={rows[-1].ratio:.6g}"
-          + (f", {len(bad)} unconverged" if bad else ""))
-    return 2 if bad else 0
+    return _write_rows(
+        args, _geometry_config(args, resolved, R_list=args.R_list), hdr, table,
+        f"large-domain: {len(rows)} rows, last ratio={rows[-1].ratio:.6g}")
 
 
 def _cmd_partition_check(args) -> int:
@@ -314,11 +314,9 @@ def _cmd_waveguide(args) -> int:
            "converged"]
     table = [(r.h, r.lam_reduced, r.ratio, r.mass_outside, r.spacing_s,
               int(r.converged)) for r in rows]
-    _emit(args.out, _csv_text(config, hdr, table))
-    bad = [r for r in rows if not r.converged]
-    print(f"waveguide: {len(rows)} rows, last ratio={rows[-1].ratio:.6f}"
-          + (f", {len(bad)} unconverged" if bad else ""))
-    return 2 if bad else 0
+    return _write_rows(args, config, hdr, table,
+                       f"waveguide: {len(rows)} rows, "
+                       f"last ratio={rows[-1].ratio:.6f}")
 
 
 def _emit(path: str | None, text: str) -> None:

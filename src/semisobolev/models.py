@@ -85,6 +85,13 @@ def stored(key: tuple):
     return _cache.get(key)
 
 
+def solved(f, *args, **kwargs) -> tuple:
+    """(f(*args, **kwargs), whether that call added no `memo` miss)."""
+    misses = _unconverged
+    value = f(*args, **kwargs)
+    return value, _unconverged == misses
+
+
 def _grid_value(key: tuple, spec: GeometrySpec, spacing,
                 centers: tuple = ()) -> float:
     """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
@@ -131,9 +138,14 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
     return memo(key, solve)
 
 
+def _scale(b: float, v: float) -> float:
+    """Length scale of the model with field b and potential v at h = 1."""
+    return 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
+
+
 def _radial_value(p: float, b: float, v: float) -> float:
     """Radial solve of the whole plane at h = 1, field b in {0, 1}."""
-    scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
+    scale = _scale(b, v)
     spec = GeometrySpec(domain=geometry.half_line(20.0 * scale),
                         V=lambda pts: v + (0.5 * b * pts[:, 0]) ** 2)
     return _grid_value(("rad", p, b, round(v, 12)), spec,
@@ -147,7 +159,7 @@ def _half_space_value(p: float, b: float, v: float, g: float) -> float:
     min(depth / 10, scale / 12), so only the normal axis resolves the
     Robin layer of depth 1 / (1 + |g|) and the node count grows like |g|,
     not g^2."""
-    scale = 1.0 / math.sqrt(max(b + max(v, 0.0), 0.25))
+    scale = _scale(b, v)
     depth = min(scale, 1.0 / (1.0 + abs(g)))
     height = max(5.0 * scale, 12.0 * depth)
     A = None if b == 0.0 else geometry.landau_gauge(b)
@@ -188,55 +200,39 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     """lambda(half-space model with Robin coefficient gamma0, 1, p).
 
     The last coordinate is the inward normal; b = Tr+ B >= 0 as in
-    interior_constant.  At p = 2 with no field the value is the closed form
-    V0 - gamma0^2 for gamma0 < 0 and V0 otherwise, in d = 1 and 2 alike:
-    the tangential bottom is 0 and the Robin bound state e^{gamma0 t}
-    lowers the fiber bottom V0 by gamma0^2.  At p > 2 with no field
-    and c = gamma0/sqrt(V0), c <= -1 or V0 <= 0 raise NotPositive: the
-    p = 2 value is then not positive, and neither is the infimum.  In d = 1
-    the value is V0^e lambda_c(c, p) for |c| < 1 and V0^e soliton_line(p)
-    for c >= 1, where the minimizing sequence escapes to infinity.  In
-    d = 2 it is scaled and cached like interior_constant, and with no
-    field no half-plane lattice is solved at c = 0: the value is exactly
-    2^{2/p - 1} interior_constant(0, V0, p).  Even reflection doubles
-    the energy and the p-th power of the L^p norm of a Neumann
-    half-plane function, so it multiplies the quotient by 2^{1 - 2/p};
-    and the radial whole-plane minimizer, even in the normal, restricts
-    to a half-plane function at exactly that ratio.  Otherwise the value is
-    the smaller of the half-plane lattice value (at unit field, V0/b and
-    gamma0/sqrt(b) when b > 0) and interior_constant(b, V0, p); a field's
-    p = 2 value is the lattice alone, and at p > 2 NotPositive is raised
-    when that memoized p = 2 value is not positive (it is -0.086 at b = 1,
-    V0 = -0.7, although b + V0 > 0).  The true constant obeys that bound:
-    a whole-plane test function shifted away from the boundary stops
-    feeling gamma0.  The truncated half-plane lattice breaks it once its
-    minimizer leaves the Robin face (c past about 1; gamma0 = 3 at b = 1).
+    interior_constant.  The p = 2 value is returned at p = 2 whatever its
+    sign; at p > 2 one that is not positive raises NotPositive, as the
+    infimum is then not positive either (with a field that happens where
+    b + V0 > 0 too: -0.086 at b = 1, V0 = -0.7).  With no field the
+    Neumann half plane is exactly 2^{2/p - 1} times the whole plane: even
+    reflection doubles the energy and the p-th power of the L^p norm, and
+    the radial minimizer restricts to the half plane at that ratio.  Every
+    other d = 2 value is capped by the radial whole-plane constant, which
+    the true constant obeys (a whole-plane function shifted off the
+    boundary stops feeling gamma0) and the truncated half-plane lattice
+    breaks once its minimizer leaves the Robin face; with a field the cap
+    is itself an upper bound, not a theorem (see `interior_constant`).
     """
     _check_field(b, dim)
     check_exponent(p)
-    e = _scaling_exponent(dim, p)
-    if b > 0.0:
-        v, g = V0 / b, gamma0 / math.sqrt(b)
-        if p > 2.0 and _half_space_value(2.0, 1.0, v, g) <= 0.0:
-            raise NotPositive(f"b = {b}, V = {V0}, gamma = {gamma0}: the "
-                              "p = 2 half-space value is not positive")
-        lam = _half_space_value(p, 1.0, v, g)
-        if p > 2.0:
-            lam = min(lam, _radial_value(p, 1.0, v))
-        return b ** e * lam
+    n = b if b > 0.0 else V0    # zoom to unit field, or to unit potential
+    if n > 0.0:                 # else b = 0, V0 <= 0: p2 <= 0 ends it
+        v, g = V0 / n, gamma0 / math.sqrt(n)
+    p2 = (b * _half_space_value(2.0, 1.0, v, g) if b > 0.0
+          else V0 - gamma0 * gamma0 if gamma0 < 0.0 else V0)
     if p == 2.0:
-        return V0 - gamma0 * gamma0 if gamma0 < 0.0 else V0
-    c = gamma0 / math.sqrt(V0) if V0 > 0.0 else -math.inf
-    if c <= -1.0:
-        raise NotPositive(f"V = {V0}, gamma = {gamma0}: the half-space "
-                          "model is not bounded below by a positive constant")
+        return p2
+    if not p2 > 0.0:
+        raise NotPositive(f"b = {b}, V = {V0}, gamma = {gamma0}: the p = 2 "
+                          f"half-space value {p2} is not positive")
+    e = _scaling_exponent(dim, p)
     if dim == 1:
-        lam = model1d.soliton_line(p) if c >= 1.0 else model1d.lambda_c(c, p)
-        return V0 ** e * lam
-    whole = _radial_value(p, 0.0, 1.0)
-    if c == 0.0:
-        return 2.0 ** (2.0 / p - 1.0) * V0 ** e * whole
-    return V0 ** e * min(_half_space_value(p, 0.0, 1.0, c), whole)
+        lam = model1d.soliton_line(p) if g >= 1.0 else model1d.lambda_c(g, p)
+        return n ** e * lam
+    whole = _radial_value(p, float(b > 0.0), v)
+    if b == 0.0 and g == 0.0:
+        return 2.0 ** (2.0 / p - 1.0) * n ** e * whole
+    return n ** e * min(_half_space_value(p, float(b > 0.0), v, g), whole)
 
 
 @dataclass(frozen=True)
@@ -246,7 +242,6 @@ class ConcentrationSample:
     x: tuple
     kind: str               # 'interior' | 'boundary'
     value: float
-    p2_value: float
     converged: bool = True  # every grid solve behind `value` converged
 
 
@@ -290,45 +285,35 @@ def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
 def concentration_map(spec: GeometrySpec, sample_points, p: float) -> ConcentrationMap:
     """Sample x -> lambda(model at x, 1, p) and extract the argmin set.
 
-    The spectral assumption is checked at p = 2 on every sample first
-    (AssumptionViolated otherwise).  M collects the samples within relative
-    tolerance _DELTA of the infimum; `outside_m_eps` tests its dilation
-    M_eps by _EPS.  A sample whose grid solve missed the gradient
-    tolerance keeps its value (the model constants never raise on it) and
-    says so in `converged`.
+    The spectral assumption is checked at p = 2 on every sample before
+    any p > 2 constant is solved (AssumptionViolated otherwise).  M
+    collects the samples within relative tolerance _DELTA of the infimum;
+    `outside_m_eps` tests its dilation M_eps by _EPS.  A sample whose grid
+    solve missed the gradient tolerance keeps its value (the model
+    constants never raise on it) and says so in `converged`.
     """
     check_exponent(p)
-    pts = np.atleast_2d(np.asarray(sample_points, dtype=float))
-    dom = spec.domain
-
-    def one(x):
-        vx = float(spec.v_at(x[None, :])[0])
-        bx = abs(float(spec.b_at(x[None, :])[0]))
-        misses = _unconverged
-        if _is_boundary_point(dom, x, _BOUNDARY_TOL):
-            kind = "boundary"
-            gx = float(spec.gamma_at(x[None, :])[0])
-            p2 = boundary_constant(bx, vx, gx, 2.0, dim=spec.dim)
-            val = p2
-            if p != 2.0 and p2 > 1e-12:
-                val = boundary_constant(bx, vx, gx, p, dim=spec.dim)
+    frozen = []             # (x, kind, model constant, its data but p)
+    for x in np.atleast_2d(np.asarray(sample_points, dtype=float)):
+        at = x[None, :]
+        data = (abs(float(spec.b_at(at)[0])), float(spec.v_at(at)[0]))
+        if _is_boundary_point(spec.domain, x, _BOUNDARY_TOL):
+            frozen.append((tuple(x.tolist()), "boundary", boundary_constant,
+                           data + (float(spec.gamma_at(at)[0]),)))
         else:
-            kind = "interior"
-            p2 = bx + vx
-            val = p2
-            if p != 2.0 and p2 > 1e-12:
-                val = interior_constant(bx, vx, p, dim=spec.dim)
-        return ConcentrationSample(tuple(x), kind, val, p2,
-                                   converged=_unconverged == misses)
-
-    samples = [one(x) for x in pts]
-
-    bad = [s for s in samples if s.p2_value <= 1e-12]
-    if bad:
-        raise AssumptionViolated(
-            f"p=2 model value {bad[0].p2_value:.3e} at x={bad[0].x}")
+            frozen.append((tuple(x.tolist()), "interior", interior_constant,
+                           data))
+    # inside, the p = 2 value is Tr+ B + V, which interior_constant raises on
+    p2 = [solved(f, *data, 2.0, dim=spec.dim) if kind == "boundary"
+          else (data[0] + data[1], True) for _, kind, f, data in frozen]
+    for (x, *_), (value, _) in zip(frozen, p2):
+        if not value > 1e-12:
+            raise AssumptionViolated(f"p=2 model value {value:.3e} at x={x}")
+    at_p = p2 if p == 2.0 else [solved(f, *data, p, dim=spec.dim)
+                                for _, _, f, data in frozen]
+    samples = [ConcentrationSample(x, kind, value, ok and ok2) for
+               (x, kind, *_), (value, ok), (_, ok2) in zip(frozen, at_p, p2)]
     inf_value = min(s.value for s in samples)
     argmin = [s for s in samples if s.value <= inf_value * (1.0 + _DELTA)]
     return ConcentrationMap(samples=samples, inf_value=inf_value,
                             argmin=argmin, delta=_DELTA)
-

@@ -228,9 +228,7 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRo
     when the reference missed, so nothing is stored, does a rung start
     from a bump at the argmax and a random field, each on the coarse strip.
     """
-    misses = models._unconverged
-    ref = straight_reference(p)
-    reference_ok = models._unconverged == misses
+    ref, reference_ok = models.solved(straight_reference, p)
     model = models.stored(("strip", p))
     rows = []
     for h in h_list:

@@ -12,7 +12,7 @@ some call in the package, so no option exists for the tests alone.  Every
 CLI subcommand is run by some test.  Only `minimize.py` names
 `minimize_quotient`: every other module solves through `solve_lattice`.
 Only `models.py` names `_cache`, the one memo of the results of
-lattice solves, and no function but the closed-form oracle
+lattice solves, or `_unconverged`, its miss count, and no function but the closed-form oracle
 `de_gennes_constant` carries a functools memo.
 The checks read the source with `ast`, except six: importing the CLI
 loads no scipy module that only the oracles use, nor scipy.fft, nor
@@ -263,6 +263,14 @@ def test_only_models_names_the_memo(path):
     # model constants and straight references share one memo and one
     # miss count; a second store would bypass both
     assert lines_naming(path.read_text(), "_cache") == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "models.py"],
+                         ids=lambda p: p.name)
+def test_only_models_reads_the_miss_count(path):
+    # a caller asks `models.solved` whether its call missed; a snapshot of
+    # the count taken by hand is a second copy of that rule
+    assert lines_naming(path.read_text(), "_unconverged") == []
 
 
 def functools_memos(source: str) -> list:

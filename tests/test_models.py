@@ -324,6 +324,14 @@ class TestConcentrationMap:
         with pytest.raises(AssumptionViolated, match=r"-1\.250e\+00"):
             models.concentration_map(spec, [(0.0, 0.0), (1.0, 0.0)], 4.0)
 
+    def test_assumption_is_checked_before_any_p_above_2(self, monkeypatch):
+        # every p = 2 value comes first: the interior sample's p = 4
+        # constant, a radial solve, is never reached, and x prints as floats
+        monkeypatch.setattr(models, "_grid_value", None)
+        spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=-1.5)
+        with pytest.raises(AssumptionViolated, match=r"at x=\(1\.0, 0\.0\)"):
+            models.concentration_map(spec, [(0.0, 0.0), (1.0, 0.0)], 4.0)
+
     def test_outside_mask(self):
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=1.0, gamma=0.0)
         cmap = models.concentration_map(spec, [(0.0, 0.0)], 2.0)
