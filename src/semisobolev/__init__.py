@@ -7,16 +7,6 @@ semiclassical and waveguide sweep harnesses, and two-scale partitions of
 unity.  The command-line entry point is `semisobolev.cli`.
 """
 
-from . import (  # noqa: F401
-    asymptotics,
-    discretize,
-    geometry,
-    minimize,
-    model1d,
-    models,
-    partition,
-    waveguide,
-)
 from .errors import SemisobolevError  # noqa: F401
 
 __version__ = "0.1.0"

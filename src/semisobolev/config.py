@@ -12,7 +12,8 @@ Schema (one `key = value` per line, `#` comments):
     halfwidth = 10                   # plane / half-plane / line / half-line
     V        = 1.0 | quadratic a b | x1-quadratic a b
     B        = 0 | constant b | x1-quadratic a b        (2D only)
-    gamma    = -0.3 | dirichlet | angular-dip base amp theta0 width
+    gamma    = -0.3 | quadratic a b | x1-quadratic a b | dirichlet |
+               angular-dip base amp theta0 width
 
 Keys are case-insensitive and each is set once (`Gamma` after `gamma` is
 a repeat); an unknown key, a repeat, and a shape key that the chosen
@@ -83,7 +84,7 @@ def _preset(val: str) -> tuple[str, str]:
 
 def _parse_scalar_field(key: str, val: str, center) -> object:
     kind, rest = _preset(val)
-    if kind in ("constant", "const"):
+    if kind == "constant":
         return _floats(key, rest, 1)[0]
     if kind == "quadratic":
         a, b = _floats(key, rest, 2)
@@ -119,7 +120,7 @@ def _parse_gamma(val: str, center) -> object:
 def _parse_field_b(val: str, center):
     """Returns (A callback or None, exact B callback or None)."""
     kind, rest = _preset(val)
-    if kind in ("constant", "const"):
+    if kind == "constant":
         (b,) = _floats("B", rest, 1)
         if b == 0.0:
             return None, None

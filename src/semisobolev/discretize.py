@@ -76,7 +76,6 @@ class Grid:
     weight: np.ndarray          # (N,) volume quadrature weights
     surface_weight: np.ndarray  # (N,) Robin surface measure, 0 elsewhere
     edges: np.ndarray           # (E, 2) node indices
-    edge_axis: np.ndarray       # (E,)
     edge_coeff: np.ndarray      # (E,) kinetic coefficient (transverse/length)
     domain: Domain
     shape: tuple | None = None  # per-axis node counts of box grids
@@ -138,7 +137,7 @@ def _box_grid(dom: Domain, spacing) -> Grid:
     weight = _outer(waxes)
 
     idx = np.arange(len(pts)).reshape(shape)
-    edges, eaxis, ecoeff = [], [], []
+    edges, ecoeff = [], []
     for axis in range(d):
         # trapezoid measure of the other axes: the surface weight of this
         # axis' faces and the transverse factor of its edges
@@ -159,7 +158,6 @@ def _box_grid(dom: Domain, spacing) -> Grid:
         a = idx[tuple(sl_a)].ravel()
         b = idx[tuple(sl_b)].ravel()
         edges.append(np.stack([a, b], axis=-1))
-        eaxis.append(np.full(a.size, axis, dtype=np.uint8))
         ecoeff.append(trans[tuple(sl_a)].ravel() / ss[axis])
     # a node on a pinned face is pinned even where it touches a Robin face
     surface[~free] = 0.0
@@ -167,8 +165,7 @@ def _box_grid(dom: Domain, spacing) -> Grid:
     return Grid(
         dim=d, spacing=ss, points=pts, free=free.ravel(), weight=weight,
         surface_weight=surface.ravel(),
-        edges=np.concatenate(edges), edge_axis=np.concatenate(eaxis),
-        edge_coeff=np.concatenate(ecoeff),
+        edges=np.concatenate(edges), edge_coeff=np.concatenate(ecoeff),
         domain=dom, shape=shape,
     )
 
@@ -245,7 +242,7 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
     lat = np.arange(nx * nx).reshape(nx, nx)
     edges, ecoeff = [], []
     has_all = np.ones(n, dtype=bool)
-    for axis, (di, dj) in enumerate(((1, 0), (0, 1))):
+    for di, dj in ((1, 0), (0, 1)):
         a_lat = lat[: nx - di, : nx - dj].ravel()
         b_lat = lat[di:, dj:].ravel()
         ok = inside[a_lat] & inside[b_lat]
@@ -269,13 +266,10 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
         arc = 0.5 * (gaps + np.roll(gaps, 1)) * R
         surface[bidx[order]] = arc
 
-    e = np.concatenate(edges)
-    eaxis = np.concatenate([np.full(len(x), k, dtype=np.uint8)
-                            for k, x in enumerate(edges)])
     return Grid(
         dim=2, spacing=(s, s), points=pts,
         free=has_all | (rim == "robin"), weight=weight,
-        surface_weight=surface, edges=e, edge_axis=eaxis,
+        surface_weight=surface, edges=np.concatenate(edges),
         edge_coeff=np.concatenate(ecoeff),
         domain=dom, shape=None,
     )
@@ -348,9 +342,6 @@ class WaveFunction:
     def norm_lp(self, p: float) -> float:
         return lp_norm(self.grid.weight, self.values, p)
 
-    def norm_l2(self) -> float:
-        return self.norm_lp(2.0)
-
 
 def abs_pow(x: np.ndarray, p: float) -> np.ndarray:
     """|x|^p as (Re^2 + Im^2)^(p/2): no complex modulus, and p = 4 squares."""
@@ -410,7 +401,6 @@ class AssembledForm:
     """
 
     grid: Grid
-    spec: GeometrySpec
     h: float
     K: sp.csr_matrix
     weight: np.ndarray          # (n_free,)
@@ -452,7 +442,7 @@ class AssembledForm:
     def preconditioner(self):
         """A solve with P = K + tau M, built lazily and reused.
 
-        On a 2-D box grid whose free nodes fill a sub-block, a real form
+        On a 2-D box grid, whose free nodes fill a sub-block, a real form
         gets the exact tensor solve `_TensorSolve` and a complex one the
         exact Fourier-capacitance solve `_FourierSolve` when K stores
         nothing off the diagonals 0, +-1, +-m1 and P's diagonals (K's plus
@@ -486,14 +476,12 @@ class AssembledForm:
 
 
 def _free_block(grid: Grid):
-    """(m0, m1) when the free nodes of a 2-D box grid fill a sub-block."""
+    """(m0, m1), the free sub-block of a 2-D box grid: pinning is per
+    face, so its free set is the product of per-axis masks."""
     if grid.dim != 2 or grid.shape is None:
         return None
     free = grid.free.reshape(grid.shape)
-    rows, cols = free.any(axis=1), free.any(axis=0)
-    if not np.array_equal(free, np.outer(rows, cols)):
-        return None
-    return int(rows.sum()), int(cols.sum())
+    return int(free.any(axis=1).sum()), int(free.any(axis=0).sum())
 
 
 def _stencil_diagonals(K: sp.csr_matrix, shift: np.ndarray, m1: int):
@@ -796,7 +784,7 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
                               np.concatenate([ib, ia, ii], dtype=np.int32))),
                       shape=(nf, nf))
 
-    return AssembledForm(grid=g, spec=spec, h=h, K=K, weight=w,
+    return AssembledForm(grid=g, h=h, K=K, weight=w,
                          edge_phase=theta, edge_kin=kin, is_complex=is_complex,
                          pot_floor=float(np.min(pot / w)))
 

@@ -185,12 +185,6 @@ class GeometrySpec:
     def gamma_at(self, pts: np.ndarray) -> np.ndarray:
         return _finite_at("gamma", self.gamma, pts)
 
-    def a_at(self, pts: np.ndarray) -> np.ndarray | None:
-        if self.A is None:
-            return None
-        pts = np.atleast_2d(pts)
-        return np.asarray(self.A(pts), dtype=float).reshape(len(pts), self.dim)
-
     def b_at(self, pts: np.ndarray) -> np.ndarray:
         """Field b = d1 A2 - d2 A1 at each point: the exact B callback when
         one was given, else central differences of A; 0 in d = 1."""
@@ -201,8 +195,10 @@ class GeometrySpec:
             return _finite_at("B", self.B, pts)
         delta = 1e-5
         e1, e2 = np.array([delta, 0.0]), np.array([0.0, delta])
-        d1A2 = self.a_at(pts + e1)[:, 1] - self.a_at(pts - e1)[:, 1]
-        d2A1 = self.a_at(pts + e2)[:, 0] - self.a_at(pts - e2)[:, 0]
+        a = [np.asarray(self.A(x), dtype=float).reshape(len(pts), 2)
+             for x in (pts + e1, pts - e1, pts + e2, pts - e2)]
+        d1A2 = a[0][:, 1] - a[1][:, 1]
+        d2A1 = a[2][:, 0] - a[3][:, 0]
         return (d1A2 - d2A1) / (2.0 * delta)
 
 

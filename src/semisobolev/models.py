@@ -37,7 +37,7 @@ gamma < 0 and V otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -249,8 +249,8 @@ class ConcentrationSample:
 class ConcentrationMap:
     samples: list
     inf_value: float
-    argmin: list = field(default_factory=list)
-    delta: float = 0.02
+    argmin: list
+    delta: float
 
     @property
     def argmin_points(self) -> np.ndarray:

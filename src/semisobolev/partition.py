@@ -244,7 +244,7 @@ def calibrate_energy_constant(form: AssembledForm, psi: WaveFunction,
     """Freeze C'' = 3 mean_tau[energy defect] / (h^{2-rho-alpha} |psi|_2^2)."""
     h = form.h
     rng = np.random.default_rng(_CAL_SEED)
-    l2 = psi.norm_l2() ** 2
+    l2 = psi.norm_lp(2.0) ** 2
     step = build_partition(alpha, rho, h, form.grid.dim).step
     acc = 0.0
     for _ in range(_N_CAL):
@@ -281,7 +281,7 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     rng = np.random.default_rng(seed)
     taus = rng.uniform(0.0, base.step, size=(n_samples, dim))
     lp_total = psi.norm_lp(p) ** p
-    l2_total = psi.norm_l2() ** 2
+    l2_total = psi.norm_lp(2.0) ** 2
     lp_density = form.grid.weight * abs_pow(psi.values, p)
     fams = [build_partition(alpha, rho, h, dim, tau=tau) for tau in taus]
     mass_defect = lp_total - np.array(

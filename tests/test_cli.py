@@ -99,6 +99,17 @@ class TestModel1d:
         assert 0.0 < low["lambda_c"] < high["lambda_c"]
         assert high["T_escape"] == pytest.approx(10.0 * math.atanh(0.999), rel=1e-12)
 
+    def test_csv_goes_to_stdout_without_out(self, capsys):
+        assert cli.main(["model1d", "--p", "4", "--c", "0.5"]) == 0
+        *csv, summary = capsys.readouterr().out.splitlines()
+        assert csv[:4] == ["# p = 4.0", "# seed = 0", "# sweep = 0.5",
+                           "c,lambda_c,u0,T_escape"]
+        (row,) = [r.split(",") for r in csv[4:]]
+        assert float(row[0]) == 0.5
+        exact = 2.0 * math.sqrt(2.0 / 3.0 + 0.5 - 0.5 ** 3 / 3.0)
+        assert float(row[1]) == pytest.approx(exact, rel=1e-9)
+        assert summary.startswith("model1d: 1 rows, p=4.0")
+
     def test_missing_sweep_value_is_a_validation_error(self, capsys):
         assert cli.main(["model1d", "--p", "4", "--sweep"]) == 1
         assert "expected one argument" in capsys.readouterr().err
@@ -529,7 +540,7 @@ class TestDirichletFaces:
     ever a boundary sample."""
 
     GRID = ["points", "free", "weight", "surface_weight", "edges",
-            "edge_axis", "edge_coeff", "shape", "spacing"]
+            "edge_coeff", "shape", "spacing"]
 
     def _concentration(self, text, p, tmp_path, name):
         cfg = tmp_path / f"{name}.cfg"
@@ -643,6 +654,16 @@ class TestConfigValidation:
          "gamma: value inf at x = ("),
         ("domain = disk\nradius = 2\nV = quadratic 1 1e308\n",
          "V: value inf at x = ("),
+        ("domain = disk\nV = cubic 1\n", "V: unknown preset 'cubic'"),
+        # a field value is a number or a documented preset
+        ("domain = disk\nV = const 1\n", "V: unknown preset 'const'"),
+        ("V = 1\n", "domain: key is required"),
+        ("domain = rectangle\nV = 1\n", "bounds: required for domain = rectangle"),
+        ("domain = interval\nbounds = -1 1\nbc = robin\n", "bc: need 2 of"),
+        ("domain = rectangle\nbounds = -1 1 -1 1\nbc = robin robin robin\n",
+         "bc: need 4 of"),
+        ("domain = interval\nbounds = -1 1\nV = 1\nB = constant 1\n",
+         "B: magnetic fields need dimension 2"),
     ])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejected(self, text, message, tmp_path, capsys):
@@ -726,6 +747,11 @@ class TestBadInput:
         ["large-domain", "--config", "{cfg}", "--p", "4", "--R-list", "1e300"],
         ["solve", "--config", "{cfg}", "--h", "1e30", "--p", "4"],
         ["solve", "--config", "{cfg}", "--h", "1e150", "--p", "4"],
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "0.1,abc"],
+        ["waveguide", "--profile", "spiral", "--p", "4", "--h-list", "0.5"],
+        ["model1d", "--p", "4", "--sweep=0:1"],
+        ["model1d", "--p", "4"],
+        ["solve", "--config", "{tmp}/missing.cfg", "--h", "0.1", "--p", "4"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -743,7 +769,9 @@ class TestBadInput:
             "gaussian-width-negative", "partition-alpha-inf",
             "partition-layer-underflow", "solve-h-overflow",
             "sweep-h-overflow", "large-domain-h-underflow",
-            "solve-h-potential-lost", "solve-h-potential-lost-1e150"])
+            "solve-h-potential-lost", "solve-h-potential-lost-1e150",
+            "sweep-h-not-a-number", "profile-kind", "model1d-sweep-two-fields",
+            "model1d-no-c-or-sweep", "config-missing"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),

@@ -247,6 +247,8 @@ class TestAssembleEvaluate:
         if case == "waveguide_strip":
             form = wg.assemble_waveguide_form(wg.gaussian_profile(0.5, 0.0, 1.0),
                                               0.2, 4.0)
+            # assembled at h = 1 from the plain strip, V = gamma = 0
+            spec = ge.GeometrySpec(domain=form.grid.domain)
         else:
             form = dz.assemble(spec, h, dz.build_grid(spec, s), gauge_phi=phi)
         g = form.grid
@@ -256,8 +258,8 @@ class TestAssembleEvaluate:
         robin = g.surface_weight[g.free] > 0.0
         assert robin.any() == (case != "waveguide_strip")
         expected = (dz.kinetic_energy(form, psi)
-                    + np.sum(form.h * form.spec.v_at(pts) * g.weight[g.free] * sq)
-                    + np.sum(form.h ** 1.5 * form.spec.gamma_at(pts[robin])
+                    + np.sum(form.h * spec.v_at(pts) * g.weight[g.free] * sq)
+                    + np.sum(form.h ** 1.5 * spec.gamma_at(pts[robin])
                              * g.surface_weight[g.free][robin] * sq[robin]))
         energy = np.vdot(x, form.K @ x)
         assert abs(energy.imag) <= 1e-12 * abs(energy.real)

@@ -6,22 +6,24 @@ private module-level constant that nothing in its module reads, is left
 over from code that was removed.  A public function, class or method
 that nothing in the package names either only feeds a test of itself or
 is an oracle tool kept for the tests (`ORACLES`).  A dataclass field
-that nothing reads is a report value no caller wants (`UNREAD_FIELDS`
-lists the planned exceptions).  Every `MinimizeOptions` field is set by
-some call in the package, so no option exists for the tests alone.  Every
-CLI subcommand is run by some test.  Only `minimize.py` names
+that nothing in the package or the benchmark reads is a report value no
+caller wants, unless `TEST_READ_FIELDS` names the kept behaviour that a
+test shows with it.  Every `MinimizeOptions` field is set by some call
+in the package, so no option exists for the tests alone.  Every CLI
+subcommand is run by some test.  Only `minimize.py` names
 `minimize_quotient`: every other module solves through `solve_lattice`.
-Only `models.py` names `_cache`, the one memo of the results of
-lattice solves, or `_unconverged`, its miss count, and no function but the closed-form oracle
-`de_gennes_constant` carries a functools memo.
-The checks read the source with `ast`, except six: importing the CLI
-loads no scipy module that only the oracles use, nor scipy.fft, nor
-scipy.interpolate, since the nested solves prolong with numpy; it does
-load scipy.sparse.linalg, which SuperLU needs; a `model1d` run, and a
-`concentration` run on an interval at p = 4, whose boundary constants
-are half-line closed forms, load none of the oracles' scipy modules
-(these five read one interpreter's module table); and the benchmark's
-probe, which rebinds module globals, sees every solve of a
+Only `models.py` names `_cache`, the one memo of the results of lattice
+solves, or `_unconverged`, its miss count, and no function but the
+closed-form oracle `de_gennes_constant` carries a functools memo.
+The checks read the source with `ast`, except seven: importing the
+package loads no scipy module, since every importer names its submodule;
+importing the CLI loads no scipy module that only the oracles use, nor
+scipy.fft, nor scipy.interpolate, since the nested solves prolong with
+numpy; it does load scipy.sparse.linalg, which SuperLU needs; a
+`model1d` run, and a `concentration` run on an interval at p = 4, whose
+boundary constants are half-line closed forms, load none of the oracles'
+scipy modules (these six read one interpreter's module table); and the
+benchmark's probe, which rebinds module globals, sees every solve of a
 straight-strip reference, and one reference span in a waveguide sweep,
 its rungs outside it.
 """
@@ -64,8 +66,14 @@ ORACLES = {
 }
 
 
-# Dataclass fields that nothing reads yet, each with its planned reader.
-UNREAD_FIELDS: dict = {}
+# Dataclass fields that only tests read, each with the kept behaviour the
+# test shows; a class name stands for every field of the class.
+TEST_READ_FIELDS = {
+    "TranslationReport.c_energy":
+        "find_translation calibrates C'' on the field that it scans",
+    "PhaseTrajectory":
+        "the ODE oracle's sampled orbit, checked against the closed forms",
+}
 
 
 def _private(name: str) -> bool:
@@ -338,9 +346,13 @@ def test_the_field_check_finds_an_unread_field():
 
 
 def test_dataclass_fields_are_read():
-    readers = [p.read_text() for p in SOURCES + TESTS + PERFBENCH]
-    unread = unread_fields([p.read_text() for p in SOURCES], readers)
-    assert sorted(unread) == sorted(UNREAD_FIELDS)
+    sources = [p.read_text() for p in SOURCES]
+    readers = sources + [p.read_text() for p in PERFBENCH]
+    test_only = {name.split(".")[0] if name.split(".")[0] in TEST_READ_FIELDS
+                 else name for name in unread_fields(sources, readers)}
+    assert sorted(test_only) == sorted(TEST_READ_FIELDS)
+    tests = [p.read_text() for p in TESTS]
+    assert unread_fields(sources, readers + tests) == []
 
 
 def test_every_minimize_option_is_set_in_the_package():
@@ -371,8 +383,9 @@ ORACLE_MODULES = ("scipy.optimize", "scipy.integrate", "scipy.special")
 
 @pytest.fixture(scope="module")
 def loaded(tmp_path_factory):
-    """The scipy modules one fresh interpreter has loaded after importing
-    the CLI (`import`), then after a `model1d` run, then after an interval
+    """The scipy modules one fresh interpreter has loaded after a bare
+    `import semisobolev` (`package`), then after importing the CLI
+    (`import`), then after a `model1d` run, then after an interval
     `concentration` run at p = 4.  A snapshot includes the steps before
     it, so a module that one step loads shows in every later one."""
     work = tmp_path_factory.mktemp("loaded")
@@ -384,10 +397,12 @@ def loaded(tmp_path_factory):
             "concentration": ["concentration", "--config", str(cfg),
                               "--p", "4", "--out", str(work / "c.csv")]}
     return _run(
-        "from semisobolev import cli\n"
         "def scipy_modules():\n"
         "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "loaded = {'import': scipy_modules()}\n"
+        "import semisobolev\n"
+        "loaded = {'package': scipy_modules()}\n"
+        "from semisobolev import cli\n"
+        "loaded['import'] = scipy_modules()\n"
         f"for name, argv in {runs!r}.items():\n"
         "    assert cli.main(argv) == 0, name\n"
         "    loaded[name] = scipy_modules()\n"
@@ -396,6 +411,12 @@ def loaded(tmp_path_factory):
 
 def _among(modules, names) -> list:
     return [m for m in names if m in modules]
+
+
+def test_package_import_loads_no_scipy(loaded):
+    # the package root re-exports no submodule: the CLI and the benchmark
+    # probe name the submodules they use
+    assert loaded["package"] == []
 
 
 def test_cli_import_loads_no_ode_or_optimizer(loaded):

@@ -30,7 +30,8 @@ MAX_NODES = 400
 
 @st.composite
 def forms(draw):
-    """(form, rng) for a drawn box or disk geometry with a constant field."""
+    """(spec, form, rng) for a drawn box or disk geometry with a constant
+    field."""
     s = draw(st.floats(0.1, 0.3))
     if draw(st.booleans()):
         nx, ny = draw(st.integers(8, 20)), draw(st.integers(8, 20))
@@ -48,13 +49,13 @@ def forms(draw):
     assert grid.n_nodes <= MAX_NODES
     h = draw(st.floats(0.1, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return dz.assemble(spec, h, grid), rng
+    return spec, dz.assemble(spec, h, grid), rng
 
 
 @PROPERTY
 @given(forms())
 def test_diamagnetic_inequality(case):
-    form, rng = case
+    _, form, rng = case
     psi = dz.random_field(form.grid, rng)
     k_abs = dz.kinetic_energy(form, psi, magnetic=False)
     k_mag = dz.kinetic_energy(form, psi, magnetic=True)
@@ -65,12 +66,12 @@ def test_diamagnetic_inequality(case):
 @given(forms(), st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
 def test_gauge_covariance(case, c):
     # node-difference phases are an exact symmetry of the lattice energy
-    form, rng = case
+    spec, form, rng = case
     phi = lambda pts: (c[0] * pts[:, 0] + c[1] * pts[:, 1]
                        + c[2] * np.sin(pts[:, 0]) * np.cos(pts[:, 1])
                        + c[3] * pts[:, 0] * pts[:, 1] + c[4])
     psi = dz.random_field(form.grid, rng)
-    shifted = dz.assemble(form.spec, form.h, form.grid, gauge_phi=phi)
+    shifted = dz.assemble(spec, form.h, form.grid, gauge_phi=phi)
     q0 = form.energy(psi)
     q1 = shifted.energy(dz.gauge_transform(psi, phi, form.h))
     # rounding scale: the energy with every entry of K and psi made positive
@@ -94,7 +95,7 @@ def partitions(draw):
 def test_partition_identities(case, fam, p):
     # the cell-by-cell energies match the IMS edge remainder, and the
     # tensor overlaps give the quadratic sum 1 and an L^p weight <= 1
-    form, rng = case
+    _, form, rng = case
     psi = dz.random_field(form.grid, rng)
     x = np.abs(form.free_values(psi))
     scale = float(x @ (abs(form.K) @ x))

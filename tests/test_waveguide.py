@@ -18,10 +18,11 @@ from semisobolev.minimize import MinimizeOptions, minimize_quotient
 
 def _edge_weights(prof, h, p, grid):
     """h^2 a^{1-2/p} on s-edges and a^{-1-2/p} on t-edges, with a
-    evaluated at every edge's own midpoint."""
-    a, b = grid.edges[:, 0], grid.edges[:, 1]
-    a_mid = prof(0.5 * (grid.points[a, 0] + grid.points[b, 0]))
-    return np.where(grid.edge_axis == 0, h * h * a_mid ** (1.0 - 2.0 / p),
+    evaluated at every edge's own midpoint; an s-edge's end points
+    differ in s."""
+    s_a, s_b = grid.points[grid.edges[:, 0], 0], grid.points[grid.edges[:, 1], 0]
+    a_mid = prof(0.5 * (s_a + s_b))
+    return np.where(s_a != s_b, h * h * a_mid ** (1.0 - 2.0 / p),
                     a_mid ** (-1.0 - 2.0 / p))
 
 
