@@ -22,7 +22,8 @@ from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
 from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
-from .errors import ScaleOutOfRange, SemisobolevError
+from .errors import (GridTooLarge, InvalidExponent, InvalidProfile,
+                     InvalidScales, ScaleOutOfRange, SemisobolevError)
 from .minimize import MinimizeOptions, solve_lattice
 
 
@@ -124,7 +125,7 @@ def _parse_profile(s: str) -> waveguide.WidthProfile:
         if kind == "table":
             data = np.loadtxt(rest, delimiter=",", ndmin=2)
             return waveguide.table_profile(data[:, 0], data[:, 1])
-    except (ValueError, IndexError, OSError) as exc:
+    except (ValueError, IndexError, OSError, InvalidProfile) as exc:
         raise ConfigError(f"--profile: bad {kind} profile {rest!r}: {exc}") from exc
     raise ConfigError(f"--profile: unknown kind {kind!r}")
 
@@ -268,12 +269,18 @@ def _cmd_partition_check(args) -> int:
         raise ConfigError(f"--samples: expected at least 1, got {args.samples}")
     spec = (load_geometry(args.config)[0] if args.config else
             geometry.GeometrySpec(domain=geometry.plane(3.0), V=1.0, gamma=0.0))
-    grid = build_grid(spec, args.spacing)
+    try:
+        fam = partition.build_partition(args.alpha, args.rho, args.h, spec.dim)
+    except InvalidScales as exc:
+        raise ConfigError(f"--alpha/--rho/--h: {exc}") from exc
+    try:
+        grid = build_grid(spec, args.spacing)
+    except GridTooLarge as exc:
+        raise ConfigError(f"--spacing: {exc}") from exc
     form = assemble(spec, args.h, grid)
     rng = np.random.default_rng(args.seed)
     psi = gaussian_bump(grid, np.zeros(spec.dim), 0.8)
     psi.values = psi.values * (1.0 + 0.3 * rng.standard_normal(grid.n_nodes))
-    fam = partition.build_partition(args.alpha, args.rho, args.h, spec.dim)
     pts = grid.points
     sum_sq_err = float(np.abs(fam.overlap(pts) - 1.0).max())
     grad_bound = float(fam.grad_sq_sum(pts).max() * args.h ** (2 * args.alpha))
@@ -412,8 +419,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SemisobolevError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SemisobolevError as exc:    # every exponent is the --p flag
+        flag = "--p: " if isinstance(exc, InvalidExponent) else ""
+        print(f"error: {flag}{exc}", file=sys.stderr)
         return 1
 
 

@@ -150,11 +150,12 @@ def _positive(key: str, val: str) -> float:
 _FACES = ("robin", "dirichlet", "truncation")
 _KEYS = ("domain", "radius", "center", "bounds", "bc", "halfwidth", "v", "b",
          "gamma")
+_HALFWIDTH_DOMAINS = {"plane": geometry.plane, "half-plane": geometry.half_plane,
+                      "line": geometry.line, "half-line": geometry.half_line}
 # the shape keys each domain reads; the others are errors there
 _SHAPE_KEYS = {"disk": ("radius",), "rectangle": ("bounds", "bc"),
                "interval": ("bounds", "bc"), "strip": ("bounds",),
-               "plane": ("halfwidth",), "half-plane": ("halfwidth",),
-               "line": ("halfwidth",), "half-line": ("halfwidth",)}
+               **dict.fromkeys(_HALFWIDTH_DOMAINS, ("halfwidth",))}
 
 
 def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
@@ -173,19 +174,13 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
         if key in kv and key not in _SHAPE_KEYS[kind]:
             raise ConfigError(f"{key}: not used by domain = {kind}")
     center = _floats("center", kv.get("center", "0 0"), 2)
-    halfwidth = _positive("halfwidth", kv.get("halfwidth", "10"))
 
     if kind == "disk":
         dom = geometry.disk(_positive("radius", kv.get("radius", "1")),
                             tuple(center))
-    elif kind == "plane":
-        dom = geometry.plane(halfwidth)
-    elif kind == "half-plane":
-        dom = geometry.half_plane(halfwidth)
-    elif kind == "line":
-        dom = geometry.line(halfwidth)
-    elif kind == "half-line":
-        dom = geometry.half_line(halfwidth)
+    elif kind in _HALFWIDTH_DOMAINS:
+        dom = _HALFWIDTH_DOMAINS[kind](_positive("halfwidth",
+                                                 kv.get("halfwidth", "10")))
     else:
         nb = 2 if kind == "interval" else 4
         if "bounds" not in kv:

@@ -405,7 +405,6 @@ class AssembledForm:
     K: sp.csr_matrix
     weight: np.ndarray          # (n_free,)
     edge_phase: np.ndarray
-    edge_kin: np.ndarray        # h^2 * coeff per edge
     is_complex: bool
     pot_floor: float            # min of the V + Robin diagonal over weight
     _prec: object = field(default=None, repr=False)
@@ -785,7 +784,7 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
                       shape=(nf, nf))
 
     return AssembledForm(grid=g, h=h, K=K, weight=w,
-                         edge_phase=theta, edge_kin=kin, is_complex=is_complex,
+                         edge_phase=theta, is_complex=is_complex,
                          pot_floor=float(np.min(pot / w)))
 
 
@@ -819,7 +818,7 @@ def kinetic_energy(form: AssembledForm, psi: WaveFunction,
         d = v[b] * np.exp(-1j * form.edge_phase) - v[a]
     else:
         d = np.abs(v[b]) - np.abs(v[a])
-    return float(form.edge_kin @ np.abs(d) ** 2)
+    return float(((form.h * form.h) * form.grid.edge_coeff) @ np.abs(d) ** 2)
 
 
 def gauge_transform(psi: WaveFunction, phi: Callable, h: float) -> WaveFunction:

@@ -178,16 +178,17 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
     is V0^e soliton_line(p) in d = 1.  In d = 2 it is n^e times the
     radial solve at V0/n, n = b at unit field or n = V0 with none: exact
     with no field, and with a field an upper bound that matches the 2-D
-    Landau lattice where measured, not a theorem.  Raises NotPositive when
-    the p = 2 value is not positive.
+    Landau lattice where measured, not a theorem.  The p = 2 value is
+    returned whatever its sign; at p > 2 one that is not positive raises
+    NotPositive, as in boundary_constant.
     """
     _check_field(b, dim)
     check_exponent(p)
     p2 = b + V0
-    if p2 <= 0.0:
-        raise NotPositive(f"Tr+ B + V = {p2} violates the spectral assumption")
     if p == 2.0:
         return p2
+    if not p2 > 0.0:
+        raise NotPositive(f"Tr+ B + V = {p2} violates the spectral assumption")
     e = _scaling_exponent(dim, p)
     if dim == 1:
         return V0 ** e * model1d.soliton_line(p)
@@ -303,9 +304,7 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float) -> Concentrat
         else:
             frozen.append((tuple(x.tolist()), "interior", interior_constant,
                            data))
-    # inside, the p = 2 value is Tr+ B + V, which interior_constant raises on
-    p2 = [solved(f, *data, 2.0, dim=spec.dim) if kind == "boundary"
-          else (data[0] + data[1], True) for _, kind, f, data in frozen]
+    p2 = [solved(f, *data, 2.0, dim=spec.dim) for _, _, f, data in frozen]
     for (x, *_), (value, _) in zip(frozen, p2):
         if not value > 1e-12:
             raise AssumptionViolated(f"p=2 model value {value:.3e} at x={x}")

@@ -15,7 +15,8 @@ discrete localization (IMS) identity
     sum_k Q(chi_k psi) = Q(psi) + sum_edges kin_e [sum_k (d_e chi_k)^2]
                                    Re(psi_b e^{-i theta_e} conj(psi_a))
 
-holds exactly because the potential and boundary terms cancel through the
+holds exactly, with link weight kin_e = h^2 times the grid's edge
+coefficient, because the potential and boundary terms cancel through the
 quadratic sum.  Sampling the translation tau uniformly over a period cell
 accepts, with probability > 1/3, a tau for which both the local L^p mass
 and the local energies control the global ones (Markov's inequality on
@@ -41,9 +42,6 @@ from numpy.polynomial.legendre import leggauss
 from .discretize import AssembledForm, WaveFunction, abs_pow
 from .errors import InvalidScales, NoneAccepted
 from .geometry import check_exponent
-
-_N_CAL = 48        # translations averaged by the energy calibration
-_CAL_SEED = 1
 
 
 def _smoothstep(t):
@@ -215,7 +213,8 @@ def _ims_remainder(form: AssembledForm, psi: WaveFunction,
     gsum = quad_sum[a] + quad_sum[b] - 2.0 * family.overlap(pts[a], pts[b])
     v = psi.values
     cross = np.real(v[b] * np.exp(-1j * form.edge_phase) * np.conj(v[a]))
-    return float(form.edge_kin @ (gsum * cross))
+    kin = (form.h * form.h) * form.grid.edge_coeff
+    return float(kin @ (gsum * cross))
 
 
 def ims_identity_defect(form: AssembledForm, psi: WaveFunction,
@@ -239,22 +238,6 @@ class TranslationReport:
     rescaled: bool = False
 
 
-def calibrate_energy_constant(form: AssembledForm, psi: WaveFunction,
-                              alpha: float, rho: float) -> float:
-    """Freeze C'' = 3 mean_tau[energy defect] / (h^{2-rho-alpha} |psi|_2^2)."""
-    h = form.h
-    rng = np.random.default_rng(_CAL_SEED)
-    l2 = psi.norm_lp(2.0) ** 2
-    step = build_partition(alpha, rho, h, form.grid.dim).step
-    acc = 0.0
-    for _ in range(_N_CAL):
-        fam = build_partition(alpha, rho, h, form.grid.dim,
-                              tau=rng.uniform(0.0, step, size=form.grid.dim))
-        acc += _ims_remainder(form, psi, fam)
-    mean = acc / _N_CAL
-    return 3.0 * max(mean, 0.0) / (h ** (2.0 - rho - alpha) * l2) + 1e-12
-
-
 def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
                      rho: float, p: float, n_samples: int = 200,
                      seed: int = 0) -> TranslationReport:
@@ -263,8 +246,9 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     Acceptance requires both
       (a) sum_k |chi_k psi|_p^p >= (1 - C' h^{alpha-rho}) |psi|_p^p,
       (b) sum_k Q(chi_k psi) - Q(psi) <= C'' h^{2-rho-alpha} |psi|_2^2.
-    C' comes from the exact mean defect 1 - |chi^0|_p^p / L (per axis);
-    C'' is calibrated on the given field and frozen for the scan.  The
+    C' comes from the exact mean defect 1 - |chi^0|_p^p / L (per axis),
+    C'' from 3 times the mean energy defect of the scanned translations,
+    so both are the selection argument's Markov thresholds.  The
     localized mass is w |psi|^p . overlap(q=p) and the energy defect is
     the IMS remainder, so no cell is built.  If nothing is accepted the
     constants are rescaled by the selection argument's factor 3 and the
@@ -276,7 +260,6 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     base = build_partition(alpha, rho, h, dim)
     mean_ratio = base.template_lp_mass(p) / base.step
     c_mass = 3.0 * (1.0 - mean_ratio ** dim) / h ** (alpha - rho) + 1e-12
-    c_energy = calibrate_energy_constant(form, psi, alpha, rho)
 
     rng = np.random.default_rng(seed)
     taus = rng.uniform(0.0, base.step, size=(n_samples, dim))
@@ -287,6 +270,8 @@ def find_translation(form: AssembledForm, psi: WaveFunction, alpha: float,
     mass_defect = lp_total - np.array(
         [lp_density @ fam.overlap(form.grid.points, q=p) for fam in fams])
     energy_defect = np.array([_ims_remainder(form, psi, fam) for fam in fams])
+    c_energy = (3.0 * max(energy_defect.mean(), 0.0)
+                / (h ** (2.0 - rho - alpha) * l2_total) + 1e-12)
 
     for rescaled, (cm, ce) in enumerate(((c_mass, c_energy),
                                          (3.0 * c_mass, 3.0 * c_energy))):

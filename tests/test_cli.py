@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -678,7 +679,8 @@ class TestConfigValidation:
 
 
 class TestBadInput:
-    """Bad argument values exit 1 with a message, never a traceback."""
+    """Bad argument values exit 1 with a message that names the flag or
+    config key at fault, never a traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["model1d", "--p", "2", "--c", "0"],
@@ -787,6 +789,15 @@ class TestBadInput:
         assert rc == 1
         assert "error:" in err and "Traceback" not in err
         assert not out.exists()
+        if "--format" not in argv:  # argparse names an unknown flag itself
+            # "error: <name>: ", each /-separated part of <name> given on
+            # the command line: a flag, with or without its "--", or the
+            # subcommand
+            named = re.search(r"^error: (\S+): ", err, re.MULTILINE)
+            given = {a.split("=")[0] for a in argv}
+            assert named, err
+            assert all(n in given or f"--{n}" in given
+                       for n in named[1].split("/")), err
 
 
 class TestAtomicWrite:

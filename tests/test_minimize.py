@@ -340,8 +340,9 @@ class TestExitReasons:
         monkeypatch.setattr(mz, "minimize_quotient", counting)
         # coarse and fine iterations of every truncation: 53 at p = 4 and
         # 365 at p = 2 (three truncations), where cold doublings took 197
-        # and about 640; unless it is outpaced, the off-center random start at
-        # s_halfwidth = 12 runs to its 3,000-iteration cap
+        # and about 640; at p = 4 the off-center random start at
+        # s_halfwidth = 12 ends `merged` after 21 coarse iterations, the
+        # bump after 16
         for p, truncations, bound in ((4.0, 2, 80), (2.0, 3, 450)):
             iterations.clear()
             wg.straight_reference(p)

@@ -36,8 +36,11 @@ class TestInteriorConstant:
         assert models.interior_constant(0.0, 2.5, 2.0, dim=2) == pytest.approx(2.5)
 
     def test_not_positive(self):
+        # the p = 2 value is returned whatever its sign, as in
+        # boundary_constant; at p > 2 a non-positive one raises
+        assert models.interior_constant(0.0, -0.5, 2.0, dim=2) == -0.5
         with pytest.raises(NotPositive):
-            models.interior_constant(0.0, -0.5, 2.0, dim=2)
+            models.interior_constant(0.0, -0.5, 4.0, dim=2)
         with pytest.raises(NotPositive):
             models.interior_constant(0.0, 0.0, 4.0, dim=1)
 
@@ -81,12 +84,16 @@ class TestInteriorConstant:
         lam = models._radial_value(2.0, 1.0, v)
         assert lam == pytest.approx(1.0 + v, abs=1e-5)
 
-    @pytest.mark.parametrize("p, v", [(2.5, 0.0), (4.0, -0.9), (4.0, 1.0)])
+    @pytest.mark.parametrize("p, v", [(2.5, 0.0), (4.0, -0.9), (4.0, 1.0),
+                                      (10.0, 1.0)])
     def test_radial_value_meets_the_landau_lattice(self, p, v, monkeypatch):
         # the magnetic radial value at dr and dr/2 against the 2-D Landau
         # lattice at scale/8 and scale/16 on plane(5 scale): the Richardson
         # values agree to 5e-4, and the lattice, low by its mesh error, is
-        # not above the radial upper bound
+        # not above the radial upper bound.  At p = 10 the minimizer is too
+        # peaked for Richardson at these spacings (radial 4.44455, lattice
+        # 4.00898 and 4.40474), so only the one-sided bound is checked: the
+        # lattice rises with refinement and stays below the radial value
         scale = 1.0 / math.sqrt(1.0 + max(v, 0.0))
         radial = []
         for steps in (100, 200):
@@ -103,10 +110,13 @@ class TestInteriorConstant:
             res = minimize_quotient(form, p, opts)
             assert res.converged
             lattice.append(res.lam)
+        assert lattice[1] <= radial[0]
+        if p == 10.0:
+            assert lattice[0] < lattice[1]
+            return
         richardson = [(4.0 * fine - coarse) / 3.0
                       for coarse, fine in (radial, lattice)]
         assert richardson[0] == pytest.approx(richardson[1], rel=5e-4)
-        assert lattice[1] <= radial[0]
 
 
 class TestBoundaryConstant:

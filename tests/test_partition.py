@@ -125,22 +125,31 @@ class TestTranslationSelection:
         assert rep.tau.shape == (2,)
 
     def test_each_field_is_calibrated_on_itself(self):
-        # C'' depends on the field; a second field on the same form must
-        # not reuse the first field's constant
+        # C'' is 3 times the mean IMS energy defect over the translations
+        # the scan draws, normalized by h^{2-rho-alpha} |psi|_2^2: a second
+        # field on the same form gets its own constant
         spec = ge.GeometrySpec(domain=ge.plane(2.0), V=1.0, gamma=0.0)
         grid = dz.build_grid(spec, 0.1)
         form = dz.assemble(spec, 0.1, grid)
+        alpha, rho, n, seed = 0.5, 1.0 / 3.0, 10, 1
         rng = np.random.default_rng(5)
         fields = [dz.WaveFunction(grid, dz.gaussian_bump(grid, c, w).values
                                   * (1.0 + 0.3 * rng.standard_normal(grid.n_nodes)))
                   for c, w in (((0.2, -0.1), 0.8), ((-0.4, 0.3), 0.4))]
-        consts = [pt.calibrate_energy_constant(form, psi, 0.5, 1.0 / 3.0)
-                  for psi in fields]
-        assert consts[0] != consts[1]
-        for psi, c in zip(fields, consts):
-            rep = pt.find_translation(form, psi, 0.5, 1.0 / 3.0, 4.0,
-                                      n_samples=10, seed=1)
+        step = pt.build_partition(alpha, rho, form.h, 2).step
+        taus = np.random.default_rng(seed).uniform(0.0, step, size=(n, 2))
+        consts = []
+        for psi in fields:
+            mean = np.mean([pt._ims_remainder(
+                form, psi, pt.build_partition(alpha, rho, form.h, 2, tau=tau))
+                for tau in taus])
+            c = (3.0 * max(mean, 0.0) / (form.h ** (2.0 - rho - alpha)
+                                         * psi.norm_lp(2.0) ** 2) + 1e-12)
+            rep = pt.find_translation(form, psi, alpha, rho, 4.0,
+                                      n_samples=n, seed=seed)
             assert rep.c_energy == (3.0 * c if rep.rescaled else c)
+            consts.append(c)
+        assert consts[0] != pytest.approx(consts[1], rel=1e-3)
 
     def test_defect_signs(self, box_form, localized_field):
         # localized L^p mass never exceeds the total (quadratic partition),
