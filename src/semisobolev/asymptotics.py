@@ -12,9 +12,14 @@ constants are non-constructive, so only magnitudes and trends are fitted.
 Each row reports the minimizer's L^p mass outside the dilated argmin set
 M_eps, which decays faster than any power (stretched-exponentially in h).
 
+Each rung starts from one random field and one Gaussian bump per class of
+argmin samples: those on one Robin face (a disk rim, a box face (axis,
+side), or the interior) whose model values tie within `minimize._TIE`.
+
 Large Neumann domains Omega_R reduce to the semiclassical problem through
 the exact identity lambda^Neu(Omega_R, p) = R^{d+2-2d/p} lambda(Omega,
-R^{-2}, p); the R -> infinity limit is the half-space reference constant.
+R^{-2}, p), so the large-domain rows are the sweep rows at h = R^{-2}; the
+R -> infinity limit is the half-space reference constant.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import models
 from .discretize import assemble, build_grid, lp_norm
 from .errors import ConfigError
 from .geometry import GeometrySpec, check_exponent
-from .minimize import MinimizeOptions, MinimizerResult, solve_lattice
-from .models import boundary_constant, concentration_map
+from .minimize import _TIE, MinimizeOptions, MinimizerResult, solve_lattice
+from .models import ConcentrationMap, concentration_map, robin_face
+
+_SEED = 11      # seed of every rung's random start
 
 
 def h_power(d: int, p: float) -> float:
@@ -75,17 +81,24 @@ def default_sample_points(spec: GeometrySpec, n_interior: int = 25,
     return np.array(pts)
 
 
-def _rung(spec: GeometrySpec, h: float, p: float, centers: tuple,
-          seed: int) -> MinimizerResult:
-    """One rung of an h-ladder: the minimizer result at this h.
+def rung_centers(spec: GeometrySpec, cmap: ConcentrationMap) -> tuple:
+    """The first argmin sample of each class, in sample order: the argmin
+    samples on one `robin_face` whose model values tie within _TIE."""
+    kept = []           # (face, value, x) of each class
+    for s in cmap.argmin:
+        face = robin_face(spec.domain, s.x)
+        if not any(f == face and abs(v - s.value) <= _TIE for f, v, _ in kept):
+            kept.append((face, s.value, s.x))
+    return tuple(x for *_, x in kept)
 
-    The grid follows default_mesh_rule(h); the minimizer starts from a
-    bump of width sqrt(h) at each center and from one random field.  Every
-    start descends first on the same rung at twice the spacing, and only
-    its distinct minima are polished on the rung's grid; `solve_lattice`
-    decides that coarse lattice.
-    """
-    opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=seed,
+
+def _rung(spec: GeometrySpec, h: float, p: float,
+          centers: tuple) -> MinimizerResult:
+    """The minimizer at h on the grid of default_mesh_rule(h), started
+    from a bump of width sqrt(h) at each center and from the random field
+    of _SEED; `solve_lattice` descends every start first on the lattice of
+    twice the spacing, and polishes only the distinct minima."""
+    opts = MinimizeOptions(grad_tol=1e-7, restarts=1, seed=_SEED,
                            bump_width=math.sqrt(h), centers=centers)
     return solve_lattice(lambda s: assemble(spec, h, build_grid(spec, s)),
                          default_mesh_rule(h), p, opts)
@@ -108,17 +121,18 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     """Solve lambda(G, h, p) along decreasing h and compare with the target.
 
     The concentration map on the default samples fixes the target
-    inf_x lambda(G_x, 1, p), the candidate localization centers for
-    initialization, and the set M_eps for the exterior mass.  A row is
-    converged only if its rung and every sample behind the target are.
+    inf_x lambda(G_x, 1, p), the rung starts (one bump per `rung_centers`
+    class, one random field), and the set M_eps for the exterior mass.  A
+    row is converged only if its rung and every sample behind the target
+    are.  `large_domain` returns these rows at h = R^{-2}.
     """
     check_exponent(p)
     cmap = concentration_map(spec, default_sample_points(spec), p)
     target_ok = all(s.converged for s in cmap.samples)
-    centers = tuple(tuple(x) for x in cmap.argmin_points)
+    centers = rung_centers(spec, cmap)
     rows = []
     for h in h_list:
-        res = _rung(spec, h, p, centers, seed=7)
+        res = _rung(spec, h, p, centers)
         grid = res.psi.grid
         ratio = res.lam / h ** h_power(spec.dim, p)
         gap = ratio / cmap.inf_value - 1.0
@@ -133,42 +147,17 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     return rows
 
 
-@dataclass
-class LargeDomainRow:
-    R: float
-    h: float
-    lam_semiclassical: float
-    lam_neumann: float
-    ratio: float
-    converged: bool = True
+def large_domain(spec: GeometrySpec, p: float, R_list) -> list[SweepRow]:
+    """lambda^Neu(Omega_R, p) via the exact reformulation h = R^{-2}: the
+    `sweep` rows at h = R^{-2}, each rung started from one bump per
+    `rung_centers` class and one random field.
 
-
-def boundary_centers(spec: GeometrySpec) -> tuple:
-    """Candidate localization points on the boundary plus the center
-    (every face of a `large_domain` geometry is Robin)."""
-    dom = spec.domain
-    if dom.kind == "disk":
-        cx, cy = dom.center
-        return ((cx + dom.radius, cy), (cx, cy))
-    if dom.dim == 1:
-        (lo, hi), = dom.bounds
-        return ((lo,), (hi,), (0.5 * (lo + hi),))
-    (x0, x1), (y0, y1) = dom.bounds
-    pts = [(x0, y0), (x1, y1), (0.5 * (x0 + x1), y0), (x0, 0.5 * (y0 + y1))]
-    pts.append((0.5 * (x0 + x1), 0.5 * (y0 + y1)))
-    return tuple(pts)
-
-
-def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
-    """lambda^Neu(Omega_R, p) via the exact reformulation h = R^{-2}.
-
-    Requires the fixed data V = 1, A = 0, gamma = 0, each a constant, on
-    a domain whose every face is Robin; any other data raises
-    ConfigError.  The reported ratio is
-    against the half-space (d = 2) or half-line (d = 1) Neumann constant,
-    which the ratio approaches from below as R grows (for smooth domains;
-    corners attract more strongly and push the limit ratio below 1).  A
-    row is converged only if its rung and that reference are.
+    Requires the fixed data V = 1, A = 0, gamma = 0, each a constant, on a
+    domain whose every face is Robin; any other data raises ConfigError.
+    Then `ratio` is lambda^Neu(Omega_R, p) and `target` the half-space
+    (d = 2) or half-line (d = 1) Neumann constant, which ratio / target
+    approaches from below as R grows (for smooth domains; corners attract
+    more strongly and push the limit below 1).
     """
     if (spec.A is not None or spec.B is not None
             or callable(spec.V) or float(spec.V) != 1.0
@@ -176,17 +165,4 @@ def large_domain(spec: GeometrySpec, p: float, R_list) -> list[LargeDomainRow]:
             or any(f != "robin" for faces in spec.domain.bc for f in faces)):
         raise ConfigError("large-domain: the reduction assumes the constant "
                           "data V = 1, B = 0, gamma = 0 on Robin faces only")
-    d = spec.dim
-    check_exponent(p)
-    reference, reference_ok = models.solved(boundary_constant, 0.0, 1.0, 0.0,
-                                            p, dim=d)
-    rows = []
-    for R in R_list:
-        h = R ** (-2.0)
-        res = _rung(spec, h, p, boundary_centers(spec), seed=11)
-        lam_neu = R ** (d + 2.0 - 2.0 * d / p) * res.lam
-        rows.append(LargeDomainRow(R=R, h=h, lam_semiclassical=res.lam,
-                                   lam_neumann=lam_neu,
-                                   ratio=lam_neu / reference,
-                                   converged=res.converged and reference_ok))
-    return rows
+    return sweep(spec, p, [R ** -2.0 for R in R_list])

@@ -246,8 +246,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_large_domain(args) -> int:
-    """Exits 2 when a rung or the reference is unconverged, after writing
-    every row."""
+    """The sweep rows at h = R^-2, relabelled: lambda_neumann is their
+    ratio, and ratio their ratio / target.  Exits 2 when a rung or the
+    target is unconverged, after writing every row."""
     spec, resolved = load_geometry(args.config)
     R_list = _parse_h_list("--R-list", args.R_list)
     for R in R_list:
@@ -255,11 +256,11 @@ def _cmd_large_domain(args) -> int:
     rows = asymptotics.large_domain(spec, args.p, R_list)
     hdr = ["R", "h", "lambda_semiclassical", "lambda_neumann", "ratio",
            "converged"]
-    table = [(r.R, r.h, r.lam_semiclassical, r.lam_neumann, r.ratio,
-              int(r.converged)) for r in rows]
+    table = [(R, r.h, r.lam, r.ratio, r.ratio / r.target, int(r.converged))
+             for R, r in zip(R_list, rows)]
     return _write_rows(
         args, _geometry_config(args, resolved, R_list=args.R_list), hdr, table,
-        f"large-domain: {len(rows)} rows, last ratio={rows[-1].ratio:.6g}")
+        f"large-domain: {len(rows)} rows, last ratio={table[-1][4]:.6g}")
 
 
 def _cmd_partition_check(args) -> int:
@@ -382,7 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--out", required=True, help="CSV path")
     w.set_defaults(func=_cmd_sweep)
 
-    ld = sub.add_parser("large-domain", help="Neumann constants of dilated domains")
+    ld = sub.add_parser("large-domain", help="Neumann constants of dilated "
+                        "domains: the sweep at h = R^-2, each rung started "
+                        "from one bump per Robin face and tied value of the "
+                        "argmin set and one random field")
     ld.add_argument("--config", required=True)
     ld.add_argument("--p", type=float, required=True)
     ld.add_argument("--R-list", required=True)

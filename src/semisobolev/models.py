@@ -253,34 +253,29 @@ class ConcentrationMap:
     argmin: list
     delta: float
 
-    @property
-    def argmin_points(self) -> np.ndarray:
-        return np.array([s.x for s in self.argmin], dtype=float)
-
     def outside_m_eps(self, points: np.ndarray) -> np.ndarray:
         """Mask of points outside M_eps: at distance > _EPS from every
         argmin sample."""
         pts = np.atleast_2d(points)
-        m = self.argmin_points
         d2min = np.full(len(pts), np.inf)
-        for q in m:
-            d2 = ((pts - q) ** 2).sum(axis=1)
-            d2min = np.minimum(d2min, d2)
+        for s in self.argmin:
+            d2min = np.minimum(d2min, ((pts - s.x) ** 2).sum(axis=1))
         return d2min > _EPS * _EPS
 
 
-def _is_boundary_point(dom: geometry.Domain, x: np.ndarray, tol: float) -> bool:
-    """Whether x lies on a Robin face; a Dirichlet or truncation face,
-    the disk's rim included, is never a boundary sample."""
+def robin_face(dom: geometry.Domain, x) -> tuple | None:
+    """The Robin face that x lies on, within _BOUNDARY_TOL: ("rim",) on a
+    disk, (axis, side) on a box, None anywhere else.  A Dirichlet or
+    truncation face, the disk's rim included, is never a Robin face."""
     if dom.kind == "disk":
         r = float(np.hypot(x[0] - dom.center[0], x[1] - dom.center[1]))
-        return dom.bc[0][0] == "robin" and abs(r - dom.radius) <= tol
-    for axis, ((lo, hi), bcs) in enumerate(zip(dom.bounds, dom.bc)):
-        if bcs[0] == "robin" and abs(x[axis] - lo) <= tol:
-            return True
-        if bcs[1] == "robin" and abs(x[axis] - hi) <= tol:
-            return True
-    return False
+        on_rim = dom.bc[0][0] == "robin" and abs(r - dom.radius) <= _BOUNDARY_TOL
+        return ("rim",) if on_rim else None
+    for axis, (ends, bcs) in enumerate(zip(dom.bounds, dom.bc)):
+        for side, (end, bc) in enumerate(zip(ends, bcs)):
+            if bc == "robin" and abs(x[axis] - end) <= _BOUNDARY_TOL:
+                return (axis, side)
+    return None
 
 
 def concentration_map(spec: GeometrySpec, sample_points, p: float) -> ConcentrationMap:
@@ -298,7 +293,7 @@ def concentration_map(spec: GeometrySpec, sample_points, p: float) -> Concentrat
     for x in np.atleast_2d(np.asarray(sample_points, dtype=float)):
         at = x[None, :]
         data = (abs(float(spec.b_at(at)[0])), float(spec.v_at(at)[0]))
-        if _is_boundary_point(spec.domain, x, _BOUNDARY_TOL):
+        if robin_face(spec.domain, x) is not None:
             frozen.append((tuple(x.tolist()), "boundary", boundary_constant,
                            data + (float(spec.gamma_at(at)[0]),)))
         else:

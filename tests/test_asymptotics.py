@@ -3,7 +3,8 @@
 import numpy as np
 from numpy.testing import assert_allclose
 
-from semisobolev import asymptotics
+from semisobolev import asymptotics, models
+from semisobolev.config import parse_geometry
 from semisobolev import geometry as ge
 
 
@@ -19,9 +20,57 @@ def test_default_sample_points_on_a_disk():
     assert_allclose(r[41:], R, rtol=1e-14)
 
 
-def test_boundary_centers_on_a_rectangle():
+def _starts(spec, p=4.0):
+    """The rung centers that `sweep` picks on `spec` at exponent p."""
+    cmap = models.concentration_map(
+        spec, asymptotics.default_sample_points(spec), p)
+    return cmap, asymptotics.rung_centers(spec, cmap)
+
+
+def test_one_start_on_a_tied_disk_rim():
+    # the 16 rim samples of the Neumann disk tie: one face, one start
+    cmap, starts = _starts(ge.GeometrySpec(domain=ge.disk(1.0), V=1.0,
+                                           gamma=0.0))
+    assert len(cmap.argmin) == 16
+    assert starts == ((1.0, 0.0),)
+
+
+def test_one_start_per_face_of_a_rectangle():
+    # 4 tied samples on each Neumann face: the first of each face, in
+    # sample order (x = -1, x = 3, y = 0, y = 2)
     spec = ge.GeometrySpec(domain=ge.rectangle(((-1.0, 3.0), (0.0, 2.0))),
                            V=1.0)
-    # two opposite corners, two edge midpoints, then the center
-    assert asymptotics.boundary_centers(spec) == (
-        (-1.0, 0.0), (3.0, 2.0), (1.0, 0.0), (-1.0, 1.0), (1.0, 1.0))
+    cmap, starts = _starts(spec)
+    assert len(cmap.argmin) == 16
+    assert_allclose(starts, [(-1.0, 0.4), (3.0, 0.4), (-0.2, 0.0),
+                             (-0.2, 2.0)], atol=1e-12)
+
+
+def test_both_ends_of_a_robin_interval():
+    spec = ge.GeometrySpec(domain=ge.interval(-1.0, 1.0, ("robin", "robin")),
+                           V=1.0, gamma=0.0)
+    assert _starts(spec)[1] == ((-1.0,), (1.0,))
+
+
+def test_one_start_at_the_dip_of_the_rim():
+    spec, _ = parse_geometry(
+        "domain = disk\nradius = 1.0\nV = 1.0\n"
+        "gamma = angular-dip -0.1 0.8 0 0.5\n")
+    cmap, starts = _starts(spec)
+    assert [s.kind for s in cmap.argmin] == ["boundary"]
+    assert starts == ((1.0, 0.0),)
+
+
+def test_faces_and_values_split_the_classes():
+    # two argmin samples share a class only on one face with tied values
+    spec = ge.GeometrySpec(domain=ge.rectangle(((0.0, 1.0), (0.0, 1.0))),
+                           V=1.0)
+    samples = [models.ConcentrationSample((0.0, 0.3), "boundary", 1.0),
+               models.ConcentrationSample((0.0, 0.6), "boundary", 1.0 + 1e-11),
+               models.ConcentrationSample((0.0, 0.9), "boundary", 1.0 + 1e-9),
+               models.ConcentrationSample((1.0, 0.3), "boundary", 1.0),
+               models.ConcentrationSample((0.5, 0.5), "interior", 1.0),
+               models.ConcentrationSample((0.4, 0.5), "interior", 1.0)]
+    cmap = models.ConcentrationMap(samples, 1.0, samples, 0.02)
+    assert asymptotics.rung_centers(spec, cmap) == (
+        (0.0, 0.3), (0.0, 0.9), (1.0, 0.3), (0.5, 0.5))

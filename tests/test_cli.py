@@ -133,6 +133,27 @@ class TestLargeDomain:
         assert [float(r[0]) for r in rows] == [2.0, 3.0]
         assert [r[-1] for r in rows] == ["1", "1"]
 
+    def test_rows_are_the_sweep_at_h_R_minus_2(self, interval_cfg, tmp_path):
+        # lambda_semiclassical is the sweep's lambda, lambda_neumann its
+        # ratio, and the large-domain ratio that over the target, which the
+        # sweep prints to 12 digits as the gap ratio / target - 1
+        ld, sw = tmp_path / "ld.csv", tmp_path / "sw.csv"
+        assert cli.main(["large-domain", "--config", str(interval_cfg),
+                         "--p", "4", "--R-list", "2,4", "--out", str(ld)]) == 0
+        assert cli.main(["sweep", "--config", str(interval_cfg), "--p", "4",
+                         "--h-list", "0.25,0.0625", "--out", str(sw)]) == 0
+        _, ld_header, ld_rows = _read(ld)
+        _, sw_header, sw_rows = _read(sw)
+        for a, b in zip(ld_rows, sw_rows, strict=True):
+            a = dict(zip(ld_header, a))
+            b = dict(zip(sw_header, b))
+            pairs = [(a["h"], b["h"]), (a["lambda_semiclassical"], b["lambda"]),
+                     (a["lambda_neumann"], b["ratio"]),
+                     (a["ratio"], 1.0 + float(b["gap"]))]
+            for x, y in pairs:
+                assert float(x) == pytest.approx(float(y), rel=1e-12)
+            assert a["converged"] == b["converged"] == "1"
+
     def test_unconverged_rung_is_flagged(self, interval_cfg, tmp_path,
                                          monkeypatch):
         real = minimize.minimize_quotient
@@ -152,7 +173,7 @@ class TestLargeDomain:
         assert rows[0][-1] == "0"
 
     def test_unconverged_reference_is_flagged(self, tmp_path, monkeypatch):
-        # the d = 2 reference is a grid solve; when it misses its tolerance
+        # the d = 2 target is a grid solve; when it misses its tolerance
         # every ratio rests on it, so every row says so
         _unconverged_models(monkeypatch, 3.0)
         cfg = tmp_path / "disk.cfg"

@@ -14,7 +14,8 @@ subcommand is run by some test.  Only `minimize.py` names
 `minimize_quotient`: every other module solves through `solve_lattice`.
 Only `models.py` names `_cache`, the one memo of the results of lattice
 solves, or `_unconverged`, its miss count, and no function but the
-closed-form oracle `de_gennes_constant` carries a functools memo.
+closed-form oracle `de_gennes_constant` carries a functools memo.  Only
+`asymptotics.sweep` names `_rung`: there is one h-ladder loop.
 The checks read the source with `ast`, except seven: importing the
 package loads no scipy module, since every importer names its submodule;
 importing the CLI loads no scipy module that only the oracles use, nor
@@ -279,6 +280,31 @@ def test_only_models_reads_the_miss_count(path):
     # a caller asks `models.solved` whether its call missed; a snapshot of
     # the count taken by hand is a second copy of that rule
     assert lines_naming(path.read_text(), "_unconverged") == []
+
+
+def functions_naming(source: str, name: str) -> list:
+    """The top-level function around each line of `lines_naming`, or None
+    for a line outside every function."""
+    spans = [(n.lineno, n.end_lineno, n.name) for n in ast.parse(source).body
+             if isinstance(n, ast.FunctionDef)]
+    return [next((f for a, b, f in spans if a <= ln <= b), None)
+            for ln in lines_naming(source, name)]
+
+
+def test_the_function_check_finds_each_kind():
+    source = ("def a():\n    return _rung(1)\n"
+              "def b():\n    f = mod._rung\n    return f\n"
+              "x = _rung(2)\n"
+              "def _rung(k):\n    return k\n")
+    assert functions_naming(source, "_rung") == ["a", "b", None]
+
+
+def test_only_the_sweep_runs_rungs():
+    # one h-ladder loop: `large_domain` returns the sweep's rows, so no
+    # second rung loop starts its own rungs
+    found = [(path.stem, func) for path in MODULES
+             for func in functions_naming(path.read_text(), "_rung")]
+    assert found == [("asymptotics", "sweep")]
 
 
 def functools_memos(source: str) -> list:

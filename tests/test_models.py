@@ -301,8 +301,8 @@ class TestConcentrationMap:
         spec = ge.GeometrySpec(domain=ge.disk(1.0), V=0.0, A=A, B=Bfield)
         pts = [(0.0, 0.0), (0.5, 0.0), (0.8, 0.0), (-0.6, 0.1)]
         cmap = models.concentration_map(spec, pts, 2.0)
-        assert cmap.argmin_points.shape[0] == 1
-        assert_allclose(cmap.argmin_points[0], [0.0, 0.0])
+        assert len(cmap.argmin) == 1
+        assert_allclose(cmap.argmin[0].x, [0.0, 0.0])
         assert cmap.inf_value == pytest.approx(1.0)
 
     def test_boundary_dip_attracts(self):
