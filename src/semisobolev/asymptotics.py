@@ -9,8 +9,12 @@ geometry the sweep tabulates the normalized ratio lambda / h^{1+d/2-d/p}
 against the infimum of the concentration function; the gap closes at an
 algebraic rate bracketed between h^{1/6} and h^{1/2} |log h| factors whose
 constants are non-constructive, so only magnitudes and trends are fitted.
-Each row reports the minimizer's L^p mass outside the dilated argmin set
-M_eps, which decays faster than any power (stretched-exponentially in h).
+Every h-ladder (the sweep, large domains, the waveguide sweep) reports one
+`SweepRow` per rung, made by `rung_row`: lambda, its ratio to h^power
+against the ladder's target and their gap, the argmax of |psi|, the L^p
+mass off the concentration set (here the dilated argmin set M_eps, where
+it decays stretched-exponentially in h), the lattice's spacing along axis
+0, and whether the rung and the target converged.
 
 Each rung starts from one random field and one Gaussian bump per class of
 argmin samples: those on one Robin face (a disk rim, a box face (axis,
@@ -108,13 +112,30 @@ def _rung(spec: GeometrySpec, h: float, p: float,
 class SweepRow:
     h: float
     lam: float
-    ratio: float            # lam / h^{1 + d/2 - d/p}
-    target: float           # inf of the concentration function
+    ratio: float            # lam / h^power, power fixed by the ladder
+    target: float           # the limit of ratio as h -> 0
     gap: float              # signed relative gap of ratio vs target
-    center: tuple
-    mass_outside: float
-    spacing: float
+    center: tuple           # the node where |psi| is largest
+    mass_outside: float     # L^p mass of psi off the concentration set
+    spacing: float          # the rung lattice's spacing along axis 0
     converged: bool = True
+
+
+def rung_row(h: float, p: float, res: MinimizerResult, power: float,
+             target: float, target_ok: bool, outside) -> SweepRow:
+    """The row of the rung at h: ratio = lam / h^power against `target`,
+    the argmax of |psi|, the L^p mass on the nodes where
+    `outside(points)`, and the lattice's own spacing along axis 0; it is
+    converged only if the rung is and `target_ok`."""
+    grid = res.psi.grid
+    ratio = res.lam / h ** power
+    center = grid.points[int(np.argmax(np.abs(res.psi.values)))]
+    off = outside(grid.points)
+    return SweepRow(h=h, lam=res.lam, ratio=ratio, target=target,
+                    gap=ratio / target - 1.0, center=tuple(map(float, center)),
+                    mass_outside=lp_norm(grid.weight[off], res.psi.values[off], p),
+                    spacing=float(grid.spacing[0]),
+                    converged=res.converged and target_ok)
 
 
 def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
@@ -130,21 +151,9 @@ def sweep(spec: GeometrySpec, p: float, h_list) -> list[SweepRow]:
     cmap = concentration_map(spec, default_sample_points(spec), p)
     target_ok = all(s.converged for s in cmap.samples)
     centers = rung_centers(spec, cmap)
-    rows = []
-    for h in h_list:
-        res = _rung(spec, h, p, centers)
-        grid = res.psi.grid
-        ratio = res.lam / h ** h_power(spec.dim, p)
-        gap = ratio / cmap.inf_value - 1.0
-        vals = np.abs(res.psi.values)
-        center = tuple(float(c) for c in grid.points[int(np.argmax(vals))])
-        outside = cmap.outside_m_eps(grid.points)
-        mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
-        rows.append(SweepRow(h=h, lam=res.lam, ratio=ratio,
-                             target=cmap.inf_value, gap=gap, center=center,
-                             mass_outside=mass, spacing=default_mesh_rule(h),
-                             converged=res.converged and target_ok))
-    return rows
+    return [rung_row(h, p, _rung(spec, h, p, centers), h_power(spec.dim, p),
+                     cmap.inf_value, target_ok, cmap.outside_m_eps)
+            for h in h_list]
 
 
 def large_domain(spec: GeometrySpec, p: float, R_list) -> list[SweepRow]:

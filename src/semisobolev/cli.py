@@ -121,6 +121,8 @@ def _parse_profile(s: str) -> waveguide.WidthProfile:
             amp, s0, w = (float(x) for x in rest.split(","))
             return waveguide.gaussian_profile(amp=amp, center=s0, width=w)
         if kind == "cosine":
+            if rest:
+                raise ValueError("cosine takes no parameters")
             return waveguide.cosine_profile()
         if kind == "table":
             data = np.loadtxt(rest, delimiter=",", ndmin=2)
@@ -182,6 +184,9 @@ def _cmd_solve(args) -> int:
                             spacing, args.p, opts)
     except ScaleOutOfRange as exc:
         raise ConfigError(f"--h: {exc}") from exc
+    except GridTooLarge as exc:     # --spacing, or --h by the mesh rule
+        flag = "--h" if args.spacing is None else "--spacing"
+        raise ConfigError(f"{flag}: {exc}") from exc
     config = _geometry_config(args, resolved, h=args.h, spacing=spacing,
                               grad_tol=args.grad_tol)
     payload = {
@@ -311,8 +316,9 @@ def _cmd_partition_check(args) -> int:
 
 
 def _cmd_waveguide(args) -> int:
-    """Exits 2 when a rung or the reference is unconverged, after writing
-    every row."""
+    """The waveguide sweep's rows, relabelled: lambda_reduced is their
+    lambda, ratio their ratio / target, spacing_s their spacing.  Exits 2
+    when a rung or the reference is unconverged, after writing every row."""
     prof = _parse_profile(args.profile)
     h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
     rows = waveguide.waveguide_sweep(prof, args.p, h_list)
@@ -320,11 +326,11 @@ def _cmd_waveguide(args) -> int:
               "seed": args.seed}
     hdr = ["h", "lambda_reduced", "ratio", "mass_outside", "spacing_s",
            "converged"]
-    table = [(r.h, r.lam_reduced, r.ratio, r.mass_outside, r.spacing_s,
+    table = [(r.h, r.lam, r.ratio / r.target, r.mass_outside, r.spacing,
               int(r.converged)) for r in rows]
     return _write_rows(args, config, hdr, table,
                        f"waveguide: {len(rows)} rows, "
-                       f"last ratio={rows[-1].ratio:.6f}")
+                       f"last ratio={table[-1][2]:.6f}")
 
 
 def _emit(path: str | None, text: str) -> None:

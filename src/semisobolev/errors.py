@@ -26,11 +26,8 @@ class InvalidExponent(SemisobolevError):
 
 
 class AssumptionViolated(SemisobolevError):
-    """The spectral positivity assumption fails on the sampled geometry."""
-
-
-class NotPositive(SemisobolevError):
-    """A model constant that must be positive is not."""
+    """The spectral positivity assumption fails: a p = 2 model value is not
+    positive."""
 
 
 class InvalidScales(SemisobolevError):

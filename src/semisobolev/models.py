@@ -43,7 +43,7 @@ import numpy as np
 
 from . import geometry, model1d
 from .discretize import assemble, build_grid
-from .errors import AssumptionViolated, NotPositive
+from .errors import AssumptionViolated
 from .geometry import GeometrySpec, check_exponent
 from .minimize import MinimizeOptions, solve_lattice
 
@@ -180,7 +180,7 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
     with no field, and with a field an upper bound that matches the 2-D
     Landau lattice where measured, not a theorem.  The p = 2 value is
     returned whatever its sign; at p > 2 one that is not positive raises
-    NotPositive, as in boundary_constant.
+    AssumptionViolated, as in boundary_constant.
     """
     _check_field(b, dim)
     check_exponent(p)
@@ -188,7 +188,7 @@ def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:
     if p == 2.0:
         return p2
     if not p2 > 0.0:
-        raise NotPositive(f"Tr+ B + V = {p2} violates the spectral assumption")
+        raise AssumptionViolated(f"Tr+ B + V = {p2} violates the spectral assumption")
     e = _scaling_exponent(dim, p)
     if dim == 1:
         return V0 ** e * model1d.soliton_line(p)
@@ -202,9 +202,9 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
 
     The last coordinate is the inward normal; b = Tr+ B >= 0 as in
     interior_constant.  The p = 2 value is returned at p = 2 whatever its
-    sign; at p > 2 one that is not positive raises NotPositive, as the
-    infimum is then not positive either (with a field that happens where
-    b + V0 > 0 too: -0.086 at b = 1, V0 = -0.7).  With no field the
+    sign; at p > 2 one that is not positive raises AssumptionViolated, as
+    the infimum is then not positive either (with a field that happens
+    where b + V0 > 0 too: -0.086 at b = 1, V0 = -0.7).  With no field the
     Neumann half plane is exactly 2^{2/p - 1} times the whole plane: even
     reflection doubles the energy and the p-th power of the L^p norm, and
     the radial minimizer restricts to the half plane at that ratio.  Every
@@ -224,7 +224,7 @@ def boundary_constant(b: float, V0: float, gamma0: float, p: float,
     if p == 2.0:
         return p2
     if not p2 > 0.0:
-        raise NotPositive(f"b = {b}, V = {V0}, gamma = {gamma0}: the p = 2 "
+        raise AssumptionViolated(f"b = {b}, V = {V0}, gamma = {gamma0}: the p = 2 "
                           f"half-space value {p2} is not positive")
     e = _scaling_exponent(dim, p)
     if dim == 1:

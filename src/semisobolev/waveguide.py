@@ -19,7 +19,10 @@ The straight-strip constant lambda^Dir(Sigma, p) is computed once on a
 sigma-grid with the same resolution so that leading mesh errors cancel in
 the reported ratios.  Its minimizer, zoomed by the same rescale onto the
 s-lattice of a rung, is the model minimizer the semiclassical picture
-puts at the widest point, and it is each rung's one start.
+puts at the widest point, and it is each rung's one start.  A rung's
+row is the `asymptotics.SweepRow` of every h-ladder: lambda_reduced, its
+ratio to h^{1-2/p}, the target a_max^{-4/p} lambda^Dir(Sigma, p), and the
+mass at distance > width from s_max, on the rung's strip lattice.
 """
 
 from __future__ import annotations
@@ -30,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import geometry, models
-from .discretize import (AssembledForm, WaveFunction, assemble, build_grid,
-                         lp_norm)
+from .asymptotics import SweepRow, rung_row
+from .discretize import AssembledForm, WaveFunction, assemble, build_grid
 from .errors import InvalidProfile
 from .geometry import GeometrySpec
 from .minimize import MinimizeOptions, solve_lattice
@@ -202,25 +205,15 @@ def _zoomed(psi: WaveFunction, profile: WidthProfile, h: float) -> WaveFunction:
                               profile.s_max + zoom * hi)), psi.values)
 
 
-@dataclass
-class WaveguideRow:
-    h: float
-    lam_reduced: float
-    ratio: float
-    mass_outside: float
-    spacing_s: float
-    converged: bool = True
-
-
-def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRow]:
-    """Reduced-quotient sweep with ratios against the frozen-height value.
-
-    ratio_h = lambda_reduced(h) / (h^{1-2/p} a_max^{-4/p} lambda^Dir(Sigma, p))
-    tends to 1 from within the (1 - C sqrt(h), 1 + C h) bracket; the mass
-    at distance > profile.width from the argmax of a decays
-    stretched-exponentially.  A row is converged only if its rung and the
-    reference are; a miss of the reference is counted, not stored, in the
-    memo it shares with the model constants, and every row is still made.
+def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[SweepRow]:
+    """Reduced-quotient sweep: one `rung_row` per h, whose ratio
+    lambda_reduced / h^{1-2/p} tends to the frozen-height target
+    a_max^{-4/p} lambda^Dir(Sigma, p) within (1 - C sqrt(h), 1 + C h)
+    factors, and whose mass at distance > profile.width from s_max, the
+    argmax of a, decays stretched-exponentially.  A row is converged only
+    if its rung and the reference are; a miss of the reference is counted,
+    not stored, in the memo it shares with the model constants, and every
+    row is still made.
 
     Every rung starts from the stored reference minimizer, zoomed onto its
     lattice (`_zoomed`): at p > 2 the fine strip polishes it alone, and at
@@ -237,14 +230,8 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[WaveguideRo
                                bump_width=max(h * profile.a_max, 2e-2))
         res = _solve(profile, h, p, opts, start=None if model is None
                      else _zoomed(model.psi, profile, h))
-        target = h ** (1.0 - 2.0 / p) * profile.a_max ** (-4.0 / p) * ref
-        grid = res.psi.grid
-        s = grid.points[:, 0]
-        outside = np.abs(s - profile.s_max) > profile.width
-        mass = lp_norm(grid.weight[outside], res.psi.values[outside], p)
-        rows.append(WaveguideRow(h=h, lam_reduced=res.lam,
-                                 ratio=res.lam / target, mass_outside=mass,
-                                 spacing_s=grid.spacing[0],
-                                 converged=res.converged and reference_ok))
+        rows.append(rung_row(
+            h, p, res, 1.0 - 2.0 / p, profile.a_max ** (-4.0 / p) * ref,
+            reference_ok,
+            lambda pts: np.abs(pts[:, 0] - profile.s_max) > profile.width))
     return rows
-

@@ -775,6 +775,10 @@ class TestBadInput:
         ["model1d", "--p", "4", "--sweep=0:1"],
         ["model1d", "--p", "4"],
         ["solve", "--config", "{tmp}/missing.cfg", "--h", "0.1", "--p", "4"],
+        ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "4",
+         "--spacing", "1e-7"],
+        ["solve", "--config", "{cfg}", "--h", "1e-16", "--p", "4"],
+        ["waveguide", "--profile", "cosine:5", "--p", "4", "--h-list", "0.5"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -794,7 +798,9 @@ class TestBadInput:
             "sweep-h-overflow", "large-domain-h-underflow",
             "solve-h-potential-lost", "solve-h-potential-lost-1e150",
             "sweep-h-not-a-number", "profile-kind", "model1d-sweep-two-fields",
-            "model1d-no-c-or-sweep", "config-missing"])
+            "model1d-no-c-or-sweep", "config-missing",
+            "solve-lattice-too-large", "solve-h-lattice-too-large",
+            "cosine-parameters"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
         for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),

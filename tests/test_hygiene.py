@@ -15,7 +15,9 @@ subcommand is run by some test.  Only `minimize.py` names
 Only `models.py` names `_cache`, the one memo of the results of lattice
 solves, or `_unconverged`, its miss count, and no function but the
 closed-form oracle `de_gennes_constant` carries a functools memo.  Only
-`asymptotics.sweep` names `_rung`: there is one h-ladder loop.
+`asymptotics.sweep` names `_rung`, the one runner of the sweep's rungs,
+which `large_domain` reuses; and only `asymptotics.rung_row` builds a
+`SweepRow`, the one row of every h-ladder, the waveguide sweep's too.
 The checks read the source with `ast`, except seven: importing the
 package loads no scipy module, since every importer names its submodule;
 importing the CLI loads no scipy module that only the oracles use, nor
@@ -282,13 +284,29 @@ def test_only_models_reads_the_miss_count(path):
     assert lines_naming(path.read_text(), "_unconverged") == []
 
 
-def functions_naming(source: str, name: str) -> list:
-    """The top-level function around each line of `lines_naming`, or None
-    for a line outside every function."""
+def _functions_at(source: str, lines) -> list:
+    """The top-level function around each of `lines`, or None for a line
+    outside every function."""
     spans = [(n.lineno, n.end_lineno, n.name) for n in ast.parse(source).body
              if isinstance(n, ast.FunctionDef)]
     return [next((f for a, b, f in spans if a <= ln <= b), None)
-            for ln in lines_naming(source, name)]
+            for ln in lines]
+
+
+def functions_naming(source: str, name: str) -> list:
+    """The top-level function around each line of `lines_naming`."""
+    return _functions_at(source, lines_naming(source, name))
+
+
+def functions_calling(source: str, name: str) -> list:
+    """The top-level function around each line that calls `name`, as a
+    Name or as an attribute."""
+    return _functions_at(source, sorted(
+        {node.lineno for node in ast.walk(ast.parse(source))
+         if isinstance(node, ast.Call)
+         and (isinstance(node.func, ast.Name) and node.func.id == name
+              or isinstance(node.func, ast.Attribute)
+              and node.func.attr == name)}))
 
 
 def test_the_function_check_finds_each_kind():
@@ -300,11 +318,28 @@ def test_the_function_check_finds_each_kind():
 
 
 def test_only_the_sweep_runs_rungs():
-    # one h-ladder loop: `large_domain` returns the sweep's rows, so no
-    # second rung loop starts its own rungs
+    # `_rung` is the one runner of the sweep's rungs: `large_domain`
+    # returns the sweep's rows and starts no rungs of its own
     found = [(path.stem, func) for path in MODULES
              for func in functions_naming(path.read_text(), "_rung")]
     assert found == [("asymptotics", "sweep")]
+
+
+def test_the_call_check_finds_each_kind():
+    source = ("def a():\n    return SweepRow(h=1)\n"
+              "def b():\n    make = mod.SweepRow\n"
+              "    return make(h=2), mod.SweepRow(h=3)\n"
+              "row = SweepRow(h=4)\n"
+              "def c(rows: list[SweepRow]):\n    return rows\n")
+    assert functions_calling(source, "SweepRow") == ["a", "b", None]
+
+
+def test_only_rung_row_builds_ladder_rows():
+    # every h-ladder (sweep, large-domain, waveguide) reports through the
+    # one `rung_row`, so a column added there reaches all three
+    found = [(path.stem, func) for path in MODULES
+             for func in functions_calling(path.read_text(), "SweepRow")]
+    assert found == [("asymptotics", "rung_row")]
 
 
 def functools_memos(source: str) -> list:

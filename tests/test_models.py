@@ -17,7 +17,7 @@ from semisobolev import model1d as m1
 from semisobolev import models
 from semisobolev import waveguide as wg
 from semisobolev.config import load_geometry
-from semisobolev.errors import AssumptionViolated, GridTooLarge, NotPositive
+from semisobolev.errors import AssumptionViolated, GridTooLarge
 from semisobolev.minimize import MinimizeOptions, minimize_quotient
 
 BOX_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -39,9 +39,9 @@ class TestInteriorConstant:
         # the p = 2 value is returned whatever its sign, as in
         # boundary_constant; at p > 2 a non-positive one raises
         assert models.interior_constant(0.0, -0.5, 2.0, dim=2) == -0.5
-        with pytest.raises(NotPositive):
+        with pytest.raises(AssumptionViolated):
             models.interior_constant(0.0, -0.5, 4.0, dim=2)
-        with pytest.raises(NotPositive):
+        with pytest.raises(AssumptionViolated):
             models.interior_constant(0.0, 0.0, 4.0, dim=1)
 
     def test_field_is_a_nonnegative_scalar(self):
@@ -140,7 +140,7 @@ class TestBoundaryConstant:
                                           (0.0, 0.3)])
     def test_d1_not_positive(self, V, gamma):
         # gamma <= -sqrt(V) or V <= 0: no positive constant
-        with pytest.raises(NotPositive):
+        with pytest.raises(AssumptionViolated):
             models.boundary_constant(0.0, V, gamma, 4.0, dim=1)
 
     @pytest.mark.parametrize("V, gamma", [(1.0, -1.2), (1.0, -1.0), (-0.5, 0.3),
@@ -148,7 +148,7 @@ class TestBoundaryConstant:
     def test_d2_not_positive(self, V, gamma, monkeypatch):
         # the same bound as in d = 1, raised before any lattice is built
         monkeypatch.setattr(models, "_grid_value", None)
-        with pytest.raises(NotPositive):
+        with pytest.raises(AssumptionViolated):
             models.boundary_constant(0.0, V, gamma, 4.0, dim=2)
 
     @pytest.mark.usefixtures("fresh_reference")
@@ -158,7 +158,7 @@ class TestBoundaryConstant:
         # where b + V is (-0.0859 at V = -0.7): p = 4 raises, solving no
         # p = 4 lattice, where it returned -1.87215 and -0.38336
         assert models.boundary_constant(1.0, V, 0.0, 2.0) <= 0.0
-        with pytest.raises(NotPositive):
+        with pytest.raises(AssumptionViolated):
             models.boundary_constant(1.0, V, 0.0, 4.0)
         assert [key[1] for key in models._cache] == [2.0]
 
