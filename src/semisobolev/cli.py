@@ -22,8 +22,9 @@ from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
 from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
-from .errors import (GridTooLarge, InvalidExponent, InvalidProfile,
-                     InvalidScales, ScaleOutOfRange, SemisobolevError)
+from .errors import (DomainTooSmall, GridTooLarge, InvalidExponent,
+                     InvalidProfile, InvalidScales, ScaleOutOfRange,
+                     SemisobolevError)
 from .minimize import MinimizeOptions, solve_lattice
 
 
@@ -184,8 +185,8 @@ def _cmd_solve(args) -> int:
                             spacing, args.p, opts)
     except ScaleOutOfRange as exc:
         raise ConfigError(f"--h: {exc}") from exc
-    except GridTooLarge as exc:     # --spacing, or --h by the mesh rule
-        flag = "--h" if args.spacing is None else "--spacing"
+    except (GridTooLarge, DomainTooSmall) as exc:
+        flag = "--h" if args.spacing is None else "--spacing"   # --h: the mesh rule
         raise ConfigError(f"{flag}: {exc}") from exc
     config = _geometry_config(args, resolved, h=args.h, spacing=spacing,
                               grad_tol=args.grad_tol)
@@ -281,7 +282,7 @@ def _cmd_partition_check(args) -> int:
         raise ConfigError(f"--alpha/--rho/--h: {exc}") from exc
     try:
         grid = build_grid(spec, args.spacing)
-    except GridTooLarge as exc:
+    except (GridTooLarge, DomainTooSmall) as exc:
         raise ConfigError(f"--spacing: {exc}") from exc
     form = assemble(spec, args.h, grid)
     rng = np.random.default_rng(args.seed)
@@ -321,7 +322,11 @@ def _cmd_waveguide(args) -> int:
     when a rung or the reference is unconverged, after writing every row."""
     prof = _parse_profile(args.profile)
     h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
-    rows = waveguide.waveguide_sweep(prof, args.p, h_list)
+    try:
+        rows = waveguide.waveguide_sweep(prof, args.p, h_list)
+    except (GridTooLarge, DomainTooSmall) as exc:   # a rung's strip lattice:
+        # spacing h a_max / 14 and length 8 widths
+        raise ConfigError(f"--h-list/--profile: {exc}") from exc
     config = {"profile": args.profile, "p": args.p, "h_list": args.h_list,
               "seed": args.seed}
     hdr = ["h", "lambda_reduced", "ratio", "mass_outside", "spacing_s",

@@ -6,7 +6,8 @@ Schema (one `key = value` per line, `#` comments):
                half-line | strip
     radius   = 1.0                   # disk
     center   = 0 0                   # disk; the center of the presets
-    bounds   = -1 1 -1 1             # rectangle / interval / strip (s-range)
+    bounds   = -1 1 -1 1             # rectangle: xlo xhi ylo yhi; interval:
+                                     # lo hi; strip: its s-range s_lo s_hi
     bc       = robin robin robin robin   # rectangle / interval: faces
                                          # xlo xhi ylo yhi (lo hi)
     halfwidth = 10                   # plane / half-plane / line / half-line
@@ -182,23 +183,22 @@ def parse_geometry(text: str) -> tuple[GeometrySpec, dict]:
         dom = _HALFWIDTH_DOMAINS[kind](_positive("halfwidth",
                                                  kv.get("halfwidth", "10")))
     else:
-        nb = 2 if kind == "interval" else 4
         if "bounds" not in kv:
             raise ConfigError(f"bounds: required for domain = {kind}")
-        b = _floats("bounds", kv["bounds"], nb)
+        b = _floats("bounds", kv["bounds"], 4 if kind == "rectangle" else 2)
         if any(lo >= hi for lo, hi in zip(b[::2], b[1::2])):
             raise ConfigError(f"bounds: each pair needs lo < hi, got {kv['bounds']!r}")
-        if kind == "interval":
-            bcs = kv.get("bc", "robin truncation").split()
-            if len(bcs) != 2 or any(x not in _FACES for x in bcs):
-                raise ConfigError(f"bc: need 2 of {_FACES}")
-            dom = geometry.interval(b[0], b[1], tuple(bcs))
-        elif kind == "strip":
+        if kind == "strip":
             dom = geometry.strip(b[0], b[1])
+        elif kind == "interval":    # one face per bound
+            bcs = kv.get("bc", "robin truncation").split()
+            if len(bcs) != len(b) or any(x not in _FACES for x in bcs):
+                raise ConfigError(f"bc: need {len(b)} of {_FACES}")
+            dom = geometry.interval(b[0], b[1], tuple(bcs))
         else:
             bcs = kv.get("bc", "robin robin robin robin").split()
-            if len(bcs) != 4 or any(x not in _FACES for x in bcs):
-                raise ConfigError(f"bc: need 4 of {_FACES}")
+            if len(bcs) != len(b) or any(x not in _FACES for x in bcs):
+                raise ConfigError(f"bc: need {len(b)} of {_FACES}")
             dom = geometry.rectangle(((b[0], b[1]), (b[2], b[3])),
                                      ((bcs[0], bcs[1]), (bcs[2], bcs[3])))
 

@@ -292,10 +292,7 @@ def build_grid(spec: GeometrySpec, spacing) -> Grid:
 def prolong(coarse: Grid, x: np.ndarray, fine: Grid) -> np.ndarray:
     """Multilinear interpolation of a field from one lattice of a domain to
     another; x holds its values on the free nodes of `coarse`, and the
-    values on the free nodes of `fine` are returned.  Only the points and
-    spacing of `coarse` are read, so a field moves across a change of
-    variables too: a copy of its grid with zoomed points and spacing (the
-    straight-strip minimizer onto a waveguide rung) is its source lattice.
+    values on the free nodes of `fine` are returned.
 
     Box grids and the masked disk both sit on a uniform tensor lattice,
     node i at lo + k_i s along each axis.  The coarse values are laid out

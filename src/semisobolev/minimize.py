@@ -42,11 +42,11 @@ ending within _TIE of a value already polished (`merged`), is not
 polished.  This is the nested iteration of full multigrid (Brandt, Math.
 Comp. 31, 1977), applied to the starts instead of to a linear solve.
 A caller that already holds a field in the minimizer's basin (the
-minimizer on a shorter truncation of the same strip, or the straight-strip
-minimizer zoomed onto a waveguide rung) passes it as the one `start` in
-place of the bumps and random fields.  Every lattice solve of the package
-enters through `solve_lattice`, which builds both lattices and decides
-whether a coarse stage runs, with or without a start.
+straight-strip minimizer zoomed onto a waveguide rung) passes it as the
+one `start` in place of the bumps and random fields, and the fine lattice
+polishes it alone.  Every lattice solve of the package enters through
+`solve_lattice`, which builds both lattices and decides whether a coarse
+stage runs.
 
 At p = 2 the quotient is the Rayleigh quotient of K x = lambda M x and
 its minimum the lowest eigenvalue.  The descent runs once, from a random
@@ -471,12 +471,10 @@ def minimize_quotient(form: AssembledForm, p: float,
     value.  The `restart_*` lists describe the fine descents alone, the
     `coarse_*` lists the coarse stage, one entry per start.
 
-    `start`, a field on any lattice in the coordinates of `form` (a
-    minimizer on a shorter truncation, or one zoomed from a model strip),
-    replaces those starts at every p: it is the one start, moved by
-    `discretize.prolong` onto the first lattice that descends (`coarse`
-    when given, else `form`).  Whether that lattice is the coarse one is
-    decided by `solve_lattice`.
+    `start`, a field on any lattice in the coordinates of `form` (the
+    minimizer of a model strip, zoomed), replaces those starts at every
+    p: it is the one start, moved by `discretize.prolong` onto the first
+    lattice that descends (`coarse` when given, else `form`).
     """
     opts = opts or MinimizeOptions()
     check_exponent(p)
@@ -527,13 +525,11 @@ def solve_lattice(build, spacing, p: float,
 
     `build` assembles the caller's problem at a spacing (a float, or one
     per axis).  There is no coarse form when that lattice is too small
-    (DomainTooSmall), or when a `start` is given at p > 2: the minimizer
-    is exponentially localized, so such a start already lies in its basin
-    and the fine lattice polishes it.  At p = 2 the ground state can
-    spread far from a start (on a longer strip, say), so it descends on
-    the coarse lattice first.  The forms are built in the call, not held
-    here, so the coarse one is freed before the fine stage.
+    (DomainTooSmall), or when a `start` is given: it already lies in the
+    minimizer's basin, and the fine lattice polishes it.  The forms are
+    built in the call, not held here, so the coarse one is freed before
+    the fine stage.
     """
     return minimize_quotient(
         build(spacing), p, opts, start=start,
-        coarse=None if start is not None and p > 2.0 else _doubled(build, spacing))
+        coarse=None if start is not None else _doubled(build, spacing))

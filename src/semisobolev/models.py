@@ -9,7 +9,7 @@ enters the models only through b = |b(x)|, which is Tr+ B in the plane.
 
 In d = 1 every constant is a `model1d` closed form: the whole-line soliton
 inside, the shifted soliton lambda_c on the half-line.  In d = 2 every
-whole-plane constant is one radial solve (`_grid_value`): in symmetric
+whole-plane constant is one radial solve (`_radial_value`): in symmetric
 gauge a real radial u has |(-i grad - A) u|^2 = u'^2 + (b r / 2)^2 u^2.
 With no field that is exact, since Schwarz symmetrization keeps the L^p and
 L^2 norms and does not raise the Dirichlet energy, and the Neumann half
@@ -92,19 +92,9 @@ def solved(f, *args, **kwargs) -> tuple:
     return value, _unconverged == misses
 
 
-def _grid_value(key: tuple, spec: GeometrySpec, spacing,
-                centers: tuple = ()) -> float:
-    """Memoized grid solve of a planar model at h = 1; key = (kind, p, ...).
-
-    Kind "rad" is a whole plane solved as a radial form, a field b as the
-    potential (b r / 2)^2 of the symmetric gauge (an upper bound that
-    matches the 2-D lattice where measured, not a theorem), on the
-    half-line lattice of `spec`, nodes r_j = j dr.  Each node weighs the
-    area of its annulus, 2 pi r_j dr, and the centre node the disk
-    pi dr^2 / 4; each edge carries the flux coefficient
-    2 pi r_{j+1/2} / dr.  The centre has no surface weight, so it is a
-    natural zero-flux end, and the node at r = L stays pinned.  This is a
-    d = 1 form, solved on the SuperLU path.
+def _grid_value(key: tuple, form, spacing, centers: tuple = ()) -> float:
+    """Memoized grid solve of the model that form(spacing) assembles at
+    h = 1, as `solve_lattice` takes it; key = (kind, p, ...).
 
     The value goes through `memo`, the memo that the straight-strip
     reference of `waveguide` shares: an unconverged solve is a miss,
@@ -114,21 +104,10 @@ def _grid_value(key: tuple, spec: GeometrySpec, spacing,
     runs after the bump init; a random start that wanders into the
     interior-soliton valley stops as `outpaced` once it cannot come down
     to the bump's converged value.  Every start descends first on the
-    same model at twice the spacing, radial weights included, and only
-    the distinct coarse minima are polished on this lattice;
-    `solve_lattice` decides that coarse lattice.
+    same model at twice the spacing, and only the distinct coarse minima
+    are polished on this lattice; `solve_lattice` decides that coarse
+    lattice.
     """
-    def form(s):
-        grid = build_grid(spec, s)
-        if key[0] == "rad":
-            r, dr = grid.points[:, 0], grid.spacing[0]
-            weight = 2.0 * math.pi * dr * r
-            weight[0] = math.pi * dr * dr / 4.0
-            mid = 0.5 * (r[grid.edges[:, 0]] + r[grid.edges[:, 1]])
-            grid = replace(grid, weight=weight, surface_weight=np.zeros_like(r),
-                           edge_coeff=2.0 * math.pi * mid / dr)
-        return assemble(spec, 1.0, grid)
-
     def solve():
         res = solve_lattice(form, spacing, key[1], MinimizeOptions(
             grad_tol=1e-7, restarts=1, centers=centers))
@@ -144,11 +123,32 @@ def _scale(b: float, v: float) -> float:
 
 
 def _radial_value(p: float, b: float, v: float) -> float:
-    """Radial solve of the whole plane at h = 1, field b in {0, 1}."""
+    """Radial solve of the whole plane at h = 1, field b in {0, 1}.
+
+    A field b enters as the potential (b r / 2)^2 of the symmetric gauge
+    (an upper bound that matches the 2-D lattice where measured, not a
+    theorem), on a half-line lattice with nodes r_j = j dr.  Each node
+    weighs the area of its annulus, 2 pi r_j dr, and the centre node the
+    disk pi dr^2 / 4; each edge carries the flux coefficient
+    2 pi r_{j+1/2} / dr.  The centre has no surface weight, so it is a
+    natural zero-flux end, and the node at r = L stays pinned.  This is a
+    d = 1 form, solved on the SuperLU path.
+    """
     scale = _scale(b, v)
     spec = GeometrySpec(domain=geometry.half_line(20.0 * scale),
                         V=lambda pts: v + (0.5 * b * pts[:, 0]) ** 2)
-    return _grid_value(("rad", p, b, round(v, 12)), spec,
+
+    def form(s):
+        grid = build_grid(spec, s)
+        r, dr = grid.points[:, 0], grid.spacing[0]
+        weight = 2.0 * math.pi * dr * r
+        weight[0] = math.pi * dr * dr / 4.0
+        mid = 0.5 * (r[grid.edges[:, 0]] + r[grid.edges[:, 1]])
+        return assemble(spec, 1.0, replace(
+            grid, weight=weight, surface_weight=np.zeros_like(r),
+            edge_coeff=2.0 * math.pi * mid / dr))
+
+    return _grid_value(("rad", p, b, round(v, 12)), form,
                        scale / _RADIAL_STEPS, ((0.0,),))
 
 
@@ -167,7 +167,8 @@ def _half_space_value(p: float, b: float, v: float, g: float) -> float:
                         V=v, A=A, gamma=g)
     key = ("bd", p, round(b, 12), round(v, 12), round(g, 12))
     spacing = (scale / 12.0, min(depth / 10.0, scale / 12.0))
-    return _grid_value(key, spec, spacing, ((0.0, 0.0),))
+    return _grid_value(key, lambda s: assemble(spec, 1.0, build_grid(spec, s)),
+                       spacing, ((0.0, 0.0),))
 
 
 def interior_constant(b: float, V0: float, p: float, dim: int = 2) -> float:

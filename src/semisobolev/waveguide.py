@@ -15,12 +15,13 @@ rescale sigma = (s - s_max) / (h a_max) is exact and gives
 
 which is also exact on matched lattices; variable profiles approach this
 value as h -> 0 while the minimizer concentrates near the maxima of a.
-The straight-strip constant lambda^Dir(Sigma, p) is computed once on a
-sigma-grid with the same resolution so that leading mesh errors cancel in
-the reported ratios.  Its minimizer, zoomed by the same rescale onto the
+The straight-strip constant lambda^Dir(Sigma, p) is taken on a sigma-grid
+with the same resolution so that leading mesh errors cancel in the
+reported ratios, at p = 2 exactly: it is then that lattice's closed-form
+infimum.  At p > 2 its minimizer, zoomed by the same rescale onto the
 s-lattice of a rung, is the model minimizer the semiclassical picture
-puts at the widest point, and it is each rung's one start.  A rung's
-row is the `asymptotics.SweepRow` of every h-ladder: lambda_reduced, its
+puts at the widest point, and it is each rung's one start.  A rung's row
+is the `asymptotics.SweepRow` of every h-ladder: lambda_reduced, its
 ratio to h^{1-2/p}, the target a_max^{-4/p} lambda^Dir(Sigma, p), and the
 mass at distance > width from s_max, on the rung's strip lattice.
 """
@@ -34,15 +35,17 @@ import numpy as np
 
 from . import geometry, models
 from .asymptotics import SweepRow, rung_row
-from .discretize import AssembledForm, WaveFunction, assemble, build_grid
+from .discretize import (AssembledForm, WaveFunction, assemble, build_grid,
+                         lp_norm)
 from .errors import InvalidProfile
 from .geometry import GeometrySpec
 from .minimize import MinimizeOptions, solve_lattice
 
 _DSIGMA = 1.0 / 14.0    # s-spacing per unit of the rescaled variable sigma
 _NT = 41                # transverse nodes across t in [-1, 1]
-_REF_TOL = 0.002        # relative change that stops the truncation doubling
-_REF_DOUBLINGS = 4
+_REF_HALFWIDTH = 12.0   # s-truncation of the straight-strip reference
+_TAIL_S = 9.0           # where its tail starts: |s| > 3/4 _REF_HALFWIDTH
+_TAIL = 1e-3            # the largest L^p mass of that tail
 
 
 @dataclass
@@ -146,63 +149,72 @@ def _solve(profile: WidthProfile, h: float, p: float, opts: MinimizeOptions,
            s_halfwidth: float | None = None,
            start: WaveFunction | None = None):
     """The minimizer of the strip form at h, nested in the strip at twice
-    both spacings; `solve_lattice` decides where a `start` descends (the
-    minimizer on a shorter truncation, padded with zeros, or the zoomed
-    straight-strip minimizer, `_zoomed`)."""
+    both spacings; a `start` (the zoomed straight-strip minimizer,
+    `_zoomed`) is polished on the fine strip alone (`solve_lattice`)."""
     return solve_lattice(
         lambda s: assemble_waveguide_form(profile, h, p, s_halfwidth, s),
         _spacing(profile, h), p, opts, start)
 
 
-def straight_reference(p: float) -> float:
-    """lambda^Dir(Sigma, p) on the unit strip, truncation grown to stability.
+def _transverse_ground() -> float:
+    """(2/dt sin(pi dt / 4))^2, the lowest Dirichlet eigenvalue of the
+    strip lattice's t-mesh."""
+    dt = 2.0 / (_NT - 1)
+    return (2.0 / dt * math.sin(0.25 * math.pi * dt)) ** 2
 
-    At p = 2 this approaches the transverse Dirichlet threshold pi^2/4
-    from above (essential spectrum bottom, not attained on the infinite
-    strip); for p > 2 the minimizer is exponentially localized and the
-    value stabilizes quickly under doubling of the truncation.  The first
-    truncation (s_halfwidth = 12) is one nested solve: its bump and random
-    starts descend on the strip at twice both spacings first, and only
-    their distinct minima are polished.  Each doubling continues from the
-    previous truncation's minimizer, padded with zeros, as its one start,
-    which `solve_lattice` polishes on the fine strip alone for p > 2 and
-    takes through the coarse strip at p = 2.  The converged result, its
-    minimizer with it (the start of every rung), is kept under
-    ("strip", p) in `models.memo`, shared with the model constants: an
-    unconverged truncation, or a value still moving after _REF_DOUBLINGS
-    doublings, is a miss, counted and not stored, and the last
-    truncation's value is returned.
+
+def straight_reference(p: float) -> float:
+    """lambda^Dir(Sigma, p) on the unit strip, on the lattice of the rungs.
+
+    At p = 2 it is the infimum of the strip lattice, not attained: the
+    lowest transverse Dirichlet eigenvalue (2/dt sin(pi dt / 4))^2 of the
+    rungs' t-mesh, which lies below pi^2/4 by that mesh's error, so the
+    error cancels exactly in the ratios.  Nothing is solved or stored.
+    For p > 2 the minimizer decays like exp(-pi |s| / 2) whatever p, so
+    the truncation at s_halfwidth = _REF_HALFWIDTH fixes the value: one
+    nested solve, its bump and random starts descending on the strip at
+    twice both spacings first and only their distinct minima polished.
+    The converged result, its minimizer with it (the start of every
+    rung), is kept under ("strip", p) in `models.memo`, shared with the
+    model constants.  An unconverged solve, or a minimizer whose L^p mass
+    on the tail |s| > _TAIL_S exceeds _TAIL, is a miss, counted and not
+    stored, and its value is returned.
     """
+    if p == 2.0:
+        return _transverse_ground()
+    profile = constant_profile(1.0)
+
     def solve():
         opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3,
                                centers=((0.0, 0.0),), bump_width=1.0)
-        prev = res = None
-        for k in range(_REF_DOUBLINGS + 1):
-            res = _solve(constant_profile(1.0), 1.0, p, opts, 12.0 * 2 ** k,
-                         start=None if res is None else res.psi)
-            if not res.converged or prev is not None and (
-                    abs(res.lam - prev) <= _REF_TOL * abs(prev)):
-                return res
-            prev = res.lam
-        res.converged = False       # still moving after the last doubling
+        res = _solve(profile, 1.0, p, opts, _REF_HALFWIDTH)
+        grid = res.psi.grid
+        tail = np.abs(grid.points[:, 0]) > _TAIL_S
+        if lp_norm(grid.weight[tail], res.psi.values[tail], p) > _TAIL:
+            res.converged = False
         return res
 
     return models.memo(("strip", p), solve)
 
 
 def _zoomed(psi: WaveFunction, profile: WidthProfile, h: float) -> WaveFunction:
-    """The straight-strip field psi(sigma, t) at s = s_max + h a_max sigma:
-    the same values on a copy of its grid with s zoomed, whose s-spacing
-    is then that of the strip lattice at h (`_spacing`)."""
-    grid = psi.grid
-    zoom = h * profile.a_max
-    points = grid.points.copy()
-    points[:, 0] = profile.s_max + zoom * points[:, 0]
-    (lo, hi), _ = grid.domain.bounds
-    return WaveFunction(replace(
-        grid, points=points, spacing=(zoom * grid.spacing[0], grid.spacing[1]),
-        domain=geometry.strip(profile.s_max + zoom * lo,
-                              profile.s_max + zoom * hi)), psi.values)
+    """The straight-strip minimizer psi(sigma, t) at s = s_max + h a_max
+    sigma on the strip lattice at h, over |sigma| <= 2 _REF_HALFWIDTH
+    (its tail is below 1e-16 of its peak there).  Past |sigma| = _TAIL_S,
+    where its truncation's Dirichlet cap starts to bend it, the column k
+    further out is the column there times r^k, the decay of the lattice's
+    linear tail: r + 1/r = 2 + dsigma^2 `_transverse_ground()`."""
+    reach = 2.0 * _REF_HALFWIDTH * h * profile.a_max
+    grid = build_grid(GeometrySpec(domain=geometry.strip(
+        profile.s_max - reach, profile.s_max + reach), V=0.0, A=None,
+        gamma=0.0), _spacing(profile, h))
+    k = np.arange(grid.shape[0]) - grid.shape[0] // 2     # columns from s_max
+    m = round(_TAIL_S / _DSIGMA)
+    b = 1.0 + 0.5 * _DSIGMA ** 2 * _transverse_ground()
+    values = (psi.values.reshape(psi.grid.shape)[
+        np.clip(k, -m, m) + psi.grid.shape[0] // 2]
+        * (b - math.sqrt(b * b - 1.0)) ** np.maximum(np.abs(k) - m, 0)[:, None])
+    return WaveFunction(grid, np.where(grid.free, values.ravel(), 0.0))
 
 
 def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[SweepRow]:
@@ -215,11 +227,13 @@ def waveguide_sweep(profile: WidthProfile, p: float, h_list) -> list[SweepRow]:
     not stored, in the memo it shares with the model constants, and every
     row is still made.
 
-    Every rung starts from the stored reference minimizer, zoomed onto its
-    lattice (`_zoomed`): at p > 2 the fine strip polishes it alone, and at
-    p = 2 it descends on the coarse strip first (`solve_lattice`).  Only
-    when the reference missed, so nothing is stored, does a rung start
-    from a bump at the argmax and a random field, each on the coarse strip.
+    At p > 2 every rung starts from the stored reference minimizer, zoomed
+    onto its lattice and continued past its truncation (`_zoomed`), which
+    the fine strip polishes alone.  At p = 2, whose reference is a closed
+    form, or when the reference missed, nothing is stored, and a rung
+    takes `solve_lattice`'s own starts on the coarse strip first: the
+    random field at p = 2, a bump at the argmax and a random field at
+    p > 2.
     """
     ref, reference_ok = models.solved(straight_reference, p)
     model = models.stored(("strip", p))

@@ -536,7 +536,7 @@ class TestWaveguide:
 
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
-        # the reference misses at its first truncation; the rungs converge
+        # the reference misses; the rungs converge
         real = minimize.minimize_quotient
 
         def solve(form, p, opts, coarse=None, start=None):
@@ -649,6 +649,8 @@ class TestConfigValidation:
          "bc: not used by domain = plane"),
         ("domain = strip\nbounds = -2 2\nbc = robin robin\n",
          "bc: not used by domain = strip"),
+        # a strip reads its s-range only; a second pair is not dropped
+        ("domain = strip\nbounds = -2 2 5 7\n", "bounds: expected 2 numbers, got 4"),
         # every number goes through one reader: malformed or non-finite
         # values, and empty or out-of-range shapes, are errors
         ("domain = disk\nB = constant\n", "B: expected 1 numbers, got 0"),
@@ -779,6 +781,15 @@ class TestBadInput:
          "--spacing", "1e-7"],
         ["solve", "--config", "{cfg}", "--h", "1e-16", "--p", "4"],
         ["waveguide", "--profile", "cosine:5", "--p", "4", "--h-list", "0.5"],
+        ["solve", "--config", "{cfg}", "--h", "0.1", "--p", "4",
+         "--spacing", "1.0"],
+        ["solve", "--config", "{tmp}/disk.cfg", "--h", "0.1", "--p", "4",
+         "--spacing", "0.5"],
+        ["partition-check", "--alpha", "0.5", "--rho", "0.3", "--h", "0.1",
+         "--spacing", "2.0"],
+        ["waveguide", "--profile", "constant:1", "--p", "4", "--h-list", "100"],
+        ["waveguide", "--profile", "gaussian:0.5,0,1e-3", "--p", "4",
+         "--h-list", "0.1"],
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -800,9 +811,12 @@ class TestBadInput:
             "sweep-h-not-a-number", "profile-kind", "model1d-sweep-two-fields",
             "model1d-no-c-or-sweep", "config-missing",
             "solve-lattice-too-large", "solve-h-lattice-too-large",
-            "cosine-parameters"])
+            "cosine-parameters", "solve-lattice-too-small",
+            "solve-disk-under-resolved", "partition-lattice-too-small",
+            "waveguide-rung-too-small", "waveguide-profile-too-narrow"])
     def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
         (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
+        (tmp_path / "disk.cfg").write_text("domain = disk\nradius = 1.0\nV = 1.0\n")
         for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),
                            ("repeated", "-2,1.0\n0,1.5\n0,1.2\n2,1.0\n"),
                            ("nan", "-2,1.0\n0,nan\n2,1.0\n"),

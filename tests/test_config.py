@@ -61,7 +61,7 @@ def test_preset(text, at, pts, formula):
     ("domain = half-line\nhalfwidth = 3\n", "interval", ((0.0, 3.0),),
      (("robin", "truncation"),)),
     # the y-range of a strip is always (-1, 1)
-    ("domain = strip\nbounds = -2 2 -5 5\n", "rectangle", ((-2.0, 2.0), (-1.0, 1.0)),
+    ("domain = strip\nbounds = -2 2\n", "rectangle", ((-2.0, 2.0), (-1.0, 1.0)),
      (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"))),
 ], ids=["plane", "half-plane", "line", "half-line", "strip"])
 def test_domain(text, kind, bounds, bc):
@@ -79,7 +79,7 @@ def test_domain(text, kind, bounds, bc):
     ("domain = half-line\nhalfwidth = 3\n", (("dirichlet", "truncation"),)),
     ("domain = half-plane\nhalfwidth = 3\n",
      (("truncation", "truncation"), ("dirichlet", "truncation"))),
-    ("domain = strip\nbounds = -2 2 -1 1\n",
+    ("domain = strip\nbounds = -2 2\n",
      (("dirichlet", "dirichlet"), ("dirichlet", "dirichlet"))),
     (DISK, (("dirichlet",),)),
 ], ids=["rectangle", "interval", "half-line", "half-plane", "strip", "disk"])

@@ -513,7 +513,7 @@ def test_the_benchmark_probe_sees_every_solve():
     # perfbench/probe.py wraps functions by rebinding module globals; a
     # solve that bypassed the global `minimize.minimize_quotient` would
     # leave the workload checks no solve to check.  At p = 4 the reference
-    # takes two truncations, the first with a coarse strip
+    # is one solve, on the strip and the coarse strip
     code = (f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
             "import time\nimport semisobolev.cli\n"
             "from semisobolev import waveguide\n"
@@ -527,8 +527,8 @@ def test_the_benchmark_probe_sees_every_solve():
     spans = _run(code)
     solves = [parent for name, parent in spans
               if name == "minimize.minimize_quotient"]
-    assert solves == ["waveguide.straight_reference"] * 2
-    assert [name for name, _ in spans].count("waveguide.assemble") == 3
+    assert solves == ["waveguide.straight_reference"]
+    assert [name for name, _ in spans].count("waveguide.assemble") == 2
 
 
 def test_the_benchmark_probe_sees_one_reference_per_sweep():

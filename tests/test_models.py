@@ -224,11 +224,15 @@ class TestBoundaryConstant:
         # nodes, where one spacing for both axes gave 81.6M
         lattices = []
 
-        def stub(key, spec, spacing, centers=()):
-            lattices.append((spec.domain, spacing))
+        def stub(key, form, spacing, centers=()):
+            if key[0] != "rad":     # the p > 2 interior cap is a 1-D form
+                form(spacing)
             return 1.0
 
         monkeypatch.setattr(models, "_grid_value", stub)
+        monkeypatch.setattr(models, "build_grid", lambda spec, spacing: (
+            lattices.append((spec.domain, spacing))))
+        monkeypatch.setattr(models, "assemble", lambda spec, h, grid: None)
         models.boundary_constant(0.0, 1.0, 100.0, 4.0)
         (dom, spacing), = [(d, s) for d, s in lattices if d.dim == 2]
         assert spacing == pytest.approx((1.0 / 12.0, 1.0 / 1010.0), rel=1e-12)
@@ -357,24 +361,25 @@ class TestCache:
         calls = []
 
         def fake_minimize(form, p, opts, coarse=None, start=None):
+            # a bump at the origin, which the reference's tail check reads
             calls.append(p)
+            psi = dz.gaussian_bump(form.grid, np.zeros(form.grid.dim), 1.0)
             return types.SimpleNamespace(lam=1.25, converged=converged,
-                                         psi="field")
+                                         psi=psi)
 
         monkeypatch.setattr(models, "_cache", {})
         monkeypatch.setattr(models, "_unconverged", 0)
         monkeypatch.setattr(mz, "minimize_quotient", fake_minimize)
-        # the straight-strip reference shares the memo: two truncations
-        # settle it, and a miss stops at the first
+        # the straight-strip reference shares the memo, one solve a call
         for _ in range(2):
             assert models._radial_value(4.0, 0.0, 1.0) == 1.25
             assert models._half_space_value(4.0, 0.0, 1.0, 0.0) == 1.25
             assert wg.straight_reference(4.0) == 1.25
         assert len(models._cache) == (3 if converged else 0)
         # only the reference keeps its field, the start of the rungs
-        assert [r.psi for r in models._cache.values()] == (
-            [None, None, "field"] if converged else [])
-        assert len(calls) == (4 if converged else 6)
+        assert [r.psi is None for r in models._cache.values()] == (
+            [True, True, False] if converged else [])
+        assert len(calls) == (3 if converged else 6)
         assert models._unconverged == (0 if converged else 6)
 
     def test_one_solve_per_key_whatever_the_environment(self, monkeypatch):
@@ -409,10 +414,9 @@ class TestFourierPath:
     def test_model_lattices_take_the_fourier_path(self, monkeypatch):
         forms = []
 
-        def coarse(key, spec, spacing, centers=()):
+        def coarse(key, form, spacing, centers=()):
             if key[0] != "rad":     # the p > 2 interior cap is a 1-D form
-                grid = dz.build_grid(spec, np.multiply(4, spacing))
-                forms.append(dz.assemble(spec, 1.0, grid))
+                forms.append(form(np.multiply(4, spacing)))
             return 1.0
 
         monkeypatch.setattr(models, "_grid_value", coarse)

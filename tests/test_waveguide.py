@@ -51,8 +51,8 @@ def test_energy_is_the_weighted_edge_sum():
 @pytest.mark.parametrize("prof, h, s_half", [
     (wg.gaussian_profile(0.5, 0.0, 1.0), 0.2, None),   # the ladder's rungs
     (wg.gaussian_profile(0.5, 0.0, 1.0), 0.1, None),
-    (wg.constant_profile(1.0), 1.0, 12.0),             # the two references
-    (wg.constant_profile(1.0), 1.0, 24.0),
+    (wg.constant_profile(1.0), 1.0, 12.0),             # the reference
+    (wg.constant_profile(1.0), 1.0, 24.0),             # its longer check
 ], ids=["h0.2", "h0.1", "reference12", "reference24"])
 def test_column_weights_are_the_per_edge_weights(prof, h, s_half):
     # the profile is weighed once per s-column and repeated per edge; K is
@@ -86,44 +86,49 @@ def test_start_at_a_minimizer_stays_there():
 @pytest.mark.usefixtures("fresh_reference")
 class TestStraightReference:
     @staticmethod
-    def solver(converged, calls, lam=lambda k: 5.0):
+    def solver(calls, converged=True, center=0.0, lam=5.0):
+        """A fake solve returning lam and the L^p-normalized bump of width 1
+        at s = center on the strip lattice, which the tail check reads."""
         def fake(form, p, opts, coarse=None, start=None):
-            calls.append((form.n, start))
-            return SimpleNamespace(lam=lam(len(calls)), converged=converged,
-                                   el_residual=1.0,
-                                   psi=f"minimizer {len(calls)}")
+            calls.append(start)
+            psi = dz.gaussian_bump(form.grid, (center, 0.0), 1.0)
+            psi.values /= psi.norm_lp(p)
+            return SimpleNamespace(lam=lam, converged=converged,
+                                   el_residual=1.0, psi=psi)
         return fake
 
     def test_unconverged_solve_is_counted_and_not_cached(self, monkeypatch):
         calls = []
         monkeypatch.setattr(mz, "minimize_quotient",
-                            self.solver(False, calls, lambda k: 4.0))
-        assert wg.straight_reference(4.0) == 4.0     # a miss at truncation 12
+                            self.solver(calls, converged=False, lam=4.0))
+        assert wg.straight_reference(4.0) == 4.0     # a miss: one solve
         assert (len(calls), models._unconverged, models._cache) == (1, 1, {})
-        monkeypatch.setattr(mz, "minimize_quotient", self.solver(True, calls))
+        monkeypatch.setattr(mz, "minimize_quotient", self.solver(calls))
         assert wg.straight_reference(4.0) == 5.0     # not stored: solved again
-        assert len(calls) == 3                       # truncation 12, then 24
-        # the doubling starts from the minimizer at truncation 12
-        assert [start for _, start in calls] == [None, None, "minimizer 2"]
+        assert calls == [None, None]                 # each from its own starts
         assert {k: r.lam for k, r in models._cache.items()} == {
             ("strip", 4.0): 5.0}
         assert wg.straight_reference(4.0) == 5.0     # now a hit
-        assert (len(calls), models._unconverged) == (3, 1)
+        assert (len(calls), models._unconverged) == (2, 1)
 
-    def test_unsettled_value_is_counted_and_not_cached(self, monkeypatch):
-        # every truncation converges, but each moves the value by 1%, more
-        # than _REF_TOL: after _REF_DOUBLINGS doublings it is still a miss
+    def test_tail_mass_is_counted_and_not_cached(self, monkeypatch):
+        # a converged field with L^p mass on the outer quarter |s| > 9 of
+        # the truncation |s| <= 12 is a miss; the same bump at the centre
+        # is stored
         calls = []
         monkeypatch.setattr(mz, "minimize_quotient",
-                            self.solver(True, calls, lambda k: 1.01 ** k))
-        assert wg.straight_reference(4.0) == 1.01 ** (wg._REF_DOUBLINGS + 1)
-        assert len(calls) == wg._REF_DOUBLINGS + 1
-        assert (models._unconverged, models._cache) == (1, {})
+                            self.solver(calls, center=10.0))
+        assert wg.straight_reference(4.0) == 5.0
+        assert (len(calls), models._unconverged, models._cache) == (1, 1, {})
+        monkeypatch.setattr(mz, "minimize_quotient", self.solver(calls))
         wg.straight_reference(4.0)
-        assert len(calls) == 2 * (wg._REF_DOUBLINGS + 1)
-        assert models._unconverged == 2
+        assert (len(calls), models._unconverged) == (2, 1)
+        assert list(models._cache) == [("strip", 4.0)]
 
-    def test_doubling_continues_from_the_last_minimizer(self, monkeypatch):
+    def test_one_truncation_meets_the_longer_strip(self, monkeypatch):
+        # p = 4: one nested solve at s_halfwidth 12, whose bump and random
+        # starts descend on the coarse strip first; a cold solve at 24
+        # gives the same lambda (7.5e-14 relative)
         solves = []
         real = mz.minimize_quotient
 
@@ -134,25 +139,42 @@ class TestStraightReference:
 
         monkeypatch.setattr(mz, "minimize_quotient", recording)
         ref = wg.straight_reference(4.0)
-        assert ref == pytest.approx(5.120754663328114, rel=1e-12, abs=0.0)
-        (_, first), (opts, doubling) = solves
-        assert len(first.coarse_iterations) == 2      # bump and random start
-        # p = 4: one start, polished on the fine strip alone
-        assert doubling.coarse_iterations == []
-        assert doubling.restart_exits == ["grad_tol"]
+        assert ref == pytest.approx(5.1207546633281105, rel=1e-12, abs=0.0)
+        (opts, res), = solves
+        assert len(res.coarse_iterations) == 2      # bump and random start
+        assert res.converged and models._unconverged == 0
+        assert models.stored(("strip", 4.0)) is res
         cold = wg._solve(wg.constant_profile(1.0), 1.0, 4.0, opts, 24.0)
         assert cold.converged
-        assert doubling.lam == ref
         assert ref == pytest.approx(cold.lam, rel=1e-12, abs=0.0)
 
-    def test_p2_reference(self):
-        # the lattice counterpart of pi^2/4 = 2.4674011; its doublings keep
-        # the coarse stage, since the p = 2 ground state spreads with them
-        assert wg.straight_reference(2.0) == pytest.approx(
-            2.467203933626499, rel=1e-12, abs=0.0)
+    def test_p2_reference(self, monkeypatch):
+        # the infimum of the strip lattice, not attained: the transverse
+        # Dirichlet eigenvalue of the 41-node t-mesh, below pi^2/4 =
+        # 2.4674011 by that mesh's error; nothing is solved or stored
+        calls = []
+        monkeypatch.setattr(mz, "minimize_quotient", self.solver(calls))
+        ref = wg.straight_reference(2.0)
+        assert ref == pytest.approx(2.4661330134976, rel=1e-12, abs=0.0)
+        assert (calls, models._cache, models._unconverged) == ([], {}, 0)
+        # the truncated lattices lie above it by their own s-eigenvalue
+        # (2/ds sin(pi ds / 4L))^2, separable as the strip is, and fall
+        # towards it as the truncation L doubles
+        monkeypatch.setattr(mz, "minimize_quotient", minimize_quotient)
+        prof = wg.constant_profile(1.0)
+        ds, _ = wg._spacing(prof, 1.0)
+        opts = MinimizeOptions(grad_tol=1e-9, restarts=1, seed=3)
+        gaps = []
+        for L in (12.0, 24.0):
+            res = wg._solve(prof, 1.0, 2.0, opts, L)
+            assert res.converged
+            s_eig = (2.0 / ds * math.sin(math.pi * ds / (4.0 * L))) ** 2
+            assert res.lam == pytest.approx(ref + s_eig, rel=1e-12, abs=0.0)
+            gaps.append(res.lam - ref)
+        assert 0.0 < gaps[1] < gaps[0] / 3.0
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the first truncation stops as backtrack_floor (stagnation under "
+        "the one truncation stops as backtrack_floor (stagnation under "
         "threaded BLAS) at el_residual about 3.5e-7, above the 5e-8 "
         "acceptance (ROADMAP item 14, case 4)"))
     def test_p6_reference_converges(self, monkeypatch):
@@ -165,10 +187,10 @@ class TestStraightReference:
 
         monkeypatch.setattr(mz, "minimize_quotient", recording)
         assert math.isfinite(wg.straight_reference(6.0))
-        first = solves[0]
-        assert first.converged, (first.restart_exits, first.el_residual)
+        (res,) = solves
+        assert res.converged, (res.restart_exits, res.el_residual)
         if models._unconverged:     # a miss for another reason fails
-            pytest.fail("the p = 6 reference missed after its first truncation")
+            pytest.fail("the p = 6 reference missed on its tail check")
 
 
 def test_mass_outside_is_fixed_by_the_stop(monkeypatch):
@@ -205,10 +227,34 @@ def rung_solves(monkeypatch):
     return solves
 
 
+def test_zoomed_start_continues_the_tail():
+    # at h = 1 on the constant strip the start is the reference minimizer on
+    # |s| <= 9 and, out to |s| = 24, the linear tail of the lattice: each
+    # column the last one times r, r + 1/r = 2 + ds^2 mu, mu the transverse
+    # ground eigenvalue; it is 0 only on the caps and the walls
+    wg.straight_reference(4.0)
+    psi = models.stored(("strip", 4.0)).psi
+    start = wg._zoomed(psi, wg.constant_profile(1.0), 1.0)
+    n_t = psi.grid.shape[1]
+    assert start.grid.shape == (673, n_t)
+    ref, cont = (f.values.reshape(f.grid.shape) for f in (psi, start))
+    assert np.array_equal(cont[336 - 126:336 + 127], ref[168 - 126:168 + 127])
+    ds = 1.0 / 14.0
+    b = 1.0 + 0.5 * ds * ds * wg.straight_reference(2.0)
+    r = b - math.sqrt(b * b - 1.0)
+    for col in (cont[336 + 127:-1], cont[1:336 - 126][::-1]):
+        assert np.allclose(col, ref[168 + 126] * r ** np.arange(1, 210)[:, None],
+                           rtol=1e-12, atol=0.0)
+    assert not cont[[0, -1]].any() and not cont[:, [0, -1]].any()
+    assert np.all(np.abs(cont[1:-1, 1:-1]) > 0.0)
+
+
 def test_constant_rungs_are_the_zoomed_reference(rung_solves):
     # the constant strip at h is the reference strip zoomed by h: each rung
     # starts at its minimizer and takes 2 fine iterations, with no coarse
-    # stage (a bump and a random field took 12 fine and 135 coarse ones)
+    # stage (a bump and a random field took 12 fine and 135 coarse ones).
+    # The rungs reach |s| = 8, past the zoomed truncation |s| <= 12 h: the
+    # start continues the tail there (left 0, they take 4 and 5)
     rows = wg.waveguide_sweep(wg.constant_profile(1.0), 4.0, [0.5, 0.25])
     assert len(rung_solves) == 2
     for row, res in zip(rows, rung_solves):
