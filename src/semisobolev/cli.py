@@ -5,6 +5,9 @@ partition-check, waveguide.  Tables go to CSV with the resolved
 configuration as `# key = value` header comments; structured results go
 to JSON with a "config" block.  Writes are atomic (temp file + rename).
 Exit codes: 0 success, 1 validation error, 2 solver non-convergence.
+
+A refusal exits 1 and names the flags on its command line that set what
+it refuses, from one table in `main` (and each subcommand's lattice flags).
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ import numpy as np
 from . import asymptotics, geometry, model1d, models, partition, waveguide
 from ._util import atomic_write
 from .config import ConfigError, load_geometry
-from .discretize import assemble, build_grid, gaussian_bump, wavefunction_rows
-from .errors import (DomainTooSmall, GridTooLarge, InvalidExponent,
-                     InvalidProfile, InvalidScales, ScaleOutOfRange,
-                     SemisobolevError)
+from .discretize import (_MAX_NODES, assemble, build_grid, gaussian_bump,
+                         wavefunction_rows)
+from .errors import (AssumptionViolated, InvalidExponent, InvalidProfile,
+                     InvalidScales, LatticeOutOfRange, NoSolution,
+                     SemisobolevError, ToleranceNotMet)
 from .minimize import MinimizeOptions, solve_lattice
 
 
@@ -94,6 +98,13 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
+def _count(flag: str, n: int) -> int:
+    """1 <= n <= _MAX_NODES: each sample or point costs memory like a node."""
+    if not 1 <= n <= _MAX_NODES:
+        raise ConfigError(f"{flag}: expected 1 to {_MAX_NODES}, got {n}")
+    return n
+
+
 def _semiclassical(flag: str, h: float) -> float:
     """h > 0 whose square, the scale of the kinetic coefficients, is a
     finite nonzero float; past that the form's set-up overflows."""
@@ -141,10 +152,10 @@ def _cmd_model1d(args) -> int:
             lo, hi, n = float(lo), float(hi), int(n)
         except ValueError as exc:
             raise ConfigError(f"--sweep: expected lo:hi:n ({exc})") from exc
-        if not (math.isfinite(lo) and math.isfinite(hi) and n >= 1):
-            raise ConfigError(f"--sweep: expected finite lo, hi and n >= 1, "
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"--sweep: expected finite lo and hi, "
                               f"got {args.sweep}")
-        cs = np.linspace(lo, hi, n)
+        cs = np.linspace(lo, hi, _count("--sweep", n))
     elif args.c is not None:
         if not math.isfinite(args.c):
             raise ConfigError(f"--c: expected a finite number, got {args.c}")
@@ -180,14 +191,8 @@ def _cmd_solve(args) -> int:
         _positive("--spacing", args.spacing)
     spacing = args.spacing or asymptotics.default_mesh_rule(args.h)
     opts = MinimizeOptions(seed=args.seed, grad_tol=args.grad_tol)
-    try:
-        res = solve_lattice(lambda s: assemble(spec, args.h, build_grid(spec, s)),
-                            spacing, args.p, opts)
-    except ScaleOutOfRange as exc:
-        raise ConfigError(f"--h: {exc}") from exc
-    except (GridTooLarge, DomainTooSmall) as exc:
-        flag = "--h" if args.spacing is None else "--spacing"   # --h: the mesh rule
-        raise ConfigError(f"{flag}: {exc}") from exc
+    res = solve_lattice(lambda s: assemble(spec, args.h, build_grid(spec, s)),
+                        spacing, args.p, opts)
     config = _geometry_config(args, resolved, h=args.h, spacing=spacing,
                               grad_tol=args.grad_tol)
     payload = {
@@ -217,10 +222,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_concentration(args) -> int:
     """Exits 2 when a sample is unconverged, after writing every row."""
-    for flag, n in (("--n-interior", args.n_interior),
-                    ("--n-boundary", args.n_boundary)):
-        if n < 1:
-            raise ConfigError(f"{flag}: expected at least 1, got {n}")
+    _count("--n-interior", args.n_interior)
+    _count("--n-boundary", args.n_boundary)
     spec, resolved = load_geometry(args.config)
     pts = asymptotics.default_sample_points(spec, args.n_interior, args.n_boundary)
     cmap = models.concentration_map(spec, pts, args.p)
@@ -272,18 +275,11 @@ def _cmd_large_domain(args) -> int:
 def _cmd_partition_check(args) -> int:
     _semiclassical("--h", args.h)
     _positive("--spacing", args.spacing)
-    if args.samples < 1:
-        raise ConfigError(f"--samples: expected at least 1, got {args.samples}")
+    _count("--samples", args.samples)
     spec = (load_geometry(args.config)[0] if args.config else
             geometry.GeometrySpec(domain=geometry.plane(3.0), V=1.0, gamma=0.0))
-    try:
-        fam = partition.build_partition(args.alpha, args.rho, args.h, spec.dim)
-    except InvalidScales as exc:
-        raise ConfigError(f"--alpha/--rho/--h: {exc}") from exc
-    try:
-        grid = build_grid(spec, args.spacing)
-    except (GridTooLarge, DomainTooSmall) as exc:
-        raise ConfigError(f"--spacing: {exc}") from exc
+    fam = partition.build_partition(args.alpha, args.rho, args.h, spec.dim)
+    grid = build_grid(spec, args.spacing)
     form = assemble(spec, args.h, grid)
     rng = np.random.default_rng(args.seed)
     psi = gaussian_bump(grid, np.zeros(spec.dim), 0.8)
@@ -322,11 +318,7 @@ def _cmd_waveguide(args) -> int:
     when a rung or the reference is unconverged, after writing every row."""
     prof = _parse_profile(args.profile)
     h_list = _parse_h_list("--h-list", args.h_list, _semiclassical)
-    try:
-        rows = waveguide.waveguide_sweep(prof, args.p, h_list)
-    except (GridTooLarge, DomainTooSmall) as exc:   # a rung's strip lattice:
-        # spacing h a_max / 14 and length 8 widths
-        raise ConfigError(f"--h-list/--profile: {exc}") from exc
+    rows = waveguide.waveguide_sweep(prof, args.p, h_list)
     config = {"profile": args.profile, "p": args.p, "h_list": args.h_list,
               "seed": args.seed}
     hdr = ["h", "lambda_reduced", "ratio", "mass_outside", "spacing_s",
@@ -365,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--sweep", help="c_min:c_max:n")
     m.add_argument("--out", help="CSV path (stdout when omitted)")
     m.add_argument("--json", help="optional JSON path")
-    m.set_defaults(func=_cmd_model1d)
+    m.set_defaults(func=_cmd_model1d, lattice_flags=())
 
     s = sub.add_parser("solve", help="minimize the quotient on a geometry",
                        description=_cmd_solve.__doc__)
@@ -376,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--psi-csv", help="optional minimizer dump")
     s.add_argument("--spacing", type=float)
     s.add_argument("--grad-tol", type=float, default=1e-8)
-    s.set_defaults(func=_cmd_solve)
+    s.set_defaults(func=_cmd_solve, lattice_flags=("--config", "--h", "--spacing"))
 
     c = sub.add_parser("concentration", help="sample the concentration function")
     c.add_argument("--config", required=True)
@@ -385,14 +377,14 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--n-boundary", type=int, default=16)
     c.add_argument("--out", help="CSV path (stdout when omitted)")
     c.add_argument("--json", help="optional JSON path")
-    c.set_defaults(func=_cmd_concentration)
+    c.set_defaults(func=_cmd_concentration, lattice_flags=("--config",))
 
     w = sub.add_parser("sweep", help="semiclassical h-sweep")
     w.add_argument("--config", required=True)
     w.add_argument("--p", type=float, required=True)
     w.add_argument("--h-list", required=True)
     w.add_argument("--out", required=True, help="CSV path")
-    w.set_defaults(func=_cmd_sweep)
+    w.set_defaults(func=_cmd_sweep, lattice_flags=("--config", "--h-list"))
 
     ld = sub.add_parser("large-domain", help="Neumann constants of dilated "
                         "domains: the sweep at h = R^-2, each rung started "
@@ -402,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     ld.add_argument("--p", type=float, required=True)
     ld.add_argument("--R-list", required=True)
     ld.add_argument("--out", help="CSV path (stdout when omitted)")
-    ld.set_defaults(func=_cmd_large_domain)
+    ld.set_defaults(func=_cmd_large_domain, lattice_flags=("--config", "--R-list"))
 
     pc = sub.add_parser("partition-check", help="two-scale partition report")
     pc.add_argument("--alpha", type=float, required=True)
@@ -413,7 +405,8 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--spacing", type=float, default=0.05)
     pc.add_argument("--config", help="optional geometry (default: 2D box)")
     pc.add_argument("--out", required=True, help="JSON report path")
-    pc.set_defaults(func=_cmd_partition_check)
+    pc.set_defaults(func=_cmd_partition_check,
+                    lattice_flags=("--config", "--h", "--spacing"))
 
     wg = sub.add_parser("waveguide", help="shrinking-waveguide sweep")
     wg.add_argument("--profile", required=True,
@@ -422,11 +415,13 @@ def build_parser() -> argparse.ArgumentParser:
     wg.add_argument("--p", type=float, required=True)
     wg.add_argument("--h-list", required=True)
     wg.add_argument("--out", help="CSV path (stdout when omitted)")
-    wg.set_defaults(func=_cmd_waveguide)
+    # a rung's strip lattice: spacing h a_max / 14, length 8 widths
+    wg.set_defaults(func=_cmd_waveguide, lattice_flags=("--h-list", "--profile"))
     return ap
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
@@ -434,9 +429,17 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except SemisobolevError as exc:    # every exponent is the --p flag
-        flag = "--p: " if isinstance(exc, InvalidExponent) else ""
-        print(f"error: {flag}{exc}", file=sys.stderr)
+    except SemisobolevError as exc:
+        # the flags that set what each class refuses; ConfigError names its own
+        flags = {LatticeOutOfRange: args.lattice_flags,
+                 InvalidExponent: ("--p",),
+                 InvalidScales: ("--alpha", "--rho", "--h"),
+                 NoSolution: ("--c", "--sweep"),
+                 ToleranceNotMet: ("--config", "--p", "--c", "--sweep"),
+                 AssumptionViolated: ("--config",)}.get(type(exc), ())
+        given = {tok.split("=")[0] for tok in argv}
+        named = "/".join(f for f in flags if f in given)
+        print(f"error: {named + ': ' if named else ''}{exc}", file=sys.stderr)
         return 1
 
 

@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import eigh_tridiagonal, lapack, lu_factor, lu_solve
 
-from .errors import DomainTooSmall, GridTooLarge, ScaleOutOfRange, ZeroFunction
+from .errors import LatticeOutOfRange, ZeroFunction
 from .geometry import Domain, GeometrySpec
 
 _MAX_NODES = 2 ** 22    # node budget of one lattice, over 50x any test or workload
@@ -94,15 +94,15 @@ class Grid:
 
 
 def _check_size(n_nodes: float, spacing) -> None:
-    """GridTooLarge, before any per-node array exists, past _MAX_NODES."""
+    """LatticeOutOfRange, before any per-node array exists, past _MAX_NODES."""
     if not n_nodes <= _MAX_NODES:
-        raise GridTooLarge(f"spacing {spacing} gives a lattice of {n_nodes:.6g} "
-                           f"nodes, over the budget of {_MAX_NODES}")
+        raise LatticeOutOfRange(f"spacing {spacing} gives a lattice of {n_nodes:.6g}"
+                                f" nodes, over the budget of {_MAX_NODES}")
 
 
 def _axis_nodes(lo: float, hi: float, n: int, spacing: float):
     if n < 8:
-        raise DomainTooSmall(
+        raise LatticeOutOfRange(
             f"axis [{lo}, {hi}] at spacing {spacing} has {n} < 8 nodes")
     return np.linspace(lo, hi, n)
 
@@ -200,7 +200,8 @@ def _disk_grid(dom: Domain, spacing) -> Grid:
     _check_size(side * side, s)
     n_half = int(math.ceil(R / s)) + 1
     if 2 * n_half + 1 < 8:
-        raise DomainTooSmall(f"disk of radius {R} at spacing {s} is under-resolved")
+        raise LatticeOutOfRange(
+            f"disk of radius {R} at spacing {s} is under-resolved")
     ax = cx + s * np.arange(-n_half, n_half + 1)
     ay = cy + s * np.arange(-n_half, n_half + 1)
     X, Y = np.meshgrid(ax, ay, indexing="ij")
@@ -280,9 +281,9 @@ def build_grid(spec: GeometrySpec, spacing) -> Grid:
 
     Nodes are free or pinned, from the domain's face table alone (gamma
     plays no part in the grid): a Robin face gives its free nodes surface
-    weight, any other face pins its nodes.  GridTooLarge (exit 1) when the
-    lattice would have more than _MAX_NODES nodes; it is raised before any
-    per-node array is allocated."""
+    weight, any other face pins its nodes.  LatticeOutOfRange (exit 1) when
+    an axis would have under 8 nodes, or the lattice over _MAX_NODES; the
+    latter is raised before any per-node array is allocated."""
     dom = spec.domain
     if dom.kind == "disk":
         return _disk_grid(dom, spacing)
@@ -738,8 +739,8 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
 
     K is one COO -> CSR conversion: two hops per free-free edge and, per free
     node, its link coefficients (np.bincount) plus potential and Robin terms.
-    ScaleOutOfRange when an entry overflows, or when a nonzero V (gamma) term
-    would round away at V = 1 (gamma = 1) on every (Robin) node.
+    LatticeOutOfRange when an entry overflows, or when a nonzero V (gamma)
+    term would round away at V = 1 (gamma = 1) on every (Robin) node.
     """
     if h <= 0:
         raise ValueError("h must be positive")
@@ -773,8 +774,8 @@ def assemble(spec: GeometrySpec, h: float, grid: Grid,
     vals = np.concatenate([hop, np.conj(hop), diag])
     finite = np.all(np.isfinite(vals))
     if not finite or lost:
-        raise ScaleOutOfRange(f"h = {h:.6g} at spacing {min(g.spacing):.6g}: " + (
-            "V and gamma round away" if finite else "the form overflows"))
+        why = "V and gamma round away" if finite else "the form overflows"
+        raise LatticeOutOfRange(f"h = {h:.6g} at spacing {min(g.spacing):.6g}: {why}")
     ii = np.arange(nf)      # int32 indices, as scipy keeps them: no copies
     K = sp.csr_matrix((vals, (np.concatenate([ia, ib, ii], dtype=np.int32),
                               np.concatenate([ib, ia, ii], dtype=np.int32))),

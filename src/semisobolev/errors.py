@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all solver modules."""
+"""Exception hierarchy shared by all solver modules; the CLI exits 1 on
+each, naming the flags behind it (`cli.main`)."""
 
 
 class SemisobolevError(Exception):
@@ -11,10 +12,6 @@ class NoSolution(SemisobolevError):
 
 class ToleranceNotMet(SemisobolevError):
     """A conserved quantity or accuracy target drifted beyond its tolerance."""
-
-
-class DomainTooSmall(SemisobolevError):
-    """Grid construction was asked for fewer than 8 nodes per axis."""
 
 
 class ZeroFunction(SemisobolevError):
@@ -48,9 +45,6 @@ class ConfigError(SemisobolevError):
     """Malformed run configuration; message carries the offending key."""
 
 
-class GridTooLarge(SemisobolevError):
-    """A lattice would have more nodes than the grid builder's budget."""
-
-
-class ScaleOutOfRange(SemisobolevError):
-    """A lattice form's terms do not fit in floating point at this h."""
+class LatticeOutOfRange(SemisobolevError):
+    """A lattice has more nodes than the grid builder's budget or fewer than
+    8 per axis, or its form's terms do not fit in floating point at this h."""

@@ -67,7 +67,7 @@ import numpy as np
 
 from .discretize import (AssembledForm, WaveFunction, abs_pow, evaluate,
                          gaussian_bump, lp_norm, prolong)
-from .errors import DomainTooSmall, ZeroFunction
+from .errors import LatticeOutOfRange, ZeroFunction
 from .geometry import check_exponent
 
 _MAX_ITERS = 3000       # iteration cap of one descent
@@ -514,7 +514,7 @@ def _doubled(build, spacing):
     try:
         return build(2.0 * spacing if np.isscalar(spacing)
                      else tuple(2.0 * s for s in spacing))
-    except DomainTooSmall:
+    except LatticeOutOfRange:
         return None
 
 
@@ -524,8 +524,9 @@ def solve_lattice(build, spacing, p: float,
     """`minimize_quotient` of build(spacing), nested in build(2 spacing).
 
     `build` assembles the caller's problem at a spacing (a float, or one
-    per axis).  There is no coarse form when that lattice is too small
-    (DomainTooSmall), or when a `start` is given: it already lies in the
+    per axis).  There is no coarse form when that lattice is out of range
+    (LatticeOutOfRange; the fine one was built, so it has too few nodes
+    per axis), or when a `start` is given: it already lies in the
     minimizer's basin, and the fine lattice polishes it.  The forms are
     built in the call, not held here, so the coarse one is freed before
     the fine stage.

@@ -427,7 +427,7 @@ class TestSolve:
         assert cli.main(argv + ["--h", "10"]) == 0
         assert "lambda=14.142136 " in capsys.readouterr().out
         assert cli.main(argv + ["--h", "1e30"]) == 1
-        assert "error: --h: h = 1e+30" in capsys.readouterr().err
+        assert "error: --config/--h: h = 1e+30" in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_large_p_is_finite(self, disk_cfg, tmp_path):
@@ -701,9 +701,87 @@ class TestConfigValidation:
         assert not out.exists()
 
 
+# refusals by id: the argv and the exact prefix of the message.  One
+# raised below the CLI names the flags on its command line behind its
+# error's class (`cli.main`); `g.cfg` is a rectangle with gamma = 1000,
+# whose half-plane model is spaced at depth / 10 on its normal axis
+NAMED_REFUSALS = {
+    "sweep-lattice-too-large": (
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "1e-12"],
+        "error: --config/--h-list: spacing"),
+    "sweep-h-potential-lost": (
+        ["sweep", "--config", "{cfg}", "--p", "4", "--h-list", "1e30"],
+        "error: --config/--h-list: h = 1e+30"),
+    "sweep-repulsive-model-too-large": (
+        ["sweep", "--config", "{tmp}/g.cfg", "--p", "4", "--h-list", "0.1"],
+        "error: --config/--h-list: spacing"),
+    "large-domain-lattice-too-large": (
+        ["large-domain", "--config", "{tmp}/disk.cfg", "--p", "4",
+         "--R-list", "1e5"],
+        "error: --config/--R-list: spacing"),
+    "large-domain-h-potential-lost": (
+        ["large-domain", "--config", "{tmp}/disk.cfg", "--p", "4",
+         "--R-list", "1e-15"],
+        "error: --config/--R-list: h = 1e+30"),
+    "concentration-repulsive-model-too-large": (
+        ["concentration", "--config", "{tmp}/g.cfg", "--p", "4"],
+        "error: --config: spacing"),
+    "model1d-c-one": (["model1d", "--p", "4", "--c", "1"],
+                      "error: --c: lambda_c undefined"),
+    "model1d-sweep-to-minus-one": (["model1d", "--p", "4", "--sweep=-1:0:3"],
+                                   "error: --sweep: lambda_c undefined"),
+    "model1d-mass-underflows": (["model1d", "--p", "2.01", "--c", "-0.99"],
+                                "error: --p/--c: c=-0.99"),
+    # a sample or a point costs memory like a lattice node: each count is
+    # refused past the node budget before anything is built
+    "concentration-n-interior-past-budget": (
+        ["concentration", "--config", "{cfg}", "--p", "4",
+         "--n-interior", "100000000"],
+        "error: --n-interior: expected 1 to 4194304, got 100000000"),
+    "concentration-n-boundary-past-budget": (
+        ["concentration", "--config", "{cfg}", "--p", "4",
+         "--n-boundary", "100000000"],
+        "error: --n-boundary: expected 1 to 4194304, got 100000000"),
+    "partition-samples-past-budget": (
+        ["partition-check", "--alpha", "0.5", "--rho", "0.33", "--h", "0.1",
+         "--samples", "100000000"],
+        "error: --samples: expected 1 to 4194304, got 100000000"),
+    "model1d-sweep-past-budget": (
+        ["model1d", "--p", "4", "--sweep=0:0.5:100000000"],
+        "error: --sweep: expected 1 to 4194304, got 100000000"),
+}
+
+
 class TestBadInput:
     """Bad argument values exit 1 with a message that names the flag or
     config key at fault, never a traceback."""
+
+    @pytest.fixture
+    def refuse(self, interval_cfg, tmp_path, capsys):
+        """Run an argv, with {tmp} and {cfg} filled in, on the test's
+        files; check that it is refused: exit 1, an `error:` message and
+        no traceback or output file.  Returns the argv and stderr."""
+        (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
+        (tmp_path / "disk.cfg").write_text("domain = disk\nradius = 1.0\nV = 1.0\n")
+        (tmp_path / "g.cfg").write_text("domain = rectangle\nbounds = -1 1 -1 1\n"
+                                        "V = 1.0\ngamma = 1000\n")
+        for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),
+                           ("repeated", "-2,1.0\n0,1.5\n0,1.2\n2,1.0\n"),
+                           ("nan", "-2,1.0\n0,nan\n2,1.0\n"),
+                           ("one_row", "0,1.5\n")):
+            (tmp_path / f"{name}.csv").write_text(text)
+        out = tmp_path / "out.csv"
+
+        def run(argv):
+            argv = [a.replace("{tmp}", str(tmp_path))
+                    .replace("{cfg}", str(interval_cfg)) for a in argv]
+            rc = cli.main(argv + ["--out", str(out)])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert "error:" in err and "Traceback" not in err
+            assert not out.exists()
+            return argv, err
+        return run
 
     @pytest.mark.parametrize("argv", [
         ["model1d", "--p", "2", "--c", "0"],
@@ -790,6 +868,7 @@ class TestBadInput:
         ["waveguide", "--profile", "constant:1", "--p", "4", "--h-list", "100"],
         ["waveguide", "--profile", "gaussian:0.5,0,1e-3", "--p", "4",
          "--h-list", "0.1"],
+        *(argv for argv, _ in NAMED_REFUSALS.values()),
     ], ids=["model1d-p2", "gaussian-fields", "constant-value", "table-missing",
             "table-columns", "waveguide-p", "solve-h-zero", "solve-h-negative",
             "sweep-h-zero", "large-domain-R-zero", "large-domain-R-negative",
@@ -813,23 +892,10 @@ class TestBadInput:
             "solve-lattice-too-large", "solve-h-lattice-too-large",
             "cosine-parameters", "solve-lattice-too-small",
             "solve-disk-under-resolved", "partition-lattice-too-small",
-            "waveguide-rung-too-small", "waveguide-profile-too-narrow"])
-    def test_exits_1(self, argv, interval_cfg, tmp_path, capsys):
-        (tmp_path / "one_column.csv").write_text("0\n1\n2\n")
-        (tmp_path / "disk.cfg").write_text("domain = disk\nradius = 1.0\nV = 1.0\n")
-        for name, text in (("descending", "2,1.0\n0,1.5\n-2,1.0\n"),
-                           ("repeated", "-2,1.0\n0,1.5\n0,1.2\n2,1.0\n"),
-                           ("nan", "-2,1.0\n0,nan\n2,1.0\n"),
-                           ("one_row", "0,1.5\n")):
-            (tmp_path / f"{name}.csv").write_text(text)
-        out = tmp_path / "out.csv"
-        argv = [a.replace("{tmp}", str(tmp_path)).replace("{cfg}", str(interval_cfg))
-                for a in argv]
-        rc = cli.main(argv + ["--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert "error:" in err and "Traceback" not in err
-        assert not out.exists()
+            "waveguide-rung-too-small", "waveguide-profile-too-narrow",
+            *NAMED_REFUSALS])
+    def test_exits_1(self, argv, refuse):
+        argv, err = refuse(argv)
         if "--format" not in argv:  # argparse names an unknown flag itself
             # "error: <name>: ", each /-separated part of <name> given on
             # the command line: a flag, with or without its "--", or the
@@ -839,6 +905,11 @@ class TestBadInput:
             assert named, err
             assert all(n in given or f"--{n}" in given
                        for n in named[1].split("/")), err
+
+    @pytest.mark.parametrize("argv,prefix", NAMED_REFUSALS.values(),
+                             ids=list(NAMED_REFUSALS))
+    def test_names_the_flags_behind_the_refusal(self, argv, prefix, refuse):
+        assert refuse(argv)[1].startswith(prefix)
 
 
 class TestAtomicWrite:

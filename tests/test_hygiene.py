@@ -18,7 +18,8 @@ closed-form oracle `de_gennes_constant` carries a functools memo.  Only
 `asymptotics.sweep` names `_rung`, the one runner of the sweep's rungs,
 which `large_domain` reuses; and only `asymptotics.rung_row` builds a
 `SweepRow`, the one row of every h-ladder, the waveguide sweep's too.
-The checks read the source with `ast`, except seven: importing the
+No `cli._cmd_*` function catches a package error: `cli.main` names the
+flags behind every refusal from one table.  The checks read the source with `ast`, except seven: importing the
 package loads no scipy module, since every importer names its submodule;
 importing the CLI loads no scipy module that only the oracles use, nor
 scipy.fft, nor scipy.interpolate, since the nested solves prolong with
@@ -42,7 +43,7 @@ import sys
 
 import pytest
 
-from semisobolev import cli
+from semisobolev import cli, errors
 from semisobolev.minimize import MinimizeOptions
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -340,6 +341,45 @@ def test_only_rung_row_builds_ladder_rows():
     found = [(path.stem, func) for path in MODULES
              for func in functions_calling(path.read_text(), "SweepRow")]
     assert found == [("asymptotics", "rung_row")]
+
+
+def error_handlers(source: str, names: set) -> list:
+    """(function, line) of each `except` clause, in a top-level `_cmd_*`
+    function, whose class or tuple of classes names one of `names`."""
+    found = []
+    for func in ast.parse(source).body:
+        if not (isinstance(func, ast.FunctionDef)
+                and func.name.startswith("_cmd_")):
+            continue
+        for node in ast.walk(func):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = {n.id if isinstance(n, ast.Name) else n.attr
+                          for n in ast.walk(node.type)
+                          if isinstance(n, (ast.Name, ast.Attribute))}
+                if caught & names:
+                    found.append((func.name, node.lineno))
+    return found
+
+
+def test_the_handler_check_finds_each_kind():
+    source = ("def _cmd_a(args):\n    try:\n        run()\n"
+              "    except (ValueError, LatticeOutOfRange):\n        pass\n"
+              "def _cmd_b(args):\n    try:\n        run()\n"
+              "    except errors.NoSolution as exc:\n        raise Other(exc)\n"
+              "def _cmd_c(args):\n    try:\n        run()\n"
+              "    except ValueError:\n        pass\n"
+              "def _parse(s):\n    try:\n        run()\n"
+              "    except NoSolution:\n        pass\n")
+    assert error_handlers(source, {"LatticeOutOfRange", "NoSolution"}) == [
+        ("_cmd_a", 4), ("_cmd_b", 9)]
+
+
+def test_no_subcommand_catches_a_package_error():
+    # `cli.main` maps each error class to the flags behind it; a handler
+    # in one subcommand would be a second copy of that rule
+    names = {name for name, obj in vars(errors).items()
+             if isinstance(obj, type) and issubclass(obj, errors.SemisobolevError)}
+    assert error_handlers((PACKAGE / "cli.py").read_text(), names) == []
 
 
 def functools_memos(source: str) -> list:

@@ -17,7 +17,7 @@ from semisobolev import model1d as m1
 from semisobolev import models
 from semisobolev import waveguide as wg
 from semisobolev.config import load_geometry
-from semisobolev.errors import AssumptionViolated, GridTooLarge
+from semisobolev.errors import AssumptionViolated, LatticeOutOfRange
 from semisobolev.minimize import MinimizeOptions, minimize_quotient
 
 BOX_CFG = str(Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
@@ -246,7 +246,7 @@ class TestBoundaryConstant:
         # builder raises before it allocates any per-node array
         tracemalloc.start()
         try:
-            with pytest.raises(GridTooLarge, match="nodes"):
+            with pytest.raises(LatticeOutOfRange, match="nodes"):
                 models.boundary_constant(0.0, 1.0, 1e4, 4.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
