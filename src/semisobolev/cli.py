@@ -37,6 +37,10 @@ _NEGATIVE_VALUE = re.compile(r"^-\.?\d")
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # a prefix of a flag is refused, so every refusal names flags in full
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse default exits 2; the contract is 1
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)

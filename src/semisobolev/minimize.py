@@ -14,18 +14,20 @@ d the energy is the quadratic
 
     Q(x - a d) = Q(x) - 2a Re<d, K x> + a^2 <d, K d>,
 
-and at p = 2 and p = 4 the norm |x - a d|_p^p is a quadratic or a quartic
-in a whose coefficients are weighted moments of x and d, so the line
-quotient is an exact rational function of a and is minimized in closed
-form with no L^p norm.  Other p backtrack with one axpy and one L^p norm
-per trial.  Decreases are formed without cancellation (`_decrease`), so
-they keep their sign at the gradient tolerance.  An accepted iterate is
-renormalized and K x is formed afresh (never updated by recurrence), and
-serves both the quotient and the gradient: one iteration costs one
-preconditioner solve and two sparse matvecs on its lattice, so an
-iteration on the lattice at twice the spacing costs about 2^-d of a fine
-one.  Each restart reports why it stopped: `grad_tol`, `stagnation` (no
-decrease over a window of iterations), `cap` (_MAX_ITERS iterations),
+and at p = 2 and p = 4 the norm |x - a d|_p^p is a quadratic or a
+quartic in a whose coefficients are weighted moments of x and d, so the
+line quotient is an exact rational function of a and is minimized in
+closed form with no L^p norm.  Other p backtrack, with one pass over the
+per-node moments |x|^2, Re(conj(x) d) and |d|^2 per trial and one L^p
+norm per accepted step.  Decreases are formed without cancellation
+(`_decrease`), so they keep their sign at the gradient tolerance.  An
+accepted iterate is renormalized and K x is formed afresh (never updated
+by recurrence), and serves both the quotient and the gradient: one
+iteration costs one preconditioner solve and two sparse matvecs on its
+lattice, so an iteration on the lattice at twice the spacing costs about
+2^-d of a fine one.  Each restart reports why it stopped: `grad_tol`,
+`stagnation` (R fell by at most 1e-15 relative over the last
+_STAG_WINDOW steps of its trail), `cap` (_MAX_ITERS iterations),
 `backtrack_floor` (no step lowers the quotient, so the iterate cannot
 move) or `outpaced` (by the forecast of its recent decreases it would
 still end above the best converged start at the cap; see `_descend`).
@@ -158,19 +160,20 @@ def _accepted(R: float, grad_norm: float, grad_tol: float) -> bool:
 # Preconditioned nonlinear CG with L^p renormalization
 # ---------------------------------------------------------------------------
 
-def _quartic_moments(w, x, d):
-    """delta(a) = |x - a d|_4^4 - 1 at |x|_4 = 1: its a .. a^4 coefficients.
-
-    With u = |x|^2, v = Re(conj(x) d) and s = |d|^2 per node,
-    |x - a d|^2 = u - 2a v + a^2 s, so the coefficients are weighted sums
-    of u v, v^2, u s, v s and s^2, taken in one pass.
-    """
+def _moments(x, d):
+    """u = |x|^2, v = Re(conj(x) d) and s = |d|^2 per node, so that
+    |x - a d|^2 = u - 2a v + a^2 s."""
     if np.iscomplexobj(x) or np.iscomplexobj(d):
-        u = x.real * x.real + x.imag * x.imag
-        v = x.real * d.real + x.imag * d.imag
-        s = d.real * d.real + d.imag * d.imag
-    else:
-        u, v, s = x * x, x * d, d * d
+        return (x.real * x.real + x.imag * x.imag,
+                x.real * d.real + x.imag * d.imag,
+                d.real * d.real + d.imag * d.imag)
+    return x * x, x * d, d * d
+
+
+def _quartic_moments(w, x, d):
+    """delta(a) = |x - a d|_4^4 - 1 at |x|_4 = 1: its a .. a^4 coefficients,
+    weighted sums of u v, v^2, u s, v s and s^2 (`_moments`)."""
+    u, v, s = _moments(x, d)
     wv, ws = w * v, w * s
     return (-4.0 * (wv @ u), 4.0 * (wv @ v) + 2.0 * (ws @ u),
             -4.0 * (ws @ v), ws @ s)
@@ -184,8 +187,9 @@ def _decrease(R, dKx, dKd, a, delta, p):
     r = delta / (sqrt(1 + delta) + 1)), the difference is
     [(-2a dKx + a^2 dKd) - R r] / (1 + r): no two large numbers cancel,
     so the sign and size of a decrease far below R's roundoff survive.
+    A delta that is not finite, or not above -1, is no step: inf.
     """
-    if not delta > -1.0:
+    if not -1.0 < delta < math.inf:
         return math.inf
     r = math.expm1(2.0 / p * math.log1p(delta))
     return (a * (a * dKd - 2.0 * dKx) - R * r) / (1.0 + r)
@@ -228,36 +232,50 @@ def _exact_step(R, dKx, dKd, n):
 
 
 def _armijo_step(w, x, d, p, R, dKx, dKd, slope, a):
-    """Backtracking from a, one L^p norm per trial: (a, |x - a d|_p) or None."""
+    """Backtracking from a at |x|_p = 1: (a, |x - a d|_p) or None.
+
+    Each trial takes delta(a) = |x - a d|_p^p - 1 in one pass over the
+    `_moments`, node by node and without its constant term: with
+    dq = a (a s - 2v), a node adds w u^{p/2} expm1((p/2) log1p(dq/u))
+    where |dq| < u/2 and w ((u + dq)^{p/2} - u^{p/2}) elsewhere, so no
+    rounding of 1 hides the decreases near a minimum.  Once delta < -1/2,
+    1 + delta is summed as w (u + dq)^{p/2}, whose terms do not cancel.
+    A trial whose delta overflows is rejected (`_decrease`).
+    """
+    u, v, s = _moments(x, d)
+    half_p = 0.5 * p
+    up = u ** half_p
     while a >= 1e-18:
-        nt = lp_norm(w, x - a * d, p)
-        try:
-            delta = nt ** p - 1.0
-        except OverflowError:       # a trial far out along d at large p
-            delta = math.inf
+        dq = a * (a * s - 2.0 * v)
+        with np.errstate(all="ignore"):
+            t = np.maximum(u + dq, 0.0) ** half_p   # u + dq may round below 0
+            near = up * np.expm1(half_p * np.log1p(dq / u))
+            delta = float(w @ np.where(np.abs(dq) < 0.5 * u, near, t - up))
+            if delta < -0.5:
+                delta = float(w @ t) - 1.0
         dec = _decrease(R, dKx, dKd, a, delta, p)
         if dec <= -1e-4 * a * slope:
-            return a, nt
+            return a, lp_norm(w, x - a * d, p)
         # minimizer of the quadratic through q(0), q'(0) = -slope, q(a)
         quad = 0.5 * slope * a * a / (dec + slope * a)
         a = min(max(quad, 0.1 * a), 0.5 * a) if math.isfinite(quad) else 0.5 * a
     return None
 
 
-def _forecast(trail, max_iters):
+def _forecast(trail):
     """Forecast of R at the cap from the trail R_0 .. R_k, k >= W.
 
     W = _STAG_WINDOW.  With the window decreases D1 = R_{k-2W} - R_{k-W}
     and D2 = R_{k-W} - R_k, a trail whose decreases shrink (0 < D2 < D1)
     is taken to go on shrinking geometrically by rho = D2 / D1 per window,
-    so the m = (max_iters - k) / W windows left gain
+    so the m = (_MAX_ITERS - k) / W windows left before the cap gain
     D2 rho (1 - rho^m) / (1 - rho): exact on R_j = L + C r^j.  Otherwise
     the last window's pace D2 / W is taken to hold to the cap.
     """
     W = _STAG_WINDOW
     k = len(trail) - 1
     d2 = trail[k - W] - trail[k]
-    m = (max_iters - k) / W
+    m = (_MAX_ITERS - k) / W
     gain = d2 * m
     if k >= 2 * W:
         d1 = trail[k - 2 * W] - trail[k - W]
@@ -278,18 +296,21 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     it falls back to z when it is not a descent direction.  At p = 2 and
     p = 4 the line quotient is an exact rational function of the step,
     minimized in closed form (`_exact_step`) with no L^p norm; any other p
-    backtracks from twice the last step with one L^p norm per trial.
+    backtracks from twice the last step (`_armijo_step`), with one pass
+    over the per-node moments per trial.
     Every accepted step lowers R.  The trail holds R at the start and
-    after each accepted step, so trail[-1] is the final R.
+    after each accepted step, so trail[-1] is the final R, and it is the
+    one record both cuts below read.
 
-    `incumbent` is the best value a converged start has reached.  After
-    k >= _STAG_WINDOW accepted steps the descent stops as `outpaced` when
-    the `_forecast` of R at the cap exceeds incumbent + _TIE: it cannot be
-    the selected start.  The forecast assumes the recent decreases go on
-    at their pace, or keep shrinking at their rate when they shrink; a
-    start that idles on a plateau and speeds up later is cut too, which
-    changes the answer only if it would have ended strictly below every
-    converged start.
+    After k >= W = _STAG_WINDOW accepted steps the descent stops as
+    `stagnation` when R_k lies at most 1e-15 max(1, |R_{k-W}|) below
+    R_{k-W}.  `incumbent` is the best value a converged start has reached;
+    the descent stops as `outpaced` when the `_forecast` of R at the cap
+    exceeds incumbent + _TIE: it cannot be the selected start.  The
+    forecast assumes the recent decreases go on at their pace, or keep
+    shrinking at their rate when they shrink; a start that idles on a
+    plateau and speeds up later is cut too, which changes the answer only
+    if it would have ended strictly below every converged start.
     """
     w = form.weight
     K = form.K
@@ -315,11 +336,8 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
     gz = rdot(g, wz)
     d = z
     a = 0.5                 # the first trial of a backtracking (p != 2, 4) is 2a
-    gnorm = math.sqrt(rdot(g, wg))
-    best_R, since_best = R, 0
-    trail = [R]             # R after each accepted step, for the forecast
+    trail = [R]             # R after each accepted step
     reason = "cap"
-    it = 0
     for it in range(_MAX_ITERS):
         gnorm = math.sqrt(rdot(g, wg))
         if gnorm <= grad_tol * max(1.0, abs(R)):
@@ -357,15 +375,12 @@ def _descend(form, x0, p, opts, incumbent=math.inf):
         d = zt + (beta * carry) * d
         x, Kx, g, wg, z, wz, gz, R = xt, Kxt, gt, wgt, zt, wzt, gzt, Rt
         trail.append(R)
-        if (len(trail) > _STAG_WINDOW
-                and _forecast(trail, _MAX_ITERS) > incumbent + _TIE):
-            reason = "outpaced"
-            break
-        if R < best_R - 1e-15 * max(1.0, abs(best_R)):
-            best_R, since_best = R, 0
-        else:
-            since_best += 1
-            if since_best >= _STAG_WINDOW:
+        if len(trail) > _STAG_WINDOW:
+            if _forecast(trail) > incumbent + _TIE:
+                reason = "outpaced"
+                break
+            old = trail[-1 - _STAG_WINDOW]
+            if old - R <= 1e-15 * max(1.0, abs(old)):
                 reason = "stagnation"
                 break
     return trail, x, it + 1, _Stop(reason, gnorm)

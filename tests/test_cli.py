@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import pathlib
 import re
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -258,6 +262,25 @@ class TestSweep:
 
 
 class TestConcentration:
+    def test_rows_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the benchmark's p = 2 box map under one and two OpenBLAS threads,
+        # each in a fresh interpreter (OpenBLAS reads the count on load):
+        # the two CSVs agree byte for byte
+        root = pathlib.Path(__file__).resolve().parents[1]
+        texts = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"box{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [
+                           str(root / "src"), os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "semisobolev.cli",
+                            "--seed", "1", "concentration", "--config",
+                            str(root / "perfbench" / "inputs" / "box.cfg"),
+                            "--p", "2", "--out", str(out)],
+                           env=env, check=True, capture_output=True)
+            texts.append(out.read_bytes())
+        assert texts[0] == texts[1]
+
     def test_golden(self, interval_cfg, tmp_path):
         out, js = tmp_path / "c.csv", tmp_path / "c.json"
         rc = cli.main(["concentration", "--config", str(interval_cfg),
@@ -533,6 +556,17 @@ class TestWaveguide:
         assert capsys.readouterr().out.rstrip().endswith(", 1 unconverged")
         (row,) = _read(out)[2]
         assert row[-1] == "0"
+
+    @pytest.mark.usefixtures("fresh_reference")
+    @pytest.mark.parametrize("p", ["3", "2.5"])
+    def test_backtracking_exponent_converges(self, tmp_path, p):
+        # p other than 2 and 4 takes the backtracking line step: the
+        # straight reference and the rung both pass the convergence test
+        out = tmp_path / "wg.csv"
+        assert cli.main(["waveguide", "--profile", "constant:1", "--p", p,
+                         "--h-list", "0.5", "--out", str(out)]) == 0
+        (row,) = _read(out)[2]
+        assert row[-1] == "1"
 
     @pytest.mark.usefixtures("fresh_reference")
     def test_unconverged_reference_exits_2(self, tmp_path, monkeypatch, capsys):
@@ -910,6 +944,18 @@ class TestBadInput:
                              ids=list(NAMED_REFUSALS))
     def test_names_the_flags_behind_the_refusal(self, argv, prefix, refuse):
         assert refuse(argv)[1].startswith(prefix)
+
+    @pytest.mark.parametrize("argv,prefix", [
+        (["sweep", "--conf", "{cfg}", "--p", "4", "--h-l", "1e-12"],
+         "error: the following arguments are required: --config, --h-list"),
+        (["model1d", "--p", "4", "--sw=-1:0:3"],
+         "error: unrecognized arguments: --sw=-1:0:3"),
+    ], ids=["sweep-prefixes", "model1d-sweep-prefix"])
+    def test_refuses_a_flag_prefix(self, argv, prefix, refuse):
+        # argparse would take a unique prefix and pass the refusal on to a
+        # solver that names no flag; the prefix itself is refused
+        err = refuse(argv)[1]
+        assert err.splitlines()[-1].startswith(prefix), err
 
 
 class TestAtomicWrite:

@@ -328,6 +328,18 @@ class TestExitReasons:
         assert first.restart_exits == ["cap", "grad_tol"]
         assert second.restart_exits == ["grad_tol", "outpaced"]
 
+    def test_idle_steps_stop_after_one_window(self, magnetic_2d, monkeypatch):
+        # accepted steps that move nothing leave R where it was: the
+        # descent stops as `stagnation` after exactly one window of them
+        _, _, f = magnetic_2d
+        monkeypatch.setattr(mz, "_exact_step",
+                            lambda R, dKx, dKd, n: (1e-20, 1.0))
+        x0 = dz.gaussian_bump(f.grid, (0.0, 0.0), 0.8).values[f.grid.free]
+        trail, _, its, stop = mz._descend(f, x0.astype(complex), 4.0,
+                                          MinimizeOptions(grad_tol=0.0))
+        assert stop.reason == "stagnation"
+        assert its == len(trail) - 1 == mz._STAG_WINDOW
+
     @pytest.mark.usefixtures("fresh_reference")
     def test_straight_reference_work(self, monkeypatch):
         iterations = []
@@ -390,10 +402,10 @@ class TestForecast:
     @pytest.mark.parametrize("k", [2 * mz._STAG_WINDOW, 7 * mz._STAG_WINDOW + 13])
     def test_exact_on_a_geometric_trail(self, k):
         # R_j = L + C r^j: the two-window tail lands on R at the cap
-        L, C, r, cap = 5.0, 0.3, 0.993, 3000
+        L, C, r, cap = 5.0, 0.3, 0.993, mz._MAX_ITERS
         trail = [L + C * r ** j for j in range(k + 1)]
-        assert mz._forecast(trail, cap) == pytest.approx(L + C * r ** cap,
-                                                         rel=1e-14)
+        assert mz._forecast(trail) == pytest.approx(L + C * r ** cap,
+                                                    rel=1e-14)
 
     def test_collapsed_decreases_forecast_the_last_value(self):
         # D2 below the rounding of D1 (1 - rho rounds to 1): rho^m is 0 and
@@ -401,23 +413,24 @@ class TestForecast:
         W = self.W
         trail = [100.0 - 90.0 * j / W for j in range(W + 1)]
         trail += [10.0] * (W - 1) + [math.nextafter(10.0, 0.0)]
-        assert mz._forecast(trail, 3000) == trail[-1]
+        assert mz._forecast(trail) == trail[-1]
 
-    def test_linear_pace_when_decreases_do_not_shrink(self):
+    def test_linear_pace_when_decreases_do_not_shrink(self, monkeypatch):
         # a steady slide and an accelerating one keep the linear forecast;
         # decreases that shrink by parts in 1e14 give the same value
         cap = 500
+        monkeypatch.setattr(mz, "_MAX_ITERS", cap)
         steady = [1.0 - 1e-4 * j for j in range(3 * self.W + 1)]
-        assert mz._forecast(steady, cap) == pytest.approx(1.0 - 1e-4 * cap,
-                                                          rel=1e-13)
+        assert mz._forecast(steady) == pytest.approx(1.0 - 1e-4 * cap,
+                                                     rel=1e-13)
         nearly = [1.0 - 1e-4 * j * (1.0 - 1e-16 * j)
                   for j in range(3 * self.W + 1)]
-        assert mz._forecast(nearly, cap) == pytest.approx(1.0 - 1e-4 * cap,
-                                                          rel=1e-13)
+        assert mz._forecast(nearly) == pytest.approx(1.0 - 1e-4 * cap,
+                                                     rel=1e-13)
         faster = [1.0 - 1e-6 * j * j for j in range(3 * self.W + 1)]
         k = 3 * self.W
         pace = (faster[k - self.W] - faster[k]) / self.W
-        assert mz._forecast(faster, cap) == pytest.approx(
+        assert mz._forecast(faster) == pytest.approx(
             faster[k] - pace * (cap - k), rel=1e-13)
 
 
@@ -583,28 +596,35 @@ class TestHotPath:
                 self.solves += 1
                 return self.lu.solve(b)
 
-        norms = []
+        norms, trials = [], []
 
         def counting_lp_norm(w, x, p):
             norms.append(1)
             return dz.lp_norm(w, x, p)
 
+        def counting_decrease(*args):
+            trials.append(1)
+            return real_decrease(*args)
+
+        real_decrease = mz._decrease
         monkeypatch.setattr(mz, "lp_norm", counting_lp_norm)
+        monkeypatch.setattr(mz, "_decrease", counting_decrease)
         monkeypatch.setattr(mz, "_MAX_ITERS", 40)
         x0 = rng.standard_normal(f.n) + 1j * rng.standard_normal(f.n)
         for p in (4.0, 3.0):
             K, lu = CountingMatrix(f.K), CountingLU(f.preconditioner())
             form = dataclasses.replace(f, K=K, _prec=lu)
             norms.clear()
+            trials.clear()
             trail, _, its, stop = mz._descend(form, x0, p, MinimizeOptions())
             assert stop.reason == "cap"
             steps = len(trail) - 1              # accepted steps
-            trials = len(norms) - 1             # line-search trials
             assert steps == its == 40
             if p == 4.0:
-                assert trials == 0              # closed-form line search
+                assert len(norms) == 1          # closed form: the start's only
             else:
-                assert trials > steps           # the run did backtrack
+                assert len(trials) > steps      # the run did backtrack
+                assert len(norms) == steps + 1  # one per accepted step
             assert lu.solves == steps + 1       # one per iterate, none per trial
             assert K.matvecs <= 2 * its + 1
 

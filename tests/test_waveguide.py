@@ -173,10 +173,6 @@ class TestStraightReference:
             gaps.append(res.lam - ref)
         assert 0.0 < gaps[1] < gaps[0] / 3.0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the one truncation stops as backtrack_floor (stagnation under "
-        "threaded BLAS) at el_residual about 3.5e-7, above the 5e-8 "
-        "acceptance (ROADMAP item 14, case 4)"))
     def test_p6_reference_converges(self, monkeypatch):
         solves = []
         real = mz.minimize_quotient
