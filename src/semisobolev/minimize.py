@@ -19,7 +19,8 @@ quartic in a whose coefficients are weighted moments of x and d, so the
 line quotient is an exact rational function of a and is minimized in
 closed form with no L^p norm.  Other p backtrack, with one pass over the
 per-node moments |x|^2, Re(conj(x) d) and |d|^2 per trial and one L^p
-norm per accepted step.  Decreases are formed without cancellation
+norm per accepted step (and per trial whose node powers overflow, at
+large p).  Decreases are formed without cancellation
 (`_decrease`), so they keep their sign at the gradient tolerance.  An
 accepted iterate is renormalized and K x is formed afresh (never updated
 by recurrence), and serves both the quotient and the gradient: one
@@ -236,11 +237,16 @@ def _armijo_step(w, x, d, p, R, dKx, dKd, slope, a):
 
     Each trial takes delta(a) = |x - a d|_p^p - 1 in one pass over the
     `_moments`, node by node and without its constant term: with
-    dq = a (a s - 2v), a node adds w u^{p/2} expm1((p/2) log1p(dq/u))
-    where |dq| < u/2 and w ((u + dq)^{p/2} - u^{p/2}) elsewhere, so no
-    rounding of 1 hides the decreases near a minimum.  Once delta < -1/2,
+    dq = a (a s - 2v) and e = (p/2) log1p(dq/u), a node adds
+    w u^{p/2} expm1(e) where |e| < 1 and w ((u + dq)^{p/2} - u^{p/2})
+    elsewhere, so no rounding of 1 hides the decreases near a minimum.
+    Beyond |e| = 1 the two powers differ by a factor above e and do not
+    cancel; the split is by e because at large p u^{p/2} underflows to 0
+    where expm1(e) overflows, though dq/u is small.  Once delta < -1/2,
     1 + delta is summed as w (u + dq)^{p/2}, whose terms do not cancel.
-    A trial whose delta overflows is rejected (`_decrease`).
+    Where a node's power overflows its weighted one may not, so delta is
+    then taken from the rescaled `lp_norm`; a trial whose delta overflows
+    there too is rejected (`_decrease`) and halved.
     """
     u, v, s = _moments(x, d)
     half_p = 0.5 * p
@@ -249,16 +255,19 @@ def _armijo_step(w, x, d, p, R, dKx, dKd, slope, a):
         dq = a * (a * s - 2.0 * v)
         with np.errstate(all="ignore"):
             t = np.maximum(u + dq, 0.0) ** half_p   # u + dq may round below 0
-            near = up * np.expm1(half_p * np.log1p(dq / u))
-            delta = float(w @ np.where(np.abs(dq) < 0.5 * u, near, t - up))
+            e = half_p * np.log1p(dq / u)
+            delta = float(w @ np.where(np.abs(e) < 1.0, up * np.expm1(e),
+                                       t - up))
             if delta < -0.5:
                 delta = float(w @ t) - 1.0
+            elif not delta < math.inf:
+                delta = float(np.float64(lp_norm(w, x - a * d, p)) ** p) - 1.0
         dec = _decrease(R, dKx, dKd, a, delta, p)
         if dec <= -1e-4 * a * slope:
             return a, lp_norm(w, x - a * d, p)
         # minimizer of the quadratic through q(0), q'(0) = -slope, q(a)
         quad = 0.5 * slope * a * a / (dec + slope * a)
-        a = min(max(quad, 0.1 * a), 0.5 * a) if math.isfinite(quad) else 0.5 * a
+        a = min(max(quad, 0.1 * a), 0.5 * a) if delta < math.inf else 0.5 * a
     return None
 
 

@@ -378,6 +378,21 @@ class TestConcentration:
         assert payload["argmin"] == [[1.0, 0.0]]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_p_1e6_is_finite(self, disk_cfg, tmp_path):
+        # at p = 1e6 most nodes' |x|^p underflow to 0 and a growth of 0.2 %
+        # overflows: the backtracking still converges every model solve,
+        # to the value that a full L^p norm per trial reaches
+        out, js = tmp_path / "c.csv", tmp_path / "c.json"
+        assert cli.main(["--seed", "1", "concentration", "--config",
+                         str(disk_cfg), "--p", "1e6", "--n-interior", "1",
+                         "--n-boundary", "1", "--out", str(out), "--json",
+                         str(js)]) == 0
+        _, _, rows = _read(out)
+        assert {r[4] for r in rows} == {"1"}
+        assert json.loads(js.read_text())["inf"] == pytest.approx(
+            0.469988813025, rel=1e-11)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_sample_exits_1(self, tmp_path, capsys):
         # V overflows on the outer ring and the rim of the radius-2 disk
         cfg = tmp_path / "disk.cfg"

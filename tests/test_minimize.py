@@ -563,6 +563,26 @@ class TestHotPath:
         naive = float(xa @ (f.K @ xa)) / dz.lp_norm(f.weight, xa, 4.0) ** 2 - R
         assert abs(naive - exact) > abs(exact)
 
+    # the backtracking at large p, on two nodes with R = 1, dKx = 1 and
+    # dKd = 0: every trial lowers Q by 2a, and a norm that grows lowers
+    # the quotient further
+
+    def test_backtracking_past_an_underflowing_power(self):
+        # p = 1e4: the second node's |x|^p = 0.5^1e4 underflows to 0 and
+        # its growth to 0.6 overflows expm1; its true share of delta is 0,
+        # so the first trial is taken with |x - a d|_p = 1
+        w, x, d = np.ones(2), np.array([1.0, 0.5]), np.array([0.0, -0.1])
+        assert mz._armijo_step(w, x, d, 1e4, 1.0, 1.0, 0.0, 2.0, 1.0) == (
+            1.0, 1.0)
+
+    def test_backtracking_halves_a_trial_whose_norm_overflows(self):
+        # p = 1e6: |x - a d|_p^p = ((1 + a)^p + (1 - a)^p) / 2 overflows at
+        # a = 1e-3, and at a = 5e-4 it is about 1e217, a finite decrease
+        w, x, d = np.full(2, 0.5), np.ones(2), np.array([-1.0, 1.0])
+        a, nt = mz._armijo_step(w, x, d, 1e6, 1.0, 1.0, 0.0, 2.0, 1e-3)
+        assert a == 5e-4
+        assert nt == pytest.approx(1.0005 * 0.5 ** 1e-6, rel=1e-12)
+
     @pytest.mark.parametrize("p", [2.5, 3.0, 4.0, 6.0])
     @pytest.mark.parametrize("complex_", [False, True])
     def test_lp_kernel(self, p, complex_, rng):
